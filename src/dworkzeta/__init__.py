@@ -26,7 +26,7 @@ from .counting import (
     count_Y,
     count_Y_strata_brute,
     enumerate_solutions,
-    smoothness_probe,
+    is_singular,
 )
 from .zeta import (
     IntPoly,

@@ -22,9 +22,10 @@ from .counting import (
     count_record,
     count_X,
     count_Y,
-    smoothness_probe,
+    is_singular,
 )
 from .errors import (
+    ConfigError,
     DworkZetaError,
     EnumerationTooLarge,
     FieldTooLarge,
@@ -62,6 +63,10 @@ EXIT_ORACLE = 4
 EXIT_CONGRUENCE = 5
 EXIT_RECOVERY = 6
 EXIT_SLOPE_FE = 7
+
+_CAP_ERRORS = (EnumerationTooLarge, FieldTooLarge)
+_RECOVERY_ERRORS = (InsufficientData, NoConsistentSign, NonIntegralCoefficient,
+                    NotDivisible, SubstitutionNotIntegral)
 
 
 def _emit(line: dict, out):
@@ -153,9 +158,8 @@ def _zeta_bundle(inst, caps, tier: str, max_k=None):
     """Recover mirror (and pencil, when affordable) zeta data plus checks."""
     n = inst.n
     q = inst.field.pp.q
-    probe = smoothness_probe(inst, k_max=2, caps=caps)
-    singular = probe.status == "singular"
-    bundle = {"probe": probe, "singular": singular}
+    singular = is_singular(inst)
+    bundle = {"smoothness": "singular" if singular else "smooth"}
     if singular:
         # degenerate fibers: no functional-equation completion, allow a
         # degree drop in the numerator; the pencil side is not recovered
@@ -190,13 +194,12 @@ def cmd_zeta(args) -> int:
             inst = DworkInstance(n=args.n, field=field, lam=lam)
             try:
                 bundle = _zeta_bundle(inst, caps, args.tier, args.max_k)
-            except (InsufficientData, NoConsistentSign, NonIntegralCoefficient,
-                    NotDivisible, SubstitutionNotIntegral) as exc:
-                _emit({"schema": 1, "n": args.n, "p": args.p, "r": args.r,
+            except _RECOVERY_ERRORS as exc:
+                _emit({"schema": 2, "n": args.n, "p": args.p, "r": args.r,
                        "lambda": args.lam_spec, "error": str(exc)}, out)
                 code = EXIT_RECOVERY
                 continue
-            row = {"schema": 1, "smoothness": bundle["probe"].status}
+            row = {"schema": 2, "smoothness": bundle["smoothness"]}
             row["Y"] = bundle["Y"].to_json_dict()
             if bundle["X"] is not None:
                 row["X"] = bundle["X"].to_json_dict()
@@ -224,15 +227,15 @@ def cmd_slope(args) -> int:
         for lam in _parse_lambdas(args.lam_spec, field):
             inst = DworkInstance(n=args.n, field=field, lam=lam)
             bundle = _zeta_bundle(inst, caps, args.tier, args.max_k)
-            row = {"schema": 1, "n": args.n, "p": args.p, "r": args.r,
+            row = {"schema": 2, "n": args.n, "p": args.p, "r": args.r,
                    "lambda_dlog": bundle["Y"].lam_dlog,
-                   "smoothness": bundle["probe"].status}
+                   "smoothness": bundle["smoothness"]}
             d = args.n - 1
             sy = slope_zeta(bundle["Y"])
             row["slope_zeta_Y"] = sy.to_json_dict()
             fe_y = slope_fe_check(sy, d)
             row["fe_Y"] = "pass" if fe_y else "fail"
-            if not fe_y and not bundle["singular"]:
+            if not fe_y and bundle["smoothness"] == "smooth":
                 code = EXIT_SLOPE_FE
             row["slope_zeta_Y_display"] = sy.render()
             np_y = newton_polygon(bundle["Y"].numerator, args.p, args.r)
@@ -281,9 +284,6 @@ def _sweep_instance(job: dict) -> dict:
     out = {"key": [n, p, r, lam], "counts": [], "congruence": [],
            "zeta": None, "slope": None, "ok": True, "error": None}
     try:
-        probe = smoothness_probe(inst, k_max=2, caps=caps)
-        out["smoothness"] = probe.status
-        out["printed_delta_regular"] = probe.printed_delta_regular
         for k in range(1, k_max + 1):
             F_k, _ = inst.extension(k, cap=caps.field_table_max_q)
             qk = F_k.pp.q
@@ -302,7 +302,7 @@ def _sweep_instance(job: dict) -> dict:
                 "residue_diff": str(diff),
                 "verdict": "pass" if diff == 0 else "fail",
             })
-        if n <= job["zeta_n_max"] and probe.status != "singular":
+        if n <= job["zeta_n_max"] and not is_singular(inst):
             zy = recover_mirror_zeta(inst, caps=caps)
             zx = recover_pencil_zeta(inst, caps=caps) if n == 2 else None
             d = n - 1
@@ -333,6 +333,9 @@ def _sweep_instance(job: dict) -> dict:
     except DworkZetaError as exc:
         out["ok"] = False
         out["error"] = f"{type(exc).__name__}: {exc}"
+        out["exit"] = (EXIT_CAP if isinstance(exc, _CAP_ERRORS) else
+                       EXIT_RECOVERY if isinstance(exc, _RECOVERY_ERRORS) else
+                       EXIT_ORACLE)
     return out
 
 
@@ -396,6 +399,7 @@ def cmd_sweep(args) -> int:
     cong_f = open(outdir / "congruence.jsonl", "w", encoding="utf-8")
     zeta_f = open(outdir / "zeta.jsonl", "w", encoding="utf-8")
     failures = []
+    failure_exits = set()
     cong_failures = 0
     ordinary_stats: dict = {}
     slope_sets: dict = {}
@@ -403,6 +407,7 @@ def cmd_sweep(args) -> int:
         n, p, r, lam = res["key"]
         if not res["ok"]:
             failures.append({"key": res["key"], "error": res["error"]})
+            failure_exits.add(res["exit"])
             continue
         for row in res["counts"]:
             _emit(row, counts_f)
@@ -456,9 +461,11 @@ def cmd_sweep(args) -> int:
         json.dump({"elapsed_seconds": elapsed, "finished_at": time.time(),
                    "threads": cfg.threads, "out_dir": str(outdir)}, fh)
         fh.write("\n")
-    if failures:
-        return EXIT_CAP if all("TooLarge" in f["error"] for f in failures) \
-            else EXIT_ORACLE
+    # the most severe failure class decides: a mismatch, then a recovery
+    # failure, then a cap
+    for code in (EXIT_ORACLE, EXIT_RECOVERY, EXIT_CAP):
+        if code in failure_exits:
+            return code
     if cong_failures:
         return EXIT_CONGRUENCE
     return EXIT_OK
@@ -497,7 +504,7 @@ def _caps_for(args) -> Caps:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if "caps" in raw:
-            caps = Caps(**raw["caps"])
+            caps = Caps.from_dict(raw["caps"])
     return caps.with_tier(getattr(args, "tier", "ci") or "ci")
 
 
@@ -575,14 +582,16 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (EnumerationTooLarge, FieldTooLarge) as exc:
+    except ConfigError as exc:
+        sys.stderr.write(f"bad configuration: {exc}\n")
+        return EXIT_CONFIG
+    except _CAP_ERRORS as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return EXIT_CAP
     except (NonIntegralResult, PrecisionInsufficient) as exc:
         sys.stderr.write(f"oracle mismatch: {exc}\n")
         return EXIT_ORACLE
-    except (InsufficientData, NoConsistentSign, NonIntegralCoefficient,
-            NotDivisible, SubstitutionNotIntegral) as exc:
+    except _RECOVERY_ERRORS as exc:
         sys.stderr.write(f"recovery failure: {exc}\n")
         return EXIT_RECOVERY
     except DworkZetaError as exc:

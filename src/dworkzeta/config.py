@@ -8,7 +8,17 @@ extended tier raises them for documented offline runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
+
+from .errors import ConfigError
+
+
+def _known_keys(cls, raw: dict, what: str) -> dict:
+    """`raw` unchanged, or ConfigError naming the keys `cls` does not take."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -18,7 +28,6 @@ class Caps:
     # brute-force evaluation budgets
     affine_enum_max: int = 1 << 34
     torus_enum_max: int = 1 << 30
-    probe_enum_max: int = 1 << 23
     # override for the p-adic working precision (number of p-digits); 0 = auto
     precision_override: int = 0
 
@@ -28,10 +37,13 @@ class Caps:
                 field_table_max_q=self.field_table_max_q,
                 affine_enum_max=self.affine_enum_max << 4,
                 torus_enum_max=self.torus_enum_max << 4,
-                probe_enum_max=self.probe_enum_max << 4,
                 precision_override=self.precision_override,
             )
         return self
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "Caps":
+        return cls(**_known_keys(cls, raw, "caps"))
 
 
 DEFAULT_CAPS = Caps()
@@ -59,9 +71,9 @@ class SweepConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         caps_raw = raw.pop("caps", None)
-        cfg = cls(**raw)
+        cfg = cls(**_known_keys(cls, raw, "sweep config"))
         if caps_raw:
-            cfg.caps = Caps(**caps_raw)
+            cfg.caps = Caps.from_dict(caps_raw)
         return cfg
 
     def to_dict(self) -> dict:

@@ -76,7 +76,6 @@ class DworkInstance:
     Nmat: tuple = dc_field(init=False)
     f_exponents: tuple = dc_field(init=False)
     g_exponents: tuple = dc_field(init=False)
-    smoothness_status: str = "unknown"
 
     def __post_init__(self):
         if self.n < 2:
@@ -100,7 +99,7 @@ class DworkInstance:
 
     def __repr__(self):
         return (f"DworkInstance(n={self.n}, q={self.field.pp.q}, "
-                f"lam={self.lam}, smooth={self.smoothness_status})")
+                f"lam={self.lam})")
 
 
 # ---------------------------------------------------------------------------
@@ -495,91 +494,39 @@ def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
 
 
 # ---------------------------------------------------------------------------
-# smoothness probe
+# smoothness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmoothnessReport:
-    status: str  # singular | unknown   ("unknown" = probably smooth)
-    witness: Optional[tuple]  # (extension degree, projective point codes)
-    printed_delta_regular: bool  # lam^n != (n+1)^{n+1} in GF(q), as printed
+def is_singular(inst: DworkInstance) -> bool:
+    """Whether X_lam: f = sum x_i^{n+1} + lam prod x_i = 0 in P^n is singular
+    over the algebraic closure of GF(q), p = char GF(q).
 
+    Write d = n+1, P = prod_j x_j and P_i = prod_{j != i} x_j, so that
+    df/dx_i = d x_i^n + lam P_i.
 
-def smoothness_probe(inst: DworkInstance, k_max: int = 2,
-                     caps: Caps = DEFAULT_CAPS) -> SmoothnessReport:
-    """Search for common zeros of f and its partials over GF(q^s), s <= k_max.
+    p does not divide d: X_lam is singular iff lam^d = (-d)^d.  By Euler's
+    identity sum_i x_i df/dx_i = d f, so f vanishes wherever every partial
+    does.  At a common zero of the partials, d x_i^d = -lam P for every i.
+    If lam = 0 this forces x = 0, so the Fermat fiber is smooth.  If lam != 0
+    and some x_i = 0, then P = 0 and every x_i^d = 0, again x = 0.  So every
+    x_i != 0 and every x_i^d equals c = -lam P / d != 0.  Multiplying the d
+    equations x_i^d = c gives P^d = c^d = (-lam/d)^d P^d, hence
+    (-lam/d)^d = 1, i.e. lam^d = (-d)^d.  Conversely, if lam^d = (-d)^d then
+    lam != 0 and z = -d/lam in GF(q) has z^d = 1, and the GF(q)-rational
+    point (1, ..., 1, z) has x_i df/dx_i = d x_i^d + lam P = d + lam z = 0
+    for every i: it is singular.
 
-    Finding one certifies `singular`; finding none only reports `unknown`.
-    The delta-regularity condition is evaluated exactly as printed; whether
-    its exponent should read n+1 is left as an open question, so both
-    verdicts are recorded independently.
+    p divides d: X_lam is singular iff lam = 0 or n >= 3.  Here
+    df/dx_i = lam P_i.  If lam = 0 every partial vanishes identically and
+    X_0 (nonempty over the closure) is singular everywhere.  If lam != 0 the
+    partials vanish exactly where at least two coordinates are 0, and then
+    f = 0 reduces to the Fermat equation in the other n-1 coordinates.  For
+    n >= 3 that is one equation in at least two variables, which has a
+    nonzero solution over the closure; for n = 2 it reads x^3 = 0, so the
+    n = 2, lam != 0 fiber is smooth.
     """
-    F0 = inst.field
-    n = inst.n
-    lhs = F0.pow(inst.lam, n)
-    rhs = F0.from_int((n + 1) ** (n + 1))
-    printed_ok = lhs != rhs
-
-    witness = None
-    for s in range(1, k_max + 1):
-        F, lam = inst.extension(s, cap=caps.field_table_max_q)
-        q = F.pp.q
-        if q ** n > caps.probe_enum_max:
-            break
-        pt = _find_singular_point(F, n, lam)
-        if pt is not None:
-            witness = (s, pt)
-            break
-    status = "singular" if witness else "unknown"
-    inst.smoothness_status = status
-    return SmoothnessReport(status=status, witness=witness,
-                            printed_delta_regular=printed_ok)
-
-
-def _find_singular_point(F: FieldCtx, n: int, lam: int):
-    """First projective point with f = 0 and all partials zero, else None."""
-    q = F.pp.q
-    q1 = q - 1
+    F, n, lam = inst.field, inst.n, inst.lam
     d = n + 1
-    pow_d = [0] + [F.gen_pow((F.dlog(x) * d) % q1) for x in range(1, q)]
-    pow_n = [0] + [F.gen_pow((F.dlog(x) * n) % q1) for x in range(1, q)]
-    d_mod = F.from_int(d)
-    add, mul = F.add, F.mul
-
-    for pivot in range(d):
-        # x_0 = ... = x_{pivot-1} = 0, x_pivot = 1, rest free
-        for rest in itertools.product(range(q), repeat=d - pivot - 1):
-            x = (0,) * pivot + (1,) + rest
-            zeros = [i for i, xi in enumerate(x) if xi == 0]
-            if len(zeros) == 0:
-                prod_all = 0
-                lsum = 0
-                for xi in x:
-                    lsum += F.log_table[xi]
-                prod_all = F.gen_pow(lsum % q1)
-            f_val = 0
-            for xi in x:
-                f_val = add(f_val, pow_d[xi])
-            if lam and not zeros:
-                f_val = add(f_val, mul(lam, prod_all))
-            if f_val != 0:
-                continue
-            singular = True
-            for i in range(d):
-                # partial_i = (n+1) x_i^n + lam * prod_{j != i} x_j
-                term = mul(d_mod, pow_n[x[i]])
-                if lam:
-                    if not zeros:
-                        prod_others = F.div(prod_all, x[i])
-                    elif zeros == [i]:
-                        lsum = sum(F.log_table[xj] for j, xj in enumerate(x) if j != i)
-                        prod_others = F.gen_pow(lsum % q1)
-                    else:
-                        prod_others = 0
-                    term = add(term, mul(lam, prod_others))
-                if term != 0:
-                    singular = False
-                    break
-            if singular:
-                return x
-    return None
+    if d % F.pp.p == 0:
+        return lam == 0 or n >= 3
+    return F.pow(lam, d) == F.pow(F.from_int(-d), d)

@@ -11,6 +11,10 @@ class DworkZetaError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(DworkZetaError):
+    """A configuration file names a key the package does not know."""
+
+
 class NotPrime(DworkZetaError):
     def __init__(self, p):
         super().__init__(f"{p} is not prime")

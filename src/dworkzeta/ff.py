@@ -328,9 +328,6 @@ class FieldCtx:
             raise LogOfZero()
         return self.log_table[a]
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.pp.p)
-
     def trace(self, a: int) -> int:
         """Tr: GF(q) -> GF(p), as an integer in [0, p)."""
         if self._trace_table is None:
@@ -351,9 +348,6 @@ class FieldCtx:
         return t
 
     # -- iteration and embedding helpers ------------------------------------
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.pp.q))
 
     def units(self) -> Iterator[int]:
         return iter(self.exp_table)

@@ -226,17 +226,10 @@ def weight_purity_check(P: IntPoly, q: int, w: int,
     256-bit arithmetic.  Root finding runs on the square-free part, which has
     the same root set and keeps multiple roots from wrecking convergence.
     Constant polynomials pass vacuously."""
-    if P.degree == 0:
-        return PurityReport(0.0, True, tol)
-    sqf = square_free_part(P)
-    try:
-        with mp.workprec(256):
-            cs = [mp.mpf(c) for c in reversed(sqf.coeffs)]
-            roots = mp.polyroots(cs, maxsteps=600, extraprec=300)
-            scale = mp.power(mp.mpf(q), mp.mpf(w) / 2)
-            dev = max(abs(abs(rt) * scale - 1) for rt in roots)
-    except (mp.libmp.NoConvergence, ZeroDivisionError) as exc:
-        raise RootFindingFailure(str(exc)) from exc
+    roots = roots_high_precision(P)
+    with mp.workprec(256):
+        scale = mp.power(mp.mpf(q), mp.mpf(w) / 2)
+        dev = max((abs(abs(rt) * scale - 1) for rt in roots), default=0.0)
     return PurityReport(float(dev), float(dev) <= tol, tol)
 
 

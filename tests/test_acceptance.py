@@ -24,8 +24,8 @@ from dworkzeta.counting import (
     count_Y_strata_brute,
     dwork_matrix_M,
     enumerate_solutions,
+    is_singular,
     required_precision,
-    smoothness_probe,
 )
 from dworkzeta.ff import build_field
 from dworkzeta.padic import build_tower, digit_sum, pi_valuation
@@ -192,7 +192,7 @@ def _smooth_lambdas(n, q):
     out = []
     for lam in range(q):
         inst = DworkInstance(n=n, field=F, lam=lam)
-        if smoothness_probe(inst, k_max=2).status != "singular":
+        if not is_singular(inst):
             out.append(lam)
     return F, out
 
@@ -279,7 +279,7 @@ def _recovered_zetas_for_fe():
     for q, lam in [(5, 0), (7, 0), (7, 1), (7, 2)]:
         F = build_field(q, 1, 0)
         inst = DworkInstance(n=3, field=F, lam=lam)
-        if smoothness_probe(inst, k_max=2).status == "singular":
+        if is_singular(inst):
             continue
         batch.append(recover_mirror_zeta(inst))
     return batch

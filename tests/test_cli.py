@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from dworkzeta import cli
 from dworkzeta.cli import main
+from dworkzeta.errors import NoConsistentSign
 
 
 def run(capsys, *argv):
@@ -69,7 +71,7 @@ def test_zeta_smooth_lambda(capsys):
     code, rows = run(capsys, "zeta", "--n", "2", "--p", "5", "--lambda", "0")
     assert code == 0
     row = rows[0]
-    assert row["smoothness"] == "unknown"
+    assert row["schema"] == 2 and row["smoothness"] == "smooth"
     assert row["X"]["numerator_coeffs"] == row["Y"]["numerator_coeffs"]
     assert len(row["X"]["numerator_coeffs"]) == 3
     assert row["R_coeffs"] == ["1"]
@@ -81,7 +83,7 @@ def test_zeta_singular_lambda_guarded(capsys):
     code, rows = run(capsys, "zeta", "--n", "2", "--p", "5", "--lambda", "1")
     assert code == 0
     row = rows[0]
-    assert row["smoothness"] == "singular"
+    assert row["schema"] == 2 and row["smoothness"] == "singular"
     assert "Y" in row and "X" not in row
 
 
@@ -177,3 +179,75 @@ def test_sweep_cap_exceeded(tmp_path, capsys):
     code = main(["sweep", "--config", str(cfg_path), "--out",
                  str(tmp_path / "c")])
     assert code == cli.EXIT_CAP
+
+
+# SHA-256 of the deterministic sweep outputs for GOLDEN_CONFIG, captured
+# from the brute-force-probe implementation that closed-form smoothness
+# replaced.  manifest.json was re-serialized without the retired
+# caps.probe_enum_max key; every other file is byte-for-byte as it wrote it.
+GOLDEN_CONFIG = {"n_list": [2, 3], "prime_list": [2, 3, 5], "k_max": 2,
+                 "lambda_mode": "all", "zeta_n_max": 2, "seed": 0}
+GOLDEN_SHA256 = {
+    "counts.jsonl":
+        "e00dc345b4868e09b5a533436373dfe77281e1578a9e5d69a277bad47bbf8166",
+    "congruence.jsonl":
+        "37dfe0423cbe2e02a5e97a9090e84afeda42354eba7944b6b67d1fc289a4071f",
+    "zeta.jsonl":
+        "b85e6e3388453fc2f7eb10389defde9910f5359e5c094c82bd9fcc2d374a6e53",
+    "summary.json":
+        "bdb66e809eb36567e29daac31597e8df6d80973a32203eafae4239f2b6115d01",
+    "manifest.json":
+        "87c0f4c229c751682217fbf4fd1dea051d80602c9b9d76c8ebf07e5c10806bf6",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_golden_digests(tmp_path, capsys, threads):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(GOLDEN_CONFIG))
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", threads])
+    assert code == 0
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            digest, name
+
+
+def test_unknown_config_keys_are_config_errors(tmp_path, capsys):
+    # caps.probe_enum_max belonged to the retired brute-force smoothness probe
+    old = {"n_list": [2], "prime_list": [5], "k_max": 1,
+           "caps": {"probe_enum_max": 8388608}}
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps(old))
+    code = main(["sweep", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "probe_enum_max" in capsys.readouterr().err
+    code = main(["zeta", "--n", "2", "--p", "5", "--config", str(cfg_path)])
+    assert code == cli.EXIT_CONFIG
+    assert "probe_enum_max" in capsys.readouterr().err
+
+    cfg_path.write_text(json.dumps({"n_list": [2], "k_maximum": 1}))
+    code = main(["sweep", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "k_maximum" in capsys.readouterr().err
+
+
+def test_sweep_recovery_failure_exits_6(tmp_path, capsys, monkeypatch):
+    def no_sign(inst, **_kw):
+        raise NoConsistentSign("injected")
+
+    monkeypatch.setattr(cli, "recover_mirror_zeta", no_sign)
+    cfg = {"n_list": [2], "prime_list": [5], "k_max": 1,
+           "lambda_mode": "zero", "seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "f"
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", "1"])
+    assert code == cli.EXIT_RECOVERY
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == [
+        {"key": [2, 5, 1, 0], "error": "NoConsistentSign: injected"}]

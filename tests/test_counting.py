@@ -18,11 +18,11 @@ from dworkzeta.counting import (
     dwork_matrix_M,
     dwork_matrix_N,
     enumerate_solutions,
+    is_singular,
     required_precision,
-    smoothness_probe,
 )
 from dworkzeta.errors import DivisibilityViolation, PrecisionInsufficient
-from dworkzeta.ff import build_field
+from dworkzeta.ff import FieldCtx, build_field, factorize
 from dworkzeta.padic import build_tower, pi_valuation
 
 
@@ -277,25 +277,97 @@ def test_admissible_closed_under_digit_rotation():
         assert rk in sols and sols[rk].cls == "admissible"
 
 
-def test_smoothness_probe_examples():
-    rep = smoothness_probe(inst(2, 7, 1, 0), k_max=3)
-    assert rep.status == "unknown"  # Fermat cubic, p does not divide 3
+def _find_singular_point(F: FieldCtx, n: int, lam: int):
+    """First projective point with f = 0 and all partials zero, else None."""
+    q = F.pp.q
+    q1 = q - 1
+    d = n + 1
+    pow_d = [0] + [F.gen_pow((F.dlog(x) * d) % q1) for x in range(1, q)]
+    pow_n = [0] + [F.gen_pow((F.dlog(x) * n) % q1) for x in range(1, q)]
+    d_mod = F.from_int(d)
+    add, mul = F.add, F.mul
 
-    rep2 = smoothness_probe(inst(3, 2, 1, 1), k_max=2)
-    assert rep2.status == "singular"  # char 2 divides n+1 = 4
+    for pivot in range(d):
+        # x_0 = ... = x_{pivot-1} = 0, x_pivot = 1, rest free
+        for rest in itertools.product(range(q), repeat=d - pivot - 1):
+            x = (0,) * pivot + (1,) + rest
+            zeros = [i for i, xi in enumerate(x) if xi == 0]
+            if len(zeros) == 0:
+                prod_all = 0
+                lsum = 0
+                for xi in x:
+                    lsum += F.log_table[xi]
+                prod_all = F.gen_pow(lsum % q1)
+            f_val = 0
+            for xi in x:
+                f_val = add(f_val, pow_d[xi])
+            if lam and not zeros:
+                f_val = add(f_val, mul(lam, prod_all))
+            if f_val != 0:
+                continue
+            singular = True
+            for i in range(d):
+                # partial_i = (n+1) x_i^n + lam * prod_{j != i} x_j
+                term = mul(d_mod, pow_n[x[i]])
+                if lam:
+                    if not zeros:
+                        prod_others = F.div(prod_all, x[i])
+                    elif zeros == [i]:
+                        lsum = sum(F.log_table[xj] for j, xj in enumerate(x) if j != i)
+                        prod_others = F.gen_pow(lsum % q1)
+                    else:
+                        prod_others = 0
+                    term = add(term, mul(lam, prod_others))
+                if term != 0:
+                    singular = False
+                    break
+            if singular:
+                return x
+    return None
 
-    # lam^3 = -27 over F_7 at lam = 1, 2, 4: the pencil degenerates
-    for lam in (1, 2, 4):
-        assert smoothness_probe(inst(2, 7, 1, lam), k_max=2).status == "singular"
-    for lam in (0, 3, 5, 6):
-        assert smoothness_probe(inst(2, 7, 1, lam), k_max=2).status == "unknown"
+
+# (n, field sizes p^r): every lam of each field is compared with the oracle
+SINGULARITY_GRID = [
+    (2, [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25]),
+    (3, [2, 3, 4, 5, 7, 8, 9]),
+    (4, [2, 3, 4, 5, 7]),
+]
 
 
-def test_smoothness_printed_condition_recorded():
-    # printed condition lam^n != (n+1)^{n+1}; n=2, q=7: 27 = 6 is a non-square
-    for lam in range(7):
-        rep = smoothness_probe(inst(2, 7, 1, lam), k_max=1)
-        assert rep.printed_delta_regular == (pow(lam, 2, 7) != 27 % 7)
+def test_is_singular_matches_brute_force_oracle():
+    fibers = singular = 0
+    for n, qs in SINGULARITY_GRID:
+        for q in qs:
+            (p, r), = factorize(q).items()
+            F = build_field(p, r, 0)
+            for lam in range(q):
+                ii = DworkInstance(n=n, field=F, lam=lam)
+                verdict = is_singular(ii)
+                # the closed form's singular points are GF(q)-rational
+                assert verdict == (_find_singular_point(F, n, lam) is not None), \
+                    (n, q, lam)
+                if (q * q) ** n <= 10 ** 5:
+                    F2, lam2 = ii.extension(2)
+                    assert verdict == \
+                        (_find_singular_point(F2, n, lam2) is not None), \
+                        (n, q, lam, "GF(q^2)")
+                fibers += 1
+                singular += verdict
+    assert (fibers, singular) == (162, 56)
+
+
+def test_printed_delta_regularity_misses_singular_fibers():
+    # Finding: the paper prints the delta-regularity condition as
+    # lam^n != (n+1)^{n+1}.  At n = 2 over GF(7), 27 = 6 is a non-square, so
+    # the printed condition calls every fiber regular, yet lam^3 = -27 makes
+    # lam = 1, 2, 4 singular.  The exponent n+1 (is_singular) is the right one.
+    F = build_field(7, 1, 0)
+    assert all(pow(lam, 2, 7) != 27 % 7 for lam in range(7))
+    singular = [lam for lam in range(7)
+                if is_singular(DworkInstance(n=2, field=F, lam=lam))]
+    assert singular == [1, 2, 4]
+    for lam in singular:
+        assert _find_singular_point(F, 2, lam) is not None
 
 
 def test_count_record_json_and_both_method():
