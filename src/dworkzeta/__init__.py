@@ -3,7 +3,7 @@ and its toric mirror over finite fields."""
 
 __version__ = "0.1.0"
 
-from .ff import PrimePower, FieldCtx, FqElem, build_field, extend, trace, dlog
+from .ff import PrimePower, FieldCtx, build_field, extend, trace, dlog
 from .padic import (
     TowerCtx,
     TowerElem,

@@ -11,19 +11,13 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .config import Caps, DEFAULT_CAPS, SweepConfig
-from .counting import (
-    DworkInstance,
-    charsum_qcounts,
-    count_record,
-    count_X,
-    count_Y,
-    is_singular,
-)
+from .counting import DworkInstance, count_record, is_singular
 from .errors import (
     ConfigError,
     DworkZetaError,
@@ -49,7 +43,6 @@ from .slope import (
     slope_zeta,
 )
 from .zeta import (
-    expected_degree_P,
     r_poly,
     recover_mirror_zeta,
     recover_pencil_zeta,
@@ -114,6 +107,32 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _pass_fail(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _count_records(inst, k_max: int, caps) -> list:
+    """Character-sum CountRecords of one instance for k = 1..k_max."""
+    return [count_record(inst, k, caps=caps) for k in range(1, k_max + 1)]
+
+
+def _congruence_row(rec) -> dict:
+    """The mirror congruence #X = #Y mod q^k for one CountRecord, plus its
+    direct form against the raw torus count."""
+    qk = (rec.p ** rec.r) ** rec.k
+    diff = (rec.X - rec.Y) % qk
+    t51 = (rec.X - (rec.Ngstar + 1 - rec.n * (-1) ** (rec.n - 1))) % qk == 0
+    return {
+        "schema": 1, "n": rec.n, "p": rec.p, "r": rec.r,
+        "lambda_dlog": rec.lam_dlog, "k": rec.k, "modulus": str(qk),
+        "X": str(rec.X), "Y": str(rec.Y),
+        "residue_diff": str(diff),
+        "verdict": _pass_fail(diff == 0),
+        "x_torus_form": _pass_fail(t51),
+        "precision": rec.precision,
+    }
+
+
 def cmd_congruence(args) -> int:
     caps = _caps_for(args)
     field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
@@ -123,29 +142,12 @@ def cmd_congruence(args) -> int:
     try:
         for lam in _parse_lambdas(args.lam_spec, field):
             inst = DworkInstance(n=args.n, field=field, lam=lam)
-            lam_dlog = None if lam == 0 else field.dlog(lam)
-            for k in range(1, args.k + 1):
-                F_k, _ = inst.extension(k, cap=caps.field_table_max_q)
-                qk = F_k.pp.q
-                nf, _, ngstar, prec = charsum_qcounts(inst, k, caps=caps)
-                x = count_X(nf, qk)
-                y = count_Y(ngstar, args.n, qk)
-                diff = (x - y) % qk
-                ok = diff == 0
-                # the direct form of the congruence against the raw torus count
-                t51 = (x - (ngstar + 1 - args.n * (-1) ** (args.n - 1))) % qk == 0
+            for rec in _count_records(inst, args.k, caps):
+                row = _congruence_row(rec)
                 rows += 1
-                if not (ok and t51):
+                if row["verdict"] != "pass" or row["x_torus_form"] != "pass":
                     failures += 1
-                _emit({
-                    "schema": 1, "n": args.n, "p": args.p, "r": args.r,
-                    "lambda_dlog": lam_dlog, "k": k, "modulus": str(qk),
-                    "X": str(x), "Y": str(y),
-                    "residue_diff": str(diff),
-                    "verdict": "pass" if ok else "fail",
-                    "x_torus_form": "pass" if t51 else "fail",
-                    "precision": prec,
-                }, out)
+                _emit(row, out)
         _emit({"schema": 1, "summary": True, "rows": rows,
                "failures": failures}, out)
     finally:
@@ -154,34 +156,46 @@ def cmd_congruence(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_CONGRUENCE
 
 
-def _zeta_bundle(inst, caps, tier: str, max_k=None):
-    """Recover mirror (and pencil, when affordable) zeta data plus checks."""
-    n = inst.n
-    q = inst.field.pp.q
+def _report(inst, caps, pencil: bool, max_k=None) -> dict:
+    """Zeta and slope data of one instance, shared by `zeta`, `slope` and
+    `sweep`.  Every count it needs is taken once per k from the instance.
+
+    Z(Y) always; on a singular fiber without functional-equation completion
+    (allowing a degree drop in the numerator) and without the pencil side.
+    With `pencil`, a smooth fiber also gets Z(X) (up to `max_k` counts),
+    R_n = P/Q and the X-side slope data.  Y_ordinary and
+    Y_newton_above_hodge are present only when the Newton polygon of Q has
+    length n.
+    """
+    n, d = inst.n, inst.n - 1
+    p, r, q = inst.field.pp.p, inst.field.pp.r, inst.field.pp.q
     singular = is_singular(inst)
-    bundle = {"smoothness": "singular" if singular else "smooth"}
     if singular:
-        # degenerate fibers: no functional-equation completion, allow a
-        # degree drop in the numerator; the pencil side is not recovered
         zy = recover_mirror_zeta(inst, caps=caps, use_fe=False, k_budget=n)
-        bundle["Y"] = zy
-        bundle["X"] = None
-        return bundle
-    zy = recover_mirror_zeta(inst, caps=caps)
-    bundle["Y"] = zy
-    deg_p = expected_degree_P(n)
-    feasible = n == 2 or (tier == "extended")
-    if feasible:
-        zx = recover_pencil_zeta(inst, caps=caps, k_budget=max_k)
-        bundle["X"] = zx
-        quotient_R = r_poly(zx.numerator, zy.numerator, q, n)
-        bundle["R"] = quotient_R
-        bundle["purity_X"] = weight_purity_check(zx.numerator, q, n - 1)
     else:
-        bundle["X"] = None
-    bundle["purity_Y"] = weight_purity_check(zy.numerator, q, n - 1)
-    bundle["deg_P_expected"] = deg_p
-    return bundle
+        zy = recover_mirror_zeta(inst, caps=caps)
+    rep = {"smoothness": "singular" if singular else "smooth",
+           "Y": zy, "X": None}
+    if pencil and not singular:
+        zx = recover_pencil_zeta(inst, caps=caps, k_budget=max_k)
+        rep["X"] = zx
+        rep["R"] = r_poly(zx.numerator, zy.numerator, q, n)
+    sy = slope_zeta(zy)
+    np_y = newton_polygon(zy.numerator, p, r)
+    rep.update(slope_zeta_Y=sy, fe_Y=slope_fe_check(sy, d), newton_Y=np_y)
+    if np_y.total_length == n:
+        mirror_row = [(j, 1) for j in range(n)]
+        rep["Y_ordinary"] = ordinarity_test(np_y, mirror_row)
+        rep["Y_newton_above_hodge"] = newton_above_hodge(np_y, mirror_row)
+    if rep["X"] is not None:
+        sx = slope_zeta(rep["X"])
+        np_x = newton_polygon(rep["X"].numerator, p, r)
+        prim = hodge_numbers_dwork(n).middle_row(primitive=True)
+        rep.update(slope_zeta_X=sx, fe_X=slope_fe_check(sx, d), newton_X=np_x,
+                   slope_mirror_symmetry=sx == sy ** ((-1) ** d),
+                   X_ordinary=ordinarity_test(np_x, prim),
+                   X_newton_above_hodge=newton_above_hodge(np_x, prim))
+    return rep
 
 
 def cmd_zeta(args) -> int:
@@ -193,20 +207,24 @@ def cmd_zeta(args) -> int:
         for lam in _parse_lambdas(args.lam_spec, field):
             inst = DworkInstance(n=args.n, field=field, lam=lam)
             try:
-                bundle = _zeta_bundle(inst, caps, args.tier, args.max_k)
+                rep = _report(inst, caps, args.n == 2 or args.tier == "extended",
+                              args.max_k)
             except _RECOVERY_ERRORS as exc:
                 _emit({"schema": 2, "n": args.n, "p": args.p, "r": args.r,
                        "lambda": args.lam_spec, "error": str(exc)}, out)
                 code = EXIT_RECOVERY
                 continue
-            row = {"schema": 2, "smoothness": bundle["smoothness"]}
-            row["Y"] = bundle["Y"].to_json_dict()
-            if bundle["X"] is not None:
-                row["X"] = bundle["X"].to_json_dict()
-                row["R_coeffs"] = [str(c) for c in bundle["R"].coeffs]
-                row["purity_X_dev"] = f"{bundle['purity_X'].max_deviation:.3e}"
-            if "purity_Y" in bundle:
-                row["purity_Y_dev"] = f"{bundle['purity_Y'].max_deviation:.3e}"
+            q, w = field.pp.q, args.n - 1
+            row = {"schema": 2, "smoothness": rep["smoothness"],
+                   "Y": rep["Y"].to_json_dict()}
+            if rep["X"] is not None:
+                row["X"] = rep["X"].to_json_dict()
+                row["R_coeffs"] = [str(c) for c in rep["R"].coeffs]
+                purity_x = weight_purity_check(rep["X"].numerator, q, w)
+                row["purity_X_dev"] = f"{purity_x.max_deviation:.3e}"
+            if rep["smoothness"] == "smooth":
+                purity_y = weight_purity_check(rep["Y"].numerator, q, w)
+                row["purity_Y_dev"] = f"{purity_y.max_deviation:.3e}"
             _emit(row, out)
     finally:
         if out is not sys.stdout:
@@ -226,39 +244,32 @@ def cmd_slope(args) -> int:
     try:
         for lam in _parse_lambdas(args.lam_spec, field):
             inst = DworkInstance(n=args.n, field=field, lam=lam)
-            bundle = _zeta_bundle(inst, caps, args.tier, args.max_k)
+            rep = _report(inst, caps, args.n == 2 or args.tier == "extended",
+                          args.max_k)
             row = {"schema": 2, "n": args.n, "p": args.p, "r": args.r,
-                   "lambda_dlog": bundle["Y"].lam_dlog,
-                   "smoothness": bundle["smoothness"]}
-            d = args.n - 1
-            sy = slope_zeta(bundle["Y"])
-            row["slope_zeta_Y"] = sy.to_json_dict()
-            fe_y = slope_fe_check(sy, d)
-            row["fe_Y"] = "pass" if fe_y else "fail"
-            if not fe_y and bundle["smoothness"] == "smooth":
+                   "lambda_dlog": rep["Y"].lam_dlog,
+                   "smoothness": rep["smoothness"],
+                   "slope_zeta_Y": rep["slope_zeta_Y"].to_json_dict(),
+                   "fe_Y": _pass_fail(rep["fe_Y"]),
+                   "slope_zeta_Y_display": rep["slope_zeta_Y"].render(),
+                   "newton_vertices_Y": _np_json(rep["newton_Y"])}
+            if not rep["fe_Y"] and rep["smoothness"] == "smooth":
                 code = EXIT_SLOPE_FE
-            row["slope_zeta_Y_display"] = sy.render()
-            np_y = newton_polygon(bundle["Y"].numerator, args.p, args.r)
-            row["newton_vertices_Y"] = _np_json(np_y)
-            mirror_row = [(j, 1) for j in range(args.n)]
-            if np_y.total_length == args.n:
-                row["Y_ordinary"] = ordinarity_test(np_y, mirror_row)
-                row["Y_newton_above_hodge"] = newton_above_hodge(np_y, mirror_row)
-            if bundle["X"] is not None:
-                sx = slope_zeta(bundle["X"])
-                row["slope_zeta_X"] = sx.to_json_dict()
-                row["slope_zeta_X_display"] = sx.render()
-                fe_x = slope_fe_check(sx, d)
-                row["fe_X"] = "pass" if fe_x else "fail"
-                if not fe_x:
+            for key in ("Y_ordinary", "Y_newton_above_hodge"):
+                if key in rep:
+                    row[key] = rep[key]
+            if rep["X"] is not None:
+                row.update({
+                    "slope_zeta_X": rep["slope_zeta_X"].to_json_dict(),
+                    "slope_zeta_X_display": rep["slope_zeta_X"].render(),
+                    "fe_X": _pass_fail(rep["fe_X"]),
+                    "slope_mirror_symmetry": rep["slope_mirror_symmetry"],
+                    "newton_vertices_X": _np_json(rep["newton_X"]),
+                    "X_ordinary": rep["X_ordinary"],
+                    "X_newton_above_hodge": rep["X_newton_above_hodge"],
+                })
+                if not rep["fe_X"]:
                     code = EXIT_SLOPE_FE
-                mirror_cmp = sx == (sy ** ((-1) ** d))
-                row["slope_mirror_symmetry"] = mirror_cmp
-                np_x = newton_polygon(bundle["X"].numerator, args.p, args.r)
-                row["newton_vertices_X"] = _np_json(np_x)
-                prim = hodge_numbers_dwork(args.n).middle_row(primitive=True)
-                row["X_ordinary"] = ordinarity_test(np_x, prim)
-                row["X_newton_above_hodge"] = newton_above_hodge(np_x, prim)
             row["ordinary_closed_form_X"] = \
                 ordinary_slope_zeta(hodge_numbers_dwork(args.n)).to_json_dict()
             _emit(row, out)
@@ -273,64 +284,42 @@ def cmd_slope(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_instance(job: dict) -> dict:
-    """One (n, p, r, lambda) cell of the sweep grid; pickle-friendly."""
+    """One (n, p, r, lambda) cell of the sweep grid; pickle-friendly.  Any
+    exception becomes a failure row: DworkZetaErrors by their class, other
+    exceptions (a bug) as exit 4 with the traceback on stderr."""
     n, p, r = job["n"], job["p"], job["r"]
-    seed, k_max = job["seed"], job["k_max"]
     caps = Caps(**job["caps"])
-    field = build_field(p, r, seed, cap=caps.field_table_max_q)
     lam = job["lam"]
-    inst = DworkInstance(n=n, field=field, lam=lam)
-    lam_dlog = None if lam == 0 else field.dlog(lam)
     out = {"key": [n, p, r, lam], "counts": [], "congruence": [],
-           "zeta": None, "slope": None, "ok": True, "error": None}
+           "zeta": None, "ok": True, "error": None}
     try:
-        for k in range(1, k_max + 1):
-            F_k, _ = inst.extension(k, cap=caps.field_table_max_q)
-            qk = F_k.pp.q
-            nf, _, ngstar, prec = charsum_qcounts(inst, k, caps=caps)
-            x, y = count_X(nf, qk), count_Y(ngstar, n, qk)
-            out["counts"].append({
-                "schema": 1, "n": n, "p": p, "r": r, "k": k,
-                "lambda_dlog": lam_dlog, "Nf": str(nf), "Ngstar": str(ngstar),
-                "X": str(x), "Y": str(y), "method": "charsum",
-                "precision": prec,
-            })
-            diff = (x - y) % qk
-            out["congruence"].append({
-                "schema": 1, "n": n, "p": p, "r": r, "k": k,
-                "lambda_dlog": lam_dlog, "modulus": str(qk),
-                "residue_diff": str(diff),
-                "verdict": "pass" if diff == 0 else "fail",
-            })
+        field = build_field(p, r, job["seed"], cap=caps.field_table_max_q)
+        inst = DworkInstance(n=n, field=field, lam=lam)
+        for rec in _count_records(inst, job["k_max"], caps):
+            row = rec.to_json_dict()
+            del row["Nfstar"]
+            out["counts"].append(row)
+            row = _congruence_row(rec)
+            for key in ("X", "Y", "x_torus_form", "precision"):
+                del row[key]
+            out["congruence"].append(row)
         if n <= job["zeta_n_max"] and not is_singular(inst):
-            zy = recover_mirror_zeta(inst, caps=caps)
-            zx = recover_pencil_zeta(inst, caps=caps) if n == 2 else None
-            d = n - 1
-            sy = slope_zeta(zy)
-            np_y = newton_polygon(zy.numerator, p, r)
-            mirror_row = [(j, 1) for j in range(n)]
-            zrow = {"Y": zy.to_json_dict(),
-                    "slope_zeta_Y": sy.to_json_dict(),
-                    "fe_Y": slope_fe_check(sy, d),
-                    "Y_ordinary": ordinarity_test(np_y, mirror_row),
-                    "Y_newton_above_hodge": newton_above_hodge(np_y, mirror_row)}
-            if zx is not None:
-                sx = slope_zeta(zx)
-                np_x = newton_polygon(zx.numerator, p, r)
-                prim = hodge_numbers_dwork(n).middle_row(primitive=True)
-                zrow.update({
-                    "X": zx.to_json_dict(),
-                    "R_coeffs": [str(c) for c in
-                                 r_poly(zx.numerator, zy.numerator,
-                                        field.pp.q, n).coeffs],
-                    "slope_zeta_X": sx.to_json_dict(),
-                    "fe_X": slope_fe_check(sx, d),
-                    "slope_mirror_symmetry": sx == sy ** ((-1) ** d),
-                    "X_ordinary": ordinarity_test(np_x, prim),
-                    "X_newton_above_hodge": newton_above_hodge(np_x, prim),
-                })
+            rep = _report(inst, caps, pencil=n == 2)
+            zrow = {key: rep[key] for key in (
+                "fe_Y", "Y_ordinary", "Y_newton_above_hodge")}
+            zrow["Y"] = rep["Y"].to_json_dict()
+            zrow["slope_zeta_Y"] = rep["slope_zeta_Y"].to_json_dict()
+            if rep["X"] is not None:
+                zrow.update({key: rep[key] for key in (
+                    "fe_X", "slope_mirror_symmetry", "X_ordinary",
+                    "X_newton_above_hodge")})
+                zrow["X"] = rep["X"].to_json_dict()
+                zrow["R_coeffs"] = [str(c) for c in rep["R"].coeffs]
+                zrow["slope_zeta_X"] = rep["slope_zeta_X"].to_json_dict()
             out["zeta"] = zrow
-    except DworkZetaError as exc:
+    except Exception as exc:  # noqa: BLE001 - the worker boundary
+        if not isinstance(exc, DworkZetaError):
+            traceback.print_exc(file=sys.stderr)
         out["ok"] = False
         out["error"] = f"{type(exc).__name__}: {exc}"
         out["exit"] = (EXIT_CAP if isinstance(exc, _CAP_ERRORS) else

@@ -74,21 +74,17 @@ class DworkInstance:
     lam: int  # element code in `field`
     M: tuple = dc_field(init=False)
     Nmat: tuple = dc_field(init=False)
-    f_exponents: tuple = dc_field(init=False)
-    g_exponents: tuple = dc_field(init=False)
+    # (k, caps) -> charsum_qcounts result, filled by `qcounts`
+    _qcounts: dict = dc_field(init=False, default_factory=dict, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if not 0 <= self.lam < self.field.pp.q:
             raise ValueError("lam is not an element code of the base field")
-        n = self.n
-        self.M = dwork_matrix_M(n)
-        self.Nmat = dwork_matrix_N(n)
-        self.f_exponents = tuple(
-            tuple(self.M[i][j] for i in range(n + 2)) for j in range(n + 2))
-        self.g_exponents = tuple(
-            tuple(self.Nmat[i][j] for i in range(n + 1)) for j in range(n + 2))
+        self.M = dwork_matrix_M(self.n)
+        self.Nmat = dwork_matrix_N(self.n)
 
     def extension(self, k: int, cap: int = 1 << 26):
         """(field of GF(q^k), image of lam) under the canonical embedding."""
@@ -96,6 +92,18 @@ class DworkInstance:
             return self.field, self.lam
         ext = extend(self.field, k, cap=cap)
         return ext.ext, ext.embed(self.lam)
+
+    def qcounts(self, k: int = 1, caps: Caps = DEFAULT_CAPS,
+                with_nfstar: bool = False):
+        """charsum_qcounts(self, k), computed once per (k, caps) and kept on
+        the instance; a later request for N_f* recounts only if the kept
+        count lacks it."""
+        key = (k, caps)
+        hit = self._qcounts.get(key)
+        if hit is None or (with_nfstar and hit[1] is None):
+            hit = charsum_qcounts(self, k, caps=caps, with_nfstar=with_nfstar)
+            self._qcounts[key] = hit
+        return hit
 
     def __repr__(self):
         return (f"DworkInstance(n={self.n}, q={self.field.pp.q}, "
@@ -462,15 +470,14 @@ def charsum_qcounts(inst: DworkInstance, k: int = 1,
 
 def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
                  caps: Caps = DEFAULT_CAPS,
-                 tower: Optional[TowerCtx] = None,
                  with_nfstar: bool = False) -> CountRecord:
-    """One CountRecord over GF(q^k); `both` asserts charsum == brute."""
-    F, lam = inst.extension(k, cap=caps.field_table_max_q)
+    """One CountRecord over GF(q^k); `both` asserts charsum == brute.  The
+    record's lambda_dlog is the discrete log of lam in the base field."""
+    F, _ = inst.extension(k, cap=caps.field_table_max_q)
     q = F.pp.q
     precision = None
     if method in ("charsum", "both"):
-        nf, nfstar, ngstar, precision = charsum_qcounts(
-            inst, k, tower=tower, caps=caps, with_nfstar=with_nfstar)
+        nf, nfstar, ngstar, precision = inst.qcounts(k, caps, with_nfstar)
         if method == "both":
             nf_b = count_affine_brute(inst, k, caps)
             ngstar_b = count_torus_brute(inst, k, caps)
@@ -485,7 +492,7 @@ def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
         nfstar = count_torus_f_brute(inst, k, caps) if with_nfstar else None
     else:
         raise ValueError(f"unknown method {method!r}")
-    lam_dlog = None if lam == 0 else F.dlog(lam)
+    lam_dlog = None if inst.lam == 0 else inst.field.dlog(inst.lam)
     return CountRecord(
         n=inst.n, p=F.pp.p, r=inst.field.pp.r, k=k, lam_dlog=lam_dlog,
         Nf=nf, Nfstar=nfstar, Ngstar=ngstar,

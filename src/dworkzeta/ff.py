@@ -161,7 +161,6 @@ class FieldCtx:
     Logically immutable after construction; all operations are pure and
     take/return integer element codes (the trace table is materialized
     lazily, which is an idempotent fill and safe to share under the GIL).
-    Use `elem` for the wrapped FqElem view.
     """
 
     def __init__(self, pp: PrimePower, seed: int = 0,
@@ -356,9 +355,6 @@ class FieldCtx:
         """Image of the integer c under Z -> GF(p) -> GF(q)."""
         return c % self.pp.p
 
-    def elem(self, code: int) -> "FqElem":
-        return FqElem(self, code)
-
     def coeffs(self, code: int) -> tuple:
         return self._code_to_vec(code)
 
@@ -372,57 +368,6 @@ class FieldCtx:
     def __repr__(self):
         return (f"FieldCtx(GF({self.pp.p}^{self.pp.r}), "
                 f"modulus={self.modulus}, g={self.generator}, seed={self.seed})")
-
-
-class FqElem:
-    """Thin wrapper over an element code; convenient for tests and display."""
-
-    __slots__ = ("ctx", "code")
-
-    def __init__(self, ctx: FieldCtx, code: int):
-        if not 0 <= code < ctx.pp.q:
-            raise ValueError(f"code {code} out of range for {ctx!r}")
-        self.ctx = ctx
-        self.code = code
-
-    @property
-    def coeffs(self):
-        return self.ctx.coeffs(self.code)
-
-    def __add__(self, other):
-        return FqElem(self.ctx, self.ctx.add(self.code, _code(other)))
-
-    def __sub__(self, other):
-        return FqElem(self.ctx, self.ctx.sub(self.code, _code(other)))
-
-    def __mul__(self, other):
-        return FqElem(self.ctx, self.ctx.mul(self.code, _code(other)))
-
-    def __truediv__(self, other):
-        return FqElem(self.ctx, self.ctx.div(self.code, _code(other)))
-
-    def __pow__(self, e):
-        return FqElem(self.ctx, self.ctx.pow(self.code, e))
-
-    def __neg__(self):
-        return FqElem(self.ctx, self.ctx.neg(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FqElem):
-            return self.code == other.code and self.ctx is other.ctx
-        if isinstance(other, int):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.code))
-
-    def __repr__(self):
-        return f"FqElem({self.code} in GF({self.ctx.pp.q}))"
-
-
-def _code(x) -> int:
-    return x.code if isinstance(x, FqElem) else x
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +387,12 @@ def build_field(p: int, r: int, seed: int = 0, cap: int = 1 << 26) -> FieldCtx:
     return ctx
 
 
-def trace(ctx: FieldCtx, a) -> int:
-    return ctx.trace(_code(a))
+def trace(ctx: FieldCtx, a: int) -> int:
+    return ctx.trace(a)
 
 
-def dlog(ctx: FieldCtx, a) -> int:
-    return ctx.dlog(_code(a))
+def dlog(ctx: FieldCtx, a: int) -> int:
+    return ctx.dlog(a)
 
 
 class FieldExtension:
@@ -478,8 +423,7 @@ class FieldExtension:
                 return cand
         raise RuntimeError("base modulus has no root in the extension (unreachable)")
 
-    def embed(self, a) -> int:
-        a = _code(a)
+    def embed(self, a: int) -> int:
         out = self._map.get(a)
         if out is None:
             out = self.ext.eval_poly(self.base.coeffs(a), self.basis_root)

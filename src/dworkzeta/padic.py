@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NonIntegralResult
-from .ff import FieldCtx, PrimePower, _code
+from .ff import FieldCtx, PrimePower
 
 
 @dataclass(frozen=True)
@@ -278,9 +278,8 @@ class TowerCtx:
 
     # -- Teichmuller lifts and character tables -------------------------------
 
-    def teich_w(self, a) -> tuple:
-        """Teichmuller lift of a field element into W (as an r-tuple)."""
-        a = _code(a)
+    def teich_w(self, a: int) -> tuple:
+        """Teichmuller lift of a field element code into W (as an r-tuple)."""
         if a == 0:
             return self.w_zero()
         t = tuple(self.field.coeffs(a))  # integer lift of the coefficients

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dworkzeta import cli
+from dworkzeta import cli, counting
 from dworkzeta.cli import main
 from dworkzeta.errors import NoConsistentSign
 
@@ -53,17 +53,31 @@ def test_congruence_all_pass(capsys):
 
 
 def test_congruence_detects_perturbed_count(capsys, monkeypatch):
-    real = cli.count_Y
+    real = counting.count_Y
 
     def perturbed(ngstar, n, q):
         return real(ngstar, n, q) + 1
 
-    monkeypatch.setattr(cli, "count_Y", perturbed)
+    monkeypatch.setattr(counting, "count_Y", perturbed)
     code, rows = run(capsys, "congruence", "--n", "2", "--p", "5",
                      "--lambda", "zero", "--k", "1")
     assert code == cli.EXIT_CONGRUENCE
     assert rows[0]["verdict"] == "fail"
     assert rows[0]["residue_diff"] != "0"
+
+
+def test_count_lambda_dlog_matches_congruence_at_every_k(capsys):
+    argv = ["--n", "2", "--p", "5", "--lambda", "all", "--k", "3"]
+    code, counts = run(capsys, "count", *argv, "--method", "charsum")
+    assert code == 0
+    code, cong = run(capsys, "congruence", *argv)
+    assert code == 0
+    cong = cong[:-1]  # drop the summary row
+    assert len(counts) == len(cong) == 15
+    for i in range(0, 15, 3):
+        dlogs = {row["lambda_dlog"] for row in counts[i:i + 3] + cong[i:i + 3]}
+        assert len(dlogs) == 1
+    assert [row["lambda_dlog"] for row in counts[::3]] == [None, 0, 1, 3, 2]
 
 
 def test_zeta_smooth_lambda(capsys):
@@ -251,3 +265,70 @@ def test_sweep_recovery_failure_exits_6(tmp_path, capsys, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failures"] == [
         {"key": [2, 5, 1, 0], "error": "NoConsistentSign: injected"}]
+
+
+# SHA-256 of stdout and the exit code of single-instance commands, captured
+# before zeta, slope, congruence and sweep shared one per-instance report;
+# `count` after its lambda_dlog became the base-field log at every k.
+# Covered: singular fibers (n = 2, p = 5), an n = 3 slope, an r = 2 field,
+# and the per-lambda recovery-error rows of zeta (n = 4, p = 2).
+COMMAND_SHA256 = [
+    (["zeta", "--n", "2", "--p", "5", "--lambda", "all"], 0,
+     "6e4383dec51181cfcf2e2db4d13d67c01099b551d60647ebcae9fe23b67db7a8"),
+    (["slope", "--n", "2", "--p", "5", "--lambda", "all"], 0,
+     "5ebce2fe0afa97bf7ae9b3a7350a4f2fee9514e4e01d6dd065b496caa1f06603"),
+    (["congruence", "--n", "2", "--p", "5", "--lambda", "all", "--k", "2"], 0,
+     "21d06177003aa359403c2ceec0d9703e302135e450175cb55c7005fd1190a754"),
+    (["slope", "--n", "3", "--p", "3", "--lambda", "all"], 0,
+     "82397d769d7b5e09fd7da9e914648e2719fb9d668012fa35385af629d0906945"),
+    (["zeta", "--n", "2", "--p", "3", "--r", "2", "--lambda", "all"], 0,
+     "44a9e816902c9ce3fcde63dd5262a0eac0246ae410c73cba646568ce2302b123"),
+    (["slope", "--n", "2", "--p", "3", "--r", "2", "--lambda", "all"], 0,
+     "72335665cc1b0e8a51e155673e8de1381c1ec2d2c9da7ecbf686770711945fae"),
+    (["congruence", "--n", "2", "--p", "3", "--r", "2", "--lambda", "all",
+      "--k", "2"], 0,
+     "66e11bbe7876a9e7620a2a834b11010a228e2ce2adae55fd75f65fdeae30b656"),
+    (["zeta", "--n", "4", "--p", "2", "--lambda", "all"], cli.EXIT_RECOVERY,
+     "409d8a997753035f798930507c1254e4f13a034c4196ff7102dba98128eb4805"),
+    (["count", "--n", "2", "--p", "5", "--lambda", "all", "--k", "2",
+      "--method", "both", "--nfstar"], 0,
+     "381b4903441364f2d6e1190ba5c16b6e1dc730cee483521410d87269639e6b36"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", COMMAND_SHA256,
+                         ids=lambda v: "-".join(v) if isinstance(v, list)
+                         else "")
+def test_command_golden_digests(capsys, argv, exit_code, digest):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_worker_exception_is_a_failure_row(tmp_path, capsys,
+                                                 monkeypatch):
+    real = counting.charsum_qcounts
+
+    def broken(inst, *args, **kw):
+        if inst.lam == 1:
+            raise RuntimeError("injected")
+        return real(inst, *args, **kw)
+
+    monkeypatch.setattr(counting, "charsum_qcounts", broken)
+    cfg = {"n_list": [2], "prime_list": [5], "k_max": 1,
+           "lambda_mode": "all", "seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "w"
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", "1"])
+    assert code == cli.EXIT_ORACLE
+    assert "RuntimeError: injected" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == [
+        {"key": [2, 5, 1, 1], "error": "RuntimeError: injected"}]
+    assert manifest["summary"]["completed"] == 4
+    # the other lambdas' rows are written; over GF(5) lam = 2 is singular
+    assert len((out / "counts.jsonl").read_text().splitlines()) == 4
+    assert len((out / "zeta.jsonl").read_text().splitlines()) == 3

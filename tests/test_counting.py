@@ -402,3 +402,31 @@ def test_model_independence_across_seeds():
 def test_required_precision():
     assert 5 ** required_precision(5, 5, 2) > 2 * 5 ** 4
     assert 2 ** required_precision(2, 4, 3) > 2 * 4 ** 5
+
+
+def test_instance_counts_each_k_once(monkeypatch):
+    from dworkzeta import counting
+    from dworkzeta.zeta import recover_mirror_zeta, recover_pencil_zeta
+
+    real = counting.charsum_qcounts
+    calls = []
+
+    def spy(ii, k=1, **kw):
+        calls.append((k, kw.get("with_nfstar", False)))
+        return real(ii, k, **kw)
+
+    monkeypatch.setattr(counting, "charsum_qcounts", spy)
+    ii = inst(2, 5, 1, 1)
+    zy, zx = recover_mirror_zeta(ii), recover_pencil_zeta(ii)
+    recs = [count_record(ii, k) for k in (1, 2)]
+    assert sorted(calls) == [(1, False), (2, False)]
+    assert [zy.count(k) for k in (1, 2)] == [rec.Y for rec in recs]
+    assert [zx.count(k) for k in (1, 2)] == [rec.X for rec in recs]
+    # N_f* recounts once on first request, then is kept with the rest
+    assert count_record(ii, 1, with_nfstar=True).Nfstar is not None
+    assert count_record(ii, 1).Nfstar is not None
+    assert len(calls) == 3
+    # another precision is another count
+    count_record(ii, 1, caps=Caps(precision_override=20))
+    assert len(calls) == 4
+
