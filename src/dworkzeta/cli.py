@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -198,20 +200,29 @@ def _report(inst, caps, pencil: bool, max_k=None) -> dict:
     return rep
 
 
+def _fiber_reports(args, field, caps, out):
+    """The `_report` of each fiber of --lambda for `zeta` and `slope`, or
+    None after writing the error row of a fiber whose recovery failed."""
+    for lam in _parse_lambdas(args.lam_spec, field):
+        inst = DworkInstance(n=args.n, field=field, lam=lam)
+        try:
+            rep = _report(inst, caps, args.n == 2 or args.tier == "extended",
+                          args.max_k)
+        except _RECOVERY_ERRORS as exc:
+            _emit({"schema": 2, "n": args.n, "p": args.p, "r": args.r,
+                   "lambda_dlog": inst.lam_dlog, "error": str(exc)}, out)
+            rep = None
+        yield rep
+
+
 def cmd_zeta(args) -> int:
     caps = _caps_for(args)
     field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
     out = _open_out(args, "zeta.jsonl")
     code = EXIT_OK
     try:
-        for lam in _parse_lambdas(args.lam_spec, field):
-            inst = DworkInstance(n=args.n, field=field, lam=lam)
-            try:
-                rep = _report(inst, caps, args.n == 2 or args.tier == "extended",
-                              args.max_k)
-            except _RECOVERY_ERRORS as exc:
-                _emit({"schema": 2, "n": args.n, "p": args.p, "r": args.r,
-                       "lambda": args.lam_spec, "error": str(exc)}, out)
+        for rep in _fiber_reports(args, field, caps, out):
+            if rep is None:
                 code = EXIT_RECOVERY
                 continue
             q, w = field.pp.q, args.n - 1
@@ -242,10 +253,10 @@ def cmd_slope(args) -> int:
     out = _open_out(args, "slopes.jsonl")
     code = EXIT_OK
     try:
-        for lam in _parse_lambdas(args.lam_spec, field):
-            inst = DworkInstance(n=args.n, field=field, lam=lam)
-            rep = _report(inst, caps, args.n == 2 or args.tier == "extended",
-                          args.max_k)
+        for rep in _fiber_reports(args, field, caps, out):
+            if rep is None:
+                code = EXIT_RECOVERY
+                continue
             row = {"schema": 2, "n": args.n, "p": args.p, "r": args.r,
                    "lambda_dlog": rep["Y"].lam_dlog,
                    "smoothness": rep["smoothness"],
@@ -328,6 +339,25 @@ def _sweep_instance(job: dict) -> dict:
     return out
 
 
+@contextmanager
+def _atomic_open(path: Path):
+    """A text file written under a temporary name in its directory and
+    renamed over `path` only once the write has finished."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _dump_json(obj, path: Path, **kw):
+    with _atomic_open(path) as fh:
+        json.dump(obj, fh, **kw)
+        fh.write("\n")
+
+
 def cmd_sweep(args) -> int:
     if args.config:
         cfg = SweepConfig.from_json(args.config)
@@ -384,38 +414,36 @@ def cmd_sweep(args) -> int:
 
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    counts_f = open(outdir / "counts.jsonl", "w", encoding="utf-8")
-    cong_f = open(outdir / "congruence.jsonl", "w", encoding="utf-8")
-    zeta_f = open(outdir / "zeta.jsonl", "w", encoding="utf-8")
     failures = []
     failure_exits = set()
     cong_failures = 0
     ordinary_stats: dict = {}
     slope_sets: dict = {}
-    for res in results:
-        n, p, r, lam = res["key"]
-        if not res["ok"]:
-            failures.append({"key": res["key"], "error": res["error"]})
-            failure_exits.add(res["exit"])
-            continue
-        for row in res["counts"]:
-            _emit(row, counts_f)
-        for row in res["congruence"]:
-            if row["verdict"] != "pass":
-                cong_failures += 1
-            _emit(row, cong_f)
-        if res["zeta"] is not None:
-            _emit({"key": res["key"], **res["zeta"]}, zeta_f)
-            fam = f"n={n},p={p},r={r}"
-            stats = ordinary_stats.setdefault(fam, [0, 0])
-            stats[1] += 1
-            if res["zeta"]["Y_ordinary"]:
-                stats[0] += 1
-            sset = slope_sets.setdefault(fam, set())
-            sset.add(json.dumps(res["zeta"]["slope_zeta_Y"], sort_keys=True))
-    counts_f.close()
-    cong_f.close()
-    zeta_f.close()
+    with (_atomic_open(outdir / "counts.jsonl") as counts_f,
+          _atomic_open(outdir / "congruence.jsonl") as cong_f,
+          _atomic_open(outdir / "zeta.jsonl") as zeta_f):
+        for res in results:
+            n, p, r, lam = res["key"]
+            if not res["ok"]:
+                failures.append({"key": res["key"], "error": res["error"]})
+                failure_exits.add(res["exit"])
+                continue
+            for row in res["counts"]:
+                _emit(row, counts_f)
+            for row in res["congruence"]:
+                if row["verdict"] != "pass":
+                    cong_failures += 1
+                _emit(row, cong_f)
+            if res["zeta"] is not None:
+                _emit({"key": res["key"], **res["zeta"]}, zeta_f)
+                fam = f"n={n},p={p},r={r}"
+                stats = ordinary_stats.setdefault(fam, [0, 0])
+                stats[1] += 1
+                if res["zeta"]["Y_ordinary"]:
+                    stats[0] += 1
+                sset = slope_sets.setdefault(fam, set())
+                sset.add(json.dumps(res["zeta"]["slope_zeta_Y"],
+                                    sort_keys=True))
 
     summary = {
         "schema": 1,
@@ -440,16 +468,11 @@ def cmd_sweep(args) -> int:
         "failures": failures,
         "summary": summary,
     }
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(outdir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump({"elapsed_seconds": elapsed, "finished_at": time.time(),
-                   "threads": cfg.threads, "out_dir": str(outdir)}, fh)
-        fh.write("\n")
+    _dump_json(summary, outdir / "summary.json", sort_keys=True, indent=1)
+    _dump_json(manifest, outdir / "manifest.json", sort_keys=True, indent=1)
+    _dump_json({"elapsed_seconds": elapsed, "finished_at": time.time(),
+                "threads": cfg.threads, "out_dir": str(outdir)},
+               outdir / "timings.json")
     # the most severe failure class decides: a mismatch, then a recovery
     # failure, then a cap
     for code in (EXIT_ORACLE, EXIT_RECOVERY, EXIT_CAP):

@@ -93,6 +93,11 @@ class DworkInstance:
         ext = extend(self.field, k, cap=cap)
         return ext.ext, ext.embed(self.lam)
 
+    @property
+    def lam_dlog(self) -> Optional[int]:
+        """The discrete log of lam in the base field; None for lam = 0."""
+        return None if self.lam == 0 else self.field.dlog(self.lam)
+
     def qcounts(self, k: int = 1, caps: Caps = DEFAULT_CAPS,
                 with_nfstar: bool = False):
         """charsum_qcounts(self, k), computed once per (k, caps) and kept on
@@ -441,7 +446,7 @@ def charsum_qcounts(inst: DworkInstance, k: int = 1,
             prod = prod * table[kj]
         ch = chi_lam(sol.k[-1])
         if ch is not None:
-            prod = prod * tower.from_w(ch)
+            prod = prod * ch
         acc_f = acc_f + prod.scale(co[sol.s_of_k])
         if with_nfstar:
             acc_fstar = acc_fstar + prod
@@ -460,7 +465,7 @@ def charsum_qcounts(inst: DworkInstance, k: int = 1,
             prod = prod * table[kj]
         ch = chi_lam(sol.k[-1])
         if ch is not None:
-            prod = prod * tower.from_w(ch)
+            prod = prod * ch
         acc_g = acc_g + prod
     qNgstar = acc_g.scale(inv_q1) + tower.from_int(q1 ** n)
     ngstar = _certified_count(qNgstar, q, q ** (n + 1), "q*N_g*")
@@ -492,9 +497,8 @@ def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
         nfstar = count_torus_f_brute(inst, k, caps) if with_nfstar else None
     else:
         raise ValueError(f"unknown method {method!r}")
-    lam_dlog = None if inst.lam == 0 else inst.field.dlog(inst.lam)
     return CountRecord(
-        n=inst.n, p=F.pp.p, r=inst.field.pp.r, k=k, lam_dlog=lam_dlog,
+        n=inst.n, p=F.pp.p, r=inst.field.pp.r, k=k, lam_dlog=inst.lam_dlog,
         Nf=nf, Nfstar=nfstar, Ngstar=ngstar,
         X=count_X(nf, q), Y=count_Y(ngstar, inst.n, q),
         method=method, precision=precision)

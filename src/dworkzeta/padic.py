@@ -1,18 +1,21 @@
-"""Truncated p-adic arithmetic in the tower Z_p -> W -> W[pi].
+"""Truncated p-adic arithmetic in Z_p[zeta_p] (x) W, modulo p^N.
 
-W is the unramified extension of degree r (lifting the chosen GF(q) model),
-and the ramified layer adjoins pi = zeta_p - 1, a root of the Eisenstein
-polynomial ((1+pi)^p - 1)/pi of degree p-1.  Everything is computed modulo
-p^N.  An element is a (p-1) x r array of residues: coordinates with respect
-to the basis pi^i * y^j, pi-degree major.
+W/p^N = (Z/p^N)[y]/(m(y)) is the unramified extension of degree r, with m
+the integer lift of the GF(q) model's modulus.  The ring is computed as
+R = (W/p^N)[x]/(x^p - 1) with x = zeta_p; its quotient by
+Phi_p(x) = 1 + x + ... + x^{p-1} is Z_p[zeta_p] (x) W mod p^N.  An element
+is a flat tuple of p*r residues, entry i*r + j the coefficient of x^i y^j,
+and a product is one big-int product of Kronecker-packed operands.
 
-This ring contains the Teichmuller character values chi(a), the additive
-character values zeta_p^m = (1+pi)^m, and hence all Gauss sums
-G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)}, with the two boundary
-conventions G(0) = q-1 and G(q-1) = -q.
+Teichmuller values chi(a) lie on x^0 and zeta_p^m = x^m, so a Gauss sum
+G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m], with
+the boundary conventions G(0) = q-1 and G(q-1) = -q.
 
-For p = 2 the ramified layer is trivial (zeta_2 = -1, pi = -2) and the
-general code degenerates to shape 1 x r arrays on its own.
+Since x^p - 1 = (x - 1) Phi_p, a value has many representatives in R.
+Every read-out (equality, hashing, `as_integer`, `pi_valuation`, the `gauss`
+dump) goes through `rows`: the canonical coordinates in the basis pi^i y^j
+(i < p-1, j < r), pi-degree major, where pi = zeta_p - 1 is a root of the
+Eisenstein polynomial ((1+pi)^p - 1)/pi (pi = -2 for p = 2).
 """
 from __future__ import annotations
 
@@ -50,30 +53,41 @@ class Valuation:
 class TowerElem:
     """Element of the truncated tower ring; immutable."""
 
-    __slots__ = ("ctx", "rows")
+    __slots__ = ("ctx", "c")
 
-    def __init__(self, ctx: "TowerCtx", rows):
+    def __init__(self, ctx: "TowerCtx", c):
         self.ctx = ctx
-        self.rows = rows  # tuple of (p-1) tuples of r ints, reduced mod p^N
+        self.c = c  # p*r ints mod p^N; c[i*r + j] multiplies x^i y^j
+
+    @property
+    def rows(self) -> tuple:
+        """The pi-coordinates: (p-1) tuples of r residues, rows[i][j] the
+        coefficient of pi^i y^j."""
+        ctx = self.ctx
+        p, r, pN, c = ctx.p, ctx.r, ctx.pN, self.c
+        top = c[(p - 1) * r:]
+        # x^{p-1} = -(1 + x + ... + x^{p-2}) mod Phi_p, then x^i = (1 + pi)^i
+        a = [[c[i * r + j] - top[j] for j in range(r)] for i in range(p - 1)]
+        return tuple(
+            tuple(sum(comb(i, k) * a[i][j] for i in range(k, p - 1)) % pN
+                  for j in range(r))
+            for k in range(p - 1))
 
     def __add__(self, other):
         other = self.ctx.coerce(other)
         pN = self.ctx.pN
         return TowerElem(self.ctx, tuple(
-            tuple((x + y) % pN for x, y in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+            (x + y) % pN for x, y in zip(self.c, other.c)))
 
     def __sub__(self, other):
         other = self.ctx.coerce(other)
         pN = self.ctx.pN
         return TowerElem(self.ctx, tuple(
-            tuple((x - y) % pN for x, y in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
+            (x - y) % pN for x, y in zip(self.c, other.c)))
 
     def __neg__(self):
         pN = self.ctx.pN
-        return TowerElem(self.ctx, tuple(
-            tuple((-x) % pN for x in ra) for ra in self.rows))
+        return TowerElem(self.ctx, tuple((-x) % pN for x in self.c))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -102,8 +116,7 @@ class TowerElem:
     def scale(self, n: int) -> "TowerElem":
         pN = self.ctx.pN
         n %= pN
-        return TowerElem(self.ctx, tuple(
-            tuple((x * n) % pN for x in ra) for ra in self.rows))
+        return TowerElem(self.ctx, tuple((x * n) % pN for x in self.c))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -121,12 +134,13 @@ class TowerElem:
     def as_integer(self, centered: bool = False) -> int:
         """The value as a rational integer mod p^N; raises if coordinates
         outside the Z_p slot are nonzero."""
-        for i, row in enumerate(self.rows):
+        rows = self.rows
+        for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 if (i, j) != (0, 0) and x != 0:
                     raise NonIntegralResult(
                         f"nonzero coordinate at pi^{i} y^{j}: {x}")
-        v = self.rows[0][0]
+        v = rows[0][0]
         if centered and v > self.ctx.pN // 2:
             v -= self.ctx.pN
         return v
@@ -134,8 +148,7 @@ class TowerElem:
     def truncate(self, other_ctx: "TowerCtx") -> "TowerElem":
         """Reduce into a lower-precision context over the same field."""
         pN = other_ctx.pN
-        return TowerElem(other_ctx, tuple(
-            tuple(x % pN for x in row) for row in self.rows))
+        return TowerElem(other_ctx, tuple(x % pN for x in self.c))
 
     def __repr__(self):
         return f"TowerElem({self.rows} mod {self.ctx.p}^{self.ctx.N})"
@@ -159,90 +172,38 @@ class TowerCtx:
         self.N = N
         self.pN = self.p ** N
         self.unramified_modulus = tuple(int(c) for c in field.modulus)
-        # ((1+pi)^p - 1)/pi, monic of degree p-1, constant term exactly p
-        self.eisenstein = tuple(comb(self.p, i + 1) for i in range(self.p))
-        self.pi_units_per_ordq = self.r * (self.p - 1)
+        # Kronecker slots: x^i y^j sits at bit B*(i*(2r-1) + j); a slot of a
+        # product folded by x^p = 1 sums p*r products of residues < p^N
+        p, r = self.p, self.r
+        self._slot_bits = (p * r * self.pN ** 2).bit_length() + 1
+        self._offsets = [self._slot_bits * (i * (2 * r - 1) + j)
+                         for i in range(p) for j in range(r)]
         self._teich_pows = None
-        self._zeta_pows = None
         self._gauss = None
-
-    # -- W-layer arithmetic on r-tuples of ints mod p^N ---------------------
-
-    def w_zero(self):
-        return (0,) * self.r
-
-    def w_one(self):
-        return (1,) + (0,) * (self.r - 1)
-
-    def w_add(self, a, b):
-        pN = self.pN
-        return tuple((x + y) % pN for x, y in zip(a, b))
-
-    def w_scale(self, a, n):
-        pN = self.pN
-        n %= pN
-        return tuple((x * n) % pN for x in a)
-
-    def w_mul(self, a, b):
-        pN, r, mod = self.pN, self.r, self.unramified_modulus
-        if r == 1:
-            return ((a[0] * b[0]) % pN,)
-        out = [0] * (2 * r - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % pN
-        for i in range(2 * r - 2, r - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(r):
-                    out[i - r + j] = (out[i - r + j] - c * mod[j]) % pN
-        return tuple(out[:r])
-
-    def w_pow(self, a, e):
-        result = self.w_one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.w_mul(result, base)
-            base = self.w_mul(base, base)
-            e >>= 1
-        return result
 
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> TowerElem:
-        row = (0,) * self.r
-        return TowerElem(self, (row,) * (self.p - 1))
+        return TowerElem(self, (0,) * (self.p * self.r))
 
     def one(self) -> TowerElem:
         return self.from_int(1)
 
     def from_int(self, n: int) -> TowerElem:
-        rows = [[0] * self.r for _ in range(self.p - 1)]
-        rows[0][0] = n % self.pN
-        return TowerElem(self, tuple(tuple(r) for r in rows))
+        return self.from_w((n,))
 
     def from_w(self, w) -> TowerElem:
-        rows = [tuple(w)] + [(0,) * self.r] * (self.p - 2)
-        return TowerElem(self, tuple(rows))
-
-    def from_pi_poly(self, coeffs) -> TowerElem:
-        """Element from integer coefficients in pi (length <= p-1)."""
-        rows = []
-        for i in range(self.p - 1):
-            c = coeffs[i] % self.pN if i < len(coeffs) else 0
-            rows.append((c,) + (0,) * (self.r - 1))
-        return TowerElem(self, tuple(rows))
-
-    def pi(self) -> TowerElem:
-        if self.p == 2:
-            return self.from_int(-2)
-        return self.from_pi_poly((0, 1))
+        """A value of W (coefficients of y^0, y^1, ...) placed on x^0."""
+        c = tuple(v % self.pN for v in w)
+        return TowerElem(self, c + (0,) * (self.p * self.r - len(c)))
 
     def zeta_p(self) -> TowerElem:
-        return self.one() + self.pi()
+        c = [0] * (self.p * self.r)
+        c[self.r] = 1  # x^1 y^0
+        return TowerElem(self, tuple(c))
+
+    def pi(self) -> TowerElem:
+        return self.zeta_p() - 1
 
     def coerce(self, x) -> TowerElem:
         if isinstance(x, TowerElem):
@@ -256,64 +217,50 @@ class TowerCtx:
     # -- ring multiplication --------------------------------------------------
 
     def _mul(self, a: TowerElem, b: TowerElem) -> TowerElem:
-        d = self.p - 1
-        wz = self.w_zero()
-        out = [wz] * (2 * d - 1) if d > 1 else [wz]
-        for i, ra in enumerate(a.rows):
-            if any(ra):
-                for j, rb in enumerate(b.rows):
-                    if any(rb):
-                        out[i + j] = self.w_add(out[i + j], self.w_mul(ra, rb))
-        # reduce pi-degrees >= p-1 via pi^{p-1} = -sum_{j<p-1} E_j pi^j
-        eis = self.eisenstein
-        for i in range(len(out) - 1, d - 1, -1):
-            c = out[i]
-            if any(c):
-                out[i] = wz
-                for j in range(d):
-                    if eis[j]:
-                        out[i - d + j] = self.w_add(
-                            out[i - d + j], self.w_scale(c, -eis[j]))
-        return TowerElem(self, tuple(out[:d]))
+        p, r, pN, B = self.p, self.r, self.pN, self._slot_bits
+        offsets = self._offsets
+        prod = (sum(v << o for v, o in zip(a.c, offsets) if v)
+                * sum(v << o for v, o in zip(b.c, offsets) if v))
+        w = 2 * r - 1
+        span = B * p * w
+        prod = (prod & ((1 << span) - 1)) + (prod >> span)  # x^p = 1
+        mask = (1 << B) - 1
+        d = [(prod >> (B * s)) & mask for s in range(p * w)]
+        mod = self.unramified_modulus
+        out = []
+        for i in range(0, p * w, w):
+            # y^r = -sum_{j<r} m_j y^j, from the top degree down
+            for top in range(i + w - 1, i + r - 1, -1):
+                t = d[top] % pN
+                if t:
+                    for j in range(r):
+                        d[top - r + j] -= t * mod[j]
+            out.extend(v % pN for v in d[i:i + r])
+        return TowerElem(self, tuple(out))
 
     # -- Teichmuller lifts and character tables -------------------------------
 
-    def teich_w(self, a: int) -> tuple:
-        """Teichmuller lift of a field element code into W (as an r-tuple)."""
-        if a == 0:
-            return self.w_zero()
-        t = tuple(self.field.coeffs(a))  # integer lift of the coefficients
-        for _ in range(self.N + 1):
-            nxt = self.w_pow(t, self.q)
-            if nxt == t:
-                break
-            t = nxt
-        else:
-            raise RuntimeError("Teichmuller iteration failed to stabilize")
-        return t
-
     def teich(self, a) -> TowerElem:
-        return self.from_w(self.teich_w(a))
+        """Teichmuller lift of a field element code, a value of W."""
+        if a == 0:
+            return self.zero()
+        t = self.from_w(self.field.coeffs(a))  # lift of the coefficients
+        for _ in range(self.N + 1):
+            nxt = t ** self.q
+            if nxt == t:
+                return t
+            t = nxt
+        raise RuntimeError("Teichmuller iteration failed to stabilize")
 
     def teich_pows(self):
-        """TP[j] = teich(g)^j for j in [0, q-1), as W-tuples."""
+        """TP[j] = teich(g)^j for j in [0, q-1)."""
         if self._teich_pows is None:
-            tg = self.teich_w(self.field.generator)
-            tp = [self.w_one()] * (self.q - 1)
-            for j in range(1, self.q - 1):
-                tp[j] = self.w_mul(tp[j - 1], tg)
+            tg = self.teich(self.field.generator)
+            tp = [self.one()]
+            for _ in range(self.q - 2):
+                tp.append(tp[-1] * tg)
             self._teich_pows = tp
         return self._teich_pows
-
-    def zeta_pows(self):
-        """ZP[m] = (1+pi)^m for m in [0, p), as TowerElems."""
-        if self._zeta_pows is None:
-            z = self.zeta_p()
-            zp = [self.one()]
-            for _ in range(self.p - 1):
-                zp.append(zp[-1] * z)
-            self._zeta_pows = zp[: self.p]
-        return self._zeta_pows
 
     # -- Gauss sums ------------------------------------------------------------
 
@@ -322,52 +269,42 @@ class TowerCtx:
             raise ValueError(f"k must lie in [0, q-1], got {k}")
         if self._gauss is not None:
             return self._gauss[k]
-        if k == 0:
-            return self.from_int(self.q - 1)
-        if k == self.q - 1:
-            return self.from_int(-self.q)
-        q1 = self.q - 1
-        tp = self.teich_pows()
-        zp = self.zeta_pows()
-        field = self.field
-        acc = [self.w_zero()] * self.p
-        for j in range(q1):
-            m = field.trace(field.exp_table[j])
-            acc[m] = self.w_add(acc[m], tp[(-k * j) % q1])
-        out = self.zero()
-        for m in range(self.p):
-            if any(acc[m]):
-                out = out + zp[m] * self.from_w(acc[m])
-        return out
+        return self._gauss_sums([k])[0]
 
     def gauss_table(self):
         """All G(k), 0 <= k <= q-1, with the boundary conventions."""
         if self._gauss is None:
-            q1 = self.q - 1
-            tp = self.teich_pows()
-            zp = self.zeta_pows()
-            field = self.field
-            traces = [field.trace(field.exp_table[j]) for j in range(q1)]
-            w_add, w_zero = self.w_add, self.w_zero()
-            table = [None] * (self.q)
-            table[0] = self.from_int(q1)
-            table[q1] = self.from_int(-self.q)
-            for k in range(1, q1):
-                acc = [w_zero] * self.p
-                kj = 0
-                for j in range(q1):
-                    m = traces[j]
-                    acc[m] = w_add(acc[m], tp[kj])
-                    kj -= k
-                    if kj < 0:
-                        kj += q1
-                out = self.zero()
-                for m in range(self.p):
-                    if any(acc[m]):
-                        out = out + zp[m] * self.from_w(acc[m])
-                table[k] = out
-            self._gauss = table
+            self._gauss = self._gauss_sums(range(self.q))
         return self._gauss
+
+    def _gauss_sums(self, ks) -> list:
+        """G(k) for each k in ks.  acc[m] sums chi(a)^{-k} over Tr(a) = m, as
+        packed W values, so each term is one int add and G(k) is
+        sum_m x^m acc[m]."""
+        p, r, q, pN = self.p, self.r, self.q, self.pN
+        q1 = q - 1
+        field = self.field
+        traces = [field.trace(field.exp_table[j]) for j in range(q1)]
+        width = (q1 * pN).bit_length() + 1
+        mask = (1 << width) - 1
+        packed = [sum(v << (width * j) for j, v in enumerate(t.c[:r]))
+                  for t in self.teich_pows()]
+        out = []
+        for k in ks:
+            if k in (0, q1):  # the boundary conventions
+                out.append(self.from_int(q1 if k == 0 else -q))
+                continue
+            acc = [0] * p
+            kj = 0
+            for m in traces:
+                acc[m] += packed[kj]
+                kj -= k
+                if kj < 0:
+                    kj += q1
+            out.append(TowerElem(self, tuple(
+                ((s >> (width * j)) & mask) % pN
+                for s in acc for j in range(r))))
+        return out
 
     def __repr__(self):
         return f"TowerCtx(GF({self.p}^{self.r}), N={self.N})"
@@ -398,24 +335,19 @@ def gauss_sum(tower: TowerCtx, k: int) -> TowerElem:
 
 
 def pi_valuation(x: TowerElem) -> Valuation:
-    ctx = x.ctx
-    p, r, N = ctx.p, ctx.r, ctx.N
+    p, r = x.ctx.p, x.ctx.r
     best = None
     for i, row in enumerate(x.rows):
-        for c in row:
-            if c % ctx.pN == 0:
-                continue
+        for c in filter(None, row):
             v = 0
-            cc = c
-            while cc % p == 0:
-                cc //= p
+            while c % p == 0:
+                c //= p
                 v += 1
-            cand = i + (p - 1) * v
-            if best is None or cand < best:
-                best = cand
+            if best is None or i + (p - 1) * v < best:
+                best = i + (p - 1) * v
     if best is None:
         # indistinguishable from zero; (p-1)*N is the precision horizon
-        return Valuation((p - 1) * N, r, p, exact=False)
+        return Valuation((p - 1) * x.ctx.N, r, p, exact=False)
     return Valuation(best, r, p, exact=True)
 
 

@@ -431,9 +431,8 @@ def recover_pencil_zeta(inst, caps=None, use_fe: bool = True,
     m = k_budget or counts_budget(degree, use_fe)
     counts = _instance_counts(inst, "X", m, method, caps)
     q = inst.field.pp.q
-    lam_dlog = None if inst.lam == 0 else inst.field.dlog(inst.lam)
     return zeta_from_counts("X", counts, n, inst.field.pp.p, inst.field.pp.r,
-                            q, lam_dlog, degree, n - 1, use_fe, tol)
+                            q, inst.lam_dlog, degree, n - 1, use_fe, tol)
 
 
 def recover_mirror_zeta(inst, caps=None, use_fe: bool = True,
@@ -447,6 +446,5 @@ def recover_mirror_zeta(inst, caps=None, use_fe: bool = True,
     m = k_budget or counts_budget(n, use_fe)
     counts = _instance_counts(inst, "Y", m, method, caps)
     q = inst.field.pp.q
-    lam_dlog = None if inst.lam == 0 else inst.field.dlog(inst.lam)
     return zeta_from_counts("Y", counts, n, inst.field.pp.p, inst.field.pp.r,
-                            q, lam_dlog, n, n - 1, use_fe, tol)
+                            q, inst.lam_dlog, n, n - 1, use_fe, tol)

@@ -148,6 +148,19 @@ def test_gauss_dump_matches_engine(capsys):
         assert rec["coords"] == flat
 
 
+def test_slope_reports_a_failed_fiber_and_goes_on(capsys):
+    # the lam = 0 Fermat fiber admits both functional-equation signs
+    code, rows = run(capsys, "slope", "--n", "4", "--p", "3",
+                     "--lambda", "all")
+    assert code == cli.EXIT_RECOVERY
+    assert len(rows) == 3
+    assert rows[0] == {"schema": 2, "n": 4, "p": 3, "r": 1,
+                       "lambda_dlog": None, "error": rows[0]["error"]}
+    assert "ambiguous" in rows[0]["error"]
+    assert [row["lambda_dlog"] for row in rows[1:]] == [0, 1]
+    assert all("error" not in row for row in rows[1:])
+
+
 def test_sweep_roundtrip(tmp_path, capsys):
     cfg = {"n_list": [2], "prime_list": [3, 5], "r_list": [1], "k_max": 2,
            "lambda_mode": "all", "zeta_n_max": 2, "seed": 0,
@@ -269,9 +282,12 @@ def test_sweep_recovery_failure_exits_6(tmp_path, capsys, monkeypatch):
 
 # SHA-256 of stdout and the exit code of single-instance commands, captured
 # before zeta, slope, congruence and sweep shared one per-instance report;
-# `count` after its lambda_dlog became the base-field log at every k.
+# `count` after its lambda_dlog became the base-field log at every k; the
+# zeta error rows after they carried the fiber's lambda_dlog; `gauss`
+# before the p-adic ring moved to the x^p - 1 basis.
 # Covered: singular fibers (n = 2, p = 5), an n = 3 slope, an r = 2 field,
-# and the per-lambda recovery-error rows of zeta (n = 4, p = 2).
+# the per-lambda recovery-error rows of zeta (n = 4, p = 2), and Gauss
+# tables over GF(8), GF(9) and GF(13).
 COMMAND_SHA256 = [
     (["zeta", "--n", "2", "--p", "5", "--lambda", "all"], 0,
      "6e4383dec51181cfcf2e2db4d13d67c01099b551d60647ebcae9fe23b67db7a8"),
@@ -289,10 +305,17 @@ COMMAND_SHA256 = [
       "--k", "2"], 0,
      "66e11bbe7876a9e7620a2a834b11010a228e2ce2adae55fd75f65fdeae30b656"),
     (["zeta", "--n", "4", "--p", "2", "--lambda", "all"], cli.EXIT_RECOVERY,
-     "409d8a997753035f798930507c1254e4f13a034c4196ff7102dba98128eb4805"),
+     "1925f92c60b543572947066e694b40d1f2a9fdff76782cebd2dba1976e7a89f4"),
     (["count", "--n", "2", "--p", "5", "--lambda", "all", "--k", "2",
       "--method", "both", "--nfstar"], 0,
      "381b4903441364f2d6e1190ba5c16b6e1dc730cee483521410d87269639e6b36"),
+    # the pi-major `coords` are the one byte-level read-out of the p-adic ring
+    (["gauss", "--p", "2", "--r", "3", "--N", "6"], 0,
+     "ca75eb68fa7aa5d2c2ee310413acfb7c6d6eb4859240dc02d2da85e4b8aa7a27"),
+    (["gauss", "--p", "3", "--r", "2", "--N", "8"], 0,
+     "780cd6155735d3d40b0b45b412918ec09899c998d5f637cb1c74579787c2db9a"),
+    (["gauss", "--p", "13", "--r", "1", "--N", "9"], 0,
+     "02e2a0ec480a1253c794d2b54861d5eaa032e028b7ee066a08353332f150d1b0"),
 ]
 
 
@@ -332,3 +355,33 @@ def test_sweep_worker_exception_is_a_failure_row(tmp_path, capsys,
     # the other lambdas' rows are written; over GF(5) lam = 2 is singular
     assert len((out / "counts.jsonl").read_text().splitlines()) == 4
     assert len((out / "zeta.jsonl").read_text().splitlines()) == 3
+
+
+def test_sweep_failed_write_keeps_previous_files(tmp_path, capsys,
+                                                 monkeypatch):
+    out = tmp_path / "s"
+    cfg = {"n_list": [2], "prime_list": [3], "k_max": 1,
+           "lambda_mode": "all", "seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(out),
+            "--threads", "1"]
+    assert main(argv) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert "manifest.json" in before
+
+    real_dump = json.dump
+
+    def dump(obj, fh, **kw):
+        if "manifest.json" in fh.name:
+            raise OSError("injected: disk full")
+        real_dump(obj, fh, **kw)
+
+    monkeypatch.setattr(json, "dump", dump)
+    cfg_path.write_text(json.dumps({**cfg, "seed": 1}))
+    with pytest.raises(OSError, match="injected"):
+        main(argv)
+    assert (out / "manifest.json").read_bytes() == before["manifest.json"]
+    # the files written before the failure are replaced whole; no
+    # temporary file is left behind
+    assert sorted(f.name for f in out.iterdir()) == sorted(before)

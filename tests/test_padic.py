@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dworkzeta.errors import NonIntegralResult
 from dworkzeta.ff import build_field
 from dworkzeta.padic import (
+    TowerElem,
     build_tower,
     digit_sum,
     gauss_sum,
@@ -20,9 +22,45 @@ def tower(p, r, N=8):
     return build_tower(build_field(p, r, 0), N)
 
 
+def eisenstein_at_pi(T):
+    """E(pi) for E = ((1+pi)^p - 1)/pi = sum_i binom(p, i+1) pi^i."""
+    pi = T.pi()
+    return sum((pi ** i).scale(comb(T.p, i + 1)) for i in range(T.p))
+
+
+def _oracle_mul(T, a, b):
+    """The pi-basis product of two row arrays: schoolbook products in W,
+    reduced by the lifted field modulus, then pi-degrees >= p-1 reduced by
+    the Eisenstein polynomial."""
+    p, r, pN, mod = T.p, T.r, T.pN, T.unramified_modulus
+    d = p - 1
+    eis = [comb(p, i + 1) for i in range(p)]
+
+    def w_mul(u, v):
+        out = [0] * (2 * r - 1)
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                out[i + j] += ui * vj
+        for i in range(2 * r - 2, r - 1, -1):  # y^r = -sum_{j<r} m_j y^j
+            for j in range(r):
+                out[i - r + j] -= out[i] * mod[j]
+        return out[:r]
+
+    out = [[0] * r for _ in range(2 * d - 1)]
+    for i, ra in enumerate(a):
+        for j, rb in enumerate(b):
+            for t, v in enumerate(w_mul(ra, rb)):
+                out[i + j][t] += v
+    for i in range(2 * d - 2, d - 1, -1):  # pi^d = -sum_{j<d} E_j pi^j
+        for j in range(d):
+            for t in range(r):
+                out[i - d + j][t] -= eis[j] * out[i][t]
+    return tuple(tuple(v % pN for v in row) for row in out[:d])
+
+
 def test_build_tower_gf2_trivial_ramification():
     T = tower(2, 1, 8)
-    assert T.eisenstein == (2, 1)  # pi + 2 = 0
+    assert eisenstein_at_pi(T) == T.zero()  # pi + 2 = 0
     assert T.pi() == T.from_int(-2)
     assert T.zeta_p() == T.from_int(-1)
     assert len(T.zero().rows) == 1
@@ -31,9 +69,9 @@ def test_build_tower_gf2_trivial_ramification():
 def test_build_tower_gf3_eisenstein():
     T = tower(3, 1, 5)
     # ((1+pi)^3 - 1)/pi = pi^2 + 3 pi + 3
-    assert T.eisenstein == (3, 3, 1)
     pi = T.pi()
     assert pi * pi + pi.scale(3) + T.from_int(3) == T.zero()
+    assert eisenstein_at_pi(T) == T.zero()
 
 
 def test_build_tower_gf9_shape():
@@ -43,10 +81,12 @@ def test_build_tower_gf9_shape():
 
 
 def test_eisenstein_constant_term_is_p():
-    for p, r in FIELDS:
+    # pi is a root of E, whose constant term p has the valuation of pi^{p-1}
+    for p, r in FIELDS + [(11, 1), (13, 1)]:
         T = tower(p, r, 4)
-        assert T.eisenstein[0] == p
-        assert T.eisenstein[-1] == 1
+        assert eisenstein_at_pi(T) == T.zero()
+        assert pi_valuation(T.from_int(p)).numerator == p - 1
+        assert pi_valuation(T.pi() ** (p - 1)).numerator == p - 1
 
 
 def test_zeta_p_is_pth_root_of_unity():
@@ -89,10 +129,10 @@ def test_teich_multiplicative_gf7_exhaustive():
 def test_additive_character_orthogonality():
     for p, r in FIELDS:
         T = tower(p, r, 6)
-        zp = T.zeta_pows()
+        z = T.zeta_p()
         total = T.zero()
         for a in range(T.q):
-            total = total + zp[T.field.trace(a)]
+            total = total + z ** T.field.trace(a)
         assert total == T.zero()
 
 
@@ -144,7 +184,7 @@ def test_interpolation_identity_exhaustive():
         inv_q1 = pow(q1, -1, T.pN)
         table = T.gauss_table()
         tp = T.teich_pows()
-        zp = T.zeta_pows()
+        z = T.zeta_p()
         F = T.field
         for a in range(q):
             rhs = T.zero()
@@ -153,9 +193,8 @@ def test_interpolation_identity_exhaustive():
             else:
                 la = F.dlog(a)
                 for k in range(q):
-                    chi_ak = T.from_w(tp[(la * k) % q1])
-                    rhs = rhs + table[k].scale(inv_q1) * chi_ak
-            lhs = zp[F.trace(a)]
+                    rhs = rhs + table[k].scale(inv_q1) * tp[(la * k) % q1]
+            lhs = z ** F.trace(a)
             assert lhs == rhs, (p, r, a)
 
 
@@ -223,7 +262,7 @@ def test_ring_axioms_random_triples(xs, ys, zs):
     T = tower(3, 2, 6)
 
     def make(vals):
-        return T.from_pi_poly((0,)) + T.from_w((vals[0], vals[1])) + \
+        return T.from_w((vals[0], vals[1])) + \
             T.pi() * T.from_w((vals[2], vals[3]))
 
     x, y, z = make(xs), make(ys), make(zs)
@@ -231,3 +270,19 @@ def test_ring_axioms_random_triples(xs, ys, zs):
     assert x * (y + z) == x * y + x * z
     assert x * y == y * x
     assert x + (y + z) == (x + y) + z
+
+
+# (2, 3) is already in FIELDS
+ORACLE_FIELDS = FIELDS + [(11, 1), (13, 1), (5, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_mul_matches_pi_basis_oracle(data):
+    p, r = data.draw(st.sampled_from(ORACLE_FIELDS))
+    T = tower(p, r, 6)
+    elems = st.lists(st.integers(min_value=0, max_value=T.pN - 1),
+                     min_size=p * r, max_size=p * r).map(
+        lambda c: TowerElem(T, tuple(c)))
+    a, b = data.draw(elems), data.draw(elems)
+    assert (a * b).rows == _oracle_mul(T, a.rows, b.rows)
