@@ -384,12 +384,9 @@ def cmd_sweep(args) -> int:
                     lams = list(range(p))
                 elif cfg.lambda_mode == "zero":
                     lams = [0]
-                elif cfg.lambda_mode == "list":
+                else:  # "list"; SweepConfig rejects other modes
                     lams = [field.gen_pow(e) if e >= 0 else 0
                             for e in cfg.lambda_list]
-                else:
-                    sys.stderr.write(f"unknown lambda_mode {cfg.lambda_mode!r}\n")
-                    return EXIT_CONFIG
                 for lam in lams:
                     jobs.append({"n": n, "p": p, "r": r, "lam": lam,
                                  "seed": cfg.seed, "k_max": cfg.k_max,
@@ -517,7 +514,7 @@ def _caps_for(args) -> Caps:
             raw = json.load(fh)
         if "caps" in raw:
             caps = Caps.from_dict(raw["caps"])
-    return caps.with_tier(getattr(args, "tier", "ci") or "ci")
+    return caps.with_tier(args.tier)  # None: the ci caps
 
 
 def _add_common(sp, with_lambda=True, with_k=False):
@@ -538,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--threads", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--tier", choices=["ci", "extended"], default="ci")
+    # None keeps a sweep config's own tier; other commands fall back to ci
+    common.add_argument("--tier", choices=["ci", "extended"], default=None)
 
     ap = argparse.ArgumentParser(
         prog="dworkzeta",

@@ -49,6 +49,10 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
+_SWEEP_CHOICES = {"lambda_mode": ("all", "subfield", "zero", "list"),
+                  "tier": ("ci", "extended")}
+
+
 @dataclass
 class SweepConfig:
     """Grid description for the `sweep` command."""
@@ -57,7 +61,7 @@ class SweepConfig:
     prime_list: list = field(default_factory=lambda: [3, 5, 7])
     r_list: list = field(default_factory=lambda: [1])
     k_max: int = 2
-    lambda_mode: str = "all"  # all | subfield | list
+    lambda_mode: str = "all"  # all | subfield | zero | list
     lambda_list: list = field(default_factory=list)
     tier: str = "ci"  # ci | extended
     seed: int = 0
@@ -65,6 +69,12 @@ class SweepConfig:
     threads: int = 1
     zeta_n_max: int = 2  # recover numerators only for n <= this in ci tier
     caps: Caps = field(default_factory=lambda: DEFAULT_CAPS)
+
+    def __post_init__(self):
+        for key, allowed in _SWEEP_CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}; "
+                                  f"expected one of {', '.join(allowed)}")
 
     @classmethod
     def from_json(cls, path: str) -> "SweepConfig":

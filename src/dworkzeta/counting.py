@@ -23,9 +23,14 @@ solution carries the flat coefficient (q-1)^{v} / (q-1)^m.
 
 When lam = 0 the product monomial is absent: the last exponent k_m is
 pinned to 0 and the character factor is dropped.
+
+Only chi(lam)^{k_m} depends on lam.  The family part, cached per tower,
+matrix and lam = 0 or not, sums prod_j G(k_j) per (s(k), k_m mod (q-1));
+the fiber part twists each class by chi(lam)^{k_m}, one multiply per class.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional
@@ -74,9 +79,6 @@ class DworkInstance:
     lam: int  # element code in `field`
     M: tuple = dc_field(init=False)
     Nmat: tuple = dc_field(init=False)
-    # (k, caps) -> charsum_qcounts result, filled by `qcounts`
-    _qcounts: dict = dc_field(init=False, default_factory=dict, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -97,18 +99,6 @@ class DworkInstance:
     def lam_dlog(self) -> Optional[int]:
         """The discrete log of lam in the base field; None for lam = 0."""
         return None if self.lam == 0 else self.field.dlog(self.lam)
-
-    def qcounts(self, k: int = 1, caps: Caps = DEFAULT_CAPS,
-                with_nfstar: bool = False):
-        """charsum_qcounts(self, k), computed once per (k, caps) and kept on
-        the instance; a later request for N_f* recounts only if the kept
-        count lacks it."""
-        key = (k, caps)
-        hit = self._qcounts.get(key)
-        if hit is None or (with_nfstar and hit[1] is None):
-            hit = charsum_qcounts(self, k, caps=caps, with_nfstar=with_nfstar)
-            self._qcounts[key] = hit
-        return hit
 
     def __repr__(self):
         return (f"DworkInstance(n={self.n}, q={self.field.pp.q}, "
@@ -407,11 +397,41 @@ def _certified_count(elem, q: int, bound: int, what: str) -> int:
     return v // q
 
 
+@functools.lru_cache(maxsize=64)  # one instance needs a few dozen at most
+def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool) -> dict:
+    """The family part: {(s(k), k_last mod (q-1)): sum of prod_j G(k_j)}
+    over the solutions k of matrix * k = 0 mod (q-1)."""
+    table = tower.gauss_table()
+    q1 = tower.q - 1
+    sums: dict = {}
+    for sol in enumerate_solutions(matrix, tower.q, lam_zero):
+        prod = table[sol.k[0]]
+        for kj in sol.k[1:]:
+            prod = prod * table[kj]
+        key = (sol.s_of_k, sol.k[-1] % q1)
+        sums[key] = sums[key] + prod if key in sums else prod
+    return sums
+
+
+def _fiber_sums(tower: TowerCtx, matrix, lam_dlog: Optional[int]) -> dict:
+    """The fiber part: {s: sum over the solutions k with s(k) = s of
+    prod_j G(k_j) chi(lam)^{k_last}}; lam_dlog None encodes lam = 0."""
+    tp = tower.teich_pows()
+    q1 = tower.q - 1
+    out: dict = {}
+    for (s, c), total in _gauss_product_sums(
+            tower, matrix, lam_dlog is None).items():
+        if c:  # never for lam = 0, whose k_last is pinned to 0
+            total = total * tp[(lam_dlog * c) % q1]
+        out[s] = out[s] + total if s in out else total
+    return out
+
+
 def charsum_qcounts(inst: DworkInstance, k: int = 1,
                     tower: Optional[TowerCtx] = None,
-                    caps: Caps = DEFAULT_CAPS,
-                    with_nfstar: bool = False):
-    """(N_f, N_f*, N_g*) over GF(q^k) from the Gauss-sum formulas."""
+                    caps: Caps = DEFAULT_CAPS):
+    """(N_f, N_f*, N_g*, N) over GF(q^k) from the Gauss-sum formulas, N the
+    p-adic precision used."""
     F, lam = inst.extension(k, cap=caps.field_table_max_q)
     n = inst.n
     p, q = F.pp.p, F.pp.q
@@ -424,49 +444,19 @@ def charsum_qcounts(inst: DworkInstance, k: int = 1,
     if tower.pN <= 2 * q ** (n + 2):
         raise PrecisionInsufficient(2 * q ** (n + 2), tower.pN)
     pN = tower.pN
-    table = tower.gauss_table()
-    tp = tower.teich_pows()
-    lam_zero = lam == 0
-    lam_dlog = None if lam_zero else F.dlog(lam)
+    lam_dlog = None if lam == 0 else F.dlog(lam)
 
     inv_q1 = pow(q1 % pN, -1, pN)
     # coefficient (q-1)^{s-(n+2)} q^{(n+2)-s} = (q * inv(q-1))^{(n+2)-s}
     co = [pow((q * inv_q1) % pN, (n + 2) - s, pN) for s in range(n + 3)]
 
-    def chi_lam(k_last):
-        if lam_zero or k_last % q1 == 0:
-            return None  # factor 1
-        return tp[(lam_dlog * k_last) % q1]
-
-    acc_f = tower.zero()
-    acc_fstar = tower.zero()
-    for sol in enumerate_solutions(inst.M, q, lam_zero):
-        prod = table[sol.k[0]]
-        for kj in sol.k[1:]:
-            prod = prod * table[kj]
-        ch = chi_lam(sol.k[-1])
-        if ch is not None:
-            prod = prod * ch
-        acc_f = acc_f + prod.scale(co[sol.s_of_k])
-        if with_nfstar:
-            acc_fstar = acc_fstar + prod
-    qNf = acc_f
+    by_s = _fiber_sums(tower, inst.M, lam_dlog)
+    qNf = sum((t.scale(co[s]) for s, t in by_s.items()), tower.zero())
     nf = _certified_count(qNf, q, q ** (n + 2), "q*N_f")
+    qNfstar = sum(by_s.values(), tower.from_int(q1 ** (n + 1)))
+    nfstar = _certified_count(qNfstar, q, q ** (n + 2), "q*N_f*")
 
-    nfstar = None
-    if with_nfstar:
-        qNfstar = acc_fstar + tower.from_int(q1 ** (n + 1))
-        nfstar = _certified_count(qNfstar, q, q ** (n + 2), "q*N_f*")
-
-    acc_g = tower.zero()
-    for sol in enumerate_solutions(inst.Nmat, q, lam_zero):
-        prod = table[sol.k[0]]
-        for kj in sol.k[1:]:
-            prod = prod * table[kj]
-        ch = chi_lam(sol.k[-1])
-        if ch is not None:
-            prod = prod * ch
-        acc_g = acc_g + prod
+    acc_g = sum(_fiber_sums(tower, inst.Nmat, lam_dlog).values(), tower.zero())
     qNgstar = acc_g.scale(inv_q1) + tower.from_int(q1 ** n)
     ngstar = _certified_count(qNgstar, q, q ** (n + 1), "q*N_g*")
 
@@ -477,12 +467,13 @@ def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
                  caps: Caps = DEFAULT_CAPS,
                  with_nfstar: bool = False) -> CountRecord:
     """One CountRecord over GF(q^k); `both` asserts charsum == brute.  The
-    record's lambda_dlog is the discrete log of lam in the base field."""
+    record's lambda_dlog is the discrete log of lam in the base field; it
+    reports N_f* (and `both` checks it) only with_nfstar."""
     F, _ = inst.extension(k, cap=caps.field_table_max_q)
     q = F.pp.q
     precision = None
     if method in ("charsum", "both"):
-        nf, nfstar, ngstar, precision = inst.qcounts(k, caps, with_nfstar)
+        nf, nfstar, ngstar, precision = charsum_qcounts(inst, k, caps=caps)
         if method == "both":
             nf_b = count_affine_brute(inst, k, caps)
             ngstar_b = count_torus_brute(inst, k, caps)
@@ -499,7 +490,7 @@ def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
         raise ValueError(f"unknown method {method!r}")
     return CountRecord(
         n=inst.n, p=F.pp.p, r=inst.field.pp.r, k=k, lam_dlog=inst.lam_dlog,
-        Nf=nf, Nfstar=nfstar, Ngstar=ngstar,
+        Nf=nf, Nfstar=nfstar if with_nfstar else None, Ngstar=ngstar,
         X=count_X(nf, q), Y=count_Y(ngstar, inst.n, q),
         method=method, precision=precision)
 

@@ -14,6 +14,7 @@ tests.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -163,10 +164,7 @@ class FieldCtx:
     lazily, which is an idempotent fill and safe to share under the GIL).
     """
 
-    def __init__(self, pp: PrimePower, seed: int = 0,
-                 cap: int = 1 << 26):
-        if pp.q > cap:
-            raise FieldTooLarge(pp.q, cap)
+    def __init__(self, pp: PrimePower, seed: int = 0):
         self.pp = pp
         self.seed = seed
         p, r, q = pp.p, pp.r, pp.q
@@ -374,17 +372,17 @@ class FieldCtx:
 # public constructors and operations
 # ---------------------------------------------------------------------------
 
-_FIELD_CACHE: dict = {}
-
-
 def build_field(p: int, r: int, seed: int = 0, cap: int = 1 << 26) -> FieldCtx:
     """Deterministic field model for GF(p^r); cached per (p, r, seed)."""
-    key = (p, r, seed)
-    ctx = _FIELD_CACHE.get(key)
-    if ctx is None or ctx.pp.q > cap:
-        ctx = FieldCtx(PrimePower(p, r), seed=seed, cap=cap)
-        _FIELD_CACHE[key] = ctx
-    return ctx
+    pp = PrimePower(p, r)
+    if pp.q > cap:
+        raise FieldTooLarge(pp.q, cap)
+    return _field(pp, seed)
+
+
+# the field models kept alive, each GF(q <= 1024) with a q^2 addition table;
+# an evicted model is rebuilt identically
+_field = functools.lru_cache(maxsize=32)(FieldCtx)
 
 
 def trace(ctx: FieldCtx, a: int) -> int:
@@ -431,18 +429,18 @@ class FieldExtension:
         return out
 
 
-_EXT_CACHE: dict = {}
-
-
 def extend(ctx: FieldCtx, k: int, cap: int = 1 << 26) -> FieldExtension:
-    """Field context for GF(q^k) plus the canonical embedding of GF(q)."""
+    """Field context for GF(q^k) plus the canonical embedding of GF(q);
+    cached per (base model object, k)."""
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    key = (ctx.pp.p, ctx.pp.r, ctx.seed, k)
-    cached = _EXT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    ext_ctx = build_field(ctx.pp.p, ctx.pp.r * k, seed=ctx.seed, cap=cap)
-    fe = FieldExtension(ctx, ext_ctx, k)
-    _EXT_CACHE[key] = fe
-    return fe
+    if ctx.pp.q ** k > cap:
+        raise FieldTooLarge(ctx.pp.q ** k, cap)
+    return _extension(ctx, k)
+
+
+@functools.lru_cache(maxsize=32)
+def _extension(ctx: FieldCtx, k: int) -> FieldExtension:
+    # `extend` has checked the cap
+    ext = build_field(ctx.pp.p, ctx.pp.r * k, ctx.seed, cap=ctx.pp.q ** k)
+    return FieldExtension(ctx, ext, k)

@@ -19,6 +19,7 @@ Eisenstein polynomial ((1+pi)^p - 1)/pi (pi = -2 for p = 2).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -314,16 +315,11 @@ class TowerCtx:
 # public operations
 # ---------------------------------------------------------------------------
 
-_TOWER_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=32)  # towers keep their Gauss tables
 def build_tower(field: FieldCtx, N: int) -> TowerCtx:
-    key = (field.pp.p, field.pp.r, field.seed, N)
-    tower = _TOWER_CACHE.get(key)
-    if tower is None:
-        tower = TowerCtx(field, N)
-        _TOWER_CACHE[key] = tower
-    return tower
+    """The tower over this field model at precision N; cached per (model
+    object, N), so build_tower(F, N).field is F."""
+    return TowerCtx(field, N)
 
 
 def teich(tower: TowerCtx, a) -> TowerElem:

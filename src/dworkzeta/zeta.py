@@ -406,7 +406,7 @@ def _instance_counts(inst, variety: str, m: int, method: str, caps):
         F, _lam = inst.extension(k, cap=caps.field_table_max_q)
         q_k = F.pp.q
         if method == "charsum":
-            nf, _, ngstar, _ = inst.qcounts(k, caps)
+            nf, _, ngstar, _ = counting.charsum_qcounts(inst, k, caps=caps)
         else:
             nf = counting.count_affine_brute(inst, k, caps)
             ngstar = counting.count_torus_brute(inst, k, caps)

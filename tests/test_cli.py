@@ -262,6 +262,35 @@ def test_unknown_config_keys_are_config_errors(tmp_path, capsys):
     assert "k_maximum" in capsys.readouterr().err
 
 
+def test_sweep_config_tier_is_kept(tmp_path, capsys):
+    cfg = {"n_list": [2], "prime_list": [3], "k_max": 1,
+           "lambda_mode": "zero", "tier": "extended"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for argv, tier in (([], "extended"), (["--tier", "ci"], "ci")):
+        out = tmp_path / tier
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]
+                    + argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["tier"] == tier
+
+
+@pytest.mark.parametrize("key,value", [("tier", "extnded"),
+                                       ("lambda_mode", "every")])
+def test_unknown_tier_or_lambda_mode_is_config_error(tmp_path, capsys,
+                                                      monkeypatch, key, value):
+    # refused at load, before any field is built
+    monkeypatch.setattr(cli, "build_field", None)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2], "prime_list": [3],
+                                    key: value}))
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert repr(value) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_recovery_failure_exits_6(tmp_path, capsys, monkeypatch):
     def no_sign(inst, **_kw):
         raise NoConsistentSign("injected")

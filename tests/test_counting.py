@@ -177,7 +177,7 @@ def test_charsum_matches_brute_all_lambda(n, p, r):
     F = build_field(p, r, 0)
     for lam in range(F.pp.q):
         ii = DworkInstance(n=n, field=F, lam=lam)
-        nf, nfstar, ngstar, _prec = charsum_qcounts(ii, with_nfstar=True)
+        nf, nfstar, ngstar, _prec = charsum_qcounts(ii)
         assert nf == count_affine_brute(ii), (n, p, r, lam)
         assert ngstar == count_torus_brute(ii), (n, p, r, lam)
         assert nfstar == count_torus_f_brute(ii), (n, p, r, lam)
@@ -404,29 +404,70 @@ def test_required_precision():
     assert 2 ** required_precision(2, 4, 3) > 2 * 4 ** 5
 
 
-def test_instance_counts_each_k_once(monkeypatch):
+def _direct_qcounts(ii, k=1):
+    """(N_f, N_f*, N_g*) from the character sum taken solution by solution,
+    chi(lam)^{k_last} applied to each term: the oracle for the engine's
+    family/fiber split."""
+    F, lam = ii.extension(k)
+    n, p, q = ii.n, F.pp.p, F.pp.q
+    q1 = q - 1
+    T = build_tower(F, required_precision(p, q, n))
+    table, tp = T.gauss_table(), T.teich_pows()
+
+    def terms(matrix):
+        for sol in enumerate_solutions(matrix, q, lam == 0):
+            prod = T.one()
+            for kj in sol.k:
+                prod = prod * table[kj]
+            if lam:
+                prod = prod * tp[(F.dlog(lam) * sol.k[-1]) % q1]
+            yield sol.s_of_k, prod
+
+    inv_q1 = pow(q1, -1, T.pN)
+    q_nf, q_nfstar = T.zero(), T.from_int(q1 ** (n + 1))
+    for s, prod in terms(ii.M):
+        q_nf = q_nf + prod.scale(pow(q * inv_q1, n + 2 - s, T.pN))
+        q_nfstar = q_nfstar + prod
+    q_ngstar = T.from_int(q1 ** n)
+    for _s, prod in terms(ii.Nmat):
+        q_ngstar = q_ngstar + prod.scale(inv_q1)
+    out = []
+    for elem in (q_nf, q_nfstar, q_ngstar):
+        v = elem.as_integer()
+        assert v % q == 0
+        out.append(v // q)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n,p,r,k", [(2, 5, 1, 1), (2, 5, 1, 3), (3, 3, 1, 3),
+                                     (4, 5, 1, 2), (2, 3, 2, 2), (3, 2, 3, 1)])
+def test_charsum_matches_direct_sum_every_lambda(n, p, r, k):
+    F = build_field(p, r, 0)
+    for lam in range(F.pp.q):  # lam = 0 included
+        ii = DworkInstance(n=n, field=F, lam=lam)
+        assert charsum_qcounts(ii, k)[:3] == _direct_qcounts(ii, k), \
+            (n, p, r, k, lam)
+
+
+def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
     from dworkzeta import counting
-    from dworkzeta.zeta import recover_mirror_zeta, recover_pencil_zeta
+    from dworkzeta.cli import main
 
-    real = counting.charsum_qcounts
-    calls = []
+    real = counting.enumerate_solutions
+    walks = []
 
-    def spy(ii, k=1, **kw):
-        calls.append((k, kw.get("with_nfstar", False)))
-        return real(ii, k, **kw)
+    def spy(matrix, q, lam_zero=False):
+        walks.append((matrix, q, lam_zero))
+        return real(matrix, q, lam_zero)
 
-    monkeypatch.setattr(counting, "charsum_qcounts", spy)
+    counting._gauss_product_sums.cache_clear()
+    monkeypatch.setattr(counting, "enumerate_solutions", spy)
+    assert main(["congruence", "--n", "2", "--p", "5", "--lambda", "all",
+                 "--k", "2"]) == 0
+    capsys.readouterr()
+    # M and N, over GF(5) and GF(25), for lam = 0 and lam != 0
+    assert len(walks) == 8 and len(set(walks)) == 8
     ii = inst(2, 5, 1, 1)
-    zy, zx = recover_mirror_zeta(ii), recover_pencil_zeta(ii)
-    recs = [count_record(ii, k) for k in (1, 2)]
-    assert sorted(calls) == [(1, False), (2, False)]
-    assert [zy.count(k) for k in (1, 2)] == [rec.Y for rec in recs]
-    assert [zx.count(k) for k in (1, 2)] == [rec.X for rec in recs]
-    # N_f* recounts once on first request, then is kept with the rest
-    assert count_record(ii, 1, with_nfstar=True).Nfstar is not None
-    assert count_record(ii, 1).Nfstar is not None
-    assert len(calls) == 3
-    # another precision is another count
-    count_record(ii, 1, caps=Caps(precision_override=20))
-    assert len(calls) == 4
-
+    assert count_record(ii, 1, with_nfstar=True).Nfstar == \
+        count_torus_f_brute(ii)
+    assert count_record(ii, 1).Nfstar is None

@@ -105,6 +105,28 @@ def test_build_field_gf125_log_bijective():
 def test_field_cap():
     with pytest.raises(FieldTooLarge):
         build_field(2, 30, 0, cap=1 << 26)
+    # the cap holds for an already cached model and its extensions too
+    F = build_field(3, 2, 0)
+    with pytest.raises(FieldTooLarge):
+        build_field(3, 2, 0, cap=8)
+    extend(F, 2)
+    with pytest.raises(FieldTooLarge):
+        extend(F, 2, cap=80)
+
+
+def test_field_caches_stay_bounded():
+    from dworkzeta import ff
+
+    bound = ff._field.cache_info().maxsize
+    assert ff._extension.cache_info().maxsize == bound
+    # more distinct models of GF(2) and GF(4) than the caches keep
+    fields = [build_field(2, 1, seed) for seed in range(bound + 5)]
+    exts = [extend(F, 2) for F in fields]
+    assert ff._field.cache_info().currsize == bound
+    assert ff._extension.cache_info().currsize == bound
+    # an extension is keyed on its base object, never on an evicted twin
+    assert all(fe.base is F for fe, F in zip(exts, fields))
+    assert extend(fields[-1], 2) is exts[-1]
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 1), (3, 2), (5, 1), (7, 1), (2, 3)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworkzeta.errors import NonIntegralResult
-from dworkzeta.ff import build_field
+from dworkzeta.ff import FieldCtx, build_field
 from dworkzeta.padic import (
     TowerElem,
     build_tower,
@@ -72,6 +72,22 @@ def test_build_tower_gf3_eisenstein():
     pi = T.pi()
     assert pi * pi + pi.scale(3) + T.from_int(3) == T.zero()
     assert eisenstein_at_pi(T) == T.zero()
+
+
+def test_tower_cache_stays_bounded():
+    from dworkzeta import padic
+
+    bound = padic.build_tower.cache_info().maxsize
+    F = build_field(3, 2, 0)
+    towers = [build_tower(F, N) for N in range(1, bound + 6)]
+    assert padic.build_tower.cache_info().currsize == bound
+    assert build_tower(F, bound + 5) is towers[-1]
+    # a tower is paired with the model object it was asked for, even when
+    # another object models the same field
+    twin = FieldCtx(F.pp, seed=0)
+    assert all(T.field is F for T in towers)
+    assert build_tower(twin, 4).field is twin
+    assert build_tower(F, 4).field is F
 
 
 def test_build_tower_gf9_shape():
