@@ -3,16 +3,14 @@ and its toric mirror over finite fields."""
 
 __version__ = "0.1.0"
 
-from .ff import PrimePower, FieldCtx, build_field, extend, trace, dlog
+from .ff import PrimePower, FieldCtx, build_field, extend
 from .padic import (
     TowerCtx,
     TowerElem,
     Valuation,
     build_tower,
     digit_sum,
-    gauss_sum,
     pi_valuation,
-    teich,
 )
 from .counting import (
     CountRecord,
@@ -43,16 +41,13 @@ from .zeta import (
 from .slope import (
     HodgeData,
     NewtonPolygon,
-    PadicFactor,
     SlopeZeta,
     hodge_numbers_dwork,
     newton_above_hodge,
     newton_polygon,
     ordinarity_test,
     ordinary_slope_zeta,
-    slope_factorization,
     slope_fe_check,
-    slope_part,
     slope_zeta,
 )
 

@@ -517,15 +517,25 @@ def _caps_for(args) -> Caps:
     return caps.with_tier(args.tier)  # None: the ci caps
 
 
+def _int_from(lo: int):
+    """argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is below {lo}")
+        return value
+    return parse
+
+
 def _add_common(sp, with_lambda=True, with_k=False):
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int_from(2), required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, default=1)
+    sp.add_argument("--r", type=_int_from(1), default=1)
     if with_lambda:
         sp.add_argument("--lambda", dest="lam_spec", default="all",
                         help="all | zero | subfield | <dlog exponent>")
     if with_k:
-        sp.add_argument("--k", type=int, default=1,
+        sp.add_argument("--k", type=_int_from(1), default=1,
                         help="count over GF(q^j) for j = 1..k")
 
 
@@ -560,14 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("zeta", help="numerator recovery and R_n",
                         parents=[common])
     _add_common(sp)
-    sp.add_argument("--max-k", type=int, default=None,
+    sp.add_argument("--max-k", type=_int_from(1), default=None,
                     help="override the extension-degree budget")
     sp.set_defaults(func=cmd_zeta)
 
     sp = sub.add_parser("slope", help="slope zeta functions and polygons",
                         parents=[common])
     _add_common(sp)
-    sp.add_argument("--max-k", type=int, default=None)
+    sp.add_argument("--max-k", type=_int_from(1), default=None)
     sp.set_defaults(func=cmd_slope)
 
     sp = sub.add_parser("sweep", help="run the full grid from a config",
@@ -577,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gauss", help="dump a Gauss-sum table",
                         parents=[common])
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=int, default=1)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--r", type=_int_from(1), default=1)
+    sp.add_argument("--N", type=_int_from(1), required=True)
     sp.set_defaults(func=cmd_gauss)
     return ap
 

@@ -75,6 +75,12 @@ class SweepConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; "
                                   f"expected one of {', '.join(allowed)}")
+        for key, values, lo in (("n_list", self.n_list, 2),
+                                ("r_list", self.r_list, 1),
+                                ("k_max", [self.k_max], 1)):
+            if any(v < lo for v in values):
+                raise ConfigError(f"{key} {getattr(self, key)!r} has a value "
+                                  f"below {lo}")
 
     @classmethod
     def from_json(cls, path: str) -> "SweepConfig":

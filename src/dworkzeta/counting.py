@@ -254,13 +254,6 @@ class SolutionVector:
     cls: str  # zero | trivial | diagonal | admissible | other
 
 
-def is_boundary_vector(k, q: int) -> bool:
-    """Every coordinate is 0 or q-1: the 'trivial terms' of the mirror
-    subtotal.  Independent of the class label, since a boundary vector with
-    s = n+2 and unequal head coordinates still counts as admissible."""
-    return all(ki in (0, q - 1) for ki in k)
-
-
 def _matvec(matrix, k):
     return tuple(sum(mij * kj for mij, kj in zip(row, k)) for row in matrix)
 

@@ -12,10 +12,11 @@ class DworkZetaError(Exception):
 
 
 class ConfigError(DworkZetaError):
-    """A configuration file names a key the package does not know."""
+    """A bad parameter: an unknown config key or value, or a value out of
+    range."""
 
 
-class NotPrime(DworkZetaError):
+class NotPrime(ConfigError):
     def __init__(self, p):
         super().__init__(f"{p} is not prime")
         self.p = p
@@ -79,10 +80,6 @@ class SubstitutionNotIntegral(DworkZetaError):
 
 class RootFindingFailure(DworkZetaError):
     pass
-
-
-class PrecisionTooLow(DworkZetaError):
-    """Hensel lifting failed to separate Newton-polygon segments."""
 
 
 class DimensionMismatch(DworkZetaError):

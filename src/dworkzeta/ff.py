@@ -289,9 +289,6 @@ class FieldCtx:
             return self._neg_table[a]
         return self._digit_neg(a)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -369,7 +366,7 @@ class FieldCtx:
 
 
 # ---------------------------------------------------------------------------
-# public constructors and operations
+# public constructors
 # ---------------------------------------------------------------------------
 
 def build_field(p: int, r: int, seed: int = 0, cap: int = 1 << 26) -> FieldCtx:
@@ -383,14 +380,6 @@ def build_field(p: int, r: int, seed: int = 0, cap: int = 1 << 26) -> FieldCtx:
 # the field models kept alive, each GF(q <= 1024) with a q^2 addition table;
 # an evicted model is rebuilt identically
 _field = functools.lru_cache(maxsize=32)(FieldCtx)
-
-
-def trace(ctx: FieldCtx, a: int) -> int:
-    return ctx.trace(a)
-
-
-def dlog(ctx: FieldCtx, a: int) -> int:
-    return ctx.dlog(a)
 
 
 class FieldExtension:

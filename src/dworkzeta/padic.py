@@ -146,11 +146,6 @@ class TowerElem:
             v -= self.ctx.pN
         return v
 
-    def truncate(self, other_ctx: "TowerCtx") -> "TowerElem":
-        """Reduce into a lower-precision context over the same field."""
-        pN = other_ctx.pN
-        return TowerElem(other_ctx, tuple(x % pN for x in self.c))
-
     def __repr__(self):
         return f"TowerElem({self.rows} mod {self.ctx.p}^{self.ctx.N})"
 
@@ -320,14 +315,6 @@ def build_tower(field: FieldCtx, N: int) -> TowerCtx:
     """The tower over this field model at precision N; cached per (model
     object, N), so build_tower(F, N).field is F."""
     return TowerCtx(field, N)
-
-
-def teich(tower: TowerCtx, a) -> TowerElem:
-    return tower.teich(a)
-
-
-def gauss_sum(tower: TowerCtx, k: int) -> TowerElem:
-    return tower.gauss_sum(k)
 
 
 def pi_valuation(x: TowerElem) -> Valuation:

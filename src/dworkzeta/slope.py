@@ -1,18 +1,10 @@
-"""Newton polygons, p-adic slope factors, slope zeta functions, Hodge data.
+"""Newton polygons, slope zeta functions, Hodge data.
 
 Slopes are always measured in ord_q units (ord_q(q) = 1), so the Newton
 polygon of a numerator over GF(p^r) uses heights v_p(coefficient)/r.  The
 slope zeta function is kept as a signed multiset {slope: multiplicity},
 multiplicity > 0 meaning factors (1 - u^s T) upstairs; equal slopes of
 opposite sign cancel on construction, which is exactly the reduced form.
-
-Slope factors are computed over Z_p by peeling the polygon from the bottom:
-twist away the integer part of the minimal slope (divide c_i by p^{ij}),
-then split the unit-root part off by Hensel lifting the coprime mod-p
-factorization T^{d-h} * (unit part) of the reversed (monic) polynomial.
-Separating two adjacent fractional-slope segments with no integer between
-them would need a ramified base and is not supported; it cannot occur for
-the numerators this package produces.
 """
 from __future__ import annotations
 
@@ -20,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, PrecisionTooLow
+from .errors import DimensionMismatch
 from .zeta import IntPoly, ZetaData
 
 
@@ -51,12 +43,6 @@ class NewtonPolygon:
         for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
             out.append((Fraction(y1 - y0, x1 - x0), x1 - x0))
         return tuple(out)
-
-    def slope_multiset(self) -> dict:
-        out = {}
-        for s, ln in self.segments:
-            out[s] = out.get(s, 0) + ln
-        return out
 
     @property
     def total_length(self) -> int:
@@ -307,164 +293,7 @@ def hodge_numbers_dwork(n: int) -> HodgeData:
     return HodgeData(d=d, h=tuple(tuple(row) for row in h))
 
 
-def mirror_flip(hd: HodgeData) -> HodgeData:
-    """Hodge data of a mirror partner: h^{i,j} -> h^{d-i,j}."""
-    d = hd.d
-    h = tuple(tuple(hd.h[d - i][j] for j in range(d + 1)) for i in range(d + 1))
-    return HodgeData(d=d, h=h)
-
-
 def ordinary_slope_zeta(hd: HodgeData) -> SlopeZeta:
     """S_p for an ordinary variety: prod_j (1 - u^j T)^{e_j}."""
     return SlopeZeta({Fraction(j): hd.e_j(j) for j in range(hd.d + 1)})
 
-
-# ---------------------------------------------------------------------------
-# p-adic slope factors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PadicFactor:
-    """A factor of the numerator over Z_p, exact mod p^precision.
-
-    slope is the common ord_q of the reciprocal roots for single-segment
-    factors and None for products over wider slope intervals."""
-
-    slope: Optional[Fraction]
-    coeffs: tuple  # ascending, constant term 1, reduced mod p^precision
-    precision: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def _poly_mul_mod(a, b, mod):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % mod
-    return out
-
-
-def slope_factorization(P: IntPoly, p: int, r: int, N: int) -> list:
-    """Single-segment factors of P over Z_p, slopes ascending, mod p^N."""
-    if P.degree == 0:
-        return []
-    d = P.degree
-    top_vp = _vp(P.coeffs[-1], p)
-    work = N + d * (top_vp + 1) + 2
-    prec = work
-    remaining = [c % p ** work for c in P.coeffs]
-    twist = 0  # ord_p units already divided out
-    factors = []
-
-    def hull_of(coeffs, cap):
-        pts = []
-        for i, c in enumerate(coeffs):
-            if c % p ** cap == 0:
-                continue
-            pts.append((i, _vp(c, p)))
-        return _lower_hull(pts)
-
-    while len(remaining) - 1 > 0:
-        dd = len(remaining) - 1
-        hull = hull_of(remaining, prec)
-        if hull[-1][0] != dd:
-            raise PrecisionTooLow(
-                "leading coefficient lost below the working precision")
-        segs = NewtonPolygon(tuple((x, Fraction(y)) for x, y in hull)).segments
-        if len(segs) == 1:
-            s_abs = segs[0][0] + twist
-            coeffs = tuple(
-                (c * p ** (i * twist)) % p ** N for i, c in enumerate(remaining))
-            factors.append(PadicFactor(Fraction(s_abs, r), coeffs, N))
-            remaining = [1]
-            break
-        s0 = segs[0][0]
-        if s0.denominator != 1:
-            raise PrecisionTooLow(
-                "cannot separate adjacent fractional-slope segments over Z_p")
-        j = int(s0)
-        if j > 0:
-            pj = p ** j
-            remaining = [c // pj ** i for i, c in enumerate(remaining)]
-            prec -= dd * j
-            if prec < N:
-                raise PrecisionTooLow("working precision exhausted by twisting")
-            remaining = [c % p ** prec for c in remaining]
-            twist += j
-            segs = NewtonPolygon(
-                tuple((x, Fraction(y - j * x)) for x, y in hull)).segments
-        h = segs[0][1]
-        factor, remaining = _hensel_unit_split(remaining, h, p, prec, N, twist, r)
-        factors.append(factor)
-    # validate the product against P mod p^N
-    pN = p ** N
-    prod = [1]
-    for f in factors:
-        prod = _poly_mul_mod(prod, list(f.coeffs), pN)
-    want = [c % pN for c in P.coeffs]
-    got = list(prod) + [0] * (len(want) - len(prod))
-    if got[: len(want)] != want or any(c for c in got[len(want):]):
-        raise PrecisionTooLow("slope factor product fails to reproduce P")
-    return factors
-
-
-def _hensel_unit_split(remaining, h, p, prec, N, twist, r):
-    """Split the slope-0 part of length h off `remaining` (mod p^prec).
-
-    The reversed polynomial is monic, so its dup (descending) coefficient
-    list is the ascending list of `remaining` verbatim; mod p it factors as
-    T^{d-h} times a unit part coprime to it, and Hensel lifting that pair
-    keeps both factors exact mod p^prec.  Returns the untwisted PadicFactor
-    and the ascending cofactor for further peeling.
-    """
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_zz_hensel_lift
-
-    dd = len(remaining) - 1
-    f_dup = [ZZ(c) for c in remaining]
-    a0 = [ZZ(1)] + [ZZ(0)] * (dd - h)
-    b0 = [ZZ(c % p) for c in remaining[: h + 1]]
-    a_l, b_l = dup_zz_hensel_lift(ZZ(p), f_dup, [a0, b0], prec, ZZ)
-    pprec = p ** prec
-    unit_coeffs = [int(c) % pprec for c in b_l]   # ascending, constant term 1
-    cofactor = [int(c) % pprec for c in a_l]      # ascending, constant term 1
-    if unit_coeffs[0] != 1 or cofactor[0] != 1:
-        raise PrecisionTooLow("Hensel split lost monicity (bug)")
-    pN = p ** N
-    emitted = tuple((c * p ** (i * twist)) % pN for i, c in enumerate(unit_coeffs))
-    return PadicFactor(Fraction(twist, r), emitted, N), cofactor
-
-
-def slope_part(P: IntPoly, p: int, r: int, lo, hi, N: int,
-               include_hi: bool = True) -> PadicFactor:
-    """The factor of P whose reciprocal roots have ord_q in [lo, hi] (or
-    [lo, hi) with include_hi=False), as coefficients mod p^N."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if P.degree == 0:
-        return PadicFactor(None, (1,), N)
-
-    def inside(s):
-        return (lo <= s <= hi) if include_hi else (lo <= s < hi)
-
-    slopes = newton_polygon(P, p, r).slope_multiset()
-    chosen = [s for s in slopes if inside(s)]
-    if not chosen:
-        return PadicFactor(None, (1,), N)
-    if len(chosen) == len(slopes):
-        pN = p ** N
-        coeffs = tuple(c % pN for c in P.coeffs)
-        sl = chosen[0] if len(chosen) == 1 else None
-        return PadicFactor(sl, coeffs, N)
-    pN = p ** N
-    prod = [1]
-    picked = []
-    for f in slope_factorization(P, p, r, N):
-        if inside(f.slope):
-            picked.append(f)
-            prod = _poly_mul_mod(prod, list(f.coeffs), pN)
-    sl = picked[0].slope if len(picked) == 1 else None
-    return PadicFactor(sl, tuple(prod), N)

@@ -18,7 +18,7 @@ with the sign pinned by integrality, Weil bounds, and archimedean purity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -200,50 +200,70 @@ def weil_bound_ok(coeffs: Sequence[int], q: int, w: int) -> bool:
     return True
 
 
+# the archimedean purity tolerance: the only floating-point check
+PURITY_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class PurityReport:
     max_deviation: float
     passed: bool
-    tol: float
+
+
+def _primitive(a: list) -> list:
+    g = gcd(*a)
+    return [c // g for c in a]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """lc(b)^e * a mod b in Z[T], ascending coefficients, trailing zeros
+    trimmed; [] for zero."""
+    a = list(a)
+    while len(a) >= len(b):
+        lead, shift = a[-1], len(a) - len(b)
+        a = [b[-1] * c for c in a]
+        for i, bi in enumerate(b):
+            a[shift + i] -= lead * bi
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def square_free_part(P: IntPoly) -> IntPoly:
-    """The product of the distinct irreducible factors, over Q."""
-    from sympy import Poly, symbols
+    """P / gcd(P, P'), the product of the distinct irreducible factors.
 
-    T = symbols("T")
-    sqf = Poly(list(reversed(P.coeffs)), T).sqf_part()
-    cs = [int(c) for c in reversed(sqf.all_coeffs())]
-    # renormalize to constant term 1 (sqf_part may flip the overall sign)
-    if cs[0] == -1:
-        cs = [-c for c in cs]
-    return IntPoly(cs)
-
-
-def weight_purity_check(P: IntPoly, q: int, w: int,
-                        tol: float = 1e-8) -> PurityReport:
-    """All complex roots of P have |root| = q^{-w/2} within tol, checked with
-    256-bit arithmetic.  Root finding runs on the square-free part, which has
-    the same root set and keeps multiple roots from wrecking convergence.
-    Constant polynomials pass vacuously."""
-    roots = roots_high_precision(P)
-    with mp.workprec(256):
-        scale = mp.power(mp.mpf(q), mp.mpf(w) / 2)
-        dev = max((abs(abs(rt) * scale - 1) for rt in roots), default=0.0)
-    return PurityReport(float(dev), float(dev) <= tol, tol)
-
-
-def roots_high_precision(P: IntPoly):
-    """Complex roots of the square-free part at 256-bit precision."""
+    The gcd comes from the primitive pseudo-remainder sequence in Z[T].  It
+    is primitive and divides P, so by Gauss's lemma it divides P in Z[T] and
+    its constant term divides P(0) = 1: the division is exact."""
     if P.degree == 0:
-        return []
+        return P
+    a = list(P.coeffs)
+    b = [i * c for i, c in enumerate(a)][1:]
+    while b:
+        b = _primitive(b)
+        a, b = b, _pseudo_remainder(a, b)
+    if a[0] == -1:
+        a = [-c for c in a]
+    return divide_check(P, IntPoly(a))
+
+
+def weight_purity_check(P: IntPoly, q: int, w: int) -> PurityReport:
+    """All complex roots of P have |root| = q^{-w/2} within PURITY_TOL,
+    checked with 256-bit arithmetic.  Root finding runs on the square-free
+    part, which has the same root set and keeps multiple roots from
+    wrecking convergence.  Constant polynomials pass vacuously."""
+    if P.degree == 0:
+        return PurityReport(0.0, True)
     sqf = square_free_part(P)
-    try:
-        with mp.workprec(256):
-            cs = [mp.mpf(c) for c in reversed(sqf.coeffs)]
-            return mp.polyroots(cs, maxsteps=600, extraprec=300)
-    except (mp.libmp.NoConvergence, ZeroDivisionError) as exc:
-        raise RootFindingFailure(str(exc)) from exc
+    with mp.workprec(256):
+        cs = [mp.mpf(c) for c in reversed(sqf.coeffs)]
+        try:
+            roots = mp.polyroots(cs, maxsteps=600, extraprec=300)
+        except (mp.libmp.NoConvergence, ZeroDivisionError) as exc:
+            raise RootFindingFailure(str(exc)) from exc
+        scale = mp.power(mp.mpf(q), mp.mpf(w) / 2)
+        dev = float(max(abs(abs(rt) * scale - 1) for rt in roots))
+    return PurityReport(dev, dev <= PURITY_TOL)
 
 
 def _fe_partner(ai: int, q: int, w: int, e2: int):
@@ -259,8 +279,7 @@ def _fe_partner(ai: int, q: int, w: int, e2: int):
 
 
 def recover_numerator(power_sums: Sequence[int], degree: int, weight: int,
-                      q: int, use_functional_equation: bool = False,
-                      tol: float = 1e-8):
+                      q: int, use_functional_equation: bool = False):
     """The unique integer polynomial (constant term 1) with the given power
     sums; with the flag, missing upper coefficients are completed by the Weil
     functional equation and the sign is pinned by integrality, Weil bounds,
@@ -317,7 +336,7 @@ def recover_numerator(power_sums: Sequence[int], degree: int, weight: int,
             continue
         if poly.power_sums(m) != list(power_sums):
             continue
-        if not weight_purity_check(poly, q, weight, tol).passed:
+        if not weight_purity_check(poly, q, weight).passed:
             continue
         candidates.append((sign, poly))
     if not candidates:
@@ -383,11 +402,11 @@ def counts_budget(degree: int, use_fe: bool, extra: int = 1) -> int:
 
 def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
                      r: int, q: int, lam_dlog, degree: int, weight: int,
-                     use_fe: bool = True, tol: float = 1e-8) -> ZetaData:
+                     use_fe: bool = True) -> ZetaData:
     """Recover a ZetaData for one variety from its counts over GF(q^k)."""
     psums = power_sums_from_counts(counts, variety, n, q)
     poly, _sign = recover_numerator(psums, degree, weight, q,
-                                    use_functional_equation=use_fe, tol=tol)
+                                    use_functional_equation=use_fe)
     zd = ZetaData(variety=variety, n=n, p=p, r=r, q=q, lam_dlog=lam_dlog,
                   numerator=poly, numerator_exponent=numerator_exponent(n),
                   trivial=trivial_factors(variety, n))
@@ -398,18 +417,14 @@ def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
     return zd
 
 
-def _instance_counts(inst, variety: str, m: int, method: str, caps):
+def _instance_counts(inst, variety: str, m: int, caps):
     from . import counting
 
     out = []
     for k in range(1, m + 1):
         F, _lam = inst.extension(k, cap=caps.field_table_max_q)
         q_k = F.pp.q
-        if method == "charsum":
-            nf, _, ngstar, _ = counting.charsum_qcounts(inst, k, caps=caps)
-        else:
-            nf = counting.count_affine_brute(inst, k, caps)
-            ngstar = counting.count_torus_brute(inst, k, caps)
+        nf, _, ngstar, _ = counting.charsum_qcounts(inst, k, caps=caps)
         if variety == "X":
             out.append(counting.count_X(nf, q_k))
         elif variety == "Y":
@@ -420,8 +435,7 @@ def _instance_counts(inst, variety: str, m: int, method: str, caps):
 
 
 def recover_pencil_zeta(inst, caps=None, use_fe: bool = True,
-                        method: str = "charsum", k_budget: Optional[int] = None,
-                        tol: float = 1e-8) -> ZetaData:
+                        k_budget: Optional[int] = None) -> ZetaData:
     """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1."""
     from .config import DEFAULT_CAPS
 
@@ -429,22 +443,21 @@ def recover_pencil_zeta(inst, caps=None, use_fe: bool = True,
     n = inst.n
     degree = expected_degree_P(n)
     m = k_budget or counts_budget(degree, use_fe)
-    counts = _instance_counts(inst, "X", m, method, caps)
+    counts = _instance_counts(inst, "X", m, caps)
     q = inst.field.pp.q
     return zeta_from_counts("X", counts, n, inst.field.pp.p, inst.field.pp.r,
-                            q, inst.lam_dlog, degree, n - 1, use_fe, tol)
+                            q, inst.lam_dlog, degree, n - 1, use_fe)
 
 
 def recover_mirror_zeta(inst, caps=None, use_fe: bool = True,
-                        method: str = "charsum", k_budget: Optional[int] = None,
-                        tol: float = 1e-8) -> ZetaData:
+                        k_budget: Optional[int] = None) -> ZetaData:
     """Z(Y_lam): numerator of degree n, weight n-1."""
     from .config import DEFAULT_CAPS
 
     caps = caps or DEFAULT_CAPS
     n = inst.n
     m = k_budget or counts_budget(n, use_fe)
-    counts = _instance_counts(inst, "Y", m, method, caps)
+    counts = _instance_counts(inst, "Y", m, caps)
     q = inst.field.pp.q
     return zeta_from_counts("Y", counts, n, inst.field.pp.p, inst.field.pp.r,
-                            q, inst.lam_dlog, n, n - 1, use_fe, tol)
+                            q, inst.lam_dlog, n, n - 1, use_fe)

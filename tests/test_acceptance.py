@@ -45,7 +45,6 @@ from dworkzeta.zeta import (
     r_poly,
     recover_mirror_zeta,
     recover_pencil_zeta,
-    roots_high_precision,
     weight_purity_check,
     zeta_from_counts,
 )
@@ -237,8 +236,7 @@ def test_criterion_08_pipeline_selfcheck_synthetic():
     assert zx.numerator == P
     R3 = r_poly(zx.numerator, Q, q, 3)
     assert R3.degree == 18
-    dev = max(abs(abs(rt) - 1) for rt in roots_high_precision(R3))
-    assert dev <= 1e-8
+    assert weight_purity_check(R3, 1, 0).max_deviation <= 1e-8
     dt = time.monotonic() - t0
     _report("ACCEPT-08a degree21-recovery-selfcheck(ci, synthetic counts)",
             True, f"FE completion from 11 power sums, R_3 roots +-1, {dt:.2f}s")
@@ -261,8 +259,7 @@ def test_criterion_08_extended_n3_q5_full_recovery():
     assert zx.numerator.degree == 21 == expected_degree_P(3)
     R3 = r_poly(zx.numerator, zy.numerator, q, 3)
     assert R3.degree == 18
-    dev = max(abs(abs(rt) - 1) for rt in roots_high_precision(R3))
-    assert dev <= 1e-8
+    assert weight_purity_check(R3, 1, 0).max_deviation <= 1e-8
     dt = time.monotonic() - t0
     _report("ACCEPT-08 extended-n3-q5-full-recovery", True,
             f"deg P = 21, Q | P, R_3 roots +-1 within 1e-8, {dt:.1f}s")

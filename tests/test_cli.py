@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dworkzeta
 from dworkzeta import cli, counting
 from dworkzeta.cli import main
 from dworkzeta.errors import NoConsistentSign
@@ -40,6 +45,39 @@ def test_count_missing_n_is_config_error(capsys):
 def test_bad_lambda_is_config_error(capsys):
     code = main(["count", "--n", "2", "--p", "7", "--lambda", "nope"])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["count", "--n", "2", "--p", "4"], None),
+    (["count", "--n", "1", "--p", "5"], None),
+    (["count", "--n", "2", "--p", "5", "--r", "0"], None),
+    (["gauss", "--p", "5", "--N", "0"], None),
+    (["sweep"], {"prime_list": [4]}),
+    (["sweep"], {"n_list": [1]}),
+], ids=["p-not-prime", "n-1", "r-0", "N-0", "sweep-p-not-prime", "sweep-n-1"])
+def test_bad_parameters_exit_2_without_traceback(tmp_path, capsys, argv,
+                                                 config):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path)]
+    assert main(argv) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zeta_does_not_import_sympy():
+    src = str(Path(dworkzeta.__file__).resolve().parents[1])
+    code = ("import contextlib, io, sys\n"
+            "from dworkzeta.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['zeta', '--n', '3', '--p', '7', '--lambda', 'all'])\n"
+            "assert code == 0, code\n"
+            "assert 'sympy' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 def test_congruence_all_pass(capsys):
@@ -316,7 +354,9 @@ def test_sweep_recovery_failure_exits_6(tmp_path, capsys, monkeypatch):
 # before the p-adic ring moved to the x^p - 1 basis.
 # Covered: singular fibers (n = 2, p = 5), an n = 3 slope, an r = 2 field,
 # the per-lambda recovery-error rows of zeta (n = 4, p = 2), and Gauss
-# tables over GF(8), GF(9) and GF(13).
+# tables over GF(8), GF(9) and GF(13).  The n = 3, p = 7 zeta rows were
+# captured while `square_free_part` still called sympy: their first fiber
+# has Q = (1 - 7T)^2 (1 + 7T), a purity check on a repeated root.
 COMMAND_SHA256 = [
     (["zeta", "--n", "2", "--p", "5", "--lambda", "all"], 0,
      "6e4383dec51181cfcf2e2db4d13d67c01099b551d60647ebcae9fe23b67db7a8"),
@@ -335,6 +375,8 @@ COMMAND_SHA256 = [
      "66e11bbe7876a9e7620a2a834b11010a228e2ce2adae55fd75f65fdeae30b656"),
     (["zeta", "--n", "4", "--p", "2", "--lambda", "all"], cli.EXIT_RECOVERY,
      "1925f92c60b543572947066e694b40d1f2a9fdff76782cebd2dba1976e7a89f4"),
+    (["zeta", "--n", "3", "--p", "7", "--lambda", "all"], 0,
+     "6a7c273f1da7cb21eb6b9efa0e7d5c5cc38ab241af684b91e29e098e08ab30cd"),
     (["count", "--n", "2", "--p", "5", "--lambda", "all", "--k", "2",
       "--method", "both", "--nfstar"], 0,
      "381b4903441364f2d6e1190ba5c16b6e1dc730cee483521410d87269639e6b36"),

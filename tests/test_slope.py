@@ -4,23 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworkzeta.counting import DworkInstance
-from dworkzeta.errors import DimensionMismatch, PrecisionTooLow
+from dworkzeta.errors import DimensionMismatch
 from dworkzeta.ff import build_field
 from dworkzeta.slope import (
     HodgeData,
-    NewtonPolygon,
-    PadicFactor,
     SlopeZeta,
     hodge_numbers_dwork,
     hodge_polygon,
-    mirror_flip,
     newton_above_hodge,
     newton_polygon,
     ordinarity_test,
     ordinary_slope_zeta,
-    slope_factorization,
     slope_fe_check,
-    slope_part,
     slope_zeta,
 )
 from dworkzeta.zeta import IntPoly, ZetaData, recover_mirror_zeta, trivial_factors
@@ -41,6 +36,11 @@ def test_newton_polygon_examples():
     # zero coefficients are skipped: 1 + 125 T^3 over GF(5)
     np3 = newton_polygon(IntPoly([1, 0, 0, 125]), 5, 1)
     assert np3.segments == ((F(1), 3),)
+    # the degree-21 n = 3 shape Q * (1-5T)^9 (1+5T)^9: slopes {0:1, 1:19, 2:1}
+    P = IntPoly([1, 1, -5, -125])
+    for _ in range(9):
+        P = P * IntPoly([1, -5]) * IntPoly([1, 5])
+    assert newton_polygon(P, 5, 1).segments == ((F(0), 1), (F(1), 19), (F(2), 1))
 
 
 def test_newton_polygon_height_interpolation():
@@ -134,10 +134,12 @@ def test_mirror_symmetry_of_ordinary_forms():
     # e_j(Y) = (-1)^d e_j(X) under the Hodge flip: S_p(X) = S_p(Y)^{(-1)^d}
     for n in (3, 4, 5):
         hd = hodge_numbers_dwork(n)
-        flipped = mirror_flip(hd)
+        d = hd.d
+        flipped = HodgeData(d=d, h=tuple(
+            tuple(hd.h[d - i][j] for j in range(d + 1)) for i in range(d + 1)))
         sx = ordinary_slope_zeta(hd)
         sy = ordinary_slope_zeta(flipped)
-        assert sx == sy ** ((-1) ** hd.d)
+        assert sx == sy ** ((-1) ** d)
 
 
 def test_ordinarity_and_newton_above_hodge():
@@ -159,89 +161,31 @@ def test_hodge_polygon_shape():
     assert hp.vertices == ((0, F(0)), (1, F(0)), (20, F(19)), (21, F(21)))
 
 
-def test_slope_part_whole_and_empty():
-    P = IntPoly([1, 4, 4])
-    whole = slope_part(P, 2, 2, 0, 1, N=8)
-    assert whole.coeffs == (1, 4, 4) and whole.slope == F(1, 2)
-    empty = slope_part(P, 2, 2, F(3, 2), 2, N=8)
-    assert empty.coeffs == (1,) and empty.slope is None
-
-
-def test_slope_part_unit_root_of_ordinary_elliptic():
-    # q = 7, a = 3: P = 1 - 3T + 7T^2 has a unique unit root; Hensel-lift it
-    P = IntPoly([1, -3, 7])
-    N = 12
-    part = slope_part(P, 7, 1, 0, 1, N=N, include_hi=False)
-    assert part.degree == 1 and part.slope == 0
-    u = (-part.coeffs[1]) % 7 ** N  # part = 1 - uT
-    # P(1/u) = 0 mod p^N  <=>  u^2 - 3u + 7 = 0 mod p^N
-    assert (u * u - 3 * u + 7) % 7 ** N == 0
-    high = slope_part(P, 7, 1, 1, 2, N=N)
-    assert high.degree == 1 and high.slope == 1
-
-
-def test_slope_factorization_k3_mirror():
-    Q = IntPoly([1, 1, -5, -125])
-    parts = slope_factorization(Q, 5, 1, 10)
-    assert [(f.slope, f.degree) for f in parts] == [(F(0), 1), (F(1), 1), (F(2), 1)]
-    mod = 5 ** 10
-    prod = [1]
-    from dworkzeta.slope import _poly_mul_mod
-
-    for f in parts:
-        prod = _poly_mul_mod(prod, list(f.coeffs), mod)
-    assert prod == [c % mod for c in Q.coeffs]
-
-
-def test_slope_factorization_degree21_shape():
-    # realistic n=3 shape: Q * (1-5T)^9 (1+5T)^9, slopes {0:1, 1:19, 2:1}
-    Q = IntPoly([1, 1, -5, -125])
-    R = IntPoly([1])
-    for _ in range(9):
-        R = R * IntPoly([1, -5]) * IntPoly([1, 5])
-    P = Q * R
-    assert P.degree == 21
-    N = 6
-    parts = slope_factorization(P, 5, 1, N)
-    assert [(f.slope, f.degree) for f in parts] == [(F(0), 1), (F(1), 19), (F(2), 1)]
-    mid = slope_part(P, 5, 1, 1, 1, N=N)
-    assert mid.degree == 19
-    mod = 5 ** N
-    from dworkzeta.slope import _poly_mul_mod
-
-    prod = [1]
-    for f in parts:
-        prod = _poly_mul_mod(prod, list(f.coeffs), mod)
-    assert prod == [c % mod for c in P.coeffs]
-
-
-def test_decomposition_over_unit_intervals():
-    # product of the parts over the unit intervals [i, i+1) must be P mod p^N
-    from dworkzeta.slope import _poly_mul_mod
-
-    cases = [
-        (IntPoly([1, -3, 7]), 7, 1, 2),
-        (IntPoly([1, 4, 4]), 2, 2, 2),
-        (IntPoly([1, 1, -5, -125]), 5, 1, 3),
-    ]
-    N = 8
-    for P, p, r, d in cases:
-        mod = p ** N
-        prod = [1]
-        for i in range(d + 1):
-            part = slope_part(P, p, r, i, i + 1, N=N, include_hi=False)
-            prod = _poly_mul_mod(prod, list(part.coeffs), mod)
-        want = [c % mod for c in P.coeffs]
-        assert prod[: len(want)] == want and not any(prod[len(want):])
-
-
 def test_fractional_separation_raises():
-    # slopes 1/3 and 2/3 with no integer in between cannot be split over Z_p
+    # two adjacent fractional slopes with no integer in between
     P = IntPoly([1, 0, 0, 5, 0, 0, 125])  # hull (0,0)-(3,1)-(6,3)
     np_ = newton_polygon(P, 5, 1)
     assert np_.segments == ((F(1, 3), 3), (F(2, 3), 3))
-    with pytest.raises(PrecisionTooLow):
-        slope_factorization(P, 5, 1, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3),
+                          st.integers(0, 3), st.integers(0, 3), st.booleans()),
+                min_size=1, max_size=5))
+def test_newton_polygon_of_products(p, factors):
+    # a factor (1 - p^a u T^m), u a unit, is one segment of slope a/m and
+    # length m; the Newton polygon of a product is the Minkowski sum of the
+    # factors' polygons: their segments merged and sorted by slope
+    P = IntPoly([1])
+    lengths: dict = {}
+    for a, m, u, t, neg in factors:
+        unit = (u * p + 1 + t % (p - 1)) * (-1 if neg else 1)
+        P = P * IntPoly([1] + [0] * (m - 1) + [-p ** a * unit])
+        lengths[F(a, m)] = lengths.get(F(a, m), 0) + m
+    for r in (1, 2):
+        want = tuple((s / r, ln) for s, ln in sorted(lengths.items()))
+        assert newton_polygon(P, p, r).segments == want
 
 
 @settings(max_examples=50, deadline=None)

@@ -23,6 +23,7 @@ from dworkzeta.zeta import (
     recover_mirror_zeta,
     recover_numerator,
     recover_pencil_zeta,
+    square_free_part,
     trivial_factors,
     weight_purity_check,
     weil_bound_ok,
@@ -119,6 +120,36 @@ def test_weight_purity_check():
     rep = weight_purity_check(IntPoly([1, -1]), 4, 1)
     assert not rep.passed and rep.max_deviation > 0.4
     assert weight_purity_check(IntPoly([1]), 4, 1).passed  # vacuous
+
+
+def _sympy_sqf_part(P):
+    from sympy import Poly, symbols
+
+    cs = Poly(list(reversed(P.coeffs)), symbols("T")).sqf_part().all_coeffs()
+    cs = [int(c) for c in reversed(cs)]
+    return IntPoly(cs if cs[0] == 1 else [-c for c in cs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+                          st.integers(1, 3)),
+                min_size=1, max_size=5))
+def test_square_free_part_matches_sympy(factors):
+    P = IntPoly([1])
+    for cs, mult in factors:
+        for _ in range(mult):
+            P = P * IntPoly([1] + cs)
+    assert square_free_part(P) == _sympy_sqf_part(P)
+
+
+def test_square_free_part_degree21_shape():
+    Q = IntPoly([1, 1, -5, -125])
+    P = Q
+    for _ in range(9):
+        P = P * IntPoly([1, -5]) * IntPoly([1, 5])
+    # Q = (1 - 5T)(1 + 6T + 25T^2) shares the factor 1 - 5T
+    want = IntPoly([1, 6, 25]) * IntPoly([1, 0, -25])
+    assert square_free_part(P) == _sympy_sqf_part(P) == want
 
 
 def test_weil_bound():
