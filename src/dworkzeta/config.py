@@ -21,6 +21,10 @@ def _known_keys(cls, raw: dict, what: str) -> dict:
     return raw
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Caps:
     # largest q for which a full discrete-log table is built
@@ -30,6 +34,12 @@ class Caps:
     torus_enum_max: int = 1 << 30
     # override for the p-adic working precision (number of p-digits); 0 = auto
     precision_override: int = 0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not _is_int(getattr(self, f.name)):
+                raise ConfigError(f"caps {f.name} {getattr(self, f.name)!r} "
+                                  f"is not an integer")
 
     def with_tier(self, tier: str) -> "Caps":
         if tier == "extended":
@@ -71,6 +81,15 @@ class SweepConfig:
     caps: Caps = field(default_factory=lambda: DEFAULT_CAPS)
 
     def __post_init__(self):
+        for key in ("n_list", "prime_list", "r_list", "lambda_list"):
+            values = getattr(self, key)
+            if not (isinstance(values, list) and all(map(_is_int, values))):
+                raise ConfigError(f"{key} {values!r} is not a list of "
+                                  f"integers")
+        for key in ("k_max", "seed", "zeta_n_max", "threads"):
+            if not _is_int(getattr(self, key)):
+                raise ConfigError(f"{key} {getattr(self, key)!r} is not an "
+                                  f"integer")
         for key, allowed in _SWEEP_CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; "

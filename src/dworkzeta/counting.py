@@ -25,14 +25,17 @@ When lam = 0 the product monomial is absent: the last exponent k_m is
 pinned to 0 and the character factor is dropped.
 
 Only chi(lam)^{k_m} depends on lam.  The family part, cached per tower,
-matrix and lam = 0 or not, sums prod_j G(k_j) per (s(k), k_m mod (q-1));
-the fiber part twists each class by chi(lam)^{k_m}, one multiply per class.
+matrix, lam = 0 or not and lift degree, sums prod_j G(k_j) per
+(s(k), k_m mod (q-1)); the fiber part twists each class by chi(lam)^{k_m},
+one multiply per class.  At lam = 0 the Gauss sums over GF(q^k) are
+Hasse-Davenport lifts of sums over a subfield GF(q^f) (`charsum_qcounts`).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 from typing import Iterator, Optional
 
 from .config import Caps, DEFAULT_CAPS
@@ -112,7 +115,7 @@ class DworkInstance:
 def count_affine_brute(inst: DworkInstance, k: int = 1,
                        caps: Caps = DEFAULT_CAPS) -> int:
     """N_f over GF(q^k): zeros of f in affine (n+1)-space."""
-    F, lam = inst.extension(k)
+    F, lam = inst.extension(k, cap=caps.field_table_max_q)
     n = inst.n
     q = F.pp.q
     if q ** (n + 1) > caps.affine_enum_max:
@@ -147,7 +150,7 @@ def count_affine_brute(inst: DworkInstance, k: int = 1,
 def count_torus_brute(inst: DworkInstance, k: int = 1,
                       caps: Caps = DEFAULT_CAPS) -> int:
     """N_g* over GF(q^k): zeros of g with all coordinates nonzero."""
-    F, lam = inst.extension(k)
+    F, lam = inst.extension(k, cap=caps.field_table_max_q)
     n = inst.n
     q = F.pp.q
     q1 = q - 1
@@ -174,7 +177,7 @@ def count_torus_brute(inst: DworkInstance, k: int = 1,
 def count_torus_f_brute(inst: DworkInstance, k: int = 1,
                         caps: Caps = DEFAULT_CAPS) -> int:
     """N_f*: zeros of f with all n+1 coordinates nonzero."""
-    F, lam = inst.extension(k)
+    F, lam = inst.extension(k, cap=caps.field_table_max_q)
     n = inst.n
     q = F.pp.q
     q1 = q - 1
@@ -226,7 +229,7 @@ def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
     vertices contribute nothing; the big cell contributes N_g*."""
     from math import comb
 
-    F, _lam = inst.extension(k)
+    F, _lam = inst.extension(k, cap=caps.field_table_max_q)
     n = inst.n
     q = F.pp.q
     total = count_torus_brute(inst, k, caps)
@@ -312,8 +315,6 @@ def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[Solu
             yield SolutionVector(k, s, _classify(k, s, n, q))
 
     if is_m:
-        from math import gcd
-
         g = gcd(n + 1, q1)
         d = q1 // g
         a_values = (0,) if lam_zero else range(d)
@@ -324,9 +325,9 @@ def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[Solu
                 res = tuple(a + d * m for m in ms) + (a + d * m_last, k_last)
                 yield from emit(res)
     else:
-        for a in range(q1):
-            if lam_zero and ((n + 1) * a) % q1:
-                continue
+        # lam = 0 pins k_last = 0, i.e. (n+1) a = 0 mod (q-1)
+        step = q1 // gcd(n + 1, q1) if lam_zero else 1
+        for a in range(0, q1, step):
             k_last = (-(n + 1) * a) % q1
             res = (a,) * (n + 1) + (k_last,)
             yield from emit(res)
@@ -391,29 +392,50 @@ def _certified_count(elem, q: int, bound: int, what: str) -> int:
 
 
 @functools.lru_cache(maxsize=64)  # one instance needs a few dozen at most
-def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool) -> dict:
-    """The family part: {(s(k), k_last mod (q-1)): sum of prod_j G(k_j)}
-    over the solutions k of matrix * k = 0 mod (q-1)."""
-    table = tower.gauss_table()
-    q1 = tower.q - 1
+def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool,
+                        m: int = 1) -> dict:
+    """The family part over GF(Q), Q = q^m for the tower's q:
+    {(s(k), k_last mod (Q-1)): sum of prod_j G_Q(k_j)} over the solutions k
+    of matrix * k = 0 mod (Q-1).
+
+    lam != 0 (m = 1) reads the tower's Gauss table.  lam = 0 reads only the
+    indices that occur, through the Hasse-Davenport lift
+    G_Q(t (Q-1)/(q-1)) = (-1)^{m-1} G_q(t)^m, the identity at m = 1; the
+    caller picks q so that every index but 0 (G_Q(0) = Q-1 by convention)
+    is such a multiple, and t = q-1 gives -Q as the convention asks."""
+    Q1 = tower.q ** m - 1
+    sols = enumerate_solutions(matrix, Q1 + 1, lam_zero)
+    if lam_zero:
+        sols = list(sols)
+        step = Q1 // (tower.q - 1)
+        idx = sorted({kj for sol in sols for kj in sol.k} - {0})
+        if any(kj % step for kj in idx):
+            raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
+        gauss = {0: tower.from_int(Q1)}
+        for kj, G in zip(idx, tower.gauss_sums([kj // step for kj in idx])):
+            gauss[kj] = G if m == 1 else (G ** m).scale((-1) ** (m - 1))
+    else:
+        gauss = tower.gauss_table()
     sums: dict = {}
-    for sol in enumerate_solutions(matrix, tower.q, lam_zero):
-        prod = table[sol.k[0]]
+    for sol in sols:
+        prod = gauss[sol.k[0]]
         for kj in sol.k[1:]:
-            prod = prod * table[kj]
-        key = (sol.s_of_k, sol.k[-1] % q1)
+            prod = prod * gauss[kj]
+        key = (sol.s_of_k, sol.k[-1] % Q1)
         sums[key] = sums[key] + prod if key in sums else prod
     return sums
 
 
-def _fiber_sums(tower: TowerCtx, matrix, lam_dlog: Optional[int]) -> dict:
+def _fiber_sums(tower: TowerCtx, matrix, lam_dlog: Optional[int],
+                m: int = 1) -> dict:
     """The fiber part: {s: sum over the solutions k with s(k) = s of
-    prod_j G(k_j) chi(lam)^{k_last}}; lam_dlog None encodes lam = 0."""
+    prod_j G(k_j) chi(lam)^{k_last}}; lam_dlog None encodes lam = 0, the
+    only case with m > 1."""
     tp = tower.teich_pows()
     q1 = tower.q - 1
     out: dict = {}
     for (s, c), total in _gauss_product_sums(
-            tower, matrix, lam_dlog is None).items():
+            tower, matrix, lam_dlog is None, m).items():
         if c:  # never for lam = 0, whose k_last is pinned to 0
             total = total * tp[(lam_dlog * c) % q1]
         out[s] = out[s] + total if s in out else total
@@ -424,32 +446,48 @@ def charsum_qcounts(inst: DworkInstance, k: int = 1,
                     tower: Optional[TowerCtx] = None,
                     caps: Caps = DEFAULT_CAPS):
     """(N_f, N_f*, N_g*, N) over GF(q^k) from the Gauss-sum formulas, N the
-    p-adic precision used."""
-    F, lam = inst.extension(k, cap=caps.field_table_max_q)
+    p-adic precision used.
+
+    At lam = 0 every Gauss index is 0 or a multiple of (q^k-1)/g with
+    g = gcd(n+1, q^k-1).  Unless an explicit `tower` over GF(q^k) is given,
+    the sums are then read over GF(q^f), f = ord_g(q), through the
+    Hasse-Davenport lift, at the precision GF(q^k) needs: neither GF(q^k)
+    nor a Gauss table is built."""
     n = inst.n
-    p, q = F.pp.p, F.pp.q
+    p, q = inst.field.pp.p, inst.field.pp.q ** k
     q1 = q - 1
+    lam_dlog, m = None, 1
+    if tower is None and inst.lam == 0:
+        g = gcd(n + 1, q1)  # g | q^k - 1, so f = ord_g(q) divides k
+        f = next(f for f in range(1, k + 1)
+                 if (inst.field.pp.q ** f - 1) % g == 0)
+        F, _ = inst.extension(f, cap=caps.field_table_max_q)
+        m = k // f
+    else:
+        F, lam = inst.extension(k, cap=caps.field_table_max_q)
+        if lam:
+            lam_dlog = F.dlog(lam)
+        if tower is not None and tower.field is not F:
+            raise ValueError("tower was built over a different field model")
     if tower is None:
         N = caps.precision_override or required_precision(p, q, n)
         tower = build_tower(F, N)
-    elif tower.field is not F:
-        raise ValueError("tower was built over a different field model")
     if tower.pN <= 2 * q ** (n + 2):
         raise PrecisionInsufficient(2 * q ** (n + 2), tower.pN)
     pN = tower.pN
-    lam_dlog = None if lam == 0 else F.dlog(lam)
 
     inv_q1 = pow(q1 % pN, -1, pN)
     # coefficient (q-1)^{s-(n+2)} q^{(n+2)-s} = (q * inv(q-1))^{(n+2)-s}
     co = [pow((q * inv_q1) % pN, (n + 2) - s, pN) for s in range(n + 3)]
 
-    by_s = _fiber_sums(tower, inst.M, lam_dlog)
+    by_s = _fiber_sums(tower, inst.M, lam_dlog, m)
     qNf = sum((t.scale(co[s]) for s, t in by_s.items()), tower.zero())
     nf = _certified_count(qNf, q, q ** (n + 2), "q*N_f")
     qNfstar = sum(by_s.values(), tower.from_int(q1 ** (n + 1)))
     nfstar = _certified_count(qNfstar, q, q ** (n + 2), "q*N_f*")
 
-    acc_g = sum(_fiber_sums(tower, inst.Nmat, lam_dlog).values(), tower.zero())
+    acc_g = sum(_fiber_sums(tower, inst.Nmat, lam_dlog, m).values(),
+                tower.zero())
     qNgstar = acc_g.scale(inv_q1) + tower.from_int(q1 ** n)
     ngstar = _certified_count(qNgstar, q, q ** (n + 1), "q*N_g*")
 
@@ -462,8 +500,7 @@ def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
     """One CountRecord over GF(q^k); `both` asserts charsum == brute.  The
     record's lambda_dlog is the discrete log of lam in the base field; it
     reports N_f* (and `both` checks it) only with_nfstar."""
-    F, _ = inst.extension(k, cap=caps.field_table_max_q)
-    q = F.pp.q
+    q = inst.field.pp.q ** k
     precision = None
     if method in ("charsum", "both"):
         nf, nfstar, ngstar, precision = charsum_qcounts(inst, k, caps=caps)
@@ -481,8 +518,9 @@ def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
         nfstar = count_torus_f_brute(inst, k, caps) if with_nfstar else None
     else:
         raise ValueError(f"unknown method {method!r}")
+    pp = inst.field.pp
     return CountRecord(
-        n=inst.n, p=F.pp.p, r=inst.field.pp.r, k=k, lam_dlog=inst.lam_dlog,
+        n=inst.n, p=pp.p, r=pp.r, k=k, lam_dlog=inst.lam_dlog,
         Nf=nf, Nfstar=nfstar if with_nfstar else None, Ngstar=ngstar,
         X=count_X(nf, q), Y=count_Y(ngstar, inst.n, q),
         method=method, precision=precision)

@@ -261,11 +261,16 @@ class TowerCtx:
     # -- Gauss sums ------------------------------------------------------------
 
     def gauss_sum(self, k: int) -> TowerElem:
-        if not 0 <= k <= self.q - 1:
-            raise ValueError(f"k must lie in [0, q-1], got {k}")
+        return self.gauss_sums([k])[0]
+
+    def gauss_sums(self, ks) -> list:
+        """G(k) for each k in ks, read from the table once it is built."""
+        for k in ks:
+            if not 0 <= k <= self.q - 1:
+                raise ValueError(f"k must lie in [0, q-1], got {k}")
         if self._gauss is not None:
-            return self._gauss[k]
-        return self._gauss_sums([k])[0]
+            return [self._gauss[k] for k in ks]
+        return self._gauss_sums(ks)
 
     def gauss_table(self):
         """All G(k), 0 <= k <= q-1, with the boundary conventions."""

@@ -422,8 +422,7 @@ def _instance_counts(inst, variety: str, m: int, caps):
 
     out = []
     for k in range(1, m + 1):
-        F, _lam = inst.extension(k, cap=caps.field_table_max_q)
-        q_k = F.pp.q
+        q_k = inst.field.pp.q ** k
         nf, _, ngstar, _ = counting.charsum_qcounts(inst, k, caps=caps)
         if variety == "X":
             out.append(counting.count_X(nf, q_k))

@@ -300,6 +300,27 @@ def test_unknown_config_keys_are_config_errors(tmp_path, capsys):
     assert "k_maximum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,config", [
+    ("k_max", {"k_max": "2"}), ("seed", {"seed": "0"}),
+    ("zeta_n_max", {"zeta_n_max": "2"}), ("threads", {"threads": "1"}),
+    ("k_max", {"k_max": True}), ("prime_list", {"prime_list": ["3"]}),
+    ("n_list", {"n_list": [2.0]}), ("r_list", {"r_list": "1"}),
+    ("lambda_list", {"lambda_mode": "list", "lambda_list": [None]}),
+    ("field_table_max_q", {"caps": {"field_table_max_q": "25"}}),
+], ids=["k_max", "seed", "zeta_n_max", "threads", "k_max-bool",
+        "prime_list", "n_list", "r_list", "lambda_list", "caps"])
+def test_non_integer_config_values_are_config_errors(tmp_path, capsys, key,
+                                                     config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2], "prime_list": [3],
+                                    "k_max": 1, **config}))
+    code = main(["sweep", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and key in err
+
+
 def test_sweep_config_tier_is_kept(tmp_path, capsys):
     cfg = {"n_list": [2], "prime_list": [3], "k_max": 1,
            "lambda_mode": "zero", "tier": "extended"}

@@ -21,7 +21,11 @@ from dworkzeta.counting import (
     is_singular,
     required_precision,
 )
-from dworkzeta.errors import DivisibilityViolation, PrecisionInsufficient
+from dworkzeta.errors import (
+    DivisibilityViolation,
+    FieldTooLarge,
+    PrecisionInsufficient,
+)
 from dworkzeta.ff import FieldCtx, build_field, factorize
 from dworkzeta.padic import build_tower, pi_valuation
 
@@ -73,6 +77,26 @@ def test_enumerate_solutions_matches_brute_scan(n, q_spec, lam_zero):
         # no duplicates
         count = sum(1 for _ in enumerate_solutions(matrix, q, lam_zero))
         assert count == len(got)
+
+
+def _lam_zero_scan_N(n, q):
+    """The N-matrix solutions at lam = 0 by a scan over every residue a,
+    keeping those with (n+1) a = 0 mod (q-1)."""
+    q1 = q - 1
+    for a in range(q1):
+        if ((n + 1) * a) % q1:
+            continue
+        head = [(0, q1) if a == 0 else (a,)] * (n + 1)
+        yield from itertools.product(*head, (0,))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lam_zero_enumeration_steps_over_the_scanned_residues(n):
+    prime_powers = [q for q in range(2, 50) if len(factorize(q)) == 1]
+    for q in prime_powers:
+        got = [sol.k for sol in enumerate_solutions(dwork_matrix_N(n), q,
+                                                    lam_zero=True)]
+        assert got == list(_lam_zero_scan_N(n, q)), (n, q)
 
 
 def test_solution_classification():
@@ -445,6 +469,40 @@ def test_charsum_matches_direct_sum_every_lambda(n, p, r, k):
         ii = DworkInstance(n=n, field=F, lam=lam)
         assert charsum_qcounts(ii, k)[:3] == _direct_qcounts(ii, k), \
             (n, p, r, k, lam)
+
+
+# lam = 0 reads Gauss sums over GF(q^f), f = ord_g(q), g = gcd(n+1, q^k-1)
+_LIFT_CASES = ([(n, q, k) for q in (3, 5) for n in (2, 3, 4)
+                for k in range(1, 5)]
+               + [(n, 7, k) for n in (2, 3, 4) for k in range(1, 4)]
+               + [(3, 11, k) for k in range(1, 4)])
+
+
+def _lift_degree(n, q, k):
+    g = gcd(n + 1, q ** k - 1)
+    return min(f for f in range(1, k + 1) if (q ** f - 1) % g == 0)
+
+
+def test_lam_zero_lift_matches_direct_table():
+    from dworkzeta import counting
+
+    counting._gauss_product_sums.cache_clear()
+    for n, q, k in _LIFT_CASES:
+        ii = inst(n, q, 1, 0)
+        # the lifted route runs first, before the direct sum builds the
+        # GF(q^k) tower's table
+        assert charsum_qcounts(ii, k)[:3] == _direct_qcounts(ii, k), (n, q, k)
+    f2 = {case for case in _LIFT_CASES if _lift_degree(*case) == 2}
+    assert f2 >= {(2, 5, 2), (2, 5, 4), (3, 3, 2), (3, 3, 4)}
+
+
+def test_lam_zero_count_builds_no_extension_field():
+    rec = count_record(inst(3, 5, 1, 0), 11,
+                       caps=Caps(field_table_max_q=25))
+    assert rec.precision == required_precision(5, 5 ** 11, 3) == 56
+    # lam != 0 still builds GF(5^3)
+    with pytest.raises(FieldTooLarge):
+        count_record(inst(3, 5, 1, 1), 3, caps=Caps(field_table_max_q=25))
 
 
 def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
