@@ -19,7 +19,12 @@ from pathlib import Path
 
 from . import __version__
 from .config import Caps, DEFAULT_CAPS, SweepConfig
-from .counting import DworkInstance, count_record, is_singular
+from .counting import (
+    DworkInstance,
+    count_record,
+    gauss_field_degree,
+    is_singular,
+)
 from .errors import (
     ConfigError,
     DworkZetaError,
@@ -388,18 +393,18 @@ def cmd_sweep(args) -> int:
                     lams = [field.gen_pow(e) if e >= 0 else 0
                             for e in cfg.lambda_list]
                 for lam in lams:
+                    # fail fast on a cell whose largest field, GF(q^f)
+                    # over k <= k_max, exceeds the caps
+                    inst = DworkInstance(n=n, field=field, lam=lam)
+                    f_top = max(gauss_field_degree(inst, k)
+                                for k in range(1, cfg.k_max + 1))
+                    if field.pp.q ** f_top > caps.field_table_max_q:
+                        sys.stderr.write(f"instance {n},{p},{r} exceeds caps\n")
+                        return EXIT_CAP
                     jobs.append({"n": n, "p": p, "r": r, "lam": lam,
                                  "seed": cfg.seed, "k_max": cfg.k_max,
                                  "zeta_n_max": cfg.zeta_n_max,
                                  "caps": caps.__dict__.copy()})
-
-    # guard the grid against the caps up front
-    for job in jobs:
-        q_top = job["p"] ** (job["r"] * job["k_max"])
-        if q_top > caps.field_table_max_q:
-            sys.stderr.write(
-                f"instance {job['n']},{job['p']},{job['r']} exceeds caps\n")
-            return EXIT_CAP
 
     t0 = time.time()
     if cfg.threads > 1:

@@ -27,8 +27,9 @@ pinned to 0 and the character factor is dropped.
 Only chi(lam)^{k_m} depends on lam.  The family part, cached per tower,
 matrix, lam = 0 or not and lift degree, sums prod_j G(k_j) per
 (s(k), k_m mod (q-1)); the fiber part twists each class by chi(lam)^{k_m},
-one multiply per class.  At lam = 0 the Gauss sums over GF(q^k) are
-Hasse-Davenport lifts of sums over a subfield GF(q^f) (`charsum_qcounts`).
+one multiply per class.  Every Gauss sum over GF(q^k) is read as the
+Hasse-Davenport lift of a sum over GF(q^f), f = `gauss_field_degree`: a
+proper subfield only at lam = 0, f = k (the identity lift) otherwise.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ class DworkInstance:
         self.M = dwork_matrix_M(self.n)
         self.Nmat = dwork_matrix_N(self.n)
 
-    def extension(self, k: int, cap: int = 1 << 26):
+    def extension(self, k: int, cap: int = DEFAULT_CAPS.field_table_max_q):
         """(field of GF(q^k), image of lam) under the canonical embedding."""
         if k == 1:
             return self.field, self.lam
@@ -391,6 +392,16 @@ def _certified_count(elem, q: int, bound: int, what: str) -> int:
     return v // q
 
 
+def gauss_field_degree(inst: DworkInstance, k: int) -> int:
+    """The degree f | k of the field GF(q^f) whose Gauss sums give the count
+    over GF(q^k): f = ord_g(q) for g = gcd(n+1, q^k-1) at lam = 0, where
+    every Gauss index is 0 or a multiple of (q^k-1)/g, and g = q^k-1, so
+    f = k, otherwise."""
+    q = inst.field.pp.q
+    g = gcd(inst.n + 1, q ** k - 1) if inst.lam == 0 else q ** k - 1
+    return next(f for f in range(1, k + 1) if (q ** f - 1) % g == 0)
+
+
 @functools.lru_cache(maxsize=64)  # one instance needs a few dozen at most
 def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool,
                         m: int = 1) -> dict:
@@ -398,24 +409,19 @@ def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool,
     {(s(k), k_last mod (Q-1)): sum of prod_j G_Q(k_j)} over the solutions k
     of matrix * k = 0 mod (Q-1).
 
-    lam != 0 (m = 1) reads the tower's Gauss table.  lam = 0 reads only the
-    indices that occur, through the Hasse-Davenport lift
+    Only the indices that occur are read, through the Hasse-Davenport lift
     G_Q(t (Q-1)/(q-1)) = (-1)^{m-1} G_q(t)^m, the identity at m = 1; the
     caller picks q so that every index but 0 (G_Q(0) = Q-1 by convention)
     is such a multiple, and t = q-1 gives -Q as the convention asks."""
     Q1 = tower.q ** m - 1
-    sols = enumerate_solutions(matrix, Q1 + 1, lam_zero)
-    if lam_zero:
-        sols = list(sols)
-        step = Q1 // (tower.q - 1)
-        idx = sorted({kj for sol in sols for kj in sol.k} - {0})
-        if any(kj % step for kj in idx):
-            raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
-        gauss = {0: tower.from_int(Q1)}
-        for kj, G in zip(idx, tower.gauss_sums([kj // step for kj in idx])):
-            gauss[kj] = G if m == 1 else (G ** m).scale((-1) ** (m - 1))
-    else:
-        gauss = tower.gauss_table()
+    sols = list(enumerate_solutions(matrix, Q1 + 1, lam_zero))
+    step = Q1 // (tower.q - 1)
+    idx = sorted({kj for sol in sols for kj in sol.k} - {0})
+    if any(kj % step for kj in idx):
+        raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
+    gauss = {0: tower.from_int(Q1)}
+    for kj, G in zip(idx, tower.gauss_sums([kj // step for kj in idx])):
+        gauss[kj] = G if m == 1 else (G ** m).scale((-1) ** (m - 1))
     sums: dict = {}
     for sol in sols:
         prod = gauss[sol.k[0]]
@@ -443,35 +449,21 @@ def _fiber_sums(tower: TowerCtx, matrix, lam_dlog: Optional[int],
 
 
 def charsum_qcounts(inst: DworkInstance, k: int = 1,
-                    tower: Optional[TowerCtx] = None,
                     caps: Caps = DEFAULT_CAPS):
     """(N_f, N_f*, N_g*, N) over GF(q^k) from the Gauss-sum formulas, N the
     p-adic precision used.
 
-    At lam = 0 every Gauss index is 0 or a multiple of (q^k-1)/g with
-    g = gcd(n+1, q^k-1).  Unless an explicit `tower` over GF(q^k) is given,
-    the sums are then read over GF(q^f), f = ord_g(q), through the
-    Hasse-Davenport lift, at the precision GF(q^k) needs: neither GF(q^k)
-    nor a Gauss table is built."""
+    The Gauss sums are read over GF(q^f), f = `gauss_field_degree`, through
+    the Hasse-Davenport lift, on the tower over GF(q^f) at the precision
+    GF(q^k) needs; at lam = 0 GF(q^k) itself is not built unless f = k."""
     n = inst.n
     p, q = inst.field.pp.p, inst.field.pp.q ** k
     q1 = q - 1
-    lam_dlog, m = None, 1
-    if tower is None and inst.lam == 0:
-        g = gcd(n + 1, q1)  # g | q^k - 1, so f = ord_g(q) divides k
-        f = next(f for f in range(1, k + 1)
-                 if (inst.field.pp.q ** f - 1) % g == 0)
-        F, _ = inst.extension(f, cap=caps.field_table_max_q)
-        m = k // f
-    else:
-        F, lam = inst.extension(k, cap=caps.field_table_max_q)
-        if lam:
-            lam_dlog = F.dlog(lam)
-        if tower is not None and tower.field is not F:
-            raise ValueError("tower was built over a different field model")
-    if tower is None:
-        N = caps.precision_override or required_precision(p, q, n)
-        tower = build_tower(F, N)
+    f = gauss_field_degree(inst, k)
+    F, lam = inst.extension(f, cap=caps.field_table_max_q)
+    lam_dlog = F.dlog(lam) if lam else None
+    tower = build_tower(F, caps.precision_override
+                        or required_precision(p, q, n))
     if tower.pN <= 2 * q ** (n + 2):
         raise PrecisionInsufficient(2 * q ** (n + 2), tower.pN)
     pN = tower.pN
@@ -480,13 +472,13 @@ def charsum_qcounts(inst: DworkInstance, k: int = 1,
     # coefficient (q-1)^{s-(n+2)} q^{(n+2)-s} = (q * inv(q-1))^{(n+2)-s}
     co = [pow((q * inv_q1) % pN, (n + 2) - s, pN) for s in range(n + 3)]
 
-    by_s = _fiber_sums(tower, inst.M, lam_dlog, m)
+    by_s = _fiber_sums(tower, inst.M, lam_dlog, k // f)
     qNf = sum((t.scale(co[s]) for s, t in by_s.items()), tower.zero())
     nf = _certified_count(qNf, q, q ** (n + 2), "q*N_f")
     qNfstar = sum(by_s.values(), tower.from_int(q1 ** (n + 1)))
     nfstar = _certified_count(qNfstar, q, q ** (n + 2), "q*N_f*")
 
-    acc_g = sum(_fiber_sums(tower, inst.Nmat, lam_dlog, m).values(),
+    acc_g = sum(_fiber_sums(tower, inst.Nmat, lam_dlog, k // f).values(),
                 tower.zero())
     qNgstar = acc_g.scale(inv_q1) + tower.from_int(q1 ** n)
     ngstar = _certified_count(qNgstar, q, q ** (n + 1), "q*N_g*")

@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .config import DEFAULT_CAPS
 from .errors import FieldTooLarge, LogOfZero, NotPrime
 
 _ADD_TABLE_MAX_Q = 1024
@@ -369,7 +370,8 @@ class FieldCtx:
 # public constructors
 # ---------------------------------------------------------------------------
 
-def build_field(p: int, r: int, seed: int = 0, cap: int = 1 << 26) -> FieldCtx:
+def build_field(p: int, r: int, seed: int = 0,
+                cap: int = DEFAULT_CAPS.field_table_max_q) -> FieldCtx:
     """Deterministic field model for GF(p^r); cached per (p, r, seed)."""
     pp = PrimePower(p, r)
     if pp.q > cap:
@@ -418,7 +420,8 @@ class FieldExtension:
         return out
 
 
-def extend(ctx: FieldCtx, k: int, cap: int = 1 << 26) -> FieldExtension:
+def extend(ctx: FieldCtx, k: int,
+           cap: int = DEFAULT_CAPS.field_table_max_q) -> FieldExtension:
     """Field context for GF(q^k) plus the canonical embedding of GF(q);
     cached per (base model object, k)."""
     if k < 1:

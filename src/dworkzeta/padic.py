@@ -9,7 +9,9 @@ and a product is one big-int product of Kronecker-packed operands.
 
 Teichmuller values chi(a) lie on x^0 and zeta_p^m = x^m, so a Gauss sum
 G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m], with
-the boundary conventions G(0) = q-1 and G(q-1) = -q.
+the boundary conventions G(0) = q-1 and G(q-1) = -q.  `TowerCtx.gauss_sums`
+is the one entry point: a context computes each G(k) on its first request
+and keeps it, so the full table (`gauss_table`) is only built on demand.
 
 Since x^p - 1 = (x - 1) Phi_p, a value has many representatives in R.
 Every read-out (equality, hashing, `as_integer`, `pi_valuation`, the `gauss`
@@ -153,9 +155,10 @@ class TowerElem:
 class TowerCtx:
     """The truncated tower ring attached to one FieldCtx model and precision N.
 
-    Character and Gauss-sum tables are materialized lazily and cached on the
-    context; the fills are idempotent, so sharing a context between threads
-    is safe under the GIL, and process pools each build their own."""
+    The Teichmuller powers and each Gauss sum are computed lazily, once, and
+    kept on the context; the fills are idempotent, so sharing a context
+    between threads is safe under the GIL, and process pools each build
+    their own."""
 
     def __init__(self, field: FieldCtx, N: int):
         if N < 1:
@@ -175,7 +178,7 @@ class TowerCtx:
         self._offsets = [self._slot_bits * (i * (2 * r - 1) + j)
                          for i in range(p) for j in range(r)]
         self._teich_pows = None
-        self._gauss = None
+        self._gauss_memo: dict = {}
 
     # -- element constructors ------------------------------------------------
 
@@ -260,23 +263,21 @@ class TowerCtx:
 
     # -- Gauss sums ------------------------------------------------------------
 
-    def gauss_sum(self, k: int) -> TowerElem:
-        return self.gauss_sums([k])[0]
-
     def gauss_sums(self, ks) -> list:
-        """G(k) for each k in ks, read from the table once it is built."""
-        for k in ks:
+        """G(k) for each k in ks; each missing G(k) is computed once and
+        kept on the context."""
+        ks, memo = list(ks), self._gauss_memo
+        missing = [k for k in dict.fromkeys(ks) if k not in memo]
+        for k in missing:
             if not 0 <= k <= self.q - 1:
                 raise ValueError(f"k must lie in [0, q-1], got {k}")
-        if self._gauss is not None:
-            return [self._gauss[k] for k in ks]
-        return self._gauss_sums(ks)
+        if missing:
+            memo.update(zip(missing, self._gauss_sums(missing)))
+        return [memo[k] for k in ks]
 
-    def gauss_table(self):
+    def gauss_table(self) -> list:
         """All G(k), 0 <= k <= q-1, with the boundary conventions."""
-        if self._gauss is None:
-            self._gauss = self._gauss_sums(range(self.q))
-        return self._gauss
+        return self.gauss_sums(range(self.q))
 
     def _gauss_sums(self, ks) -> list:
         """G(k) for each k in ks.  acc[m] sums chi(a)^{-k} over Tr(a) = m, as
@@ -315,7 +316,7 @@ class TowerCtx:
 # public operations
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)  # towers keep their Gauss tables
+@functools.lru_cache(maxsize=32)  # towers keep the Gauss sums they computed
 def build_tower(field: FieldCtx, N: int) -> TowerCtx:
     """The tower over this field model at precision N; cached per (model
     object, N), so build_tower(F, N).field is F."""

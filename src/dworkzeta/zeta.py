@@ -23,6 +23,8 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 
+from . import counting
+from .config import DEFAULT_CAPS
 from .errors import (
     InsufficientData,
     NoConsistentSign,
@@ -418,41 +420,28 @@ def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
 
 
 def _instance_counts(inst, variety: str, m: int, caps):
-    from . import counting
-
-    out = []
-    for k in range(1, m + 1):
-        q_k = inst.field.pp.q ** k
-        nf, _, ngstar, _ = counting.charsum_qcounts(inst, k, caps=caps)
-        if variety == "X":
-            out.append(counting.count_X(nf, q_k))
-        elif variety == "Y":
-            out.append(counting.count_Y(ngstar, inst.n, q_k))
-        else:
-            out.append(ngstar)
-    return out
+    """#X or #Y (variety "X" or "Y") over GF(q^k) for k = 1..m."""
+    return [getattr(counting.count_record(inst, k, caps=caps), variety)
+            for k in range(1, m + 1)]
 
 
-def recover_pencil_zeta(inst, caps=None, use_fe: bool = True,
+def recover_pencil_zeta(inst, caps=None,
                         k_budget: Optional[int] = None) -> ZetaData:
-    """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1."""
-    from .config import DEFAULT_CAPS
-
+    """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1,
+    completed by the functional equation."""
     caps = caps or DEFAULT_CAPS
     n = inst.n
     degree = expected_degree_P(n)
-    m = k_budget or counts_budget(degree, use_fe)
+    m = k_budget or counts_budget(degree, True)
     counts = _instance_counts(inst, "X", m, caps)
     q = inst.field.pp.q
     return zeta_from_counts("X", counts, n, inst.field.pp.p, inst.field.pp.r,
-                            q, inst.lam_dlog, degree, n - 1, use_fe)
+                            q, inst.lam_dlog, degree, n - 1)
 
 
 def recover_mirror_zeta(inst, caps=None, use_fe: bool = True,
                         k_budget: Optional[int] = None) -> ZetaData:
     """Z(Y_lam): numerator of degree n, weight n-1."""
-    from .config import DEFAULT_CAPS
-
     caps = caps or DEFAULT_CAPS
     n = inst.n
     m = k_budget or counts_budget(n, use_fe)

@@ -177,11 +177,11 @@ def test_gauss_dump_matches_engine(capsys):
     assert header["p"] == 3 and header["r"] == 2 and header["N"] == 4
     assert len(table) == 9  # one record per k in [0, q-1]
     from dworkzeta.ff import build_field
-    from dworkzeta.padic import build_tower
+    from dworkzeta.padic import TowerCtx
 
-    T = build_tower(build_field(3, 2, 0), 4)
+    T = TowerCtx(build_field(3, 2, 0), 4)  # not the command's cached tower
     for rec in table:
-        g = T.gauss_sum(rec["k"])
+        g = T.gauss_sums([rec["k"]])[0]
         flat = [str(c) for row_ in g.rows for c in row_]
         assert rec["coords"] == flat
 
@@ -236,14 +236,32 @@ def test_sweep_empty_grid(tmp_path, capsys):
 
 
 def test_sweep_cap_exceeded(tmp_path, capsys):
+    # lam = 1 (dlog 0) would build GF(5^20)
     cfg = {"n_list": [2], "prime_list": [5], "r_list": [1], "k_max": 20,
-           "lambda_mode": "zero", "seed": 0, "out_dir": str(tmp_path / "c"),
-           "lambda_list": []}
+           "lambda_mode": "list", "seed": 0, "out_dir": str(tmp_path / "c"),
+           "lambda_list": [0]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code = main(["sweep", "--config", str(cfg_path), "--out",
                  str(tmp_path / "c")])
     assert code == cli.EXIT_CAP
+    assert "instance 2,5,1 exceeds caps" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()  # refused before any cell ran
+
+
+def test_sweep_cap_guard_reads_the_lam_zero_lift_field(tmp_path, capsys):
+    # the Fermat fiber over GF(5^k), k <= 12, reads its Gauss sums over
+    # GF(5^f) with f <= 2, far below the caps
+    cfg = {"n_list": [3], "prime_list": [5], "k_max": 12,
+           "lambda_mode": "zero"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "z"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", "1"]) == 0
+    counts = [json.loads(line)
+              for line in (out / "counts.jsonl").read_text().splitlines()]
+    assert [row["k"] for row in counts] == list(range(1, 13))
 
 
 # SHA-256 of the deterministic sweep outputs for GOLDEN_CONFIG, captured

@@ -18,6 +18,7 @@ from dworkzeta.counting import (
     dwork_matrix_M,
     dwork_matrix_N,
     enumerate_solutions,
+    gauss_field_degree,
     is_singular,
     required_precision,
 )
@@ -27,7 +28,7 @@ from dworkzeta.errors import (
     PrecisionInsufficient,
 )
 from dworkzeta.ff import FieldCtx, build_field, factorize
-from dworkzeta.padic import build_tower, pi_valuation
+from dworkzeta.padic import TowerCtx, build_tower, pi_valuation
 
 
 def inst(n, p, r, lam, seed=0):
@@ -429,11 +430,12 @@ def test_required_precision():
 def _direct_qcounts(ii, k=1):
     """(N_f, N_f*, N_g*) from the character sum taken solution by solution,
     chi(lam)^{k_last} applied to each term: the oracle for the engine's
-    family/fiber split."""
+    family/fiber split.  Its own tower, not the engine's cached one, so it
+    reads no Gauss sum the engine computed."""
     F, lam = ii.extension(k)
     n, p, q = ii.n, F.pp.p, F.pp.q
     q1 = q - 1
-    T = build_tower(F, required_precision(p, q, n))
+    T = TowerCtx(F, required_precision(p, q, n))
     table, tp = T.gauss_table(), T.teich_pows()
 
     def terms(matrix):
@@ -484,16 +486,38 @@ def _lift_degree(n, q, k):
 
 
 def test_lam_zero_lift_matches_direct_table():
-    from dworkzeta import counting
-
-    counting._gauss_product_sums.cache_clear()
     for n, q, k in _LIFT_CASES:
         ii = inst(n, q, 1, 0)
-        # the lifted route runs first, before the direct sum builds the
-        # GF(q^k) tower's table
         assert charsum_qcounts(ii, k)[:3] == _direct_qcounts(ii, k), (n, q, k)
     f2 = {case for case in _LIFT_CASES if _lift_degree(*case) == 2}
     assert f2 >= {(2, 5, 2), (2, 5, 4), (3, 3, 2), (3, 3, 4)}
+
+
+def test_gauss_field_degree_is_the_lift_degree():
+    for n, q, k in _LIFT_CASES:
+        assert gauss_field_degree(inst(n, q, 1, 0), k) == _lift_degree(n, q, k)
+        assert gauss_field_degree(inst(n, q, 1, 1), k) == k
+
+
+def test_each_gauss_sum_is_computed_once_per_tower(capsys, monkeypatch):
+    from dworkzeta import counting
+    from dworkzeta.cli import main
+
+    real = TowerCtx._gauss_sums
+    asks = []
+
+    def spy(tower, ks):
+        ks = list(ks)
+        asks.extend((tower, k) for k in ks)
+        return real(tower, ks)
+
+    counting._gauss_product_sums.cache_clear()
+    build_tower.cache_clear()
+    monkeypatch.setattr(TowerCtx, "_gauss_sums", spy)
+    assert main(["congruence", "--n", "2", "--p", "5", "--lambda", "all",
+                 "--k", "2"]) == 0
+    capsys.readouterr()
+    assert asks and len(asks) == len(set(asks))
 
 
 def test_lam_zero_count_builds_no_extension_field():
