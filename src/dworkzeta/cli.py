@@ -85,7 +85,8 @@ def _parse_lambdas(spec: str, field) -> list:
     try:
         e = int(spec)
     except ValueError:
-        raise SystemExit(EXIT_CONFIG)
+        raise ConfigError(f"--lambda must be all, zero, subfield or a "
+                          f"discrete log, got {spec!r}") from None
     return [field.gen_pow(e)]
 
 
@@ -100,9 +101,10 @@ def _open_out(args, name: str):
 def cmd_count(args) -> int:
     caps = _caps_for(args)
     field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
+    lams = _parse_lambdas(args.lam_spec, field)
     out = _open_out(args, "counts.jsonl")
     try:
-        for lam in _parse_lambdas(args.lam_spec, field):
+        for lam in lams:
             inst = DworkInstance(n=args.n, field=field, lam=lam)
             for k in range(1, args.k + 1):
                 rec = count_record(inst, k, method=args.method, caps=caps,
@@ -143,11 +145,12 @@ def _congruence_row(rec) -> dict:
 def cmd_congruence(args) -> int:
     caps = _caps_for(args)
     field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
+    lams = _parse_lambdas(args.lam_spec, field)
     out = _open_out(args, "congruence.jsonl")
     failures = 0
     rows = 0
     try:
-        for lam in _parse_lambdas(args.lam_spec, field):
+        for lam in lams:
             inst = DworkInstance(n=args.n, field=field, lam=lam)
             for rec in _count_records(inst, args.k, caps):
                 row = _congruence_row(rec)
@@ -205,10 +208,10 @@ def _report(inst, caps, pencil: bool, max_k=None) -> dict:
     return rep
 
 
-def _fiber_reports(args, field, caps, out):
-    """The `_report` of each fiber of --lambda for `zeta` and `slope`, or
-    None after writing the error row of a fiber whose recovery failed."""
-    for lam in _parse_lambdas(args.lam_spec, field):
+def _fiber_reports(args, lams, field, caps, out):
+    """The `_report` of each fiber in lams for `zeta` and `slope`, or None
+    after writing the error row of a fiber whose recovery failed."""
+    for lam in lams:
         inst = DworkInstance(n=args.n, field=field, lam=lam)
         try:
             rep = _report(inst, caps, args.n == 2 or args.tier == "extended",
@@ -223,10 +226,11 @@ def _fiber_reports(args, field, caps, out):
 def cmd_zeta(args) -> int:
     caps = _caps_for(args)
     field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
+    lams = _parse_lambdas(args.lam_spec, field)
     out = _open_out(args, "zeta.jsonl")
     code = EXIT_OK
     try:
-        for rep in _fiber_reports(args, field, caps, out):
+        for rep in _fiber_reports(args, lams, field, caps, out):
             if rep is None:
                 code = EXIT_RECOVERY
                 continue
@@ -255,10 +259,11 @@ def _np_json(np_):
 def cmd_slope(args) -> int:
     caps = _caps_for(args)
     field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
+    lams = _parse_lambdas(args.lam_spec, field)
     out = _open_out(args, "slopes.jsonl")
     code = EXIT_OK
     try:
-        for rep in _fiber_reports(args, field, caps, out):
+        for rep in _fiber_reports(args, lams, field, caps, out):
             if rep is None:
                 code = EXIT_RECOVERY
                 continue

@@ -27,9 +27,12 @@ pinned to 0 and the character factor is dropped.
 Only chi(lam)^{k_m} depends on lam.  The family part, cached per tower,
 matrix, lam = 0 or not and lift degree, sums prod_j G(k_j) per
 (s(k), k_m mod (q-1)); the fiber part twists each class by chi(lam)^{k_m},
-one multiply per class.  Every Gauss sum over GF(q^k) is read as the
-Hasse-Davenport lift of a sum over GF(q^f), f = `gauss_field_degree`: a
-proper subfield only at lam = 0, f = k (the identity lift) otherwise.
+one multiply per class.  The family part forms each product once per
+sorted index multiset, sharing prefixes between multisets, and scales it
+by the boundary sums G(0) = q-1 and G(q-1) = -q as rational integers.
+Every Gauss sum over GF(q^k) is read as the Hasse-Davenport lift of a sum
+over GF(q^f), f = `gauss_field_degree`: a proper subfield only at
+lam = 0, f = k (the identity lift) otherwise.
 """
 from __future__ import annotations
 
@@ -409,26 +412,52 @@ def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool,
     {(s(k), k_last mod (Q-1)): sum of prod_j G_Q(k_j)} over the solutions k
     of matrix * k = 0 mod (Q-1).
 
-    Only the indices that occur are read, through the Hasse-Davenport lift
-    G_Q(t (Q-1)/(q-1)) = (-1)^{m-1} G_q(t)^m, the identity at m = 1; the
-    caller picks q so that every index but 0 (G_Q(0) = Q-1 by convention)
-    is such a multiple, and t = q-1 gives -Q as the convention asks."""
+    The product depends only on the multiset of the indices, so the
+    solutions are counted per (sorted k, s(k), k_last) and each distinct
+    product is formed once.  The boundary sums G_Q(0) = Q-1 and
+    G_Q(Q-1) = -Q are rational integers: with the multiplicity they become
+    one integer that scales the product of the inner indices.  The inner
+    tuples are walked in sorted order on a stack of prefix products, so a
+    tuple costs one ring multiply per index it does not share with the
+    previous one.
+
+    Only the inner indices that occur are read, through the
+    Hasse-Davenport lift G_Q(t (Q-1)/(q-1)) = (-1)^{m-1} G_q(t)^m, the
+    identity at m = 1; the caller picks q so that every inner index is such
+    a multiple.  At t = q-1 the lift is -Q as well, so the boundary
+    convention holds for every m."""
     Q1 = tower.q ** m - 1
-    sols = list(enumerate_solutions(matrix, Q1 + 1, lam_zero))
+    groups: dict = {}
+    for sol in enumerate_solutions(matrix, Q1 + 1, lam_zero):
+        key = (tuple(sorted(sol.k)), sol.s_of_k, sol.k[-1] % Q1)
+        groups[key] = groups.get(key, 0) + 1
+    # inner index tuple -> {(s, k_last mod (Q-1)): integer coefficient}
+    coeffs: dict = {}
+    for (ks, s, c), mult in groups.items():
+        lo, hi = ks.count(0), len(ks) - ks.count(Q1)
+        by_key = coeffs.setdefault(ks[lo:hi], {})
+        by_key[s, c] = (by_key.get((s, c), 0)
+                        + mult * Q1 ** lo * (-(Q1 + 1)) ** (len(ks) - hi))
     step = Q1 // (tower.q - 1)
-    idx = sorted({kj for sol in sols for kj in sol.k} - {0})
+    idx = sorted({kj for inner in coeffs for kj in inner})
     if any(kj % step for kj in idx):
         raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
-    gauss = {0: tower.from_int(Q1)}
+    gauss = {}
     for kj, G in zip(idx, tower.gauss_sums([kj // step for kj in idx])):
         gauss[kj] = G if m == 1 else (G ** m).scale((-1) ** (m - 1))
     sums: dict = {}
-    for sol in sols:
-        prod = gauss[sol.k[0]]
-        for kj in sol.k[1:]:
-            prod = prod * gauss[kj]
-        key = (sol.s_of_k, sol.k[-1] % Q1)
-        sums[key] = sums[key] + prod if key in sums else prod
+    prev, stack = (), []  # stack[i]: the product over prev[:i+1]
+    for inner in sorted(coeffs):
+        shared = next((i for i, (a, b) in enumerate(zip(prev, inner))
+                       if a != b), min(len(prev), len(inner)))
+        del stack[shared:]
+        for kj in inner[shared:]:
+            stack.append(stack[-1] * gauss[kj] if stack else gauss[kj])
+        prev = inner
+        prod = stack[-1] if stack else tower.one()
+        for key, coeff in coeffs[inner].items():
+            term = prod.scale(coeff)
+            sums[key] = sums[key] + term if key in sums else term
     return sums
 
 

@@ -47,6 +47,17 @@ def test_bad_lambda_is_config_error(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["count", "congruence", "zeta", "slope"])
+def test_bad_lambda_says_why_and_writes_no_file(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--n", "2", "--p", "5", "--lambda", "foo",
+                 "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("bad configuration: ") and "'foo'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,config", [
     (["count", "--n", "2", "--p", "4"], None),
     (["count", "--n", "1", "--p", "5"], None),

@@ -551,3 +551,71 @@ def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
     assert count_record(ii, 1, with_nfstar=True).Nfstar == \
         count_torus_f_brute(ii)
     assert count_record(ii, 1).Nfstar is None
+
+
+def _per_vector_sums(F, N, matrix, lam_zero, m=1):
+    """The family part summed one solution vector at a time on a fresh
+    tower, every Gauss sum over GF(Q), Q = q^m, read from the lifted table
+    G_Q(t (Q-1)/(q-1)) = (-1)^{m-1} G_q(t)^m (boundaries included), except
+    G_Q(0) = Q-1; keyed like `_gauss_product_sums`, values as rows."""
+    T = TowerCtx(F, N)
+    table = T.gauss_table()
+    Q1 = F.pp.q ** m - 1
+    step = Q1 // (F.pp.q - 1)
+    sums, seen = {}, set()
+    for sol in enumerate_solutions(matrix, Q1 + 1, lam_zero):
+        prod = T.one()
+        for kj in sol.k:
+            prod = prod * (T.from_int(Q1) if kj == 0 else
+                           (table[kj // step] ** m).scale((-1) ** (m - 1)))
+        key = (sol.s_of_k, sol.k[-1] % Q1)
+        sums[key] = sums[key] + prod if key in sums else prod
+        seen.update(kj for kj in sol.k if kj in (0, Q1))
+    return {key: v.rows for key, v in sums.items()}, len(seen) == 2
+
+
+def test_family_part_matches_per_vector_sum_key_by_key():
+    from dworkzeta.counting import _gauss_product_sums
+
+    cases = [(n, p, r, 1, lam_zero) for n in (2, 3, 4)
+             for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
+                          (5, 2)) for lam_zero in (True, False)]
+    # lam = 0 over GF(q^k) reads GF(q^f), f = the lift degree, m = k/f
+    cases += [(n, q, _lift_degree(n, q, k), k // _lift_degree(n, q, k),
+               True) for n, q, k in _LIFT_CASES if k > 1]
+    assert {(2, 5, 2, 1, True), (3, 3, 2, 2, True)} <= set(cases)
+    for n, p, r, m, lam_zero in cases:
+        F = build_field(p, r, 0)
+        N = required_precision(p, F.pp.q ** m, n)
+        for matrix in (dwork_matrix_M(n), dwork_matrix_N(n)):
+            fast = _gauss_product_sums.__wrapped__(TowerCtx(F, N), matrix,
+                                                   lam_zero, m)
+            slow, both = _per_vector_sums(F, N, matrix, lam_zero, m)
+            assert both, "G(0) and G(Q-1) must both occur"
+            assert {key: v.rows for key, v in fast.items()} == slow, \
+                (n, p, r, m, lam_zero, matrix)
+
+
+def test_family_part_multiplies_once_per_new_prefix(monkeypatch):
+    from dworkzeta.counting import _gauss_product_sums
+
+    F = build_field(5, 3, 0)
+    T = TowerCtx(F, required_precision(5, 125, 3))
+    T.gauss_table()
+    real, muls = TowerCtx._mul, []
+
+    def spy(tower, a, b):
+        muls.append(1)
+        return real(tower, a, b)
+
+    monkeypatch.setattr(TowerCtx, "_mul", spy)
+    M = dwork_matrix_M(3)
+    _gauss_product_sums.__wrapped__(T, M, False)
+    prefixes, vectors = set(), 0
+    for sol in enumerate_solutions(M, 125):
+        inner = tuple(kj for kj in sorted(sol.k) if 0 < kj < 124)
+        prefixes.update(inner[:i] for i in range(1, len(inner) + 1))
+        vectors += 1
+    # one product per vector would take 4 * 2,234 = 8,936 multiplies
+    assert vectors == 2234
+    assert len(muls) <= len(prefixes), (len(muls), len(prefixes))
