@@ -15,7 +15,6 @@ from .padic import (
 from .counting import (
     CountRecord,
     DworkInstance,
-    SolutionVector,
     charsum_qcounts,
     count_affine_brute,
     count_record,

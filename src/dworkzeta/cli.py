@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .config import Caps, DEFAULT_CAPS, SweepConfig
+from .config import Caps, SweepConfig
 from .counting import (
     DworkInstance,
     count_record,
@@ -369,10 +369,7 @@ def _dump_json(obj, path: Path, **kw):
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
-        cfg = SweepConfig.from_json(args.config)
-    else:
-        cfg = SweepConfig()
+    cfg = SweepConfig.from_json(args.config) if args.config else SweepConfig()
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:
@@ -518,13 +515,8 @@ def _seed_of(args) -> int:
 
 
 def _caps_for(args) -> Caps:
-    caps = DEFAULT_CAPS
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "caps" in raw:
-            caps = Caps.from_dict(raw["caps"])
-    return caps.with_tier(args.tier)  # None: the ci caps
+    cfg = SweepConfig.from_json(args.config) if args.config else SweepConfig()
+    return cfg.caps.with_tier(args.tier)  # None: the ci caps
 
 
 def _int_from(lo: int):

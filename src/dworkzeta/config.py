@@ -13,8 +13,11 @@ from dataclasses import dataclass, field, asdict, fields
 from .errors import ConfigError
 
 
-def _known_keys(cls, raw: dict, what: str) -> dict:
-    """`raw` unchanged, or ConfigError naming the keys `cls` does not take."""
+def _known_keys(cls, raw, what: str) -> dict:
+    """`raw` unchanged, or ConfigError if it is not a JSON object or names
+    keys `cls` does not take."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {raw!r} is not a JSON object")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
@@ -77,7 +80,7 @@ class SweepConfig:
     seed: int = 0
     out_dir: str = "sweep_out"
     threads: int = 1
-    zeta_n_max: int = 2  # recover numerators only for n <= this in ci tier
+    zeta_n_max: int = 2  # recover numerators only for n <= this
     caps: Caps = field(default_factory=lambda: DEFAULT_CAPS)
 
     def __post_init__(self):
@@ -103,13 +106,13 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "SweepConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        caps_raw = raw.pop("caps", None)
-        cfg = cls(**_known_keys(cls, raw, "sweep config"))
-        if caps_raw:
-            cfg.caps = Caps.from_dict(caps_raw)
-        return cfg
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing, unreadable, not JSON
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = _known_keys(cls, raw, "sweep config")
+        return cls(**{**raw, "caps": Caps.from_dict(raw.get("caps", {}))})
 
     def to_dict(self) -> dict:
         d = asdict(self)

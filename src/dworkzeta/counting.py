@@ -254,31 +254,8 @@ def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
 # structural enumeration of character-sum solutions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionVector:
-    k: tuple
-    s_of_k: int
-    cls: str  # zero | trivial | diagonal | admissible | other
-
-
 def _matvec(matrix, k):
     return tuple(sum(mij * kj for mij, kj in zip(row, k)) for row in matrix)
-
-
-def _classify(k, s, n, q) -> str:
-    # admissibility (s(k) = n+2, head coordinates not all equal) takes
-    # precedence over the boundary label: the ord_q >= 2 bound must cover
-    # boundary-mixed vectors like (0, q-1, ..., q-1)
-    if all(ki == 0 for ki in k):
-        return "zero"
-    head = k[: n + 1]
-    if 0 < head[0] < q - 1 and all(ki == head[0] for ki in head):
-        return "diagonal"
-    if s == n + 2 and any(ki != head[0] for ki in head):
-        return "admissible"
-    if all(ki in (0, q - 1) for ki in k):
-        return "trivial"
-    return "other"
 
 
 def _lift_zero_residues(res, q, fixed_last: bool):
@@ -296,8 +273,9 @@ def _lift_zero_residues(res, q, fixed_last: bool):
     return itertools.product(*options)
 
 
-def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[SolutionVector]:
-    """Solutions k in [0, q-1]^{n+2} of matrix*k = 0 mod (q-1), classified.
+def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[tuple]:
+    """Solutions k in [0, q-1]^{n+2} of matrix*k = 0 mod (q-1), as pairs
+    (k, s(k)) with s(k) the number of nonzero entries of matrix*k.
 
     Uses the structure of the two Dwork matrices instead of scanning q^{n+2}
     tuples: for M the first n+1 coordinates agree mod (q-1)/gcd(n+1, q-1)
@@ -315,8 +293,7 @@ def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[Solu
             v = _matvec(matrix, k)
             if any(x % q1 for x in v):
                 raise RuntimeError(f"enumerated non-solution {k} (bug)")
-            s = sum(1 for x in v if x != 0)
-            yield SolutionVector(k, s, _classify(k, s, n, q))
+            yield k, sum(1 for x in v if x != 0)
 
     if is_m:
         g = gcd(n + 1, q1)
@@ -428,8 +405,8 @@ def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool,
     convention holds for every m."""
     Q1 = tower.q ** m - 1
     groups: dict = {}
-    for sol in enumerate_solutions(matrix, Q1 + 1, lam_zero):
-        key = (tuple(sorted(sol.k)), sol.s_of_k, sol.k[-1] % Q1)
+    for k, s in enumerate_solutions(matrix, Q1 + 1, lam_zero):
+        key = (tuple(sorted(k)), s, k[-1] % Q1)
         groups[key] = groups.get(key, 0) + 1
     # inner index tuple -> {(s, k_last mod (Q-1)): integer coefficient}
     coeffs: dict = {}

@@ -2,10 +2,10 @@
 
 Elements are stored as integer codes in [0, q): the base-p encoding of the
 coefficient vector with respect to the power basis of a monic irreducible
-modulus.  Multiplication goes through log/exp tables (built once per field),
-addition is digitwise mod p (tabulated for small q).  Fields are desk-scale
-by design: the table cap refuses anything that would not fit comfortably in
-memory.
+modulus.  Multiplication goes through log/exp tables (built once per field)
+and so does addition, through the Zech logarithms log(1 + g^e): no table has
+more than q entries.  Fields are desk-scale by design: the table cap refuses
+anything that would not fit comfortably in memory.
 
 The modulus is the first irreducible polynomial in a fixed enumeration
 starting from `seed`, so construction is deterministic given (p, r, seed),
@@ -20,8 +20,6 @@ from typing import Iterator, Optional
 
 from .config import DEFAULT_CAPS
 from .errors import FieldTooLarge, LogOfZero, NotPrime
-
-_ADD_TABLE_MAX_Q = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -158,7 +156,7 @@ def _is_irreducible(f, p):
 # ---------------------------------------------------------------------------
 
 class FieldCtx:
-    """A concrete model of GF(p^r): modulus, generator, log/exp tables.
+    """A concrete model of GF(p^r): modulus, generator, log/exp/Zech tables.
 
     Logically immutable after construction; all operations are pure and
     take/return integer element codes (the trace table is materialized
@@ -168,14 +166,13 @@ class FieldCtx:
     def __init__(self, pp: PrimePower, seed: int = 0):
         self.pp = pp
         self.seed = seed
-        p, r, q = pp.p, pp.r, pp.q
+        p, r = pp.p, pp.r
         self.modulus = self._find_modulus(p, r, seed)
         self._build_mul_tables()
-        self._add_table = None
-        self._neg_table = tuple(self._digit_neg(a) for a in range(q)) \
-            if q <= _ADD_TABLE_MAX_Q else None
-        if q <= _ADD_TABLE_MAX_Q:
-            self._add_table = self._build_add_table()
+        # zech[e] = log(1 + g^e), -1 where 1 + g^e = 0, so that a + b is
+        # g^la (1 + g^(lb-la)); 1 + c steps the constant (lowest) digit of c
+        self.zech_table = [self.log_table[c - c % p + (c % p + 1) % p]
+                           for c in self.exp_table]
         self._trace_table: Optional[list] = None
 
     # -- construction ------------------------------------------------------
@@ -252,43 +249,15 @@ class FieldCtx:
         self.exp_table = exp
         self.log_table = log
 
-    def _digit_neg(self, a):
-        p = self.pp.p
-        return self._vec_to_code(tuple((-d) % p for d in self._code_to_vec(a)))
-
-    def _digit_add(self, a, b):
-        p = self.pp.p
-        va, vb = self._code_to_vec(a), self._code_to_vec(b)
-        return self._vec_to_code(tuple((x + y) % p for x, y in zip(va, vb)))
-
-    def _build_add_table(self):
-        q = self.pp.q
-        if self.pp.p == 2:
-            return None  # xor path
-        t = [0] * (q * q)
-        for a in range(q):
-            base = a * q
-            for b in range(a, q):
-                s = self._digit_add(a, b)
-                t[base + b] = s
-                t[b * q + a] = s
-        return t
-
     # -- arithmetic on codes -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.pp.p == 2:
-            return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a * self.pp.q + b]
-        return self._digit_add(a, b)
-
-    def neg(self, a: int) -> int:
-        if self.pp.p == 2:
-            return a
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        return self._digit_neg(a)
+        if a == 0 or b == 0:
+            return a or b
+        q1 = self.pp.q - 1
+        la = self.log_table[a]
+        z = self.zech_table[(self.log_table[b] - la) % q1]
+        return 0 if z < 0 else self.exp_table[(la + z) % q1]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -379,8 +348,7 @@ def build_field(p: int, r: int, seed: int = 0,
     return _field(pp, seed)
 
 
-# the field models kept alive, each GF(q <= 1024) with a q^2 addition table;
-# an evicted model is rebuilt identically
+# the field models kept alive; an evicted model is rebuilt identically
 _field = functools.lru_cache(maxsize=32)(FieldCtx)
 
 

@@ -107,13 +107,12 @@ class TowerElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not defined in the tower")
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        # left to right from the top bit: bitlen(e) + popcount(e) - 2 products
+        result = self if e else self.ctx.one()
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def scale(self, n: int) -> "TowerElem":

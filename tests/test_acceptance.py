@@ -152,7 +152,7 @@ def test_criterion_05_projective_mirror_count_identity():
             f"{cases} instances bit-exact, {dt:.2f}s < 60s")
 
 
-def test_criterion_06_gauss_product_valuations():
+def test_criterion_06_gauss_product_valuations(solution_class):
     t0 = time.monotonic()
     nonzero_checked = admissible_checked = 0
     for n in (2, 3, 4):
@@ -162,17 +162,18 @@ def test_criterion_06_gauss_product_valuations():
             T = build_tower(F, (n + 2) * r + 2)
             table = T.gauss_table()
             units = r * (p - 1)  # ord_q = 1 in pi-valuation units
-            for sol in enumerate_solutions(dwork_matrix_M(n), q):
-                if sol.cls == "zero":
+            for k, s in enumerate_solutions(dwork_matrix_M(n), q):
+                cls = solution_class(k, s, n, q)
+                if cls == "zero":
                     continue
                 prod = T.one()
-                for kj in sol.k:
+                for kj in k:
                     prod = prod * table[kj]
                 v = pi_valuation(prod)
-                assert v.exact and v.ord_q >= 1, (n, p, r, sol)
+                assert v.exact and v.ord_q >= 1, (n, p, r, k)
                 nonzero_checked += 1
-                if sol.cls == "admissible":
-                    assert v.ord_q >= 2, (n, p, r, sol)
+                if cls == "admissible":
+                    assert v.ord_q >= 2, (n, p, r, k)
                     admissible_checked += 1
     dt = time.monotonic() - t0
     _report("ACCEPT-06 gauss-product-valuations", dt < 120,

@@ -329,6 +329,30 @@ def test_unknown_config_keys_are_config_errors(tmp_path, capsys):
     assert "k_maximum" in capsys.readouterr().err
 
 
+
+_COUNT = ["count", "--n", "2", "--p", "5", "--lambda", "zero",
+          "--method", "charsum"]
+_BAD_CONFIG_FILES = {"missing": None, "truncated": '{"n_list": [2',
+                     "top-level-list": "[1, 2]",
+                     "caps-list": '{"caps": [1, 2]}'}
+
+
+@pytest.mark.parametrize("command,case", [
+    *((c, case) for c in ("count", "sweep") for case in _BAD_CONFIG_FILES),
+    ("count", "unknown-key")])
+def test_bad_config_files_are_config_errors(tmp_path, capsys, command, case):
+    cfg_path = tmp_path / "cfg.json"
+    text = _BAD_CONFIG_FILES.get(case, '{"capz": {}, "n_list": [9]}')
+    if text is not None:
+        cfg_path.write_text(text)
+    argv = _COUNT if command == "count" else ["sweep", "--out",
+                                              str(tmp_path / "o")]
+    assert main(argv + ["--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("bad configuration: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key,config", [
     ("k_max", {"k_max": "2"}), ("seed", {"seed": "0"}),
     ("zeta_n_max", {"zeta_n_max": "2"}), ("threads", {"threads": "1"}),

@@ -72,7 +72,7 @@ def test_enumerate_solutions_matches_brute_scan(n, q_spec, lam_zero):
     p, r = q_spec
     q = p ** r
     for matrix in (dwork_matrix_M(n), dwork_matrix_N(n)):
-        got = {sol.k for sol in enumerate_solutions(matrix, q, lam_zero)}
+        got = {k for k, _ in enumerate_solutions(matrix, q, lam_zero)}
         want = brute_solutions(matrix, q, lam_zero)
         assert got == want
         # no duplicates
@@ -95,24 +95,23 @@ def _lam_zero_scan_N(n, q):
 def test_lam_zero_enumeration_steps_over_the_scanned_residues(n):
     prime_powers = [q for q in range(2, 50) if len(factorize(q)) == 1]
     for q in prime_powers:
-        got = [sol.k for sol in enumerate_solutions(dwork_matrix_N(n), q,
-                                                    lam_zero=True)]
+        got = [k for k, _ in enumerate_solutions(dwork_matrix_N(n), q,
+                                                 lam_zero=True)]
         assert got == list(_lam_zero_scan_N(n, q)), (n, q)
 
 
-def test_solution_classification():
+def test_solution_classification(solution_class):
     n, q = 2, 7
-    sols = {sol.k: sol for sol in enumerate_solutions(dwork_matrix_M(n), q)}
-    zero = sols[(0, 0, 0, 0)]
-    assert zero.cls == "zero" and zero.s_of_k == 0
-    boundary = sols[(0, 0, 0, 6)]
-    assert boundary.cls == "trivial" and boundary.s_of_k == n + 2
-    diag = [s for s in sols.values() if s.cls == "diagonal"]
-    assert diag and all(0 < s.k[0] == s.k[1] == s.k[2] < 6 for s in diag)
-    adm = [s for s in sols.values() if s.cls == "admissible"]
-    assert adm and all(s.s_of_k == n + 2 for s in adm)
-    for s in adm:
-        assert len(set(s.k[: n + 1])) > 1
+    sols = dict(enumerate_solutions(dwork_matrix_M(n), q))
+    cls = {k: solution_class(k, s, n, q) for k, s in sols.items()}
+    assert cls[0, 0, 0, 0] == "zero" and sols[0, 0, 0, 0] == 0
+    assert cls[0, 0, 0, 6] == "trivial" and sols[0, 0, 0, 6] == n + 2
+    diag = [k for k, c in cls.items() if c == "diagonal"]
+    assert diag and all(0 < k[0] == k[1] == k[2] < 6 for k in diag)
+    adm = [k for k, c in cls.items() if c == "admissible"]
+    assert adm and all(sols[k] == n + 2 for k in adm)
+    for k in adm:
+        assert len(set(k[: n + 1])) > 1
 
 
 def test_affine_brute_examples():
@@ -249,11 +248,11 @@ def test_charsum_trivial_part_identity():
         T = build_tower(F, required_precision(p, q, n))
         table = T.gauss_table()
         acc = T.zero()
-        for sol in enumerate_solutions(ii.Nmat, q):
-            if not all(ki in (0, q - 1) for ki in sol.k):
+        for k, _ in enumerate_solutions(ii.Nmat, q):
+            if not all(ki in (0, q - 1) for ki in k):
                 continue
             prod = T.one()
-            for kj in sol.k:
+            for kj in k:
                 prod = prod * table[kj]
             acc = acc + prod  # chi(lam)^{k_last} = 1 on boundary lifts
         inv_q1 = pow(q - 1, -1, T.pN)
@@ -262,30 +261,32 @@ def test_charsum_trivial_part_identity():
 
 @pytest.mark.parametrize("n,p,r", [(2, 5, 1), (3, 2, 2), (2, 7, 1), (4, 3, 1),
                                    (3, 5, 1), (2, 2, 2), (3, 2, 6), (4, 2, 6)])
-def test_gauss_product_valuations_small(n, p, r):
+def test_gauss_product_valuations_small(n, p, r, solution_class):
     # every nonzero solution has ord_q(prod G) >= 1; admissible ones >= 2
     F = build_field(p, r, 0)
     q = F.pp.q
     T = build_tower(F, (n + 2) * r + 2)
     table = T.gauss_table()
     units = r * (p - 1)
-    for sol in enumerate_solutions(dwork_matrix_M(n), q):
-        if sol.cls == "zero":
+    for k, s in enumerate_solutions(dwork_matrix_M(n), q):
+        cls = solution_class(k, s, n, q)
+        if cls == "zero":
             continue
         prod = T.one()
-        for kj in sol.k:
+        for kj in k:
             prod = prod * table[kj]
         v = pi_valuation(prod)
         assert v.exact
-        assert v.numerator >= units, (sol, v)
-        if sol.cls == "admissible":
-            assert v.numerator >= 2 * units, (sol, v)
+        assert v.numerator >= units, (k, v)
+        if cls == "admissible":
+            assert v.numerator >= 2 * units, (k, v)
 
 
-def test_admissible_closed_under_digit_rotation():
+def test_admissible_closed_under_digit_rotation(solution_class):
     n, p, r = 2, 3, 2
     q = p ** r
-    sols = {s.k: s for s in enumerate_solutions(dwork_matrix_M(n), q)}
+    cls = {k: solution_class(k, s, n, q)
+           for k, s in enumerate_solutions(dwork_matrix_M(n), q)}
 
     def rot(ki):
         if ki == 0:
@@ -293,11 +294,11 @@ def test_admissible_closed_under_digit_rotation():
         v = (p * ki) % (q - 1)
         return q - 1 if v == 0 else v
 
-    admissible = [s for s in sols.values() if s.cls == "admissible"]
+    admissible = [k for k, c in cls.items() if c == "admissible"]
     assert admissible
-    for s in admissible:
-        rk = tuple(rot(ki) for ki in s.k)
-        assert rk in sols and sols[rk].cls == "admissible"
+    for k in admissible:
+        rk = tuple(rot(ki) for ki in k)
+        assert cls.get(rk) == "admissible"
 
 
 def _find_singular_point(F: FieldCtx, n: int, lam: int):
@@ -439,13 +440,13 @@ def _direct_qcounts(ii, k=1):
     table, tp = T.gauss_table(), T.teich_pows()
 
     def terms(matrix):
-        for sol in enumerate_solutions(matrix, q, lam == 0):
+        for k, s in enumerate_solutions(matrix, q, lam == 0):
             prod = T.one()
-            for kj in sol.k:
+            for kj in k:
                 prod = prod * table[kj]
             if lam:
-                prod = prod * tp[(F.dlog(lam) * sol.k[-1]) % q1]
-            yield sol.s_of_k, prod
+                prod = prod * tp[(F.dlog(lam) * k[-1]) % q1]
+            yield s, prod
 
     inv_q1 = pow(q1, -1, T.pN)
     q_nf, q_nfstar = T.zero(), T.from_int(q1 ** (n + 1))
@@ -563,14 +564,14 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1):
     Q1 = F.pp.q ** m - 1
     step = Q1 // (F.pp.q - 1)
     sums, seen = {}, set()
-    for sol in enumerate_solutions(matrix, Q1 + 1, lam_zero):
+    for k, s in enumerate_solutions(matrix, Q1 + 1, lam_zero):
         prod = T.one()
-        for kj in sol.k:
+        for kj in k:
             prod = prod * (T.from_int(Q1) if kj == 0 else
                            (table[kj // step] ** m).scale((-1) ** (m - 1)))
-        key = (sol.s_of_k, sol.k[-1] % Q1)
+        key = (s, k[-1] % Q1)
         sums[key] = sums[key] + prod if key in sums else prod
-        seen.update(kj for kj in sol.k if kj in (0, Q1))
+        seen.update(kj for kj in k if kj in (0, Q1))
     return {key: v.rows for key, v in sums.items()}, len(seen) == 2
 
 
@@ -612,8 +613,8 @@ def test_family_part_multiplies_once_per_new_prefix(monkeypatch):
     M = dwork_matrix_M(3)
     _gauss_product_sums.__wrapped__(T, M, False)
     prefixes, vectors = set(), 0
-    for sol in enumerate_solutions(M, 125):
-        inner = tuple(kj for kj in sorted(sol.k) if 0 < kj < 124)
+    for k, _ in enumerate_solutions(M, 125):
+        inner = tuple(kj for kj in sorted(k) if 0 < kj < 124)
         prefixes.update(inner[:i] for i in range(1, len(inner) + 1))
         vectors += 1
     # one product per vector would take 4 * 2,234 = 8,936 multiplies

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -140,6 +141,39 @@ def test_field_axioms_exhaustive(p, r):
     if q <= 9:
         for a, b, c in itertools.product(range(q), repeat=3):
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+
+def digit_add(F, a, b):
+    """a + b by adding the coefficient vectors mod p: the oracle for F.add."""
+    p = F.pp.p
+    return sum(((x + y) % p) * p ** i
+               for i, (x, y) in enumerate(zip(F.coeffs(a), F.coeffs(b))))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                                 (3, 3), (7, 2)])
+def test_add_matches_digitwise_oracle_exhaustive(p, r, seed):
+    F = build_field(p, r, seed)
+    q = F.pp.q
+    minus_one = F.from_int(-1)
+    for a in range(q):
+        assert F.add(a, F.mul(minus_one, a)) == 0, a
+        for b in range(q):
+            assert F.add(a, b) == digit_add(F, a, b), (a, b)
+
+
+@pytest.mark.parametrize("p,r", [(2, 11), (3, 7)])
+def test_add_matches_digitwise_oracle_random(p, r):
+    F = build_field(p, r, 0)
+    q = F.pp.q
+    rng = random.Random(p * 100 + r)
+    minus_one = F.from_int(-1)
+    for _ in range(5000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert F.add(a, b) == digit_add(F, a, b), (a, b)
+        assert F.add(a, F.mul(minus_one, a)) == 0, a
 
 
 def test_trace_examples():

@@ -130,6 +130,28 @@ def test_teich_basics():
         assert tuple(c % 3 for c in t.rows[0]) == T.field.coeffs(a)
 
 
+
+def test_pow_takes_bitlen_plus_popcount_minus_two_multiplies(monkeypatch):
+    T = tower(5, 3, 6)
+    x = T.teich(T.field.generator) + T.zeta_p()
+    naive = [T.one()]
+    for _ in range(T.q):
+        naive.append(naive[-1] * x)
+    real, muls = TowerCtx._mul, []
+
+    def spy(ctx, a, b):
+        muls.append(1)
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(TowerCtx, "_mul", spy)
+    q = T.q
+    for e, want in ((0, 0), (1, 0), (2, 1), (11, 5),
+                    (q, q.bit_count() + q.bit_length() - 2)):
+        muls.clear()
+        assert (x ** e).c == naive[e].c, e
+        assert len(muls) == want, (e, len(muls))
+
+
 def test_teich_cube_roots_sum_to_zero():
     T = tower(2, 2, 5)
     F = T.field
@@ -230,7 +252,7 @@ def test_gauss_norm_relation():
         T = tower(p, r, 7)
         table = T.gauss_table()
         F = T.field
-        minus_one = T.teich(F.neg(1))
+        minus_one = T.teich(F.from_int(-1))
         for k in range(1, T.q - 1):
             lhs = table[k] * table[T.q - 1 - k]
             rhs = (minus_one ** k).scale(T.q)
