@@ -24,20 +24,21 @@ solution carries the flat coefficient (q-1)^{v} / (q-1)^m.
 When lam = 0 the product monomial is absent: the last exponent k_m is
 pinned to 0 and the character factor is dropped.
 
-Only chi(lam)^{k_m} depends on lam.  The family part, cached per tower,
-matrix, lam = 0 or not and lift degree, sums prod_j G(k_j) per
-(s(k), k_m mod (q-1)); the fiber part twists each class by chi(lam)^{k_m},
-one multiply per class.  The family part forms each product once per
-sorted index multiset, sharing prefixes between multisets, and scales it
-by the boundary sums G(0) = q-1 and G(q-1) = -q as rational integers.
-Every Gauss sum over GF(q^k) is read as the Hasse-Davenport lift of a sum
-over GF(q^f), f = `gauss_field_degree`: a proper subfield only at
-lam = 0, f = k (the identity lift) otherwise.
+Only chi(lam)^{k_m} depends on lam, through k_m mod (q-1), as lam lies in
+GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
+(s(k), k_m mod (q-1)) on the tower over the base field GF(q); the fiber
+part twists each class by chi(lam)^{k_m}, one multiply per class.  The family part forms each product
+once per sorted index multiset, sharing prefixes, and scales it by the
+boundary sums G(0) = q-1 and G(q-1) = -q as rational integers.  Every Gauss
+sum over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
+f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (the
+identity lift) otherwise.  X reads the M half, Y the N half.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 from typing import Iterator, Optional
@@ -255,7 +256,7 @@ def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
 # ---------------------------------------------------------------------------
 
 def _matvec(matrix, k):
-    return tuple(sum(mij * kj for mij, kj in zip(row, k)) for row in matrix)
+    return tuple(sum(map(operator.mul, row, k)) for row in matrix)
 
 
 def _lift_zero_residues(res, q, fixed_last: bool):
@@ -383,10 +384,12 @@ def gauss_field_degree(inst: DworkInstance, k: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)  # one instance needs a few dozen at most
-def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool,
-                        m: int = 1) -> dict:
-    """The family part over GF(Q), Q = q^m for the tower's q:
-    {(s(k), k_last mod (Q-1)): sum of prod_j G_Q(k_j)} over the solutions k
+def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
+                        lam_zero: bool, m: int = 1) -> dict:
+    """The family part over GF(Q), Q = q_f^m for the field GF(q_f) of
+    `gauss_tower`, on `tower` over the base field GF(q), where every
+    product of Gauss sums, a value of Z_p[zeta_p], has p*r slots:
+    {(s(k), k_last mod (q-1)): sum of prod_j G_Q(k_j)} over the solutions k
     of matrix * k = 0 mod (Q-1).
 
     The product depends only on the multiset of the indices, so the
@@ -399,29 +402,28 @@ def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool,
     previous one.
 
     Only the inner indices that occur are read, through the
-    Hasse-Davenport lift G_Q(t (Q-1)/(q-1)) = (-1)^{m-1} G_q(t)^m, the
-    identity at m = 1; the caller picks q so that every inner index is such
-    a multiple.  At t = q-1 the lift is -Q as well, so the boundary
-    convention holds for every m."""
-    Q1 = tower.q ** m - 1
+    Hasse-Davenport lift G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m,
+    the identity at m = 1; the caller picks q_f so that every inner index
+    is such a multiple.  At t = q_f-1 the lift is -Q as well, so the
+    boundary convention holds for every m."""
+    Q1, q1 = gauss_tower.q ** m - 1, tower.q - 1
     groups: dict = {}
     for k, s in enumerate_solutions(matrix, Q1 + 1, lam_zero):
-        key = (tuple(sorted(k)), s, k[-1] % Q1)
+        key = (tuple(sorted(k)), s, k[-1] % q1)
         groups[key] = groups.get(key, 0) + 1
-    # inner index tuple -> {(s, k_last mod (Q-1)): integer coefficient}
+    # inner index tuple -> {(s, k_last mod (q-1)): integer coefficient}
     coeffs: dict = {}
     for (ks, s, c), mult in groups.items():
         lo, hi = ks.count(0), len(ks) - ks.count(Q1)
         by_key = coeffs.setdefault(ks[lo:hi], {})
         by_key[s, c] = (by_key.get((s, c), 0)
                         + mult * Q1 ** lo * (-(Q1 + 1)) ** (len(ks) - hi))
-    step = Q1 // (tower.q - 1)
+    step = Q1 // (gauss_tower.q - 1)
     idx = sorted({kj for inner in coeffs for kj in inner})
     if any(kj % step for kj in idx):
         raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
-    gauss = {}
-    for kj, G in zip(idx, tower.gauss_sums([kj // step for kj in idx])):
-        gauss[kj] = G if m == 1 else (G ** m).scale((-1) ** (m - 1))
+    gauss = {kj: (tower.from_zp(G) ** m).scale((-1) ** (m - 1)) for kj, G
+             in zip(idx, gauss_tower.gauss_sums([kj // step for kj in idx]))}
     sums: dict = {}
     prev, stack = (), []  # stack[i]: the product over prev[:i+1]
     for inner in sorted(coeffs):
@@ -438,58 +440,64 @@ def _gauss_product_sums(tower: TowerCtx, matrix, lam_zero: bool,
     return sums
 
 
-def _fiber_sums(tower: TowerCtx, matrix, lam_dlog: Optional[int],
-                m: int = 1) -> dict:
-    """The fiber part: {s: sum over the solutions k with s(k) = s of
-    prod_j G(k_j) chi(lam)^{k_last}}; lam_dlog None encodes lam = 0, the
-    only case with m > 1."""
-    tp = tower.teich_pows()
-    q1 = tower.q - 1
-    out: dict = {}
+def _fiber_sums(inst: DworkInstance, matrix, k: int, caps: Caps):
+    """The fiber part over GF(q^k): the tower over GF(q) at the precision
+    GF(q^k) needs and, on it, {s: sum over the solutions k with s(k) = s of
+    prod_j G(k_j) chi(lam)^{k_last}}.  The Gauss sums are read on the tower
+    over GF(q^f), f = `gauss_field_degree`: at lam = 0, GF(q^k) itself is
+    built only if f = k."""
+    n, p, Q = inst.n, inst.field.pp.p, inst.field.pp.q ** k
+    f = gauss_field_degree(inst, k)
+    F = inst.extension(f, cap=caps.field_table_max_q)[0]
+    tower = build_tower(inst.field, caps.precision_override
+                        or required_precision(p, Q, n))
+    if tower.pN <= 2 * Q ** (n + 2):
+        raise PrecisionInsufficient(2 * Q ** (n + 2), tower.pN)
+    tp, q1, out = tower.teich_pows(), tower.q - 1, {}
     for (s, c), total in _gauss_product_sums(
-            tower, matrix, lam_dlog is None, m).items():
+            tower, build_tower(F, tower.N), matrix, inst.lam == 0,
+            k // f).items():
         if c:  # never for lam = 0, whose k_last is pinned to 0
-            total = total * tp[(lam_dlog * c) % q1]
+            total = total * tp[(inst.lam_dlog * c) % q1]
         out[s] = out[s] + total if s in out else total
-    return out
+    return tower, out
+
+
+def charsum_x_counts(inst: DworkInstance, k: int = 1,
+                     caps: Caps = DEFAULT_CAPS):
+    """(N_f, N_f*) over GF(q^k) from the M-matrix half of the Gauss-sum
+    formula."""
+    n, q = inst.n, inst.field.pp.q ** k
+    tower, by_s = _fiber_sums(inst, inst.M, k, caps)
+    pN, q1 = tower.pN, q - 1
+    inv_q1 = pow(q1 % pN, -1, pN)
+    # coefficient (q-1)^{s-(n+2)} q^{(n+2)-s} = (q * inv(q-1))^{(n+2)-s}
+    co = [pow((q * inv_q1) % pN, (n + 2) - s, pN) for s in range(n + 3)]
+    qNf = sum((t.scale(co[s]) for s, t in by_s.items()), tower.zero())
+    qNfstar = sum(by_s.values(), tower.from_int(q1 ** (n + 1)))
+    return (_certified_count(qNf, q, q ** (n + 2), "q*N_f"),
+            _certified_count(qNfstar, q, q ** (n + 2), "q*N_f*"))
+
+
+def charsum_y_counts(inst: DworkInstance, k: int = 1,
+                     caps: Caps = DEFAULT_CAPS) -> int:
+    """N_g* over GF(q^k) from the N-matrix half of the Gauss-sum formula."""
+    n, q = inst.n, inst.field.pp.q ** k
+    tower, by_s = _fiber_sums(inst, inst.Nmat, k, caps)
+    inv_q1 = pow((q - 1) % tower.pN, -1, tower.pN)
+    qNgstar = (sum(by_s.values(), tower.zero()).scale(inv_q1)
+               + tower.from_int((q - 1) ** n))
+    return _certified_count(qNgstar, q, q ** (n + 1), "q*N_g*")
 
 
 def charsum_qcounts(inst: DworkInstance, k: int = 1,
                     caps: Caps = DEFAULT_CAPS):
-    """(N_f, N_f*, N_g*, N) over GF(q^k) from the Gauss-sum formulas, N the
-    p-adic precision used.
-
-    The Gauss sums are read over GF(q^f), f = `gauss_field_degree`, through
-    the Hasse-Davenport lift, on the tower over GF(q^f) at the precision
-    GF(q^k) needs; at lam = 0 GF(q^k) itself is not built unless f = k."""
-    n = inst.n
-    p, q = inst.field.pp.p, inst.field.pp.q ** k
-    q1 = q - 1
-    f = gauss_field_degree(inst, k)
-    F, lam = inst.extension(f, cap=caps.field_table_max_q)
-    lam_dlog = F.dlog(lam) if lam else None
-    tower = build_tower(F, caps.precision_override
-                        or required_precision(p, q, n))
-    if tower.pN <= 2 * q ** (n + 2):
-        raise PrecisionInsufficient(2 * q ** (n + 2), tower.pN)
-    pN = tower.pN
-
-    inv_q1 = pow(q1 % pN, -1, pN)
-    # coefficient (q-1)^{s-(n+2)} q^{(n+2)-s} = (q * inv(q-1))^{(n+2)-s}
-    co = [pow((q * inv_q1) % pN, (n + 2) - s, pN) for s in range(n + 3)]
-
-    by_s = _fiber_sums(tower, inst.M, lam_dlog, k // f)
-    qNf = sum((t.scale(co[s]) for s, t in by_s.items()), tower.zero())
-    nf = _certified_count(qNf, q, q ** (n + 2), "q*N_f")
-    qNfstar = sum(by_s.values(), tower.from_int(q1 ** (n + 1)))
-    nfstar = _certified_count(qNfstar, q, q ** (n + 2), "q*N_f*")
-
-    acc_g = sum(_fiber_sums(tower, inst.Nmat, lam_dlog, k // f).values(),
-                tower.zero())
-    qNgstar = acc_g.scale(inv_q1) + tower.from_int(q1 ** n)
-    ngstar = _certified_count(qNgstar, q, q ** (n + 1), "q*N_g*")
-
-    return nf, nfstar, ngstar, tower.N
+    """(N_f, N_f*, N_g*, N) over GF(q^k) from both halves of the Gauss-sum
+    formula, N the p-adic precision used."""
+    nf, nfstar = charsum_x_counts(inst, k, caps)
+    N = caps.precision_override or required_precision(
+        inst.field.pp.p, inst.field.pp.q ** k, inst.n)
+    return nf, nfstar, charsum_y_counts(inst, k, caps), N
 
 
 def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .config import DEFAULT_CAPS
 from .errors import FieldTooLarge, LogOfZero, NotPrime
@@ -271,9 +271,6 @@ class FieldCtx:
         q1 = self.pp.q - 1
         return self.exp_table[(-self.log_table[a]) % q1]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -312,9 +309,6 @@ class FieldCtx:
         return t
 
     # -- iteration and embedding helpers ------------------------------------
-
-    def units(self) -> Iterator[int]:
-        return iter(self.exp_table)
 
     def from_int(self, c: int) -> int:
         """Image of the integer c under Z -> GF(p) -> GF(q)."""

@@ -7,11 +7,13 @@ Phi_p(x) = 1 + x + ... + x^{p-1} is Z_p[zeta_p] (x) W mod p^N.  An element
 is a flat tuple of p*r residues, entry i*r + j the coefficient of x^i y^j,
 and a product is one big-int product of Kronecker-packed operands.
 
-Teichmuller values chi(a) lie on x^0 and zeta_p^m = x^m, so a Gauss sum
-G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m], with
-the boundary conventions G(0) = q-1 and G(q-1) = -q.  `TowerCtx.gauss_sums`
-is the one entry point: a context computes each G(k) on its first request
-and keeps it, so the full table (`gauss_table`) is only built on demand.
+Teichmuller values chi(a) lie on x^0 and are computed in W alone (the
+packed product with one x-block).  A Gauss sum
+G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m], each
+acc[m] in Z_p, with G(0) = q-1 and G(q-1) = -q by convention.
+`TowerCtx.gauss_sums` is the one entry point: a context computes each G(k)
+on its first request and keeps it, so the full table (`gauss_table`) is
+only built on demand.
 
 Since x^p - 1 = (x - 1) Phi_p, a value has many representatives in R.
 Every read-out (equality, hashing, `as_integer`, `pi_valuation`, the `gauss`
@@ -130,9 +132,6 @@ class TowerElem:
     def __hash__(self):
         return hash((id(self.ctx), self.rows))
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
     def as_integer(self, centered: bool = False) -> int:
         """The value as a rational integer mod p^N; raises if coordinates
         outside the Z_p slot are nonzero."""
@@ -203,6 +202,14 @@ class TowerCtx:
     def pi(self) -> TowerElem:
         return self.zeta_p() - 1
 
+    def from_zp(self, x: TowerElem) -> TowerElem:
+        """x in Z_p[zeta_p], on a tower with this p and N, in this tower."""
+        if (x.ctx.p, x.ctx.N) != (self.p, self.N):
+            raise ValueError("towers of different p or N")
+        c = [0] * (self.p * self.r)
+        c[::self.r] = x.c[::x.ctx.r]
+        return TowerElem(self, tuple(c))
+
     def coerce(self, x) -> TowerElem:
         if isinstance(x, TowerElem):
             if x.ctx is not self:
@@ -215,18 +222,23 @@ class TowerCtx:
     # -- ring multiplication --------------------------------------------------
 
     def _mul(self, a: TowerElem, b: TowerElem) -> TowerElem:
-        p, r, pN, B = self.p, self.r, self.pN, self._slot_bits
+        return TowerElem(self, self._mul_coeffs(a.c, b.c, self.p))
+
+    def _mul_coeffs(self, a, b, blocks: int) -> tuple:
+        """The product of two flat coefficient tuples of `blocks` powers of
+        x each, x^blocks = 1: the ring at blocks = p, W alone at 1."""
+        r, pN, B = self.r, self.pN, self._slot_bits
         offsets = self._offsets
-        prod = (sum(v << o for v, o in zip(a.c, offsets) if v)
-                * sum(v << o for v, o in zip(b.c, offsets) if v))
+        prod = (sum(v << o for v, o in zip(a, offsets) if v)
+                * sum(v << o for v, o in zip(b, offsets) if v))
         w = 2 * r - 1
-        span = B * p * w
-        prod = (prod & ((1 << span) - 1)) + (prod >> span)  # x^p = 1
+        span = B * blocks * w
+        prod = (prod & ((1 << span) - 1)) + (prod >> span)  # x^blocks = 1
         mask = (1 << B) - 1
-        d = [(prod >> (B * s)) & mask for s in range(p * w)]
+        d = [(prod >> (B * s)) & mask for s in range(blocks * w)]
         mod = self.unramified_modulus
         out = []
-        for i in range(0, p * w, w):
+        for i in range(0, blocks * w, w):
             # y^r = -sum_{j<r} m_j y^j, from the top degree down
             for top in range(i + w - 1, i + r - 1, -1):
                 t = d[top] % pN
@@ -234,30 +246,29 @@ class TowerCtx:
                     for j in range(r):
                         d[top - r + j] -= t * mod[j]
             out.extend(v % pN for v in d[i:i + r])
-        return TowerElem(self, tuple(out))
+        return tuple(out)
 
     # -- Teichmuller lifts and character tables -------------------------------
 
     def teich(self, a) -> TowerElem:
-        """Teichmuller lift of a field element code, a value of W."""
-        if a == 0:
-            return self.zero()
-        t = self.from_w(self.field.coeffs(a))  # lift of the coefficients
-        for _ in range(self.N + 1):
-            nxt = t ** self.q
-            if nxt == t:
-                return t
-            t = nxt
-        raise RuntimeError("Teichmuller iteration failed to stabilize")
+        """Teichmuller lift of a field element code, a value of W: t^(q^(N-1))
+        in W for t the lift of the coefficients of a, exact since
+        t = teich(a) mod p."""
+        t = out = tuple(v % self.pN for v in self.field.coeffs(a))
+        for bit in bin(self.q ** (self.N - 1))[3:]:
+            out = self._mul_coeffs(out, out, 1)
+            if bit == "1":
+                out = self._mul_coeffs(out, t, 1)
+        return self.from_w(out)
 
     def teich_pows(self):
-        """TP[j] = teich(g)^j for j in [0, q-1)."""
+        """TP[j] = teich(g)^j for j in [0, q-1), computed in W."""
         if self._teich_pows is None:
-            tg = self.teich(self.field.generator)
-            tp = [self.one()]
+            tg = self.teich(self.field.generator).c[:self.r]
+            tp = [(1,) + (0,) * (self.r - 1)]
             for _ in range(self.q - 2):
-                tp.append(tp[-1] * tg)
-            self._teich_pows = tp
+                tp.append(self._mul_coeffs(tp[-1], tg, 1))
+            self._teich_pows = [self.from_w(t) for t in tp]
         return self._teich_pows
 
     # -- Gauss sums ------------------------------------------------------------
@@ -279,17 +290,15 @@ class TowerCtx:
         return self.gauss_sums(range(self.q))
 
     def _gauss_sums(self, ks) -> list:
-        """G(k) for each k in ks.  acc[m] sums chi(a)^{-k} over Tr(a) = m, as
-        packed W values, so each term is one int add and G(k) is
-        sum_m x^m acc[m]."""
+        """G(k) for each k in ks.  acc[m] sums chi(a)^{-k} over Tr(a) = m.
+        Frobenius permutes that set and acts on the Teichmuller values, so
+        it fixes acc[m], which lies in Z_p: only the y^0 coordinate of each
+        power is summed, one int add per term, and G(k) = sum_m x^m acc[m]."""
         p, r, q, pN = self.p, self.r, self.q, self.pN
         q1 = q - 1
         field = self.field
         traces = [field.trace(field.exp_table[j]) for j in range(q1)]
-        width = (q1 * pN).bit_length() + 1
-        mask = (1 << width) - 1
-        packed = [sum(v << (width * j) for j, v in enumerate(t.c[:r]))
-                  for t in self.teich_pows()]
+        tp = [t.c[0] for t in self.teich_pows()]
         out = []
         for k in ks:
             if k in (0, q1):  # the boundary conventions
@@ -298,13 +307,13 @@ class TowerCtx:
             acc = [0] * p
             kj = 0
             for m in traces:
-                acc[m] += packed[kj]
+                acc[m] += tp[kj]
                 kj -= k
                 if kj < 0:
                     kj += q1
-            out.append(TowerElem(self, tuple(
-                ((s >> (width * j)) & mask) % pN
-                for s in acc for j in range(r))))
+            c = [0] * (p * r)
+            c[::r] = [v % pN for v in acc]
+            out.append(TowerElem(self, tuple(c)))
         return out
 
     def __repr__(self):

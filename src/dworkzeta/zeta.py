@@ -420,9 +420,14 @@ def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
 
 
 def _instance_counts(inst, variety: str, m: int, caps):
-    """#X or #Y (variety "X" or "Y") over GF(q^k) for k = 1..m."""
-    return [getattr(counting.count_record(inst, k, caps=caps), variety)
-            for k in range(1, m + 1)]
+    """#X or #Y (variety "X" or "Y") over GF(q^k) for k = 1..m, from the
+    part of the character sum that variety reads."""
+    n, q = inst.n, inst.field.pp.q
+    if variety == "X":
+        return [counting.count_X(counting.charsum_x_counts(inst, k, caps)[0],
+                                 q ** k) for k in range(1, m + 1)]
+    return [counting.count_Y(counting.charsum_y_counts(inst, k, caps), n,
+                             q ** k) for k in range(1, m + 1)]
 
 
 def recover_pencil_zeta(inst, caps=None,

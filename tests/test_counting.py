@@ -27,7 +27,7 @@ from dworkzeta.errors import (
     FieldTooLarge,
     PrecisionInsufficient,
 )
-from dworkzeta.ff import FieldCtx, build_field, factorize
+from dworkzeta.ff import FieldCtx, build_field, extend, factorize
 from dworkzeta.padic import TowerCtx, build_tower, pi_valuation
 
 
@@ -335,7 +335,7 @@ def _find_singular_point(F: FieldCtx, n: int, lam: int):
                 term = mul(d_mod, pow_n[x[i]])
                 if lam:
                     if not zeros:
-                        prod_others = F.div(prod_all, x[i])
+                        prod_others = F.mul(prod_all, F.inv(x[i]))
                     elif zeros == [i]:
                         lsum = sum(F.log_table[xj] for j, xj in enumerate(x) if j != i)
                         prod_others = F.gen_pow(lsum % q1)
@@ -554,54 +554,74 @@ def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
     assert count_record(ii, 1).Nfstar is None
 
 
-def _per_vector_sums(F, N, matrix, lam_zero, m=1):
+def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
     """The family part summed one solution vector at a time on a fresh
-    tower, every Gauss sum over GF(Q), Q = q^m, read from the lifted table
-    G_Q(t (Q-1)/(q-1)) = (-1)^{m-1} G_q(t)^m (boundaries included), except
-    G_Q(0) = Q-1; keyed like `_gauss_product_sums`, values as rows."""
+    tower over F = GF(q_f), every Gauss sum over GF(Q), Q = q_f^m, read
+    from the lifted table G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m
+    (boundaries included), except G_Q(0) = Q-1; keyed like
+    `_gauss_product_sums`, k_last folded mod q-1 for the base field GF(q)
+    (q_f by default), values as Z_p coordinates."""
     T = TowerCtx(F, N)
     table = T.gauss_table()
     Q1 = F.pp.q ** m - 1
     step = Q1 // (F.pp.q - 1)
+    q1 = (q or F.pp.q) - 1
     sums, seen = {}, set()
     for k, s in enumerate_solutions(matrix, Q1 + 1, lam_zero):
         prod = T.one()
         for kj in k:
             prod = prod * (T.from_int(Q1) if kj == 0 else
                            (table[kj // step] ** m).scale((-1) ** (m - 1)))
-        key = (s, k[-1] % Q1)
+        key = (s, k[-1] % q1)
         sums[key] = sums[key] + prod if key in sums else prod
         seen.update(kj for kj in k if kj in (0, Q1))
-    return {key: v.rows for key, v in sums.items()}, len(seen) == 2
+    return {key: _zp_rows(v) for key, v in sums.items()}, len(seen) == 2
+
+
+def _zp_rows(x):
+    """The pi-coordinates of x, a value of Z_p[zeta_p]: its y^0 column,
+    after checking that every other coordinate is 0."""
+    assert all(v == 0 for row in x.rows for v in row[1:]), x
+    return tuple(row[0] for row in x.rows)
 
 
 def test_family_part_matches_per_vector_sum_key_by_key():
     from dworkzeta.counting import _gauss_product_sums
 
-    cases = [(n, p, r, 1, lam_zero) for n in (2, 3, 4)
+    # (n, p, r, f, m, lam_zero): base field GF(p^r), Gauss sums over
+    # GF(p^(r f)), lifted to GF(p^(r f m))
+    cases = [(n, p, r, 1, 1, lam_zero) for n in (2, 3, 4)
              for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
                           (5, 2)) for lam_zero in (True, False)]
     # lam = 0 over GF(q^k) reads GF(q^f), f = the lift degree, m = k/f
-    cases += [(n, q, _lift_degree(n, q, k), k // _lift_degree(n, q, k),
+    cases += [(n, q, 1, _lift_degree(n, q, k), k // _lift_degree(n, q, k),
                True) for n, q, k in _LIFT_CASES if k > 1]
-    assert {(2, 5, 2, 1, True), (3, 3, 2, 2, True)} <= set(cases)
-    for n, p, r, m, lam_zero in cases:
+    # lam != 0 over GF(q^k) reads GF(q^k) and twists by chi(lam) from GF(q)
+    cases += [(n, p, r, k, 1, False) for n in (2, 3, 4)
+              for p, r, k in ((2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+                              (3, 1, 3))]
+    assert {(2, 5, 1, 2, 1, True), (3, 3, 1, 2, 2, True),
+            (3, 3, 1, 3, 1, False)} <= set(cases)
+    for n, p, r, f, m, lam_zero in cases:
         F = build_field(p, r, 0)
-        N = required_precision(p, F.pp.q ** m, n)
+        Ff = extend(F, f).ext
+        N = required_precision(p, Ff.pp.q ** m, n)
         for matrix in (dwork_matrix_M(n), dwork_matrix_N(n)):
-            fast = _gauss_product_sums.__wrapped__(TowerCtx(F, N), matrix,
-                                                   lam_zero, m)
-            slow, both = _per_vector_sums(F, N, matrix, lam_zero, m)
+            fast = _gauss_product_sums.__wrapped__(
+                TowerCtx(F, N), TowerCtx(Ff, N), matrix, lam_zero, m)
+            slow, both = _per_vector_sums(Ff, N, matrix, lam_zero, m,
+                                          F.pp.q)
             assert both, "G(0) and G(Q-1) must both occur"
-            assert {key: v.rows for key, v in fast.items()} == slow, \
-                (n, p, r, m, lam_zero, matrix)
+            assert {key: _zp_rows(v) for key, v in fast.items()} == slow, \
+                (n, p, r, f, m, lam_zero, matrix)
 
 
 def test_family_part_multiplies_once_per_new_prefix(monkeypatch):
     from dworkzeta.counting import _gauss_product_sums
 
-    F = build_field(5, 3, 0)
-    T = TowerCtx(F, required_precision(5, 125, 3))
+    N = required_precision(5, 125, 3)
+    base = TowerCtx(build_field(5, 1, 0), N)
+    T = TowerCtx(build_field(5, 3, 0), N)
     T.gauss_table()
     real, muls = TowerCtx._mul, []
 
@@ -611,7 +631,7 @@ def test_family_part_multiplies_once_per_new_prefix(monkeypatch):
 
     monkeypatch.setattr(TowerCtx, "_mul", spy)
     M = dwork_matrix_M(3)
-    _gauss_product_sums.__wrapped__(T, M, False)
+    _gauss_product_sums.__wrapped__(base, T, M, False)
     prefixes, vectors = set(), 0
     for k, _ in enumerate_solutions(M, 125):
         inner = tuple(kj for kj in sorted(k) if 0 < kj < 124)
@@ -620,3 +640,52 @@ def test_family_part_multiplies_once_per_new_prefix(monkeypatch):
     # one product per vector would take 4 * 2,234 = 8,936 multiplies
     assert vectors == 2234
     assert len(muls) <= len(prefixes), (len(muls), len(prefixes))
+
+
+@pytest.mark.parametrize("n", [3, 2])
+def test_fiber_part_twists_at_most_once_per_class(n, capsys, monkeypatch):
+    # chi(lam) for lam in GF(q) has order dividing q-1: the classes are
+    # k_last mod (q-1), so a fiber twists each s at most q-2 times.  Every
+    # k_last is a multiple of n+1, so at n = 3, q = 5 no twist is needed.
+    from dworkzeta import counting
+    from dworkzeta.cli import main
+
+    real_mul = TowerCtx._mul
+    real_family, real_fiber = counting._gauss_product_sums, \
+        counting._fiber_sums
+    fibers, current = [], [None]  # [twists, s values, q] per fiber call
+
+    def mul(tower, a, b):
+        if current[0] is not None:
+            current[0][0] += 1
+        return real_mul(tower, a, b)
+
+    def family(*args):
+        outer, current[0] = current[0], None
+        try:
+            return real_family(*args)
+        finally:
+            current[0] = outer
+
+    def fiber(inst, *args):
+        current[0] = [0, 0, inst.field.pp.q]
+        try:
+            tower, out = real_fiber(inst, *args)
+        finally:
+            fibers.append(current[0])
+            current[0] = None
+        fibers[-1][1] = len(out)
+        return tower, out
+
+    counting._gauss_product_sums.cache_clear()
+    monkeypatch.setattr(TowerCtx, "_mul", mul)
+    monkeypatch.setattr(counting, "_gauss_product_sums", family)
+    monkeypatch.setattr(counting, "_fiber_sums", fiber)
+    assert main(["congruence", "--n", str(n), "--p", "5", "--lambda", "all",
+                 "--k", "3"]) == 0
+    capsys.readouterr()
+    # M and N for k = 1..3, at lam = 0 and at the four lam != 0
+    assert len(fibers) == 2 * 3 * 5
+    assert all(twists <= s_values * (q - 2)
+               for twists, s_values, q in fibers), fibers
+    assert (max(twists for twists, _, _ in fibers) > 0) == (n == 2), fibers

@@ -217,7 +217,7 @@ def test_character_orthogonality_multiset():
     q1 = 8
     for k in range(1, q1):
         counts = {}
-        for x in F.units():
+        for x in F.exp_table:  # the units
             cls = (F.dlog(x) * k) % q1
             counts[cls] = counts.get(cls, 0) + 1
         g = gcd(k, q1)

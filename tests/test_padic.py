@@ -152,6 +152,53 @@ def test_pow_takes_bitlen_plus_popcount_minus_two_multiplies(monkeypatch):
         assert len(muls) == want, (e, len(muls))
 
 
+def _ring_teich(T, a):
+    """teich(a) by t -> t^q through the ring multiply, from the lift of the
+    coefficients of a."""
+    t = T.from_w(T.field.coeffs(a))
+    for _ in range(T.N + 1):
+        nxt = t ** T.q
+        if nxt == t:
+            return t
+        t = nxt
+    raise AssertionError("Teichmuller iteration did not stabilize")
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2), (5, 3)])
+def test_teich_table_matches_ring_powers(p, r):
+    T = TowerCtx(build_field(p, r, 0), 6)
+    tg = _ring_teich(T, T.field.generator)
+    assert T.teich(T.field.generator) == tg
+    tp = T.teich_pows()
+    assert len(tp) == T.q - 1
+    power = T.one()
+    for j, t in enumerate(tp):
+        assert t == power, j
+        power = power * tg
+    assert power == T.one()
+
+
+@pytest.mark.parametrize("p,r", [(2, 4), (5, 2), (3, 3), (7, 2), (5, 3)])
+def test_gauss_sums_lie_in_zp_zeta_p(p, r):
+    # acc[m] summed over all r coordinates of W has no y^j part, j >= 1,
+    # and G(k) = sum_m x^m acc[m] equals the y^0-only sums
+    T = TowerCtx(build_field(p, r, 0), 4)
+    F, q1 = T.field, T.q - 1
+    tg = _ring_teich(T, F.generator)
+    tp = [T.one()]
+    for _ in range(q1 - 1):
+        tp.append(tp[-1] * tg)
+    traces = [F.trace(F.exp_table[j]) for j in range(q1)]
+    fast = T.gauss_sums(range(1, q1))
+    for k in range(1, q1):
+        acc = [T.zero()] * p
+        for j, m in enumerate(traces):
+            acc[m] = acc[m] + tp[(-k * j) % q1]
+        assert all(v == 0 for a in acc for v in a.c[1:]), (p, r, k)
+        G = sum((a * T.zeta_p() ** m for m, a in enumerate(acc)), T.zero())
+        assert G == fast[k - 1], (p, r, k)
+
+
 def test_teich_cube_roots_sum_to_zero():
     T = tower(2, 2, 5)
     F = T.field
