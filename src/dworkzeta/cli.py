@@ -1,9 +1,14 @@
 """Command-line driver: count, congruence, zeta, slope, sweep, gauss.
 
 All machine-readable output is JSONL with a schema field and decimal strings
-for unbounded integers.  Exit codes: 2 bad configuration, 3 cap exceeded,
-4 oracle mismatch, 5 congruence failure, 6 zeta recovery failure,
-7 slope functional-equation failure.
+for unbounded integers, written to stdout or, under `--out`, to files that
+are renamed into place only once complete.  `count`, `congruence`, `zeta`
+and `slope` run one fiber loop (`_run_fibers`) over the lambdas that
+`--lambda` names; `zeta`, `slope` and `sweep` pick their rows from one
+report per instance (`_report`).  Exit codes: 2 bad configuration, 3 cap
+exceeded, 4 oracle mismatch, 5 congruence failure, 6 zeta recovery failure,
+7 slope functional-equation failure.  A command whose fibers fail in
+several ways exits with the most severe: 4, then 6, 7, 3 and 5.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -63,57 +69,104 @@ EXIT_ORACLE = 4
 EXIT_CONGRUENCE = 5
 EXIT_RECOVERY = 6
 EXIT_SLOPE_FE = 7
+# the failure classes, most severe first; the first one that occurs decides
+_SEVERITY = (EXIT_ORACLE, EXIT_RECOVERY, EXIT_SLOPE_FE, EXIT_CAP,
+             EXIT_CONGRUENCE)
 
 _CAP_ERRORS = (EnumerationTooLarge, FieldTooLarge)
 _RECOVERY_ERRORS = (InsufficientData, NoConsistentSign, NonIntegralCoefficient,
                     NotDivisible, SubstitutionNotIntegral)
 
 
+def _most_severe(codes) -> int:
+    return next((code for code in _SEVERITY if code in codes), EXIT_OK)
+
+
 def _emit(line: dict, out):
     out.write(json.dumps(line, sort_keys=True) + "\n")
 
 
-def _parse_lambdas(spec: str, field) -> list:
-    """Element codes for a lambda specification: all | zero | subfield | dlog."""
-    q, p = field.pp.q, field.pp.p
+def _lambda_codes(spec, field) -> list:
+    """Element codes of the fibers `spec` names: all, zero, subfield, or a
+    list of discrete logs in which None stands for lam = 0."""
     if spec == "all":
-        return list(range(q))
+        return list(range(field.pp.q))
     if spec == "zero":
         return [0]
     if spec == "subfield":
-        return list(range(p))
+        return list(range(field.pp.p))
+    return [0 if e is None else field.gen_pow(e) for e in spec]
+
+
+def _lambda_arg(text: str):
+    """The `_lambda_codes` spec of a --lambda value; an integer is one
+    discrete log."""
+    if text in ("all", "zero", "subfield"):
+        return text
     try:
-        e = int(spec)
+        return [int(text)]
     except ValueError:
         raise ConfigError(f"--lambda must be all, zero, subfield or a "
-                          f"discrete log, got {spec!r}") from None
-    return [field.gen_pow(e)]
+                          f"discrete log, got {text!r}") from None
 
 
-def _open_out(args, name: str):
-    if args.out:
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-        return open(path / name, "w", encoding="utf-8")
-    return sys.stdout
-
-
-def cmd_count(args) -> int:
-    caps = _caps_for(args)
-    field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
-    lams = _parse_lambdas(args.lam_spec, field)
-    out = _open_out(args, "counts.jsonl")
+@contextmanager
+def _atomic_open(path: Path):
+    """A text file written under a temporary name in its directory and
+    renamed over `path` only once the write has finished."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        for lam in lams:
-            inst = DworkInstance(n=args.n, field=field, lam=lam)
-            for k in range(1, args.k + 1):
-                rec = count_record(inst, k, method=args.method, caps=caps,
-                                   with_nfstar=args.nfstar)
-                _emit(rec.to_json_dict(), out)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
     finally:
-        if out is not sys.stdout:
-            out.close()
-    return EXIT_OK
+        tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _output(args, name: str):
+    """stdout, or the file `name` in the --out directory, written
+    atomically."""
+    if not args.out:
+        yield sys.stdout
+        return
+    path = Path(args.out)
+    path.mkdir(parents=True, exist_ok=True)
+    with _atomic_open(path / name) as fh:
+        yield fh
+
+
+def _run_fibers(args, filename: str, fiber_rows, summary: bool = False) -> int:
+    """Write the rows of every fiber that --lambda names: `fiber_rows(args,
+    inst, caps)` yields (row, exit code) pairs, and a fiber whose recovery
+    fails gets an error row instead.  With `summary`, a last row counts the
+    rows and the failed ones.  Returns the most severe exit code."""
+    caps = _caps_for(args)
+    spec = _lambda_arg(args.lam_spec)
+    field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
+    codes = []
+    with _output(args, filename) as out:
+        for lam in _lambda_codes(spec, field):
+            inst = DworkInstance(n=args.n, field=field, lam=lam)
+            try:
+                for row, code in fiber_rows(args, inst, caps):
+                    _emit(row, out)
+                    codes.append(code)
+            except _RECOVERY_ERRORS as exc:
+                _emit({"schema": 2, "n": args.n, "p": args.p, "r": args.r,
+                       "lambda_dlog": inst.lam_dlog, "error": str(exc)}, out)
+                codes.append(EXIT_RECOVERY)
+        if summary:
+            _emit({"schema": 1, "summary": True, "rows": len(codes),
+                   "failures": sum(map(bool, codes))}, out)
+    return _most_severe(codes)
+
+
+def _count_rows(args, inst, caps):
+    for k in range(1, args.k + 1):
+        rec = count_record(inst, k, method=args.method, caps=caps,
+                           with_nfstar=args.nfstar)
+        yield rec.to_json_dict(), EXIT_OK
 
 
 def _pass_fail(ok: bool) -> str:
@@ -142,167 +195,100 @@ def _congruence_row(rec) -> dict:
     }
 
 
-def cmd_congruence(args) -> int:
-    caps = _caps_for(args)
-    field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
-    lams = _parse_lambdas(args.lam_spec, field)
-    out = _open_out(args, "congruence.jsonl")
-    failures = 0
-    rows = 0
-    try:
-        for lam in lams:
-            inst = DworkInstance(n=args.n, field=field, lam=lam)
-            for rec in _count_records(inst, args.k, caps):
-                row = _congruence_row(rec)
-                rows += 1
-                if row["verdict"] != "pass" or row["x_torus_form"] != "pass":
-                    failures += 1
-                _emit(row, out)
-        _emit({"schema": 1, "summary": True, "rows": rows,
-               "failures": failures}, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return EXIT_OK if failures == 0 else EXIT_CONGRUENCE
+def _congruence_rows(args, inst, caps):
+    for rec in _count_records(inst, args.k, caps):
+        row = _congruence_row(rec)
+        failed = "fail" in (row["verdict"], row["x_torus_form"])
+        yield row, EXIT_CONGRUENCE if failed else EXIT_OK
 
 
-def _report(inst, caps, pencil: bool, max_k=None) -> dict:
-    """Zeta and slope data of one instance, shared by `zeta`, `slope` and
-    `sweep`.  Every count it needs is taken once per k from the instance.
+def _variety_values(rep: dict, v: str, z, d: int):
+    """Put the zeta function of variety `v`, its slope zeta function, the
+    functional-equation check and the Newton polygon into `rep`."""
+    sz = slope_zeta(z)
+    np_ = newton_polygon(z.numerator, z.p, z.r)
+    rep.update({v: z.to_json_dict(), f"slope_zeta_{v}": sz.to_json_dict(),
+                f"slope_zeta_{v}_display": sz.render(),
+                f"fe_{v}": slope_fe_check(sz, d),
+                f"newton_vertices_{v}": [[x, f"{y.numerator}/{y.denominator}"]
+                                         for x, y in np_.vertices]})
+    return sz, np_
+
+
+def _report(inst, caps, pencil: bool):
+    """The row values of one instance under the keys the rows print, shared
+    by `zeta`, `slope` and `sweep`, and its Z(Y) and Z(X) (None without the
+    pencil side).  Every count it needs is taken once per k.
 
     Z(Y) always; on a singular fiber without functional-equation completion
     (allowing a degree drop in the numerator) and without the pencil side.
-    With `pencil`, a smooth fiber also gets Z(X) (up to `max_k` counts),
-    R_n = P/Q and the X-side slope data.  Y_ordinary and
-    Y_newton_above_hodge are present only when the Newton polygon of Q has
-    length n.
+    With `pencil`, a smooth fiber also gets Z(X), R_n = P/Q and the X-side
+    slope data.  Y_ordinary and Y_newton_above_hodge are present only when
+    the Newton polygon of Q has length n.
     """
     n, d = inst.n, inst.n - 1
-    p, r, q = inst.field.pp.p, inst.field.pp.r, inst.field.pp.q
     singular = is_singular(inst)
     if singular:
         zy = recover_mirror_zeta(inst, caps=caps, use_fe=False, k_budget=n)
     else:
         zy = recover_mirror_zeta(inst, caps=caps)
-    rep = {"smoothness": "singular" if singular else "smooth",
-           "Y": zy, "X": None}
-    if pencil and not singular:
-        zx = recover_pencil_zeta(inst, caps=caps, k_budget=max_k)
-        rep["X"] = zx
-        rep["R"] = r_poly(zx.numerator, zy.numerator, q, n)
-    sy = slope_zeta(zy)
-    np_y = newton_polygon(zy.numerator, p, r)
-    rep.update(slope_zeta_Y=sy, fe_Y=slope_fe_check(sy, d), newton_Y=np_y)
+    zx = recover_pencil_zeta(inst, caps=caps) if pencil and not singular else None
+    rep = {"smoothness": "singular" if singular else "smooth"}
+    sy, np_y = _variety_values(rep, "Y", zy, d)
     if np_y.total_length == n:
         mirror_row = [(j, 1) for j in range(n)]
         rep["Y_ordinary"] = ordinarity_test(np_y, mirror_row)
         rep["Y_newton_above_hodge"] = newton_above_hodge(np_y, mirror_row)
-    if rep["X"] is not None:
-        sx = slope_zeta(rep["X"])
-        np_x = newton_polygon(rep["X"].numerator, p, r)
+    if zx is not None:
+        R = r_poly(zx.numerator, zy.numerator, inst.field.pp.q, n)
+        sx, np_x = _variety_values(rep, "X", zx, d)
         prim = hodge_numbers_dwork(n).middle_row(primitive=True)
-        rep.update(slope_zeta_X=sx, fe_X=slope_fe_check(sx, d), newton_X=np_x,
+        rep.update(R_coeffs=[str(c) for c in R.coeffs],
                    slope_mirror_symmetry=sx == sy ** ((-1) ** d),
                    X_ordinary=ordinarity_test(np_x, prim),
                    X_newton_above_hodge=newton_above_hodge(np_x, prim))
-    return rep
+    return rep, zy, zx
 
 
-def _fiber_reports(args, lams, field, caps, out):
-    """The `_report` of each fiber in lams for `zeta` and `slope`, or None
-    after writing the error row of a fiber whose recovery failed."""
-    for lam in lams:
-        inst = DworkInstance(n=args.n, field=field, lam=lam)
-        try:
-            rep = _report(inst, caps, args.n == 2 or args.tier == "extended",
-                          args.max_k)
-        except _RECOVERY_ERRORS as exc:
-            _emit({"schema": 2, "n": args.n, "p": args.p, "r": args.r,
-                   "lambda_dlog": inst.lam_dlog, "error": str(exc)}, out)
-            rep = None
-        yield rep
+def _zeta_rows(args, inst, caps):
+    rep, zy, zx = _report(inst, caps, args.n == 2 or args.tier == "extended")
+    row = {"schema": 2, **{key: rep[key] for key in (
+        "smoothness", "Y", "X", "R_coeffs") if key in rep}}
+    q, w = inst.field.pp.q, args.n - 1
+    if zx is not None:
+        purity_x = weight_purity_check(zx.numerator, q, w)
+        row["purity_X_dev"] = f"{purity_x.max_deviation:.3e}"
+    if rep["smoothness"] == "smooth":
+        purity_y = weight_purity_check(zy.numerator, q, w)
+        row["purity_Y_dev"] = f"{purity_y.max_deviation:.3e}"
+    yield row, EXIT_OK
 
 
-def cmd_zeta(args) -> int:
-    caps = _caps_for(args)
-    field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
-    lams = _parse_lambdas(args.lam_spec, field)
-    out = _open_out(args, "zeta.jsonl")
-    code = EXIT_OK
-    try:
-        for rep in _fiber_reports(args, lams, field, caps, out):
-            if rep is None:
-                code = EXIT_RECOVERY
-                continue
-            q, w = field.pp.q, args.n - 1
-            row = {"schema": 2, "smoothness": rep["smoothness"],
-                   "Y": rep["Y"].to_json_dict()}
-            if rep["X"] is not None:
-                row["X"] = rep["X"].to_json_dict()
-                row["R_coeffs"] = [str(c) for c in rep["R"].coeffs]
-                purity_x = weight_purity_check(rep["X"].numerator, q, w)
-                row["purity_X_dev"] = f"{purity_x.max_deviation:.3e}"
-            if rep["smoothness"] == "smooth":
-                purity_y = weight_purity_check(rep["Y"].numerator, q, w)
-                row["purity_Y_dev"] = f"{purity_y.max_deviation:.3e}"
-            _emit(row, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return code
-
-
-def _np_json(np_):
-    return [[x, f"{y.numerator}/{y.denominator}"] for x, y in np_.vertices]
-
-
-def cmd_slope(args) -> int:
-    caps = _caps_for(args)
-    field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
-    lams = _parse_lambdas(args.lam_spec, field)
-    out = _open_out(args, "slopes.jsonl")
-    code = EXIT_OK
-    try:
-        for rep in _fiber_reports(args, lams, field, caps, out):
-            if rep is None:
-                code = EXIT_RECOVERY
-                continue
-            row = {"schema": 2, "n": args.n, "p": args.p, "r": args.r,
-                   "lambda_dlog": rep["Y"].lam_dlog,
-                   "smoothness": rep["smoothness"],
-                   "slope_zeta_Y": rep["slope_zeta_Y"].to_json_dict(),
-                   "fe_Y": _pass_fail(rep["fe_Y"]),
-                   "slope_zeta_Y_display": rep["slope_zeta_Y"].render(),
-                   "newton_vertices_Y": _np_json(rep["newton_Y"])}
-            if not rep["fe_Y"] and rep["smoothness"] == "smooth":
-                code = EXIT_SLOPE_FE
-            for key in ("Y_ordinary", "Y_newton_above_hodge"):
-                if key in rep:
-                    row[key] = rep[key]
-            if rep["X"] is not None:
-                row.update({
-                    "slope_zeta_X": rep["slope_zeta_X"].to_json_dict(),
-                    "slope_zeta_X_display": rep["slope_zeta_X"].render(),
-                    "fe_X": _pass_fail(rep["fe_X"]),
-                    "slope_mirror_symmetry": rep["slope_mirror_symmetry"],
-                    "newton_vertices_X": _np_json(rep["newton_X"]),
-                    "X_ordinary": rep["X_ordinary"],
-                    "X_newton_above_hodge": rep["X_newton_above_hodge"],
-                })
-                if not rep["fe_X"]:
-                    code = EXIT_SLOPE_FE
-            row["ordinary_closed_form_X"] = \
-                ordinary_slope_zeta(hodge_numbers_dwork(args.n)).to_json_dict()
-            _emit(row, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return code
+def _slope_rows(args, inst, caps):
+    rep, _, _ = _report(inst, caps, args.n == 2 or args.tier == "extended")
+    row = {"schema": 2, "n": args.n, "p": args.p, "r": args.r,
+           "lambda_dlog": inst.lam_dlog,
+           "ordinary_closed_form_X":
+               ordinary_slope_zeta(hodge_numbers_dwork(args.n)).to_json_dict(),
+           **{key: v for key, v in rep.items()
+              if key not in ("Y", "X", "R_coeffs")}}
+    failed = ((not rep["fe_Y"] and rep["smoothness"] == "smooth")
+              or rep.get("fe_X") is False)
+    for key in ("fe_Y", "fe_X"):
+        if key in row:
+            row[key] = _pass_fail(row[key])
+    yield row, EXIT_SLOPE_FE if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
+
+_SWEEP_ZETA_KEYS = ("Y", "slope_zeta_Y", "fe_Y", "Y_ordinary",
+                    "Y_newton_above_hodge", "X", "R_coeffs", "slope_zeta_X",
+                    "fe_X", "slope_mirror_symmetry", "X_ordinary",
+                    "X_newton_above_hodge")
+
 
 def _sweep_instance(job: dict) -> dict:
     """One (n, p, r, lambda) cell of the sweep grid; pickle-friendly.  Any
@@ -325,19 +311,9 @@ def _sweep_instance(job: dict) -> dict:
                 del row[key]
             out["congruence"].append(row)
         if n <= job["zeta_n_max"] and not is_singular(inst):
-            rep = _report(inst, caps, pencil=n == 2)
-            zrow = {key: rep[key] for key in (
-                "fe_Y", "Y_ordinary", "Y_newton_above_hodge")}
-            zrow["Y"] = rep["Y"].to_json_dict()
-            zrow["slope_zeta_Y"] = rep["slope_zeta_Y"].to_json_dict()
-            if rep["X"] is not None:
-                zrow.update({key: rep[key] for key in (
-                    "fe_X", "slope_mirror_symmetry", "X_ordinary",
-                    "X_newton_above_hodge")})
-                zrow["X"] = rep["X"].to_json_dict()
-                zrow["R_coeffs"] = [str(c) for c in rep["R"].coeffs]
-                zrow["slope_zeta_X"] = rep["slope_zeta_X"].to_json_dict()
-            out["zeta"] = zrow
+            rep = _report(inst, caps, pencil=n == 2)[0]
+            out["zeta"] = {key: rep[key] for key in _SWEEP_ZETA_KEYS
+                           if key in rep}
     except Exception as exc:  # noqa: BLE001 - the worker boundary
         if not isinstance(exc, DworkZetaError):
             traceback.print_exc(file=sys.stderr)
@@ -347,19 +323,6 @@ def _sweep_instance(job: dict) -> dict:
                        EXIT_RECOVERY if isinstance(exc, _RECOVERY_ERRORS) else
                        EXIT_ORACLE)
     return out
-
-
-@contextmanager
-def _atomic_open(path: Path):
-    """A text file written under a temporary name in its directory and
-    renamed over `path` only once the write has finished."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _dump_json(obj, path: Path, **kw):
@@ -380,21 +343,14 @@ def cmd_sweep(args) -> int:
         cfg.tier = args.tier
     caps = cfg.caps.with_tier(cfg.tier)
 
+    spec = (cfg.lambda_mode if cfg.lambda_mode != "list" else
+            [e if e >= 0 else None for e in cfg.lambda_list])
     jobs = []
     for n in cfg.n_list:
         for p in cfg.prime_list:
             for r in cfg.r_list:
                 field = build_field(p, r, cfg.seed, cap=caps.field_table_max_q)
-                if cfg.lambda_mode == "all":
-                    lams = list(range(field.pp.q))
-                elif cfg.lambda_mode == "subfield":
-                    lams = list(range(p))
-                elif cfg.lambda_mode == "zero":
-                    lams = [0]
-                else:  # "list"; SweepConfig rejects other modes
-                    lams = [field.gen_pow(e) if e >= 0 else 0
-                            for e in cfg.lambda_list]
-                for lam in lams:
+                for lam in _lambda_codes(spec, field):
                     # fail fast on a cell whose largest field, GF(q^f)
                     # over k <= k_max, exceeds the caps
                     inst = DworkInstance(n=n, field=field, lam=lam)
@@ -477,32 +433,22 @@ def cmd_sweep(args) -> int:
     _dump_json({"elapsed_seconds": elapsed, "finished_at": time.time(),
                 "threads": cfg.threads, "out_dir": str(outdir)},
                outdir / "timings.json")
-    # the most severe failure class decides: a mismatch, then a recovery
-    # failure, then a cap
-    for code in (EXIT_ORACLE, EXIT_RECOVERY, EXIT_CAP):
-        if code in failure_exits:
-            return code
     if cong_failures:
-        return EXIT_CONGRUENCE
-    return EXIT_OK
+        failure_exits.add(EXIT_CONGRUENCE)
+    return _most_severe(failure_exits)
 
 
 def cmd_gauss(args) -> int:
     caps = _caps_for(args)
     field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
     tower = build_tower(field, args.N)
-    out = _open_out(args, "gauss.jsonl")
-    try:
+    with _output(args, "gauss.jsonl") as out:
         _emit({"schema": 1, "p": args.p, "r": args.r, "N": args.N,
                "seed": _seed_of(args),
                "modulus": [int(c) for c in field.modulus]}, out)
-        table = tower.gauss_table()
-        for k, g in enumerate(table):
+        for k, g in enumerate(tower.gauss_table()):
             coords = [str(c) for row in g.rows for c in row]  # pi-major
             _emit({"k": k, "coords": coords}, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -545,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=None)
+    common.add_argument("--threads", type=int, default=None,
+                        help="worker processes; read by sweep only")
     common.add_argument("--seed", type=int, default=None)
     # None keeps a sweep config's own tier; other commands fall back to ci
     common.add_argument("--tier", choices=["ci", "extended"], default=None)
@@ -562,25 +509,26 @@ def build_parser() -> argparse.ArgumentParser:
                     default="both")
     sp.add_argument("--nfstar", action="store_true",
                     help="also count f = 0 on the torus")
-    sp.set_defaults(func=cmd_count)
+    sp.set_defaults(func=partial(_run_fibers, filename="counts.jsonl",
+                                 fiber_rows=_count_rows))
 
     sp = sub.add_parser("congruence", help="mirror congruence checks",
                         parents=[common])
     _add_common(sp, with_k=True)
-    sp.set_defaults(func=cmd_congruence)
+    sp.set_defaults(func=partial(_run_fibers, filename="congruence.jsonl",
+                                 fiber_rows=_congruence_rows, summary=True))
 
     sp = sub.add_parser("zeta", help="numerator recovery and R_n",
                         parents=[common])
     _add_common(sp)
-    sp.add_argument("--max-k", type=_int_from(1), default=None,
-                    help="override the extension-degree budget")
-    sp.set_defaults(func=cmd_zeta)
+    sp.set_defaults(func=partial(_run_fibers, filename="zeta.jsonl",
+                                 fiber_rows=_zeta_rows))
 
     sp = sub.add_parser("slope", help="slope zeta functions and polygons",
                         parents=[common])
     _add_common(sp)
-    sp.add_argument("--max-k", type=_int_from(1), default=None)
-    sp.set_defaults(func=cmd_slope)
+    sp.set_defaults(func=partial(_run_fibers, filename="slopes.jsonl",
+                                 fiber_rows=_slope_rows))
 
     sp = sub.add_parser("sweep", help="run the full grid from a config",
                         parents=[common])

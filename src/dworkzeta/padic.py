@@ -275,14 +275,21 @@ class TowerCtx:
 
     def gauss_sums(self, ks) -> list:
         """G(k) for each k in ks; each missing G(k) is computed once and
-        kept on the context."""
-        ks, memo = list(ks), self._gauss_memo
+        kept on the context.  a -> a^p permutes GF(q)^* and keeps the trace,
+        so G(p k mod (q-1)) = G(k): only the least index of each p-cyclotomic
+        coset is summed.  The boundary indices 0 and q-1 are not reduced."""
+        ks, memo, q1 = list(ks), self._gauss_memo, self.q - 1
         missing = [k for k in dict.fromkeys(ks) if k not in memo]
         for k in missing:
-            if not 0 <= k <= self.q - 1:
+            if not 0 <= k <= q1:
                 raise ValueError(f"k must lie in [0, q-1], got {k}")
-        if missing:
-            memo.update(zip(missing, self._gauss_sums(missing)))
+        least = {k: k if k in (0, q1) else
+                 min(k * self.p ** i % q1 for i in range(self.r))
+                 for k in missing}
+        new = [c for c in dict.fromkeys(least.values()) if c not in memo]
+        if new:
+            memo.update(zip(new, self._gauss_sums(new)))
+        memo.update((k, memo[c]) for k, c in least.items())
         return [memo[k] for k in ks]
 
     def gauss_table(self) -> list:

@@ -10,7 +10,7 @@ import pytest
 import dworkzeta
 from dworkzeta import cli, counting
 from dworkzeta.cli import main
-from dworkzeta.errors import NoConsistentSign
+from dworkzeta.errors import FieldTooLarge, NoConsistentSign
 
 
 def run(capsys, *argv):
@@ -530,3 +530,100 @@ def test_sweep_failed_write_keeps_previous_files(tmp_path, capsys,
     # the files written before the failure are replaced whole; no
     # temporary file is left behind
     assert sorted(f.name for f in out.iterdir()) == sorted(before)
+
+
+@pytest.mark.parametrize("recovery_lam,fe_lam", [(0, 1), (1, 0)])
+def test_slope_exit_code_does_not_depend_on_fiber_order(capsys, monkeypatch,
+                                                       recovery_lam, fe_lam):
+    # a recovery failure (6) outranks a functional-equation failure (7),
+    # whichever fiber comes first
+    real_recover, real_fe = cli.recover_mirror_zeta, cli.slope_fe_check
+    fiber = {}
+
+    def recover(inst, **kw):
+        fiber["lam"] = inst.lam
+        if inst.lam == recovery_lam:
+            raise NoConsistentSign("injected")
+        return real_recover(inst, **kw)
+
+    def fe_check(sz, d):
+        return fiber["lam"] != fe_lam and real_fe(sz, d)
+
+    monkeypatch.setattr(cli, "recover_mirror_zeta", recover)
+    monkeypatch.setattr(cli, "slope_fe_check", fe_check)
+    code, rows = run(capsys, "slope", "--n", "2", "--p", "5", "--lambda", "all")
+    assert code == cli.EXIT_RECOVERY
+    assert rows[recovery_lam]["error"] == "injected"
+    assert rows[fe_lam]["fe_Y"] == rows[fe_lam]["fe_X"] == "fail"
+    assert rows[fe_lam]["smoothness"] == "smooth"
+
+
+@pytest.mark.parametrize("command", ["count", "congruence", "zeta", "slope"])
+def test_out_is_atomic(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "d"
+    argv = [command, "--n", "2", "--p", "5", "--lambda", "all", "--out",
+            str(out)]
+    assert main(argv) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert len(before) == 1 and next(iter(before.values()))
+    real = cli.DworkInstance
+
+    def second_fiber_too_large(n, field, lam):
+        if lam == 1:
+            raise FieldTooLarge(5, 4)
+        return real(n=n, field=field, lam=lam)
+
+    monkeypatch.setattr(cli, "DworkInstance", second_fiber_too_large)
+    assert main(argv) == cli.EXIT_CAP
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_zeta_slope_and_sweep_rows_share_one_report(tmp_path, capsys):
+    code, zeta = run(capsys, "zeta", "--n", "2", "--p", "5", "--lambda", "all")
+    assert code == 0
+    code, slope = run(capsys, "slope", "--n", "2", "--p", "5", "--lambda",
+                      "all")
+    assert code == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2], "prime_list": [5],
+                                    "k_max": 1, "lambda_mode": "all"}))
+    assert main(["sweep", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "s")]) == 0
+    sweep = [json.loads(line) for line in
+             (tmp_path / "s" / "zeta.jsonl").read_text().splitlines()]
+    # the sweep keeps the smooth fibers only
+    assert [row["key"][3] for row in sweep] == [
+        lam for lam, row in enumerate(zeta) if row["smoothness"] == "smooth"]
+    assert len(sweep) == 4
+    for row in sweep:
+        lam = row["key"][3]
+        for key in ("Y", "X", "R_coeffs"):
+            assert row[key] == zeta[lam][key], key
+        for key in ("slope_zeta_Y", "slope_zeta_X", "Y_ordinary",
+                    "Y_newton_above_hodge", "X_ordinary",
+                    "X_newton_above_hodge", "slope_mirror_symmetry"):
+            assert row[key] == slope[lam][key], key
+        for key in ("fe_Y", "fe_X"):
+            assert row[key] is True and slope[lam][key] == "pass"
+
+
+def test_lambda_dlog_and_sweep_list_read_negative_logs_apart(tmp_path, capsys):
+    # --lambda -1 is g^-1 = g^(q-2); only a sweep's lambda_list reads -1 as 0
+    code, rows = run(capsys, "count", "--n", "2", "--p", "5", "--lambda", "-1",
+                     "--method", "charsum")
+    assert code == 0 and [row["lambda_dlog"] for row in rows] == [3]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2], "prime_list": [5],
+                                    "k_max": 1, "lambda_mode": "list",
+                                    "lambda_list": [-1, 3]}))
+    assert main(["sweep", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "s")]) == 0
+    counts = (tmp_path / "s" / "counts.jsonl").read_text().splitlines()
+    assert [json.loads(line)["lambda_dlog"] for line in counts] == [None, 3]
+
+
+def test_max_k_is_not_an_option(capsys):
+    assert main(["zeta", "--n", "2", "--p", "5", "--max-k", "3"]) == \
+        cli.EXIT_CONFIG
+    assert main(["slope", "--n", "2", "--p", "5", "--max-k", "3"]) == \
+        cli.EXIT_CONFIG

@@ -199,6 +199,31 @@ def test_gauss_sums_lie_in_zp_zeta_p(p, r):
         assert G == fast[k - 1], (p, r, k)
 
 
+@pytest.mark.parametrize("p,r,cosets", [(2, 4, 4), (5, 2, 13), (3, 3, 9),
+                                        (2, 6, 12), (5, 3, 43)])
+def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
+    # G(p k mod (q-1)) = G(k): the memo sums one index per p-cyclotomic
+    # coset of 0 < k < q-1, and the boundary indices 0 and q-1 themselves
+    field = build_field(p, r, 0)
+    q1 = p ** r - 1
+    oracle = [g.c for g in TowerCtx(field, 4)._gauss_sums(range(q1 + 1))]
+    real, asks = TowerCtx._gauss_sums, []
+
+    def spy(tower, ks):
+        asks.extend(ks)
+        return real(tower, ks)
+
+    monkeypatch.setattr(TowerCtx, "_gauss_sums", spy)
+    T = TowerCtx(field, 4)
+    assert [g.c for g in T.gauss_sums(range(q1 + 1))] == oracle
+    orbits = {frozenset(k * p ** i % q1 for i in range(r))
+              for k in range(1, q1)}
+    assert len(orbits) == cosets
+    assert sorted(asks) == [0, *sorted(min(o) for o in orbits), q1]
+    T.gauss_sums(range(q1 + 1))  # all kept
+    assert len(asks) == cosets + 2
+
+
 def test_teich_cube_roots_sum_to_zero():
     T = tower(2, 2, 5)
     F = T.field
