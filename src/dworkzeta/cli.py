@@ -5,10 +5,11 @@ for unbounded integers, written to stdout or, under `--out`, to files that
 are renamed into place only once complete.  `count`, `congruence`, `zeta`
 and `slope` run one fiber loop (`_run_fibers`) over the lambdas that
 `--lambda` names; `zeta`, `slope` and `sweep` pick their rows from one
-report per instance (`_report`).  Exit codes: 2 bad configuration, 3 cap
-exceeded, 4 oracle mismatch, 5 congruence failure, 6 zeta recovery failure,
-7 slope functional-equation failure.  A command whose fibers fail in
-several ways exits with the most severe: 4, then 6, 7, 3 and 5.
+report per instance (`_report`).  Exit codes: 2 bad configuration
+(ConfigError), 3 cap exceeded (CapExceeded), 4 oracle mismatch (any other
+error), 5 congruence failure, 6 zeta recovery failure (RecoveryFailure), 7
+slope functional-equation failure.  A command whose fibers fail in several
+ways exits with the most severe: 4, then 6, 7, 3 and 5.
 """
 from __future__ import annotations
 
@@ -31,19 +32,7 @@ from .counting import (
     gauss_field_degree,
     is_singular,
 )
-from .errors import (
-    ConfigError,
-    DworkZetaError,
-    EnumerationTooLarge,
-    FieldTooLarge,
-    InsufficientData,
-    NoConsistentSign,
-    NonIntegralCoefficient,
-    NonIntegralResult,
-    NotDivisible,
-    PrecisionInsufficient,
-    SubstitutionNotIntegral,
-)
+from .errors import CapExceeded, ConfigError, DworkZetaError, RecoveryFailure
 from .ff import build_field
 from .padic import build_tower
 from .slope import (
@@ -73,9 +62,17 @@ EXIT_SLOPE_FE = 7
 _SEVERITY = (EXIT_ORACLE, EXIT_RECOVERY, EXIT_SLOPE_FE, EXIT_CAP,
              EXIT_CONGRUENCE)
 
-_CAP_ERRORS = (EnumerationTooLarge, FieldTooLarge)
-_RECOVERY_ERRORS = (InsufficientData, NoConsistentSign, NonIntegralCoefficient,
-                    NotDivisible, SubstitutionNotIntegral)
+# exit code and stderr label of each error class; any other exception is a
+# broken contract
+_FAILURES = ((ConfigError, EXIT_CONFIG, "bad configuration"),
+             (CapExceeded, EXIT_CAP, "cap exceeded"),
+             (RecoveryFailure, EXIT_RECOVERY, "recovery failure"))
+
+
+def _failure(exc: Exception) -> tuple:
+    """(exit code, stderr label) of an exception."""
+    return next(((code, label) for cls, code, label in _FAILURES
+                 if isinstance(exc, cls)), (EXIT_ORACLE, "oracle mismatch"))
 
 
 def _most_severe(codes) -> int:
@@ -152,7 +149,7 @@ def _run_fibers(args, filename: str, fiber_rows, summary: bool = False) -> int:
                 for row, code in fiber_rows(args, inst, caps):
                     _emit(row, out)
                     codes.append(code)
-            except _RECOVERY_ERRORS as exc:
+            except RecoveryFailure as exc:
                 _emit({"schema": 2, "n": args.n, "p": args.p, "r": args.r,
                        "lambda_dlog": inst.lam_dlog, "error": str(exc)}, out)
                 codes.append(EXIT_RECOVERY)
@@ -319,9 +316,7 @@ def _sweep_instance(job: dict) -> dict:
             traceback.print_exc(file=sys.stderr)
         out["ok"] = False
         out["error"] = f"{type(exc).__name__}: {exc}"
-        out["exit"] = (EXIT_CAP if isinstance(exc, _CAP_ERRORS) else
-                       EXIT_RECOVERY if isinstance(exc, _RECOVERY_ERRORS) else
-                       EXIT_ORACLE)
+        out["exit"] = _failure(exc)[0]
     return out
 
 
@@ -365,8 +360,10 @@ def cmd_sweep(args) -> int:
                                  "caps": caps.__dict__.copy()})
 
     t0 = time.time()
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    # a pool forks all its workers at the first submit: never more than cells
+    workers = min(cfg.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_instance, jobs))
     else:
         results = [_sweep_instance(job) for job in jobs]
@@ -491,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", type=_int_from(1), default=None,
                         help="worker processes; read by sweep only")
     common.add_argument("--seed", type=int, default=None)
     # None keeps a sweep config's own tier; other commands fall back to ci
@@ -552,23 +549,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"bad configuration: {exc}\n")
-        return EXIT_CONFIG
-    except _CAP_ERRORS as exc:
-        sys.stderr.write(f"cap exceeded: {exc}\n")
-        return EXIT_CAP
-    except (NonIntegralResult, PrecisionInsufficient) as exc:
-        sys.stderr.write(f"oracle mismatch: {exc}\n")
-        return EXIT_ORACLE
-    except _RECOVERY_ERRORS as exc:
-        sys.stderr.write(f"recovery failure: {exc}\n")
-        return EXIT_RECOVERY
     except DworkZetaError as exc:
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return EXIT_RECOVERY
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        code, label = _failure(exc)
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

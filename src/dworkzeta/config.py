@@ -97,9 +97,12 @@ class SweepConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; "
                                   f"expected one of {', '.join(allowed)}")
+        # a lambda_list entry of -1 names lam = 0
         for key, values, lo in (("n_list", self.n_list, 2),
                                 ("r_list", self.r_list, 1),
-                                ("k_max", [self.k_max], 1)):
+                                ("lambda_list", self.lambda_list, -1),
+                                ("k_max", [self.k_max], 1),
+                                ("threads", [self.threads], 1)):
             if any(v < lo for v in values):
                 raise ConfigError(f"{key} {getattr(self, key)!r} has a value "
                                   f"below {lo}")

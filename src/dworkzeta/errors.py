@@ -1,9 +1,16 @@
 """Exception types shared across the package.
 
-Errors fall into three groups: configuration/resource guards (caps,
-primality), mathematical contract violations that signal an implementation
-bug (integrality of certified quantities), and genuine findings that a
-structural claim failed on data (divisibility, functional-equation sign).
+Every error is a DworkZetaError, and the command line gives each class one
+exit code:
+
+- ConfigError (exit 2): a bad parameter, including a non-prime p;
+- CapExceeded (exit 3): a resource cap refused a field or an enumeration;
+- RecoveryFailure (exit 6): the counts did not determine a valid zeta
+  function, or a finding that a structural claim failed on data
+  (divisibility of P by Q, the functional-equation sign, root finding);
+- any other DworkZetaError (exit 4): a broken mathematical contract, which
+  signals an implementation bug (integrality of certified quantities, exact
+  divisions, precision).
 """
 
 
@@ -22,7 +29,11 @@ class NotPrime(ConfigError):
         self.p = p
 
 
-class FieldTooLarge(DworkZetaError):
+class CapExceeded(DworkZetaError):
+    """A resource cap refused the job."""
+
+
+class FieldTooLarge(CapExceeded):
     def __init__(self, q, cap):
         super().__init__(f"field size {q} exceeds table cap {cap}")
         self.q = q
@@ -34,7 +45,7 @@ class LogOfZero(DworkZetaError):
         super().__init__("discrete log of 0 is undefined")
 
 
-class EnumerationTooLarge(DworkZetaError):
+class EnumerationTooLarge(CapExceeded):
     def __init__(self, size, cap):
         super().__init__(f"enumeration of {size} points exceeds cap {cap}")
         self.size = size
@@ -58,28 +69,32 @@ class NonIntegralResult(DworkZetaError):
     """A character sum certified to be a rational integer was not one."""
 
 
-class InsufficientData(DworkZetaError):
+class RecoveryFailure(DworkZetaError):
+    """The counts did not determine a valid zeta function."""
+
+
+class InsufficientData(RecoveryFailure):
     """Not enough point counts to determine the numerator."""
 
 
-class NoConsistentSign(DworkZetaError):
+class NoConsistentSign(RecoveryFailure):
     """Neither (or both) functional-equation signs produce a valid numerator."""
 
 
-class NonIntegralCoefficient(DworkZetaError):
+class NonIntegralCoefficient(RecoveryFailure):
     """Newton's identities produced a non-integer coefficient."""
 
 
-class NotDivisible(DworkZetaError):
+class NotDivisible(RecoveryFailure):
     """Q does not divide P.  A finding, not a bug."""
 
 
-class SubstitutionNotIntegral(DworkZetaError):
+class SubstitutionNotIntegral(RecoveryFailure):
     """P/Q is not a polynomial in qT with integer coefficients.  A finding."""
 
 
-class RootFindingFailure(DworkZetaError):
-    pass
+class RootFindingFailure(RecoveryFailure):
+    """Root finding did not converge while checking a numerator's purity."""
 
 
 class DimensionMismatch(DworkZetaError):

@@ -23,18 +23,7 @@ from .errors import FieldTooLarge, LogOfZero, NotPrime
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict:
@@ -68,6 +57,26 @@ class PrimePower:
         return f"PrimePower({self.p}^{self.r}={self.q})"
 
 
+def _digits(c: int, p: int, r: int) -> tuple:
+    """The r base-p digits of c, least significant first."""
+    out = []
+    for _ in range(r):
+        c, d = divmod(c, p)
+        out.append(d)
+    return tuple(out)
+
+
+def _power(x, e: int, mul):
+    """x^e for e >= 1, left to right from the top bit: bitlen(e) +
+    popcount(e) - 2 calls of mul."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over GF(p), used only to bootstrap the tables
 # ---------------------------------------------------------------------------
@@ -81,30 +90,17 @@ def _poly_trim(a):
 
 def _poly_mulmod(a, b, mod, p):
     """a*b mod (mod, p); mod is monic."""
-    r = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, r - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(r):
-                out[i - r + j] = (out[i - r + j] - c * mod[j]) % p
-    return _poly_trim(out[:r] if len(out) > r else out)
+    return _poly_mod(out, mod, p)
 
 
 def _poly_powmod(a, e, mod, p):
-    result = (1,)
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
+    """a^e mod (mod, p) for e >= 1."""
+    return _power(a, e, lambda x, y: _poly_mulmod(x, y, mod, p))
 
 
 def _poly_mod(a, b, p):
@@ -181,66 +177,32 @@ class FieldCtx:
     def _find_modulus(p, r, seed):
         qr = p ** r
         for i in range(qr):
-            m = (seed + i) % qr
-            digits = []
-            mm = m
-            for _ in range(r):
-                mm, d = divmod(mm, p)
-                digits.append(d)
-            cand = tuple(digits) + (1,)
+            cand = _digits((seed + i) % qr, p, r) + (1,)
             if _is_irreducible(cand, p):
                 return cand
         raise RuntimeError("no irreducible polynomial found (unreachable)")
 
-    def _code_to_vec(self, c):
-        p, r = self.pp.p, self.pp.r
-        v = []
-        for _ in range(r):
-            c, d = divmod(c, p)
-            v.append(d)
-        return tuple(v)
-
-    def _vec_to_code(self, v):
-        p = self.pp.p
-        c = 0
-        for d in reversed(v):
-            c = c * p + d
-        return c
-
     def _build_mul_tables(self):
+        """The least code whose powers (q-1)/ell are all != 1 generates
+        GF(q)^*; code 1 passes only for q = 2, where q-1 has no prime
+        factor ell."""
         p, r, q = self.pp.p, self.pp.r, self.pp.q
-        if q == 2:
-            self.generator = 1
-            self.exp_table = [1]
-            self.log_table = [-1, 0]
-            return
         fac = factorize(q - 1)
         mod = self.modulus
 
-        def raw_mul(a, b):
-            return self._vec_to_code(
-                _poly_mulmod(self._code_to_vec(a), self._code_to_vec(b), mod, p))
+        def vec(c):
+            return _poly_trim(_digits(c, p, r))
 
-        def raw_pow(a, e):
-            result, base = 1, a
-            while e:
-                if e & 1:
-                    result = raw_mul(result, base)
-                base = raw_mul(base, base)
-                e >>= 1
-            return result
-
-        gen = None
-        for cand in range(2, q):
-            if all(raw_pow(cand, (q - 1) // ell) != 1 for ell in fac):
-                gen = cand
-                break
+        gen = next((c for c in range(1, q)
+                    if all(_poly_powmod(vec(c), (q - 1) // ell, mod, p) != (1,)
+                           for ell in fac)), None)
         if gen is None:
             raise RuntimeError("no multiplicative generator found (unreachable)")
         self.generator = gen
-        exp = [1] * (q - 1)
-        for e in range(1, q - 1):
-            exp[e] = raw_mul(exp[e - 1], gen)
+        g, x, exp = vec(gen), (1,), [1]
+        for _ in range(q - 2):
+            x = _poly_mulmod(x, g, mod, p)
+            exp.append(sum(d * p ** i for i, d in enumerate(x)))
         log = [-1] * q
         for e, c in enumerate(exp):
             log[c] = e
@@ -315,7 +277,7 @@ class FieldCtx:
         return c % self.pp.p
 
     def coeffs(self, code: int) -> tuple:
-        return self._code_to_vec(code)
+        return _digits(code, self.pp.p, self.pp.r)
 
     def eval_poly(self, coeffs, x: int) -> int:
         """Evaluate a polynomial with GF(q)-coded coefficients at x (Horner)."""
@@ -359,7 +321,6 @@ class FieldExtension:
         self.ext = ext
         self.k = k
         self.basis_root = self._find_basis_root()
-        self._map = {0: 0}
 
     def _find_basis_root(self):
         base, ext = self.base, self.ext
@@ -375,11 +336,7 @@ class FieldExtension:
         raise RuntimeError("base modulus has no root in the extension (unreachable)")
 
     def embed(self, a: int) -> int:
-        out = self._map.get(a)
-        if out is None:
-            out = self.ext.eval_poly(self.base.coeffs(a), self.basis_root)
-            self._map[a] = out
-        return out
+        return self.ext.eval_poly(self.base.coeffs(a), self.basis_root)
 
 
 def extend(ctx: FieldCtx, k: int,

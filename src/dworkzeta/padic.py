@@ -24,12 +24,13 @@ Eisenstein polynomial ((1+pi)^p - 1)/pi (pi = -2 for p = 2).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import NonIntegralResult
-from .ff import FieldCtx, PrimePower
+from .ff import FieldCtx, PrimePower, _digits, _power
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,7 @@ class TowerElem:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not defined in the tower")
-        # left to right from the top bit: bitlen(e) + popcount(e) - 2 products
-        result = self if e else self.ctx.one()
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return _power(self, e, operator.mul) if e else self.ctx.one()
 
     def scale(self, n: int) -> "TowerElem":
         pN = self.ctx.pN
@@ -254,12 +249,9 @@ class TowerCtx:
         """Teichmuller lift of a field element code, a value of W: t^(q^(N-1))
         in W for t the lift of the coefficients of a, exact since
         t = teich(a) mod p."""
-        t = out = tuple(v % self.pN for v in self.field.coeffs(a))
-        for bit in bin(self.q ** (self.N - 1))[3:]:
-            out = self._mul_coeffs(out, out, 1)
-            if bit == "1":
-                out = self._mul_coeffs(out, t, 1)
-        return self.from_w(out)
+        t = tuple(v % self.pN for v in self.field.coeffs(a))
+        return self.from_w(_power(t, self.q ** (self.N - 1),
+                                  functools.partial(self._mul_coeffs, blocks=1)))
 
     def teich_pows(self):
         """TP[j] = teich(g)^j for j in [0, q-1), computed in W."""
@@ -338,29 +330,29 @@ def build_tower(field: FieldCtx, N: int) -> TowerCtx:
     return TowerCtx(field, N)
 
 
+def vp(c: int, p: int) -> int:
+    """The p-adic valuation of a nonzero integer c."""
+    if c == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
 def pi_valuation(x: TowerElem) -> Valuation:
     p, r = x.ctx.p, x.ctx.r
-    best = None
-    for i, row in enumerate(x.rows):
-        for c in filter(None, row):
-            v = 0
-            while c % p == 0:
-                c //= p
-                v += 1
-            if best is None or i + (p - 1) * v < best:
-                best = i + (p - 1) * v
-    if best is None:
+    vals = [i + (p - 1) * vp(c, p)
+            for i, row in enumerate(x.rows) for c in row if c]
+    if not vals:
         # indistinguishable from zero; (p-1)*N is the precision horizon
         return Valuation((p - 1) * x.ctx.N, r, p, exact=False)
-    return Valuation(best, r, p, exact=True)
+    return Valuation(min(vals), r, p, exact=True)
 
 
 def digit_sum(k: int, pp: PrimePower) -> int:
     """Sum of base-p digits of k, for 0 <= k <= q-1."""
     if not 0 <= k <= pp.q - 1:
         raise ValueError(f"k must lie in [0, q-1], got {k}")
-    s = 0
-    while k:
-        k, d = divmod(k, pp.p)
-        s += d
-    return s
+    return sum(_digits(k, pp.p, pp.r))

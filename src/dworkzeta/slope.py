@@ -13,17 +13,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
+from .padic import vp
 from .zeta import IntPoly, ZetaData
-
-
-def _vp(c: int, p: int) -> int:
-    if c == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +65,7 @@ def _lower_hull(points) -> tuple:
 
 
 def newton_polygon(P: IntPoly, p: int, r: int) -> NewtonPolygon:
-    pts = [(i, Fraction(_vp(c, p), r)) for i, c in enumerate(P.coeffs) if c]
+    pts = [(i, Fraction(vp(c, p), r)) for i, c in enumerate(P.coeffs) if c]
     return NewtonPolygon(_lower_hull(pts))
 
 
@@ -188,15 +179,12 @@ class SlopeZeta:
         return f"SlopeZeta({self.render()})"
 
 
-def slope_zeta(z: ZetaData, p: Optional[int] = None,
-               r: Optional[int] = None) -> SlopeZeta:
+def slope_zeta(z: ZetaData) -> SlopeZeta:
     """Slope zeta of a factored zeta function: numerator slopes from its
     Newton polygon (signed by the numerator exponent) plus trivial factors."""
-    p = p or z.p
-    r = r or z.r
     terms: dict = {}
     if z.numerator.degree > 0:
-        for s, ln in newton_polygon(z.numerator, p, r).segments:
+        for s, ln in newton_polygon(z.numerator, z.p, z.r).segments:
             terms[s] = terms.get(s, 0) + z.numerator_exponent * ln
     for i, e in z.trivial:
         s = Fraction(i)

@@ -395,11 +395,10 @@ def r_poly(P: IntPoly, Q: IntPoly, q: int, n: int) -> IntPoly:
 # recovery drivers working from instances
 # ---------------------------------------------------------------------------
 
-def counts_budget(degree: int, use_fe: bool, extra: int = 1) -> int:
+def counts_budget(degree: int, use_fe: bool) -> int:
     """Extension degrees to request: ceil(deg/2) with the functional
-    equation, plus validation rows."""
-    base = (degree + 1) // 2 if use_fe else degree
-    return base + extra
+    equation, plus one validation row."""
+    return ((degree + 1) // 2 if use_fe else degree) + 1
 
 
 def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,

@@ -10,7 +10,12 @@ import pytest
 import dworkzeta
 from dworkzeta import cli, counting
 from dworkzeta.cli import main
-from dworkzeta.errors import FieldTooLarge, NoConsistentSign
+from dworkzeta.errors import (
+    DivisibilityViolation,
+    FieldTooLarge,
+    NoConsistentSign,
+    RootFindingFailure,
+)
 
 
 def run(capsys, *argv):
@@ -627,3 +632,97 @@ def test_max_k_is_not_an_option(capsys):
         cli.EXIT_CONFIG
     assert main(["slope", "--n", "2", "--p", "5", "--max-k", "3"]) == \
         cli.EXIT_CONFIG
+
+
+def _recovery_raising(monkeypatch, error, lam=None):
+    """Make cli.recover_mirror_zeta raise `error` on the fiber lam (every
+    fiber when lam is None)."""
+    real = cli.recover_mirror_zeta
+
+    def recover(inst, **kw):
+        if lam is None or inst.lam == lam:
+            raise error("injected")
+        return real(inst, **kw)
+
+    monkeypatch.setattr(cli, "recover_mirror_zeta", recover)
+
+
+def _sweep_zero_fiber(tmp_path) -> int:
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2], "prime_list": [5],
+                                    "k_max": 1, "lambda_mode": "zero"}))
+    return main(["sweep", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "s"), "--threads", "1"])
+
+
+def test_root_finding_failure_is_a_recovery_failure(tmp_path, capsys,
+                                                    monkeypatch):
+    # an error row for lam = 1, then the remaining fibers
+    _recovery_raising(monkeypatch, RootFindingFailure, lam=1)
+    code, rows = run(capsys, "zeta", "--n", "2", "--p", "5", "--lambda", "all")
+    assert code == cli.EXIT_RECOVERY
+    assert len(rows) == 5
+    assert rows[1] == {"schema": 2, "n": 2, "p": 5, "r": 1,
+                       "lambda_dlog": 0, "error": "injected"}
+    assert all("error" not in row for i, row in enumerate(rows) if i != 1)
+    _recovery_raising(monkeypatch, RootFindingFailure)
+    assert _sweep_zero_fiber(tmp_path) == cli.EXIT_RECOVERY
+
+
+def test_broken_contract_is_an_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    _recovery_raising(monkeypatch, DivisibilityViolation, lam=1)
+    assert main(["zeta", "--n", "2", "--p", "5", "--lambda", "all"]) == \
+        cli.EXIT_ORACLE
+    assert capsys.readouterr().err.startswith("oracle mismatch: injected")
+    _recovery_raising(monkeypatch, DivisibilityViolation)
+    assert _sweep_zero_fiber(tmp_path) == cli.EXIT_ORACLE
+
+
+@pytest.mark.parametrize("config,argv", [
+    ({"lambda_mode": "list", "lambda_list": [-5]}, []),
+    ({"threads": 0}, []),
+    ({}, ["--threads", "0"]),
+], ids=["lambda_list", "config-threads", "cli-threads"])
+def test_sweep_inputs_are_bounded(tmp_path, capsys, monkeypatch, config, argv):
+    # refused before any field is built
+    monkeypatch.setattr(cli, "build_field", None)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2], "prime_list": [5],
+                                    "k_max": 1, **config}))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]
+                + argv) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, capsys,
+                                                 monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    files = {}
+    for n_list, threads in (([2], 1), ([2], 64), ([], 2)):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_list": n_list, "prime_list": [2],
+                                        "k_max": 1, "threads": threads}))
+        out = tmp_path / f"{len(n_list)}-{threads}"
+        assert main(["sweep", "--config", str(cfg_path), "--out",
+                     str(out)]) == 0
+        files[threads] = {f.name: f.read_bytes() for f in out.iterdir()
+                          if f.name != "timings.json"}
+    assert started == [2]  # the 2-cell grid; no pool for 1 or 0 cells
+    assert files[64] == files[1]

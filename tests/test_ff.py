@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from dworkzeta.ff import (
     factorize,
     is_prime,
 )
+from dworkzeta.padic import build_tower
 
 
 def brute_is_irreducible(f, p):
@@ -272,3 +274,80 @@ def test_different_seeds_give_valid_models():
     for F in (F0, F7):
         for a in range(1, 9):
             assert F.pow(a, 8) == 1
+
+
+# (p, r, seed): (modulus, generator, first 16 hex digits of the SHA-256 of
+# repr((exp, log, Zech, trace tables))); a refactor of the field layer must
+# keep every model it builds
+_PINNED_MODELS = {
+    (2, 1, 0): ((0, 1), 1, "9ae3b850ebf19abb"),
+    (2, 1, 1): ((1, 1), 1, "9ae3b850ebf19abb"),
+    (2, 1, 5): ((1, 1), 1, "9ae3b850ebf19abb"),
+    (2, 2, 0): ((1, 1, 1), 2, "941621b382e1e487"),
+    (2, 2, 1): ((1, 1, 1), 2, "941621b382e1e487"),
+    (2, 2, 5): ((1, 1, 1), 2, "941621b382e1e487"),
+    (2, 3, 0): ((1, 1, 0, 1), 2, "8abb0e6da77b8f2e"),
+    (2, 3, 1): ((1, 1, 0, 1), 2, "8abb0e6da77b8f2e"),
+    (2, 3, 5): ((1, 0, 1, 1), 2, "bcdd4dcfde6f351b"),
+    (3, 1, 0): ((0, 1), 2, "987ec0891495c3c4"),
+    (3, 1, 1): ((1, 1), 2, "987ec0891495c3c4"),
+    (3, 1, 5): ((2, 1), 2, "987ec0891495c3c4"),
+    (3, 2, 0): ((1, 0, 1), 4, "4ddc231172d19b6a"),
+    (3, 2, 1): ((1, 0, 1), 4, "4ddc231172d19b6a"),
+    (3, 2, 5): ((2, 1, 1), 3, "a7daf3c0f406f77c"),
+    (3, 3, 0): ((1, 2, 0, 1), 3, "dda4d5dd3eb65228"),
+    (3, 3, 1): ((1, 2, 0, 1), 3, "dda4d5dd3eb65228"),
+    (3, 3, 5): ((1, 2, 0, 1), 3, "dda4d5dd3eb65228"),
+    (5, 1, 0): ((0, 1), 2, "341eb119bf1e50cd"),
+    (5, 1, 1): ((1, 1), 2, "341eb119bf1e50cd"),
+    (5, 1, 5): ((0, 1), 2, "341eb119bf1e50cd"),
+    (5, 2, 0): ((2, 0, 1), 6, "2b52f65ac7581309"),
+    (5, 2, 1): ((2, 0, 1), 6, "2b52f65ac7581309"),
+    (5, 2, 5): ((1, 1, 1), 7, "dd804f3246e24429"),
+    (5, 3, 0): ((1, 1, 0, 1), 9, "ab7837b400924729"),
+    (5, 3, 1): ((1, 1, 0, 1), 9, "ab7837b400924729"),
+    (5, 3, 5): ((1, 1, 0, 1), 9, "ab7837b400924729"),
+    (7, 2, 0): ((1, 0, 1), 9, "6e00d9747f56589a"),
+    (7, 2, 1): ((1, 0, 1), 9, "6e00d9747f56589a"),
+    (7, 2, 5): ((3, 1, 1), 7, "a096cb3e19b721a4"),
+    (2, 10, 0): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2, "da13f4bcb88c5ea6"),
+    (2, 10, 1): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2, "da13f4bcb88c5ea6"),
+    (2, 10, 5): ((1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2, "da13f4bcb88c5ea6"),
+    (31, 2, 0): ((1, 0, 1), 35, "5e788f2d382522ee"),
+    (31, 2, 1): ((1, 0, 1), 35, "5e788f2d382522ee"),
+    (31, 2, 5): ((5, 0, 1), 35, "fdad46b8b4faabbf"),
+    (11, 3, 0): ((4, 1, 0, 1), 11, "c0b9e57d8013d96c"),
+    (11, 3, 1): ((4, 1, 0, 1), 11, "c0b9e57d8013d96c"),
+    (11, 3, 5): ((4, 1, 0, 1), 11, "c0b9e57d8013d96c"),
+}
+
+# teich(a) for a = 0..24 over build_field(5, 2, 0) at N = 6: the W
+# coordinates (y^0, y^1) mod 5^6
+_PINNED_TEICH_GF25_N6 = [
+    (0, 0), (1, 0), (14557, 0), (1068, 0), (15624, 0),
+    (0, 8346), (14151, 11986), (7812, 10496), (7813, 10496), (1474, 11986),
+    (0, 8347), (15091, 9022), (11732, 11452), (3893, 11452), (534, 9022),
+    (0, 7278), (15091, 6603), (11732, 4173), (3893, 4173), (534, 6603),
+    (0, 7279), (14151, 3639), (7812, 5129), (7813, 5129), (1474, 3639),
+]
+
+
+def _table_digest(F):
+    tables = (F.exp_table, F.log_table, F.zech_table,
+              [F.trace(a) for a in range(F.pp.q)])
+    return hashlib.sha256(repr(tables).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("p,r,seed", sorted(_PINNED_MODELS))
+def test_field_models_are_pinned(p, r, seed):
+    F = build_field(p, r, seed)
+    assert (F.modulus, F.generator, _table_digest(F)) == \
+        _PINNED_MODELS[(p, r, seed)]
+
+
+def test_teichmuller_values_and_embedding_are_pinned():
+    T = build_tower(build_field(5, 2, 0), 6)
+    assert [T.teich(a).rows[0] for a in range(25)] == _PINNED_TEICH_GF25_N6
+    e = extend(build_field(3, 2, 1), 3)
+    assert e.basis_root == 231
+    assert [e.embed(a) for a in range(9)] == [0, 1, 2, 231, 232, 233, 129, 130, 131]
