@@ -15,10 +15,9 @@ from .padic import (
 from .counting import (
     CountRecord,
     DworkInstance,
-    charsum_qcounts,
-    count_affine_brute,
+    charsum_count,
+    count_brute,
     count_record,
-    count_torus_brute,
     count_X,
     count_Y,
     count_Y_strata_brute,

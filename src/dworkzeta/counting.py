@@ -8,31 +8,36 @@ its mirror is the projective closure Y of the torus hypersurface
 
     g = x_1 + ... + x_n + 1/(x_1...x_n) + lam = 0.
 
-Counts come two ways: exhaustive evaluation, and the Gauss-sum character
-formula.  Writing the monomial exponents of x_0*f (resp. x_0*g) as the
-columns of an integer matrix, the character formula for the affine count is
+Each is described once, by an exponent matrix of x_0*f (`DworkInstance.M`)
+or x_0*g (`DworkInstance.Nmat`): a row of ones for x_0, then one row per
+variable, and one column per monomial.  Every coefficient is 1 except the
+last column's, which is lam.  Both counting routes read the variety from
+its matrix and nothing else: `count_brute` evaluates the polynomial at
+every point, `charsum_count` sums the Gauss-sum character formula, and
+`count_record` runs one route or both and compares them.  For the affine
+count the formula is
 
     q N_f = sum over M k = 0 mod (q-1), k in [0, q-1]^m, of
             (q-1)^{s(k)-m} q^{v-s(k)} (prod_j G(k_j)) chi(lam)^{k_m},
 
-with v = number of ambient variables including x_0, m = number of
-monomials, and s(k) = number of nonzero entries of the integer vector M k.
-Both boundary lifts of a zero residue (0 and q-1) are distinct terms.  For
-the torus count the x_0 = 0 stratum contributes (q-1)^{v-1} and every
-solution carries the flat coefficient (q-1)^{v} / (q-1)^m.
+with v = number of rows (ambient variables including x_0), m = number of
+columns (monomials), and s(k) = number of nonzero entries of the integer
+vector M k.  Both boundary lifts of a zero residue (0 and q-1) are distinct
+terms.  For the torus count the x_0 = 0 stratum contributes (q-1)^{v-1} and
+every solution carries the flat coefficient (q-1)^{v} / (q-1)^m.
 
-When lam = 0 the product monomial is absent: the last exponent k_m is
-pinned to 0 and the character factor is dropped.
+When lam = 0 the last monomial is absent: the last exponent k_m is pinned
+to 0 and the character factor is dropped.
 
 Only chi(lam)^{k_m} depends on lam, through k_m mod (q-1), as lam lies in
 GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
 (s(k), k_m mod (q-1)) on the tower over the base field GF(q); the fiber
-part twists each class by chi(lam)^{k_m}, one multiply per class.  The family part forms each product
-once per sorted index multiset, sharing prefixes, and scales it by the
-boundary sums G(0) = q-1 and G(q-1) = -q as rational integers.  Every Gauss
-sum over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
-f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (the
-identity lift) otherwise.  X reads the M half, Y the N half.
+part twists each class by chi(lam)^{k_m}, one multiply per class.  The
+family part forms each product once per sorted index multiset, sharing
+prefixes, and scales it by the boundary sums G(0) = q-1 and G(q-1) = -q as
+rational integers.  Every Gauss sum over GF(q^k) is the Hasse-Davenport
+lift of a sum over GF(q^f), f = `gauss_field_degree`: a proper subfield
+only at lam = 0, f = k (the identity lift) otherwise.
 """
 from __future__ import annotations
 
@@ -50,13 +55,15 @@ from .errors import (
     NonIntegralResult,
     PrecisionInsufficient,
 )
-from .ff import FieldCtx, build_field, extend
+from .ff import FieldCtx, extend
 from .padic import TowerCtx, build_tower
 
 
 def dwork_matrix_M(n: int) -> tuple:
     """(n+2) x (n+2) exponent matrix of x_0*f: row 0 all ones, then n+1 on
-    the diagonal with a final column of ones."""
+    the diagonal with a final column of ones.  The columns are the
+    monomials x_i^{n+1} and, last, lam * x_1...x_{n+1}; `count_brute` and
+    `charsum_count` both read f from them."""
     rows = [tuple([1] * (n + 2))]
     for i in range(n + 1):
         row = [0] * (n + 2)
@@ -68,7 +75,9 @@ def dwork_matrix_M(n: int) -> tuple:
 
 def dwork_matrix_N(n: int) -> tuple:
     """(n+1) x (n+2) exponent matrix of x_0*g: row 0 all ones, then the
-    identity block against a column of -1 and a zero column for lam."""
+    identity block against a column of -1 and a zero column for lam.  The
+    columns are the monomials x_i, 1/(x_1...x_n) and, last, the constant
+    lam; `count_brute` and `charsum_count` both read g from them."""
     rows = [tuple([1] * (n + 2))]
     for i in range(n):
         row = [0] * (n + 2)
@@ -117,93 +126,59 @@ class DworkInstance:
 # brute-force counts
 # ---------------------------------------------------------------------------
 
-def count_affine_brute(inst: DworkInstance, k: int = 1,
-                       caps: Caps = DEFAULT_CAPS) -> int:
-    """N_f over GF(q^k): zeros of f in affine (n+1)-space."""
+def count_brute(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
+                caps: Caps = DEFAULT_CAPS) -> int:
+    """Zeros over GF(q^k), on the torus or (torus=False) in affine space, of
+    the polynomial whose monomials are the columns of `matrix` below its row
+    of ones, every coefficient 1 but lam on the last column.
+
+    A column with one nonzero entry is a term of that variable, kept in a
+    per-variable value table; an all-zero column is a constant; the one
+    remaining column is the product of the variables, carried through the
+    depth-first walk by its discrete log until a coordinate is 0."""
     F, lam = inst.extension(k, cap=caps.field_table_max_q)
-    n = inst.n
-    q = F.pp.q
-    if q ** (n + 1) > caps.affine_enum_max:
-        raise EnumerationTooLarge(q ** (n + 1), caps.affine_enum_max)
-    q1 = q - 1
-    powd = [0] + [F.gen_pow((F.dlog(x) * (n + 1)) % q1) for x in range(1, q)]
-    lam_pow = None
-    if lam:
-        lam_pow = [F.mul(lam, F.gen_pow(e)) for e in range(q1)]
-    add = F.add
-    log = F.log_table
-    count = 0
-    # depth-first walk keeping the running diagonal sum and product dlog
-    stack = [(0, 0, 0, False)]  # (depth, diag_sum, prod_dlog, has_zero)
-    nvars = n + 1
+    q, nvars = F.pp.q, len(matrix) - 1
+    size, cap = ((q - 1, caps.torus_enum_max) if torus
+                 else (q, caps.affine_enum_max))
+    if size ** nvars > cap:
+        raise EnumerationTooLarge(size ** nvars, cap)
+    q1, add, log, last = q - 1, F.add, F.log_table, len(matrix[0]) - 1
+    # terms[i][x - 1]: the terms of variable i at x != 0
+    const, terms = 0, [[0] * q1 for _ in range(nvars)]
+    prod_exps, prod_values = (0,) * nvars, None
+    for j, col in enumerate(zip(*matrix[1:])):
+        c = lam if j == last else 1
+        support = [i for i, e in enumerate(col) if e]
+        if not support:
+            const = add(const, c)
+        elif len(support) == 1:
+            i = support[0]
+            terms[i] = [add(t, F.mul(c, F.pow(x, col[i])))
+                        for x, t in enumerate(terms[i], 1)]
+        elif c:
+            prod_exps = col
+            prod_values = [F.mul(c, F.gen_pow(t)) for t in range(q1)]
+    # per variable: (term value, product log) at every nonzero x
+    steps = [[(terms[i][x - 1], prod_exps[i] * log[x]) for x in range(1, q)]
+             for i in range(nvars)]
+    count, stack = 0, [(0, const, 0, prod_values is not None)]
     while stack:
-        depth, s, lsum, zero = stack.pop()
-        if depth == nvars:
-            if lam and not zero:
-                s = add(s, lam_pow[lsum % q1])
-            if s == 0:
-                count += 1
+        depth, s, lsum, live = stack.pop()
+        if depth < nvars - 1:
+            for t, l in steps[depth]:
+                stack.append((depth + 1, add(s, t), lsum + l, live))
+            if not torus:  # x = 0: every term of x is 0, and so is the product
+                stack.append((depth + 1, s, lsum, False))
             continue
-        for x in range(q):
-            if x == 0:
-                stack.append((depth + 1, s, lsum, True))
-            else:
-                stack.append((depth + 1, add(s, powd[x]), lsum + log[x], zero))
-    return count
-
-
-def count_torus_brute(inst: DworkInstance, k: int = 1,
-                      caps: Caps = DEFAULT_CAPS) -> int:
-    """N_g* over GF(q^k): zeros of g with all coordinates nonzero."""
-    F, lam = inst.extension(k, cap=caps.field_table_max_q)
-    n = inst.n
-    q = F.pp.q
-    q1 = q - 1
-    if q1 ** n > caps.torus_enum_max:
-        raise EnumerationTooLarge(q1 ** n, caps.torus_enum_max)
-    add = F.add
-    log = F.log_table
-    exp = F.exp_table
-    units = exp
-    count = 0
-    stack = [(0, 0, 0)]
-    while stack:
-        depth, s, lsum = stack.pop()
-        if depth == n:
-            v = add(add(s, exp[(-lsum) % q1]), lam)
+        # the last variable: evaluate each point rather than push it
+        for t, l in steps[depth]:
+            v = add(s, t)
+            if live:
+                v = add(v, prod_values[(lsum + l) % q1])
             if v == 0:
                 count += 1
-            continue
-        for x in units:
-            stack.append((depth + 1, add(s, x), lsum + log[x]))
-    return count
-
-
-def count_torus_f_brute(inst: DworkInstance, k: int = 1,
-                        caps: Caps = DEFAULT_CAPS) -> int:
-    """N_f*: zeros of f with all n+1 coordinates nonzero."""
-    F, lam = inst.extension(k, cap=caps.field_table_max_q)
-    n = inst.n
-    q = F.pp.q
-    q1 = q - 1
-    if q1 ** (n + 1) > caps.torus_enum_max:
-        raise EnumerationTooLarge(q1 ** (n + 1), caps.torus_enum_max)
-    powd = [0] + [F.gen_pow((F.dlog(x) * (n + 1)) % q1) for x in range(1, q)]
-    lam_pow = [F.mul(lam, F.gen_pow(e)) for e in range(q1)] if lam else None
-    add = F.add
-    log = F.log_table
-    count = 0
-    stack = [(0, 0, 0)]
-    while stack:
-        depth, s, lsum = stack.pop()
-        if depth == n + 1:
-            if lam:
-                s = add(s, lam_pow[lsum % q1])
-            if s == 0:
-                count += 1
-            continue
-        for x in range(1, q):
-            stack.append((depth + 1, add(s, powd[x]), lsum + log[x]))
+        if not torus and s == 0:
+            count += 1
     return count
 
 
@@ -237,7 +212,7 @@ def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
     F, _lam = inst.extension(k, cap=caps.field_table_max_q)
     n = inst.n
     q = F.pp.q
-    total = count_torus_brute(inst, k, caps)
+    total = count_brute(inst, inst.Nmat, k, caps=caps)
     add = F.add
     for d in range(1, n):
         cnt = 0
@@ -463,73 +438,49 @@ def _fiber_sums(inst: DworkInstance, matrix, k: int, caps: Caps):
     return tower, out
 
 
-def charsum_x_counts(inst: DworkInstance, k: int = 1,
-                     caps: Caps = DEFAULT_CAPS):
-    """(N_f, N_f*) over GF(q^k) from the M-matrix half of the Gauss-sum
-    formula."""
-    n, q = inst.n, inst.field.pp.q ** k
-    tower, by_s = _fiber_sums(inst, inst.M, k, caps)
-    pN, q1 = tower.pN, q - 1
-    inv_q1 = pow(q1 % pN, -1, pN)
-    # coefficient (q-1)^{s-(n+2)} q^{(n+2)-s} = (q * inv(q-1))^{(n+2)-s}
-    co = [pow((q * inv_q1) % pN, (n + 2) - s, pN) for s in range(n + 3)]
-    qNf = sum((t.scale(co[s]) for s, t in by_s.items()), tower.zero())
-    qNfstar = sum(by_s.values(), tower.from_int(q1 ** (n + 1)))
-    return (_certified_count(qNf, q, q ** (n + 2), "q*N_f"),
-            _certified_count(qNfstar, q, q ** (n + 2), "q*N_f*"))
-
-
-def charsum_y_counts(inst: DworkInstance, k: int = 1,
-                     caps: Caps = DEFAULT_CAPS) -> int:
-    """N_g* over GF(q^k) from the N-matrix half of the Gauss-sum formula."""
-    n, q = inst.n, inst.field.pp.q ** k
-    tower, by_s = _fiber_sums(inst, inst.Nmat, k, caps)
-    inv_q1 = pow((q - 1) % tower.pN, -1, tower.pN)
-    qNgstar = (sum(by_s.values(), tower.zero()).scale(inv_q1)
-               + tower.from_int((q - 1) ** n))
-    return _certified_count(qNgstar, q, q ** (n + 1), "q*N_g*")
-
-
-def charsum_qcounts(inst: DworkInstance, k: int = 1,
-                    caps: Caps = DEFAULT_CAPS):
-    """(N_f, N_f*, N_g*, N) over GF(q^k) from both halves of the Gauss-sum
-    formula, N the p-adic precision used."""
-    nf, nfstar = charsum_x_counts(inst, k, caps)
-    N = caps.precision_override or required_precision(
-        inst.field.pp.p, inst.field.pp.q ** k, inst.n)
-    return nf, nfstar, charsum_y_counts(inst, k, caps), N
+def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
+                  caps: Caps = DEFAULT_CAPS) -> int:
+    """The count `count_brute` makes, from the Gauss-sum formula over
+    `_fiber_sums`, with v rows and m columns in `matrix`: on the torus
+    q N = (q-1)^{v-1} + (q-1)^{v-m} sum, in affine space
+    q N = sum_s (q-1)^{s-m} q^{v-s} by_s[s], certified against q^v."""
+    v, m, q = len(matrix), len(matrix[0]), inst.field.pp.q ** k
+    tower, by_s = _fiber_sums(inst, matrix, k, caps)
+    pN = tower.pN
+    if torus:
+        qN = (sum(by_s.values(), tower.zero()).scale(pow(q - 1, v - m, pN))
+              + tower.from_int((q - 1) ** (v - 1)))
+    else:
+        qN = sum((t.scale(pow(q - 1, s - m, pN) * q ** (v - s))
+                  for s, t in by_s.items()), tower.zero())
+    return _certified_count(qN, q, q ** v, "q * count")
 
 
 def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
                  caps: Caps = DEFAULT_CAPS,
                  with_nfstar: bool = False) -> CountRecord:
-    """One CountRecord over GF(q^k); `both` asserts charsum == brute.  The
-    record's lambda_dlog is the discrete log of lam in the base field; it
-    reports N_f* (and `both` checks it) only with_nfstar."""
-    q = inst.field.pp.q ** k
-    precision = None
-    if method in ("charsum", "both"):
-        nf, nfstar, ngstar, precision = charsum_qcounts(inst, k, caps=caps)
-        if method == "both":
-            nf_b = count_affine_brute(inst, k, caps)
-            ngstar_b = count_torus_brute(inst, k, caps)
-            if (nf, ngstar) != (nf_b, ngstar_b):
-                raise NonIntegralResult(
-                    f"charsum ({nf}, {ngstar}) != brute ({nf_b}, {ngstar_b})")
-            if with_nfstar and nfstar != count_torus_f_brute(inst, k, caps):
-                raise NonIntegralResult("charsum N_f* disagrees with brute force")
-    elif method == "brute":
-        nf = count_affine_brute(inst, k, caps)
-        ngstar = count_torus_brute(inst, k, caps)
-        nfstar = count_torus_f_brute(inst, k, caps) if with_nfstar else None
-    else:
+    """One CountRecord over GF(q^k): N_f counts (M, affine space), N_g*
+    (Nmat, torus) and, with_nfstar, N_f* (M, torus), each by every route
+    the method names; `both` asserts charsum == brute.  The record's
+    lambda_dlog is the discrete log of lam in the base field."""
+    routes = {"charsum": (charsum_count,), "brute": (count_brute,),
+              "both": (charsum_count, count_brute)}.get(method)
+    if routes is None:
         raise ValueError(f"unknown method {method!r}")
-    pp = inst.field.pp
+    domains = ((inst.M, False), (inst.Nmat, True)) + (
+        ((inst.M, True),) if with_nfstar else ())
+    counts = [tuple(route(inst, matrix, k, torus, caps)
+                    for matrix, torus in domains) for route in routes]
+    if counts[0] != counts[-1]:
+        raise NonIntegralResult(f"charsum {counts[0]} != brute {counts[-1]}")
+    (nf, ngstar, *nfstar), pp = counts[0], inst.field.pp
+    q = pp.q ** k
     return CountRecord(
         n=inst.n, p=pp.p, r=pp.r, k=k, lam_dlog=inst.lam_dlog,
-        Nf=nf, Nfstar=nfstar if with_nfstar else None, Ngstar=ngstar,
-        X=count_X(nf, q), Y=count_Y(ngstar, inst.n, q),
-        method=method, precision=precision)
+        Nf=nf, Nfstar=nfstar[0] if nfstar else None, Ngstar=ngstar,
+        X=count_X(nf, q), Y=count_Y(ngstar, inst.n, q), method=method,
+        precision=None if method == "brute" else (
+            caps.precision_override or required_precision(pp.p, q, inst.n)))
 
 
 # ---------------------------------------------------------------------------

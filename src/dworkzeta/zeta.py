@@ -9,8 +9,7 @@ so counts and numerator power sums determine each other linearly:
     #V(F_{q^k}) = -num_exp * s_k - sum_i e_i q^{ik},      s_k = sum_j alpha_j^k.
 
 The projective pencil X and its mirror Y share trivial factors
-(1-T)...(1-q^{n-1}T) in the denominator with numerator exponent (-1)^n; the
-affine torus hypersurface g has binomial-weighted trivial factors.  The
+(1-T)...(1-q^{n-1}T) in the denominator with numerator exponent (-1)^n.  The
 numerator is recovered from power sums by Newton's identities, optionally
 completed by the Weil functional equation a_{D-i} = sign * q^{w(D-2i)/2} a_i
 with the sign pinned by integrality, Weil bounds, and archimedean purity.
@@ -117,8 +116,6 @@ def trivial_factors(variety: str, n: int) -> tuple:
     """[(i, e_i)] meaning a factor (1 - q^i T)^{e_i} of the zeta function."""
     if variety in ("X", "Y"):
         return tuple((i, -1) for i in range(n))
-    if variety == "affine_g":
-        return tuple((i, (-1) ** (n - i) * comb(n, i + 1)) for i in range(n))
     raise ValueError(f"unknown variety tag {variety!r}")
 
 
@@ -130,7 +127,7 @@ def numerator_exponent(n: int) -> int:
 class ZetaData:
     """A factored zeta function with integer numerator and trivial factors."""
 
-    variety: str  # X | Y | affine_g
+    variety: str  # X | Y
     n: int
     p: int
     r: int
@@ -418,17 +415,6 @@ def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
     return zd
 
 
-def _instance_counts(inst, variety: str, m: int, caps):
-    """#X or #Y (variety "X" or "Y") over GF(q^k) for k = 1..m, from the
-    part of the character sum that variety reads."""
-    n, q = inst.n, inst.field.pp.q
-    if variety == "X":
-        return [counting.count_X(counting.charsum_x_counts(inst, k, caps)[0],
-                                 q ** k) for k in range(1, m + 1)]
-    return [counting.count_Y(counting.charsum_y_counts(inst, k, caps), n,
-                             q ** k) for k in range(1, m + 1)]
-
-
 def recover_pencil_zeta(inst, caps=None,
                         k_budget: Optional[int] = None) -> ZetaData:
     """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1,
@@ -437,8 +423,10 @@ def recover_pencil_zeta(inst, caps=None,
     n = inst.n
     degree = expected_degree_P(n)
     m = k_budget or counts_budget(degree, True)
-    counts = _instance_counts(inst, "X", m, caps)
     q = inst.field.pp.q
+    counts = [counting.count_X(counting.charsum_count(inst, inst.M, k, False,
+                                                      caps), q ** k)
+              for k in range(1, m + 1)]
     return zeta_from_counts("X", counts, n, inst.field.pp.p, inst.field.pp.r,
                             q, inst.lam_dlog, degree, n - 1)
 
@@ -449,7 +437,9 @@ def recover_mirror_zeta(inst, caps=None, use_fe: bool = True,
     caps = caps or DEFAULT_CAPS
     n = inst.n
     m = k_budget or counts_budget(n, use_fe)
-    counts = _instance_counts(inst, "Y", m, caps)
     q = inst.field.pp.q
+    counts = [counting.count_Y(counting.charsum_count(inst, inst.Nmat, k,
+                                                      caps=caps), n, q ** k)
+              for k in range(1, m + 1)]
     return zeta_from_counts("Y", counts, n, inst.field.pp.p, inst.field.pp.r,
                             q, inst.lam_dlog, n, n - 1, use_fe)

@@ -19,9 +19,8 @@ import pytest
 
 from dworkzeta.counting import (
     DworkInstance,
-    charsum_qcounts,
-    count_affine_brute,
-    count_torus_brute,
+    charsum_count,
+    count_brute,
     count_X,
     count_Y,
     count_Y_strata_brute,
@@ -108,9 +107,11 @@ def test_criterion_03_charsum_equals_brute():
             F = build_field(p, r, 0)
             for lam in range(F.pp.q):
                 inst = DworkInstance(n=n, field=F, lam=lam)
-                nf, _, ngstar, _ = charsum_qcounts(inst)
-                assert nf == count_affine_brute(inst), (n, p, r, lam)
-                assert ngstar == count_torus_brute(inst), (n, p, r, lam)
+                nf = charsum_count(inst, inst.M, torus=False)
+                ngstar = charsum_count(inst, inst.Nmat)
+                assert nf == count_brute(inst, inst.M, torus=False), \
+                    (n, p, r, lam)
+                assert ngstar == count_brute(inst, inst.Nmat), (n, p, r, lam)
                 cases += 1
     dt = time.monotonic() - t0
     _report("ACCEPT-03 counting-oracle-equivalence", dt < 120,
@@ -127,7 +128,8 @@ def test_criterion_04_mirror_congruence():
             for n in (2, 3, 4):
                 for lam in range(q):
                     inst = DworkInstance(n=n, field=base, lam=lam)
-                    nf, _, ngstar, _ = charsum_qcounts(inst, k)
+                    nf = charsum_count(inst, inst.M, k, torus=False)
+                    ngstar = charsum_count(inst, inst.Nmat, k)
                     x, y = count_X(nf, qk), count_Y(ngstar, n, qk)
                     assert (x - y) % qk == 0, (n, q, k, lam, x, y)
                     rows += 1
@@ -144,7 +146,7 @@ def test_criterion_05_projective_mirror_count_identity():
             F = build_field(p, r, 0)
             for lam in range(F.pp.q):
                 inst = DworkInstance(n=n, field=F, lam=lam)
-                ngstar = count_torus_brute(inst)
+                ngstar = count_brute(inst, inst.Nmat)
                 assert count_Y(ngstar, n, F.pp.q) == count_Y_strata_brute(inst)
                 cases += 1
     dt = time.monotonic() - t0

@@ -481,14 +481,14 @@ def test_command_golden_digests(capsys, argv, exit_code, digest):
 
 def test_sweep_worker_exception_is_a_failure_row(tmp_path, capsys,
                                                  monkeypatch):
-    real = counting.charsum_qcounts
+    real = counting.charsum_count
 
     def broken(inst, *args, **kw):
         if inst.lam == 1:
             raise RuntimeError("injected")
         return real(inst, *args, **kw)
 
-    monkeypatch.setattr(counting, "charsum_qcounts", broken)
+    monkeypatch.setattr(counting, "charsum_count", broken)
     cfg = {"n_list": [2], "prime_list": [5], "k_max": 1,
            "lambda_mode": "all", "seed": 0}
     cfg_path = tmp_path / "cfg.json"

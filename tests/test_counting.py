@@ -7,11 +7,9 @@ from dworkzeta.config import Caps
 from dworkzeta.counting import (
     CountRecord,
     DworkInstance,
-    charsum_qcounts,
-    count_affine_brute,
+    charsum_count,
+    count_brute,
     count_record,
-    count_torus_brute,
-    count_torus_f_brute,
     count_X,
     count_Y,
     count_Y_strata_brute,
@@ -24,6 +22,7 @@ from dworkzeta.counting import (
 )
 from dworkzeta.errors import (
     DivisibilityViolation,
+    EnumerationTooLarge,
     FieldTooLarge,
     PrecisionInsufficient,
 )
@@ -33,6 +32,13 @@ from dworkzeta.padic import TowerCtx, build_tower, pi_valuation
 
 def inst(n, p, r, lam, seed=0):
     return DworkInstance(n=n, field=build_field(p, r, seed), lam=lam)
+
+
+def charsum_triple(ii, k=1, caps=Caps()):
+    """(N_f, N_f*, N_g*) over GF(q^k) from the character sum."""
+    return (charsum_count(ii, ii.M, k, False, caps),
+            charsum_count(ii, ii.M, k, True, caps),
+            charsum_count(ii, ii.Nmat, k, True, caps))
 
 
 def test_matrices_match_their_displays():
@@ -115,23 +121,24 @@ def test_solution_classification(solution_class):
 
 
 def test_affine_brute_examples():
-    assert count_affine_brute(inst(2, 2, 1, 0)) == 4
-    assert count_affine_brute(inst(2, 2, 2, 0)) == 28
+    M2 = dwork_matrix_M(2)
+    assert count_brute(inst(2, 2, 1, 0), M2, torus=False) == 4
+    assert count_brute(inst(2, 2, 2, 0), M2, torus=False) == 28
     # the origin is always a solution
-    assert count_affine_brute(inst(3, 3, 1, 1)) >= 1
+    assert count_brute(inst(3, 3, 1, 1), dwork_matrix_M(3), torus=False) >= 1
 
 
 def test_torus_brute_examples():
-    assert count_torus_brute(inst(2, 2, 1, 0)) == 0
+    assert count_brute(inst(2, 2, 1, 0), dwork_matrix_N(2)) == 0
     F3 = build_field(3, 1, 0)
-    got = count_torus_brute(DworkInstance(n=2, field=F3, lam=1))
+    got = count_brute(DworkInstance(n=2, field=F3, lam=1), dwork_matrix_N(2))
     by_hand = 0
     for x in (1, 2):
         for y in (1, 2):
             inv = pow(x * y, -1, 3) if (x * y) % 3 else 0
             by_hand += (x + y + inv + 1) % 3 == 0
     assert got == by_hand
-    assert count_torus_brute(inst(3, 2, 2, 0)) <= 27
+    assert count_brute(inst(3, 2, 2, 0), dwork_matrix_N(3)) <= 27
 
 
 def brute_projective_count(n, F, lam):
@@ -161,7 +168,8 @@ def test_count_X_examples_and_independent_oracle():
         count_X(5, 4)
     for (n, p, lam) in [(3, 5, 0), (2, 7, 3), (3, 3, 1)]:
         F = build_field(p, 1, 0)
-        nf = count_affine_brute(DworkInstance(n=n, field=F, lam=lam))
+        nf = count_brute(DworkInstance(n=n, field=F, lam=lam),
+                         dwork_matrix_M(n), torus=False)
         assert count_X(nf, p) == brute_projective_count(n, F, lam)
 
 
@@ -170,7 +178,8 @@ def test_count_Y_examples():
     # congruence (12): #Y = N_g* + 1 - n(-1)^{n-1} mod q
     for (n, p, lam) in [(2, 5, 1), (3, 5, 2), (2, 7, 0), (4, 3, 1)]:
         F = build_field(p, 1, 0)
-        ng = count_torus_brute(DworkInstance(n=n, field=F, lam=lam))
+        ng = count_brute(DworkInstance(n=n, field=F, lam=lam),
+                         dwork_matrix_N(n))
         y = count_Y(ng, n, p)
         assert (y - (ng + 1 - n * (-1) ** (n - 1))) % p == 0
 
@@ -181,7 +190,7 @@ def test_count_Y_matches_strata_oracle(n, p, r):
     F = build_field(p, r, 0)
     for lam in range(F.pp.q):
         ii = DworkInstance(n=n, field=F, lam=lam)
-        ng = count_torus_brute(ii)
+        ng = count_brute(ii, ii.Nmat)
         assert count_Y(ng, n, F.pp.q) == count_Y_strata_brute(ii)
 
 
@@ -201,24 +210,24 @@ def test_charsum_matches_brute_all_lambda(n, p, r):
     F = build_field(p, r, 0)
     for lam in range(F.pp.q):
         ii = DworkInstance(n=n, field=F, lam=lam)
-        nf, nfstar, ngstar, _prec = charsum_qcounts(ii)
-        assert nf == count_affine_brute(ii), (n, p, r, lam)
-        assert ngstar == count_torus_brute(ii), (n, p, r, lam)
-        assert nfstar == count_torus_f_brute(ii), (n, p, r, lam)
+        nf, nfstar, ngstar = charsum_triple(ii)
+        assert nf == count_brute(ii, ii.M, torus=False), (n, p, r, lam)
+        assert ngstar == count_brute(ii, ii.Nmat), (n, p, r, lam)
+        assert nfstar == count_brute(ii, ii.M), (n, p, r, lam)
 
 
 def test_charsum_extension_field_consistency():
     # counting over GF(q^2) directly == counting the same lam upstairs
     ii = inst(2, 3, 1, 2)
-    nf2, _, ng2, _ = charsum_qcounts(ii, k=2)
+    nf2, _, ng2 = charsum_triple(ii, k=2)
     F9 = build_field(3, 2, 0)
     from dworkzeta.ff import extend
 
     lam9 = extend(build_field(3, 1, 0), 2).embed(2)
     ii9 = DworkInstance(n=2, field=F9, lam=lam9)
-    nf9, _, ng9, _ = charsum_qcounts(ii9)
+    nf9, _, ng9 = charsum_triple(ii9)
     assert (nf2, ng2) == (nf9, ng9)
-    assert nf2 == count_affine_brute(ii, k=2)
+    assert nf2 == count_brute(ii, ii.M, k=2, torus=False)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -226,17 +235,17 @@ def test_charsum_matches_brute_n4(p):
     F = build_field(p, 1, 0)
     for lam in range(p):
         ii = DworkInstance(n=4, field=F, lam=lam)
-        nf, _, ngstar, _ = charsum_qcounts(ii)
-        assert nf == count_affine_brute(ii), (p, lam)
-        assert ngstar == count_torus_brute(ii), (p, lam)
+        nf, _, ngstar = charsum_triple(ii)
+        assert nf == count_brute(ii, ii.M, torus=False), (p, lam)
+        assert ngstar == count_brute(ii, ii.Nmat), (p, lam)
 
 
 def test_charsum_extension_over_nonprime_base():
     # base GF(4), counted over GF(16): the engine and brute force agree
     ii = inst(2, 2, 2, 3)
-    nf, _, ng, _ = charsum_qcounts(ii, k=2)
-    assert nf == count_affine_brute(ii, k=2)
-    assert ng == count_torus_brute(ii, k=2)
+    nf, _, ng = charsum_triple(ii, k=2)
+    assert nf == count_brute(ii, ii.M, k=2, torus=False)
+    assert ng == count_brute(ii, ii.Nmat, k=2)
 
 
 def test_charsum_trivial_part_identity():
@@ -409,7 +418,7 @@ def test_count_record_json_and_both_method():
 
 def test_charsum_precision_guard():
     with pytest.raises(PrecisionInsufficient):
-        charsum_qcounts(inst(2, 5, 1, 1), caps=Caps(precision_override=2))
+        charsum_triple(inst(2, 5, 1, 1), caps=Caps(precision_override=2))
 
 
 def test_model_independence_across_seeds():
@@ -417,10 +426,11 @@ def test_model_independence_across_seeds():
     for seed in (0, 3):
         F = build_field(7, 1, seed)
         ii = DworkInstance(n=2, field=F, lam=3)
-        assert count_affine_brute(ii) == count_affine_brute(inst(2, 7, 1, 3))
-        nf, _, ng, _ = charsum_qcounts(ii)
-        assert nf == count_affine_brute(ii)
-        assert ng == count_torus_brute(ii)
+        assert count_brute(ii, ii.M, torus=False) == count_brute(
+            inst(2, 7, 1, 3), ii.M, torus=False)
+        nf, _, ng = charsum_triple(ii)
+        assert nf == count_brute(ii, ii.M, torus=False)
+        assert ng == count_brute(ii, ii.Nmat)
 
 
 def test_required_precision():
@@ -470,7 +480,7 @@ def test_charsum_matches_direct_sum_every_lambda(n, p, r, k):
     F = build_field(p, r, 0)
     for lam in range(F.pp.q):  # lam = 0 included
         ii = DworkInstance(n=n, field=F, lam=lam)
-        assert charsum_qcounts(ii, k)[:3] == _direct_qcounts(ii, k), \
+        assert charsum_triple(ii, k) == _direct_qcounts(ii, k), \
             (n, p, r, k, lam)
 
 
@@ -489,7 +499,7 @@ def _lift_degree(n, q, k):
 def test_lam_zero_lift_matches_direct_table():
     for n, q, k in _LIFT_CASES:
         ii = inst(n, q, 1, 0)
-        assert charsum_qcounts(ii, k)[:3] == _direct_qcounts(ii, k), (n, q, k)
+        assert charsum_triple(ii, k) == _direct_qcounts(ii, k), (n, q, k)
     f2 = {case for case in _LIFT_CASES if _lift_degree(*case) == 2}
     assert f2 >= {(2, 5, 2), (2, 5, 4), (3, 3, 2), (3, 3, 4)}
 
@@ -550,7 +560,7 @@ def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
     assert len(walks) == 8 and len(set(walks)) == 8
     ii = inst(2, 5, 1, 1)
     assert count_record(ii, 1, with_nfstar=True).Nfstar == \
-        count_torus_f_brute(ii)
+        count_brute(ii, ii.M)
     assert count_record(ii, 1).Nfstar is None
 
 
@@ -689,3 +699,36 @@ def test_fiber_part_twists_at_most_once_per_class(n, capsys, monkeypatch):
     assert all(twists <= s_values * (q - 2)
                for twists, s_values, q in fibers), fibers
     assert (max(twists for twists, _, _ in fibers) > 0) == (n == 2), fibers
+
+
+def test_brute_force_caps_are_sharp(tmp_path, capsys):
+    import json
+
+    from dworkzeta.cli import main
+
+    # n = 2 over GF(5): N_f walks 5^3 = 125 points, N_f* 4^3 = 64 and
+    # N_g* 4^2 = 16
+    ii = inst(2, 5, 1, 1)
+    counts = {"Nf": lambda caps: count_brute(ii, ii.M, torus=False, caps=caps),
+              "Nfstar": lambda caps: count_brute(ii, ii.M, caps=caps),
+              "Ngstar": lambda caps: count_brute(ii, ii.Nmat, caps=caps)}
+
+    def refused(**caps):
+        caps = Caps(**{"affine_enum_max": 125, "torus_enum_max": 64, **caps})
+        out = set()
+        for name, count in counts.items():
+            try:
+                count(caps)
+            except EnumerationTooLarge:
+                out.add(name)
+        return out
+
+    assert refused() == set()
+    assert refused(affine_enum_max=124) == {"Nf"}
+    assert refused(torus_enum_max=63) == {"Nfstar"}
+    assert refused(torus_enum_max=15) == {"Nfstar", "Ngstar"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"caps": {"affine_enum_max": 124}}))
+    assert main(["count", "--n", "2", "--p", "5", "--lambda", "zero",
+                 "--method", "brute", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: ")

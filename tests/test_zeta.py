@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworkzeta.counting import DworkInstance, count_affine_brute, count_X
+from dworkzeta.counting import DworkInstance, count_brute, count_X
 from dworkzeta.errors import (
     InsufficientData,
     NoConsistentSign,
@@ -58,8 +58,6 @@ def test_power_sums_elliptic():
 def test_trivial_factors_shapes():
     assert trivial_factors("X", 2) == ((0, -1), (1, -1))
     assert trivial_factors("Y", 3) == ((0, -1), (1, -1), (2, -1))
-    # affine g for n = 3: (1-T)^-3 (1-qT)^3 (1-q^2T)^-1
-    assert trivial_factors("affine_g", 3) == ((0, -3), (1, 3), (2, -1))
     assert numerator_exponent(2) == 1 and numerator_exponent(3) == -1
 
 
@@ -82,7 +80,7 @@ def test_recover_fermat_cubic_numerator_both_ways():
     inst = DworkInstance(n=2, field=F4, lam=0)
     counts = []
     for k in (1, 2):
-        nf = count_affine_brute(inst, k)
+        nf = count_brute(inst, inst.M, k, torus=False)
         counts.append(count_X(nf, 4 ** k))
     assert counts[0] == 9
     psums = power_sums_from_counts(counts, "X", 2, 4)
@@ -229,17 +227,17 @@ def test_recover_mirror_zeta_via_fe_from_two_counts():
 def test_pencil_mirror_congruence_high_extensions():
     # Fermat quartic over F_5: #X from the character sum engine at k = 4
     # stays congruent to #Y predicted by the recovered mirror numerator
-    from dworkzeta.counting import charsum_qcounts, count_X
+    from dworkzeta.counting import charsum_count, count_X
 
     F5 = build_field(5, 1, 0)
     inst = DworkInstance(n=3, field=F5, lam=0)
     frozen_x = {1: 0, 2: 1112, 3: 15360, 4: 402072}
     for k in (1, 2):  # brute cross-check where cheap
-        nf = count_affine_brute(inst, k)
+        nf = count_brute(inst, inst.M, k, torus=False)
         assert count_X(nf, 5 ** k) == frozen_x[k]
     zy = recover_mirror_zeta(inst)
     for k, x in frozen_x.items():
-        nf, _, _, _ = charsum_qcounts(inst, k)
+        nf = charsum_count(inst, inst.M, k, torus=False)
         assert count_X(nf, 5 ** k) == x
         assert (x - zy.count(k)) % 5 ** k == 0
 
@@ -247,7 +245,7 @@ def test_pencil_mirror_congruence_high_extensions():
 def test_recover_mirror_zeta_over_gf9():
     # non-prime base field: towers over GF(9^k); frozen values cross-checked
     # against brute-force torus counts at k = 1
-    from dworkzeta.counting import count_torus_brute, count_Y
+    from dworkzeta.counting import count_brute, count_Y
     from dworkzeta.slope import newton_polygon, ordinarity_test
 
     F9 = build_field(3, 2, 0)
@@ -263,7 +261,7 @@ def test_recover_mirror_zeta_over_gf9():
     assert ordinarity_test(newton_polygon(zy.numerator, 3, 2),
                            [(0, 1), (1, 1), (2, 1)])
     for inst, zd in ((super_singular, zy0), (generic, zy)):
-        ng = count_torus_brute(inst)
+        ng = count_brute(inst, inst.Nmat)
         assert zd.count(1) == count_Y(ng, 3, 9)
 
 
