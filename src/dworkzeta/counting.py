@@ -33,11 +33,16 @@ Only chi(lam)^{k_m} depends on lam, through k_m mod (q-1), as lam lies in
 GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
 (s(k), k_m mod (q-1)) on the tower over the base field GF(q); the fiber
 part twists each class by chi(lam)^{k_m}, one multiply per class.  The
-family part forms each product once per sorted index multiset, sharing
-prefixes, and scales it by the boundary sums G(0) = q-1 and G(q-1) = -q as
-rational integers.  Every Gauss sum over GF(q^k) is the Hasse-Davenport
-lift of a sum over GF(q^f), f = `gauss_field_degree`: a proper subfield
-only at lam = 0, f = k (the identity lift) otherwise.
+family part uses two exact symmetries.  Reordering the variables' exponents
+(the block of the first v-1 coordinates) keeps the solution set and s(k),
+so the solutions are walked one per reordering class, weighted by its size.
+Frobenius gives G(p k mod (q-1)) = G(k), so each inner index is replaced by
+the least member of its p-cyclotomic coset and each product is formed once
+per sorted tuple of those minima, sharing prefixes; the boundary sums
+G(0) = q-1 and G(q-1) = -q scale it as rational integers.  Every Gauss sum
+over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
+f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (the
+identity lift) otherwise.
 """
 from __future__ import annotations
 
@@ -45,7 +50,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import comb, factorial, gcd
 from typing import Iterator, Optional
 
 from .config import Caps, DEFAULT_CAPS
@@ -207,8 +212,6 @@ def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
     every face of the simplex.  Proper faces of dimension d are cut out by
     1 + x_1 + ... + x_d = 0 in a d-torus and there are C(n+1, d+1) of them;
     vertices contribute nothing; the big cell contributes N_g*."""
-    from math import comb
-
     F, _lam = inst.extension(k, cap=caps.field_table_max_q)
     n = inst.n
     q = F.pp.q
@@ -249,45 +252,61 @@ def _lift_zero_residues(res, q, fixed_last: bool):
     return itertools.product(*options)
 
 
+def _reorderings(block) -> int:
+    """The number of distinct reorderings of a sorted tuple."""
+    out = factorial(len(block))
+    for _, run in itertools.groupby(block):
+        out //= factorial(sum(1 for _ in run))
+    return out
+
+
 def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[tuple]:
-    """Solutions k in [0, q-1]^{n+2} of matrix*k = 0 mod (q-1), as pairs
-    (k, s(k)) with s(k) the number of nonzero entries of matrix*k.
+    """Solutions k in [0, q-1]^m of matrix*k = 0 mod (q-1), one per class of
+    block reorderings, as triples (k, s(k), count) with s(k) the number of
+    nonzero entries of matrix*k.
 
-    Uses the structure of the two Dwork matrices instead of scanning q^{n+2}
-    tuples: for M the first n+1 coordinates agree mod (q-1)/gcd(n+1, q-1)
-    and the last is determined; for N the first n+1 residues are equal.
-    Every yielded vector is re-verified against the matrix.
+    The block is the first len(matrix) - 1 coordinates: the exponents of
+    x_i^{n+1} for M, of x_i for N.  Reordering the block's columns only
+    permutes the rows below the row of ones, so it keeps both the solution
+    set and s(k).  The representative has its block sorted; count is the
+    number of its distinct reorderings.
+
+    Uses the structure of the two Dwork matrices instead of scanning q^m
+    tuples: for M the block residues are a + d m_i, d = (q-1)/gcd(n+1, q-1),
+    with sum m_i = 0 mod gcd(n+1, q-1), walked as sorted multisets, and the
+    last residue is determined; for N every residue but the last is a.  A
+    zero residue lifts to 0 or q-1; in the block, lifting j of z zeros gives
+    one class, with the q-1's last.  lam = 0 pins k_last to 0.  Each
+    representative is re-verified against the matrix, once per class.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0])
+    nrows, ncols, q1 = len(matrix), len(matrix[0]), q - 1
     n = ncols - 2
-    q1 = q - 1
-    is_m = nrows == ncols
 
-    def emit(res):
-        for k in _lift_zero_residues(res, q, lam_zero):
-            v = _matvec(matrix, k)
-            if any(x % q1 for x in v):
-                raise RuntimeError(f"enumerated non-solution {k} (bug)")
-            yield k, sum(1 for x in v if x != 0)
+    def emit(block, tail):
+        z = block.count(0)
+        for j in range(z + 1):
+            head = block[j:] + (q1,) * j
+            count = _reorderings(head)
+            for rest in _lift_zero_residues(tail, q, lam_zero):
+                k = head + rest
+                v = _matvec(matrix, k)
+                if any(x % q1 for x in v):
+                    raise RuntimeError(f"enumerated non-solution {k} (bug)")
+                yield k, sum(1 for x in v if x != 0), count
 
-    if is_m:
+    if nrows == ncols:  # M
         g = gcd(n + 1, q1)
         d = q1 // g
-        a_values = (0,) if lam_zero else range(d)
-        for a in a_values:
-            k_last = (-(n + 1) * a) % q1
-            for ms in itertools.product(range(g), repeat=n):
-                m_last = (-sum(ms)) % g
-                res = tuple(a + d * m for m in ms) + (a + d * m_last, k_last)
-                yield from emit(res)
+        for a in (0,) if lam_zero else range(d):
+            tail = ((-(n + 1) * a) % q1,)
+            for ms in itertools.combinations_with_replacement(range(g), n + 1):
+                if sum(ms) % g == 0:
+                    yield from emit(tuple(a + d * m for m in ms), tail)
     else:
         # lam = 0 pins k_last = 0, i.e. (n+1) a = 0 mod (q-1)
         step = q1 // gcd(n + 1, q1) if lam_zero else 1
         for a in range(0, q1, step):
-            k_last = (-(n + 1) * a) % q1
-            res = (a,) * (n + 1) + (k_last,)
-            yield from emit(res)
+            yield from emit((a,) * n, (a, (-(n + 1) * a) % q1))
 
 
 # ---------------------------------------------------------------------------
@@ -367,32 +386,36 @@ def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
     {(s(k), k_last mod (q-1)): sum of prod_j G_Q(k_j)} over the solutions k
     of matrix * k = 0 mod (Q-1).
 
-    The product depends only on the multiset of the indices, so the
-    solutions are counted per (sorted k, s(k), k_last) and each distinct
-    product is formed once.  The boundary sums G_Q(0) = Q-1 and
-    G_Q(Q-1) = -Q are rational integers: with the multiplicity they become
-    one integer that scales the product of the inner indices.  The inner
-    tuples are walked in sorted order on a stack of prefix products, so a
-    tuple costs one ring multiply per index it does not share with the
-    previous one.
+    Two exact symmetries cut the work.  `enumerate_solutions` yields one
+    solution per class of block reorderings with the class size, which is
+    added in place of 1: reordering the block keeps s(k), k_last and the
+    multiset of indices.  Frobenius a -> a^p permutes GF(Q)^* and keeps the
+    trace, so G_Q(p k mod (Q-1)) = G_Q(k): each inner index 0 < k_j < Q-1
+    is replaced by the least member of its p-cyclotomic coset mod Q-1, an
+    orbit of length log_p Q, and the products are keyed by the sorted tuple
+    of those minima.  The boundary sums G_Q(0) = Q-1 and G_Q(Q-1) = -Q are
+    rational integers and are not reduced: with the class size they become
+    one integer that scales the product of the inner indices.  The keys are
+    walked in sorted order on a stack of prefix products, so a key costs one
+    ring multiply per index it does not share with the previous one.
 
-    Only the inner indices that occur are read, through the
-    Hasse-Davenport lift G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m,
-    the identity at m = 1; the caller picks q_f so that every inner index
-    is such a multiple.  At t = q_f-1 the lift is -Q as well, so the
-    boundary convention holds for every m."""
-    Q1, q1 = gauss_tower.q ** m - 1, tower.q - 1
-    groups: dict = {}
-    for k, s in enumerate_solutions(matrix, Q1 + 1, lam_zero):
-        key = (tuple(sorted(k)), s, k[-1] % q1)
-        groups[key] = groups.get(key, 0) + 1
-    # inner index tuple -> {(s, k_last mod (q-1)): integer coefficient}
+    Only the coset minima that occur are read, through the Hasse-Davenport
+    lift G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m, the identity at
+    m = 1; the caller picks q_f so that every inner index is such a
+    multiple, and then so is every member of its coset.  At t = q_f-1 the
+    lift is -Q as well, so the boundary convention holds for every m."""
+    Q1, q1, p = gauss_tower.q ** m - 1, tower.q - 1, gauss_tower.p
+    orbit = range(gauss_tower.r * m)  # Q = p^(r m)
+    # sorted tuple of coset minima -> {(s, k_last mod (q-1)): integer}
     coeffs: dict = {}
-    for (ks, s, c), mult in groups.items():
-        lo, hi = ks.count(0), len(ks) - ks.count(Q1)
-        by_key = coeffs.setdefault(ks[lo:hi], {})
-        by_key[s, c] = (by_key.get((s, c), 0)
-                        + mult * Q1 ** lo * (-(Q1 + 1)) ** (len(ks) - hi))
+    for k, s, count in enumerate_solutions(matrix, Q1 + 1, lam_zero):
+        lo, hi = k.count(0), k.count(Q1)
+        inner = tuple(sorted(min(kj * p ** i % Q1 for i in orbit)
+                             for kj in k if 0 < kj < Q1))
+        by_key = coeffs.setdefault(inner, {})
+        key = (s, k[-1] % q1)
+        by_key[key] = (by_key.get(key, 0)
+                       + count * Q1 ** lo * (-(Q1 + 1)) ** hi)
     step = Q1 // (gauss_tower.q - 1)
     idx = sorted({kj for inner in coeffs for kj in inner})
     if any(kj % step for kj in idx):

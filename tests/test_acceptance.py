@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import each_solution
 
 from dworkzeta.counting import (
     DworkInstance,
@@ -25,7 +26,6 @@ from dworkzeta.counting import (
     count_Y,
     count_Y_strata_brute,
     dwork_matrix_M,
-    enumerate_solutions,
     is_singular,
 )
 from dworkzeta.ff import build_field
@@ -164,7 +164,7 @@ def test_criterion_06_gauss_product_valuations(solution_class):
             T = build_tower(F, (n + 2) * r + 2)
             table = T.gauss_table()
             units = r * (p - 1)  # ord_q = 1 in pi-valuation units
-            for k, s in enumerate_solutions(dwork_matrix_M(n), q):
+            for k, s in each_solution(dwork_matrix_M(n), q):
                 cls = solution_class(k, s, n, q)
                 if cls == "zero":
                     continue

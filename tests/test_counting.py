@@ -2,11 +2,13 @@ import itertools
 from math import comb, gcd
 
 import pytest
+from conftest import each_solution
 
 from dworkzeta.config import Caps
 from dworkzeta.counting import (
     CountRecord,
     DworkInstance,
+    _matvec,
     charsum_count,
     count_brute,
     count_record,
@@ -72,18 +74,25 @@ def brute_solutions(matrix, q, lam_zero):
 
 
 @pytest.mark.parametrize("n,q_spec", [(2, (2, 1)), (2, (5, 1)), (2, (7, 1)),
-                                      (3, (2, 2)), (3, (5, 1)), (2, (3, 2))])
+                                      (3, (2, 2)), (3, (5, 1)), (2, (3, 2)),
+                                      (4, (2, 1)), (4, (3, 1)), (4, (2, 2)),
+                                      (4, (5, 1)), (2, (2, 3)), (3, (2, 3)),
+                                      (3, (3, 2))])
 @pytest.mark.parametrize("lam_zero", [False, True])
 def test_enumerate_solutions_matches_brute_scan(n, q_spec, lam_zero):
     p, r = q_spec
     q = p ** r
     for matrix in (dwork_matrix_M(n), dwork_matrix_N(n)):
-        got = {k for k, _ in enumerate_solutions(matrix, q, lam_zero)}
-        want = brute_solutions(matrix, q, lam_zero)
-        assert got == want
-        # no duplicates
-        count = sum(1 for _ in enumerate_solutions(matrix, q, lam_zero))
-        assert count == len(got)
+        nb = len(matrix) - 1
+        assert all(list(k[:nb]) == sorted(k[:nb]) for k, _, _
+                   in enumerate_solutions(matrix, q, lam_zero))
+        got = list(each_solution(matrix, q, lam_zero))
+        vectors = {k for k, _ in got}
+        assert len(vectors) == len(got)  # no duplicates
+        assert vectors == brute_solutions(matrix, q, lam_zero)
+        # s(k) is constant on each class of block reorderings
+        assert all(s == sum(1 for x in _matvec(matrix, k) if x)
+                   for k, s in got)
 
 
 def _lam_zero_scan_N(n, q):
@@ -101,14 +110,15 @@ def _lam_zero_scan_N(n, q):
 def test_lam_zero_enumeration_steps_over_the_scanned_residues(n):
     prime_powers = [q for q in range(2, 50) if len(factorize(q)) == 1]
     for q in prime_powers:
-        got = [k for k, _ in enumerate_solutions(dwork_matrix_N(n), q,
-                                                 lam_zero=True)]
-        assert got == list(_lam_zero_scan_N(n, q)), (n, q)
+        got = [k for k, _ in each_solution(dwork_matrix_N(n), q,
+                                           lam_zero=True)]
+        assert len(got) == len(set(got)), (n, q)
+        assert sorted(got) == sorted(_lam_zero_scan_N(n, q)), (n, q)
 
 
 def test_solution_classification(solution_class):
     n, q = 2, 7
-    sols = dict(enumerate_solutions(dwork_matrix_M(n), q))
+    sols = dict(each_solution(dwork_matrix_M(n), q))
     cls = {k: solution_class(k, s, n, q) for k, s in sols.items()}
     assert cls[0, 0, 0, 0] == "zero" and sols[0, 0, 0, 0] == 0
     assert cls[0, 0, 0, 6] == "trivial" and sols[0, 0, 0, 6] == n + 2
@@ -257,7 +267,7 @@ def test_charsum_trivial_part_identity():
         T = build_tower(F, required_precision(p, q, n))
         table = T.gauss_table()
         acc = T.zero()
-        for k, _ in enumerate_solutions(ii.Nmat, q):
+        for k, _ in each_solution(ii.Nmat, q):
             if not all(ki in (0, q - 1) for ki in k):
                 continue
             prod = T.one()
@@ -277,7 +287,7 @@ def test_gauss_product_valuations_small(n, p, r, solution_class):
     T = build_tower(F, (n + 2) * r + 2)
     table = T.gauss_table()
     units = r * (p - 1)
-    for k, s in enumerate_solutions(dwork_matrix_M(n), q):
+    for k, s in each_solution(dwork_matrix_M(n), q):
         cls = solution_class(k, s, n, q)
         if cls == "zero":
             continue
@@ -295,7 +305,7 @@ def test_admissible_closed_under_digit_rotation(solution_class):
     n, p, r = 2, 3, 2
     q = p ** r
     cls = {k: solution_class(k, s, n, q)
-           for k, s in enumerate_solutions(dwork_matrix_M(n), q)}
+           for k, s in each_solution(dwork_matrix_M(n), q)}
 
     def rot(ki):
         if ki == 0:
@@ -450,7 +460,7 @@ def _direct_qcounts(ii, k=1):
     table, tp = T.gauss_table(), T.teich_pows()
 
     def terms(matrix):
-        for k, s in enumerate_solutions(matrix, q, lam == 0):
+        for k, s in each_solution(matrix, q, lam == 0):
             prod = T.one()
             for kj in k:
                 prod = prod * table[kj]
@@ -577,7 +587,7 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
     step = Q1 // (F.pp.q - 1)
     q1 = (q or F.pp.q) - 1
     sums, seen = {}, set()
-    for k, s in enumerate_solutions(matrix, Q1 + 1, lam_zero):
+    for k, s in each_solution(matrix, Q1 + 1, lam_zero):
         prod = T.one()
         for kj in k:
             prod = prod * (T.from_int(Q1) if kj == 0 else
@@ -642,14 +652,20 @@ def test_family_part_multiplies_once_per_new_prefix(monkeypatch):
     monkeypatch.setattr(TowerCtx, "_mul", spy)
     M = dwork_matrix_M(3)
     _gauss_product_sums.__wrapped__(base, T, M, False)
-    prefixes, vectors = set(), 0
-    for k, _ in enumerate_solutions(M, 125):
+    prefixes, coset_prefixes, vectors = set(), set(), 0
+    for k, _ in each_solution(M, 125):
         inner = tuple(kj for kj in sorted(k) if 0 < kj < 124)
         prefixes.update(inner[:i] for i in range(1, len(inner) + 1))
+        # G(5 k mod 124) = G(k): the least member of each 5-cyclotomic coset
+        least = sorted(min(kj * 5 ** i % 124 for i in range(3))
+                       for kj in inner)
+        coset_prefixes.update(tuple(least[:i])
+                              for i in range(1, len(least) + 1))
         vectors += 1
     # one product per vector would take 4 * 2,234 = 8,936 multiplies
     assert vectors == 2234
     assert len(muls) <= len(prefixes), (len(muls), len(prefixes))
+    assert len(muls) <= len(coset_prefixes), (len(muls), len(coset_prefixes))
 
 
 @pytest.mark.parametrize("n", [3, 2])
