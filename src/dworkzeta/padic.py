@@ -51,10 +51,6 @@ class Valuation:
     def ord_q(self) -> Fraction:
         return Fraction(self.numerator, self.r * (self.p - 1))
 
-    @property
-    def ord_p(self) -> Fraction:
-        return Fraction(self.numerator, self.p - 1)
-
 
 class TowerElem:
     """Element of the truncated tower ring; immutable."""

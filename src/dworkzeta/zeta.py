@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from math import comb, gcd, isqrt
 from typing import Optional, Sequence
 
-import mpmath as mp
-
 from . import counting
 from .config import DEFAULT_CAPS
 from .errors import (
@@ -79,16 +77,13 @@ class IntPoly:
         return IntPoly([a * c ** i for i, a in enumerate(self.coeffs)])
 
     def power_sums(self, m: int) -> list:
-        """s_k = sum of k-th powers of the reciprocal roots, k = 1..m."""
-        a = self.coeffs
-        d = self.degree
+        """s_k = sum of k-th powers of the reciprocal roots, k = 1..m, by
+        Newton's identities s_k = -k a_k - sum_{0<i<k} a_i s_{k-i}, where
+        a_i = 0 above the degree."""
+        a = self.coeffs + (0,) * max(0, m - self.degree)
         s = []
         for k in range(1, m + 1):
-            acc = -k * a[k] if k <= d else 0
-            for i in range(1, min(k, d + 1)):
-                if k - i >= 1 and k - i <= len(s):
-                    acc -= a[i] * s[k - i - 1]
-            s.append(acc)
+            s.append(-k * a[k] - sum(a[i] * s[k - i - 1] for i in range(1, k)))
         return s
 
     def __repr__(self):
@@ -251,6 +246,9 @@ def weight_purity_check(P: IntPoly, q: int, w: int) -> PurityReport:
     checked with 256-bit arithmetic.  Root finding runs on the square-free
     part, which has the same root set and keeps multiple roots from
     wrecking convergence.  Constant polynomials pass vacuously."""
+    # the package's only runtime dependency, needed by this check alone
+    import mpmath as mp
+
     if P.degree == 0:
         return PurityReport(0.0, True)
     sqf = square_free_part(P)
@@ -304,44 +302,23 @@ def recover_numerator(power_sums: Sequence[int], degree: int, weight: int,
     if m < half:
         raise InsufficientData(
             f"need at least {half} power sums with the functional equation, got {m}")
-    lower = coeffs_from_power_sums(power_sums[:half], half)
+    lower = coeffs_from_power_sums(power_sums[:half], half)  # a_0..a_half
+    upper = [_fe_partner(a, q, weight, weight * (degree - 2 * i))
+             for i, a in enumerate(lower[:degree - half])]
     candidates = []
-    for sign in (1, -1):
-        full = list(lower) + [None] * (degree - half)
-        ok = True
-        for i in range(0, half + 1):
-            j = degree - i
-            if j <= half:
-                # overlap: functional equation must be consistent with data
-                partner = _fe_partner(lower[i], q, weight, weight * (degree - 2 * i))
-                if partner is None or sign * partner != lower[j]:
-                    ok = False
-                    break
-                continue
-            partner = _fe_partner(lower[i], q, weight, weight * (degree - 2 * i))
-            if partner is None:
-                ok = False
-                break
-            full[j] = sign * partner
-        if not ok or any(c is None for c in full):
-            continue
-        try:
-            poly = IntPoly(full)
-        except ValueError:
-            continue
-        if poly.degree != degree:
-            continue
-        if not weil_bound_ok(poly.coeffs, q, weight):
-            continue
-        if poly.power_sums(m) != list(power_sums):
-            continue
-        if not weight_purity_check(poly, q, weight).passed:
-            continue
-        candidates.append((sign, poly))
+    for sign in ((1, -1) if None not in upper else ()):
+        if degree % 2 == 0 and sign * lower[half] != lower[half]:
+            continue  # at even degree the middle coefficient is its own partner
+        # a_D = sign * q^{wD/2} != 0, so poly has the full degree
+        poly = IntPoly(lower + [sign * a for a in reversed(upper)])
+        if (weil_bound_ok(poly.coeffs, q, weight)
+                and poly.power_sums(m) == list(power_sums)
+                and weight_purity_check(poly, q, weight).passed):
+            candidates.append((sign, poly))
     if not candidates:
         raise NoConsistentSign(
             "no functional-equation sign yields an integral, pure numerator")
-    if len(candidates) == 2 and candidates[0][1] != candidates[1][1]:
+    if len(candidates) == 2:  # the two signs differ at a_D
         raise NoConsistentSign(
             "both functional-equation signs yield valid numerators; ambiguous")
     sign, poly = candidates[0]
@@ -415,31 +392,33 @@ def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
     return zd
 
 
+def _recover(inst, variety: str, caps, use_fe: bool,
+             k_budget: Optional[int]) -> ZetaData:
+    """Count `variety` over GF(q^k), k = 1..budget, and recover its zeta:
+    X from M in affine space, Y from N on the torus, both of weight n-1."""
+    caps = caps or DEFAULT_CAPS
+    n, pp = inst.n, inst.field.pp
+    if variety == "X":
+        matrix, torus, degree = inst.M, False, expected_degree_P(n)
+    else:
+        matrix, torus, degree = inst.Nmat, True, n
+    counts = []
+    for k in range(1, (k_budget or counts_budget(degree, use_fe)) + 1):
+        points = counting.charsum_count(inst, matrix, k, torus, caps)
+        counts.append(counting.count_Y(points, n, pp.q ** k) if torus
+                      else counting.count_X(points, pp.q ** k))
+    return zeta_from_counts(variety, counts, n, pp.p, pp.r, pp.q,
+                            inst.lam_dlog, degree, n - 1, use_fe)
+
+
 def recover_pencil_zeta(inst, caps=None,
                         k_budget: Optional[int] = None) -> ZetaData:
     """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1,
     completed by the functional equation."""
-    caps = caps or DEFAULT_CAPS
-    n = inst.n
-    degree = expected_degree_P(n)
-    m = k_budget or counts_budget(degree, True)
-    q = inst.field.pp.q
-    counts = [counting.count_X(counting.charsum_count(inst, inst.M, k, False,
-                                                      caps), q ** k)
-              for k in range(1, m + 1)]
-    return zeta_from_counts("X", counts, n, inst.field.pp.p, inst.field.pp.r,
-                            q, inst.lam_dlog, degree, n - 1)
+    return _recover(inst, "X", caps, True, k_budget)
 
 
 def recover_mirror_zeta(inst, caps=None, use_fe: bool = True,
                         k_budget: Optional[int] = None) -> ZetaData:
     """Z(Y_lam): numerator of degree n, weight n-1."""
-    caps = caps or DEFAULT_CAPS
-    n = inst.n
-    m = k_budget or counts_budget(n, use_fe)
-    q = inst.field.pp.q
-    counts = [counting.count_Y(counting.charsum_count(inst, inst.Nmat, k,
-                                                      caps=caps), n, q ** k)
-              for k in range(1, m + 1)]
-    return zeta_from_counts("Y", counts, n, inst.field.pp.p, inst.field.pp.r,
-                            q, inst.lam_dlog, n, n - 1, use_fe)
+    return _recover(inst, "Y", caps, use_fe, k_budget)

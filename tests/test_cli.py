@@ -81,19 +81,30 @@ def test_bad_parameters_exit_2_without_traceback(tmp_path, capsys, argv,
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_zeta_does_not_import_sympy():
+def _run_fresh_interpreter(code: str):
+    """Run `code` in a new Python process that imports this checkout."""
     src = str(Path(dworkzeta.__file__).resolve().parents[1])
-    code = ("import contextlib, io, sys\n"
-            "from dworkzeta.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(['zeta', '--n', '3', '--p', '7', '--lambda', 'all'])\n"
-            "assert code == 0, code\n"
-            "assert 'sympy' not in sys.modules\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+def test_zeta_does_not_import_sympy():
+    _run_fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "from dworkzeta.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['zeta', '--n', '3', '--p', '7', '--lambda', 'all'])\n"
+        "assert code == 0, code\n"
+        "assert 'sympy' not in sys.modules\n")
+
+
+def test_cli_import_does_not_load_mpmath():
+    # mpmath is loaded by the purity check alone, not at start-up
+    _run_fresh_interpreter("import sys, dworkzeta.cli\n"
+                           "assert 'mpmath' not in sys.modules\n")
 
 
 def test_congruence_all_pass(capsys):

@@ -106,6 +106,45 @@ def test_recover_numerator_no_consistent_sign():
         recover_numerator([5], 2, 1, 4, use_functional_equation=True)
 
 
+_NO_SIGN = "no functional-equation sign yields an integral, pure numerator"
+_AMBIGUOUS = "both functional-equation signs yield valid numerators; ambiguous"
+
+
+@pytest.mark.parametrize("psums,degree,weight,q,outcome", [
+    # a_1 = +-sqrt(5) is not an integer
+    ([], 1, 1, 5, NoConsistentSign(_NO_SIGN)),
+    # 1 - 2T and 1 + 2T both have the root modulus 1/2
+    ([], 1, 1, 4, NoConsistentSign(_AMBIGUOUS)),
+    # even degree, zero middle coefficient: 1 + 5T^2 and 1 - 5T^2
+    ([0], 2, 1, 5, NoConsistentSign(_AMBIGUOUS)),
+    # the middle coefficient -2 is its own partner, so only sign +1
+    ([2], 2, 1, 5, (IntPoly([1, -2, 5]), 1)),
+])
+def test_recover_numerator_fe_outcomes(psums, degree, weight, q, outcome):
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome)) as exc:
+            recover_numerator(psums, degree, weight, q,
+                              use_functional_equation=True)
+        assert str(exc.value) == str(outcome)
+    else:
+        assert recover_numerator(psums, degree, weight, q,
+                                 use_functional_equation=True) == outcome
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=6),
+       st.lists(st.integers(-9, 9), max_size=6))
+def test_newton_identities_roundtrip_random(cs, other):
+    P, Q = IntPoly([1] + cs), IntPoly([1] + other)
+    for m in range(max(P.degree, 1), P.degree + 4):
+        s = P.power_sums(m)
+        assert coeffs_from_power_sums(s, P.degree) == list(P.coeffs)
+        assert s[:-1] == P.power_sums(m - 1)
+        # power sums add over a product of polynomials
+        assert (P * Q).power_sums(m) == [
+            a + b for a, b in zip(s, Q.power_sums(m))]
+
+
 def test_recover_numerator_insufficient():
     with pytest.raises(InsufficientData):
         recover_numerator([1], 4, 1, 7)
