@@ -21,6 +21,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -217,18 +218,17 @@ def _report(inst, caps, pencil: bool):
     by `zeta`, `slope` and `sweep`, and its Z(Y) and Z(X) (None without the
     pencil side).  Every count it needs is taken once per k.
 
-    Z(Y) always; on a singular fiber without functional-equation completion
-    (allowing a degree drop in the numerator) and without the pencil side.
-    With `pencil`, a smooth fiber also gets Z(X), R_n = P/Q and the X-side
-    slope data.  Y_ordinary and Y_newton_above_hodge are present only when
-    the Newton polygon of Q has length n.
+    Z(Y) always; on a singular fiber from exact counts (allowing a degree
+    drop in the numerator) and without the pencil side.  With `pencil`, a
+    smooth fiber also gets Z(X), R_n = P/Q and the X-side slope data.
+    Y_ordinary and Y_newton_above_hodge are present only when the Newton
+    polygon of Q has length n.
     """
     n, d = inst.n, inst.n - 1
     singular = is_singular(inst)
-    if singular:
-        zy = recover_mirror_zeta(inst, caps=caps, use_fe=False, k_budget=n)
-    else:
-        zy = recover_mirror_zeta(inst, caps=caps)
+    # a singular fiber is counted up to deg Q = n, so the functional
+    # equation never completes it
+    zy = recover_mirror_zeta(inst, caps=caps, k_budget=n if singular else None)
     zx = recover_pencil_zeta(inst, caps=caps) if pencil and not singular else None
     rep = {"smoothness": "singular" if singular else "smooth"}
     sy, np_y = _variety_values(rep, "Y", zy, d)
@@ -287,36 +287,35 @@ _SWEEP_ZETA_KEYS = ("Y", "slope_zeta_Y", "fe_Y", "Y_ordinary",
                     "X_newton_above_hodge")
 
 
-def _sweep_instance(job: dict) -> dict:
-    """One (n, p, r, lambda) cell of the sweep grid; pickle-friendly.  Any
-    exception becomes a failure row: DworkZetaErrors by their class, other
+def _sweep_instance(cfg: SweepConfig, caps: Caps, key: tuple) -> dict:
+    """The rows of the sweep cell key = (n, p, r, lambda) under `cfg`, with
+    `caps` at its tier; all three pickle.  Any exception makes the cell a
+    failure without rows: DworkZetaErrors exit by their class, other
     exceptions (a bug) as exit 4 with the traceback on stderr."""
-    n, p, r = job["n"], job["p"], job["r"]
-    caps = Caps(**job["caps"])
-    lam = job["lam"]
-    out = {"key": [n, p, r, lam], "counts": [], "congruence": [],
-           "zeta": None, "ok": True, "error": None}
+    n, p, r, lam = key
+    out = {"key": list(key), "counts": [], "congruence": [], "zeta": None,
+           "error": None, "exit": EXIT_OK}
     try:
-        field = build_field(p, r, job["seed"], cap=caps.field_table_max_q)
+        field = build_field(p, r, cfg.seed, cap=caps.field_table_max_q)
         inst = DworkInstance(n=n, field=field, lam=lam)
-        for rec in _count_records(inst, job["k_max"], caps):
+        for rec in _count_records(inst, cfg.k_max, caps):
             row = rec.to_json_dict()
             del row["Nfstar"]
             out["counts"].append(row)
             row = _congruence_row(rec)
-            for key in ("X", "Y", "x_torus_form", "precision"):
-                del row[key]
+            for name in ("X", "Y", "x_torus_form", "precision"):
+                del row[name]
             out["congruence"].append(row)
-        if n <= job["zeta_n_max"] and not is_singular(inst):
+        if n <= cfg.zeta_n_max and not is_singular(inst):
             rep = _report(inst, caps, pencil=n == 2)[0]
-            out["zeta"] = {key: rep[key] for key in _SWEEP_ZETA_KEYS
-                           if key in rep}
+            out["zeta"] = {name: rep[name] for name in _SWEEP_ZETA_KEYS
+                           if name in rep}
     except Exception as exc:  # noqa: BLE001 - the worker boundary
         if not isinstance(exc, DworkZetaError):
             traceback.print_exc(file=sys.stderr)
-        out["ok"] = False
-        out["error"] = f"{type(exc).__name__}: {exc}"
-        out["exit"] = _failure(exc)[0]
+        out.update(counts=[], congruence=[],
+                   error=f"{type(exc).__name__}: {exc}",
+                   exit=_failure(exc)[0])
     return out
 
 
@@ -340,7 +339,7 @@ def cmd_sweep(args) -> int:
 
     spec = (cfg.lambda_mode if cfg.lambda_mode != "list" else
             [e if e >= 0 else None for e in cfg.lambda_list])
-    jobs = []
+    keys = []
     for n in cfg.n_list:
         for p in cfg.prime_list:
             for r in cfg.r_list:
@@ -354,74 +353,62 @@ def cmd_sweep(args) -> int:
                     if field.pp.q ** f_top > caps.field_table_max_q:
                         sys.stderr.write(f"instance {n},{p},{r} exceeds caps\n")
                         return EXIT_CAP
-                    jobs.append({"n": n, "p": p, "r": r, "lam": lam,
-                                 "seed": cfg.seed, "k_max": cfg.k_max,
-                                 "zeta_n_max": cfg.zeta_n_max,
-                                 "caps": caps.__dict__.copy()})
+                    keys.append((n, p, r, lam))
 
     t0 = time.time()
+    cell = partial(_sweep_instance, cfg, caps)
     # a pool forks all its workers at the first submit: never more than cells
-    workers = min(cfg.threads, len(jobs))
+    workers = min(cfg.threads, len(keys))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_instance, jobs))
+            results = list(pool.map(cell, keys))
     else:
-        results = [_sweep_instance(job) for job in jobs]
+        results = list(map(cell, keys))
     elapsed = time.time() - t0
 
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    failures = []
-    failure_exits = set()
-    cong_failures = 0
-    ordinary_stats: dict = {}
-    slope_sets: dict = {}
     with (_atomic_open(outdir / "counts.jsonl") as counts_f,
           _atomic_open(outdir / "congruence.jsonl") as cong_f,
           _atomic_open(outdir / "zeta.jsonl") as zeta_f):
         for res in results:
-            n, p, r, lam = res["key"]
-            if not res["ok"]:
-                failures.append({"key": res["key"], "error": res["error"]})
-                failure_exits.add(res["exit"])
-                continue
             for row in res["counts"]:
                 _emit(row, counts_f)
             for row in res["congruence"]:
-                if row["verdict"] != "pass":
-                    cong_failures += 1
                 _emit(row, cong_f)
             if res["zeta"] is not None:
                 _emit({"key": res["key"], **res["zeta"]}, zeta_f)
-                fam = f"n={n},p={p},r={r}"
-                stats = ordinary_stats.setdefault(fam, [0, 0])
-                stats[1] += 1
-                if res["zeta"]["Y_ordinary"]:
-                    stats[0] += 1
-                sset = slope_sets.setdefault(fam, set())
-                sset.add(json.dumps(res["zeta"]["slope_zeta_Y"],
-                                    sort_keys=True))
 
+    failures = [{"key": res["key"], "error": res["error"]}
+                for res in results if res["error"] is not None]
+    cong_failures = sum(row["verdict"] != "pass"
+                        for res in results for row in res["congruence"])
+    families: dict = {}
+    for res in results:
+        if res["zeta"] is not None:
+            n, p, r, _ = res["key"]
+            families.setdefault(f"n={n},p={p},r={r}", []).append(res["zeta"])
     summary = {
         "schema": 1,
-        "instances": len(jobs),
-        "completed": len(jobs) - len(failures),
+        "instances": len(keys),
+        "completed": len(keys) - len(failures),
         "congruence_failures": cong_failures,
         "ordinarity_fractions": {
-            fam: {"ordinary": s[0], "tested": s[1]}
-            for fam, s in sorted(ordinary_stats.items())},
+            fam: {"ordinary": sum(z["Y_ordinary"] for z in zs),
+                  "tested": len(zs)}
+            for fam, zs in sorted(families.items())},
         "observed_slope_zeta_sets": {
-            fam: sorted(ss) for fam, ss in sorted(slope_sets.items())},
+            fam: sorted({json.dumps(z["slope_zeta_Y"], sort_keys=True)
+                         for z in zs})
+            for fam, zs in sorted(families.items())},
     }
-    cfg_echo = cfg.to_dict()
-    # execution-only parameters do not affect results and would break
-    # byte-identical reproducibility of the manifest
-    cfg_echo.pop("out_dir", None)
-    cfg_echo.pop("threads", None)
     manifest = {
         "schema": 1,
         "version": __version__,
-        "config": cfg_echo,
+        # execution-only parameters do not affect results and would break
+        # byte-identical reproducibility of the manifest
+        "config": {key: v for key, v in asdict(cfg).items()
+                   if key not in ("out_dir", "threads")},
         "failures": failures,
         "summary": summary,
     }
@@ -430,9 +417,8 @@ def cmd_sweep(args) -> int:
     _dump_json({"elapsed_seconds": elapsed, "finished_at": time.time(),
                 "threads": cfg.threads, "out_dir": str(outdir)},
                outdir / "timings.json")
-    if cong_failures:
-        failure_exits.add(EXIT_CONGRUENCE)
-    return _most_severe(failure_exits)
+    return _most_severe({res["exit"] for res in results}
+                        | {EXIT_CONGRUENCE if cong_failures else EXIT_OK})
 
 
 def cmd_gauss(args) -> int:
@@ -472,13 +458,12 @@ def _int_from(lo: int):
     return parse
 
 
-def _add_common(sp, with_lambda=True, with_k=False):
+def _add_common(sp, with_k=False):
     sp.add_argument("--n", type=_int_from(2), required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--r", type=_int_from(1), default=1)
-    if with_lambda:
-        sp.add_argument("--lambda", dest="lam_spec", default="all",
-                        help="all | zero | subfield | <dlog exponent>")
+    sp.add_argument("--lambda", dest="lam_spec", default="all",
+                    help="all | zero | subfield | <dlog exponent>")
     if with_k:
         sp.add_argument("--k", type=_int_from(1), default=1,
                         help="count over GF(q^j) for j = 1..k")

@@ -8,7 +8,7 @@ extended tier raises them for documented offline runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -116,7 +116,3 @@ class SweepConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         raw = _known_keys(cls, raw, "sweep config")
         return cls(**{**raw, "caps": Caps.from_dict(raw.get("caps", {}))})
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d

@@ -10,9 +10,10 @@ so counts and numerator power sums determine each other linearly:
 
 The projective pencil X and its mirror Y share trivial factors
 (1-T)...(1-q^{n-1}T) in the denominator with numerator exponent (-1)^n.  The
-numerator is recovered from power sums by Newton's identities, optionally
-completed by the Weil functional equation a_{D-i} = sign * q^{w(D-2i)/2} a_i
-with the sign pinned by integrality, Weil bounds, and archimedean purity.
+numerator is recovered from power sums by Newton's identities; when fewer
+than its degree are given, the Weil functional equation a_{D-i} = sign *
+q^{w(D-2i)/2} a_i completes it, with the sign pinned by integrality, Weil
+bounds, and archimedean purity.
 """
 from __future__ import annotations
 
@@ -276,11 +277,12 @@ def _fe_partner(ai: int, q: int, w: int, e2: int):
 
 
 def recover_numerator(power_sums: Sequence[int], degree: int, weight: int,
-                      q: int, use_functional_equation: bool = False):
+                      q: int):
     """The unique integer polynomial (constant term 1) with the given power
-    sums; with the flag, missing upper coefficients are completed by the Weil
-    functional equation and the sign is pinned by integrality, Weil bounds,
-    and purity.  Returns (IntPoly, fe_sign or None).
+    sums.  With fewer than `degree` of them, the missing upper coefficients
+    are completed by the Weil functional equation and the sign is pinned by
+    integrality, Weil bounds, and purity.  Returns (IntPoly, fe_sign or
+    None).
     """
     if degree == 0:
         return ONE, None
@@ -295,9 +297,6 @@ def recover_numerator(power_sums: Sequence[int], degree: int, weight: int,
         if not weil_bound_ok(poly.coeffs, q, weight):
             raise NoConsistentSign("recovered numerator violates the Weil bounds")
         return poly, None
-    if not use_functional_equation:
-        raise InsufficientData(
-            f"need {degree} power sums without the functional equation, got {m}")
     half = degree // 2
     if m < half:
         raise InsufficientData(
@@ -369,19 +368,18 @@ def r_poly(P: IntPoly, Q: IntPoly, q: int, n: int) -> IntPoly:
 # recovery drivers working from instances
 # ---------------------------------------------------------------------------
 
-def counts_budget(degree: int, use_fe: bool) -> int:
-    """Extension degrees to request: ceil(deg/2) with the functional
-    equation, plus one validation row."""
-    return ((degree + 1) // 2 if use_fe else degree) + 1
+def counts_budget(degree: int) -> int:
+    """Extension degrees to request: ceil(deg/2), the functional equation
+    completing the rest, plus one validation row."""
+    return (degree + 1) // 2 + 1
 
 
 def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
-                     r: int, q: int, lam_dlog, degree: int, weight: int,
-                     use_fe: bool = True) -> ZetaData:
+                     r: int, q: int, lam_dlog, degree: int,
+                     weight: int) -> ZetaData:
     """Recover a ZetaData for one variety from its counts over GF(q^k)."""
     psums = power_sums_from_counts(counts, variety, n, q)
-    poly, _sign = recover_numerator(psums, degree, weight, q,
-                                    use_functional_equation=use_fe)
+    poly, _sign = recover_numerator(psums, degree, weight, q)
     zd = ZetaData(variety=variety, n=n, p=p, r=r, q=q, lam_dlog=lam_dlog,
                   numerator=poly, numerator_exponent=numerator_exponent(n),
                   trivial=trivial_factors(variety, n))
@@ -392,8 +390,7 @@ def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
     return zd
 
 
-def _recover(inst, variety: str, caps, use_fe: bool,
-             k_budget: Optional[int]) -> ZetaData:
+def _recover(inst, variety: str, caps, k_budget: Optional[int]) -> ZetaData:
     """Count `variety` over GF(q^k), k = 1..budget, and recover its zeta:
     X from M in affine space, Y from N on the torus, both of weight n-1."""
     caps = caps or DEFAULT_CAPS
@@ -403,22 +400,22 @@ def _recover(inst, variety: str, caps, use_fe: bool,
     else:
         matrix, torus, degree = inst.Nmat, True, n
     counts = []
-    for k in range(1, (k_budget or counts_budget(degree, use_fe)) + 1):
+    for k in range(1, (k_budget or counts_budget(degree)) + 1):
         points = counting.charsum_count(inst, matrix, k, torus, caps)
         counts.append(counting.count_Y(points, n, pp.q ** k) if torus
                       else counting.count_X(points, pp.q ** k))
     return zeta_from_counts(variety, counts, n, pp.p, pp.r, pp.q,
-                            inst.lam_dlog, degree, n - 1, use_fe)
+                            inst.lam_dlog, degree, n - 1)
 
 
 def recover_pencil_zeta(inst, caps=None,
                         k_budget: Optional[int] = None) -> ZetaData:
     """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1,
     completed by the functional equation."""
-    return _recover(inst, "X", caps, True, k_budget)
+    return _recover(inst, "X", caps, k_budget)
 
 
-def recover_mirror_zeta(inst, caps=None, use_fe: bool = True,
+def recover_mirror_zeta(inst, caps=None,
                         k_budget: Optional[int] = None) -> ZetaData:
     """Z(Y_lam): numerator of degree n, weight n-1."""
-    return _recover(inst, "Y", caps, use_fe, k_budget)
+    return _recover(inst, "Y", caps, k_budget)

@@ -228,7 +228,7 @@ def test_criterion_08_pipeline_selfcheck_synthetic():
     assert P.degree == 21
     counts = [1 + q ** k + q ** (2 * k) + s
               for k, s in enumerate(P.power_sums(11), start=1)]
-    zx = zeta_from_counts("X", counts, 3, q, 1, q, None, 21, 2, use_fe=True)
+    zx = zeta_from_counts("X", counts, 3, q, 1, q, None, 21, 2)
     assert zx.numerator == P
     R3 = r_poly(zx.numerator, Q, q, 3)
     assert R3.degree == 18

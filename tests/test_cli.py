@@ -107,6 +107,21 @@ def test_cli_import_does_not_load_mpmath():
                            "assert 'mpmath' not in sys.modules\n")
 
 
+def test_sweep_does_not_load_mpmath(tmp_path):
+    # zeta rows stop at zeta_n_max = 2, where both numerators come from
+    # exact counts, so no purity check runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2, 3, 4],
+                                    "prime_list": [2, 3, 5], "k_max": 2}))
+    _run_fresh_interpreter(
+        "import sys\n"
+        "from dworkzeta.cli import main\n"
+        f"code = main(['sweep', '--config', {str(cfg_path)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--threads', '1'])\n"
+        "assert code == 0, code\n"
+        "assert 'mpmath' not in sys.modules\n")
+
+
 def test_congruence_all_pass(capsys):
     code, rows = run(capsys, "congruence", "--n", "2", "--p", "7",
                      "--lambda", "all", "--k", "2")
@@ -664,6 +679,25 @@ def _sweep_zero_fiber(tmp_path) -> int:
                                     "k_max": 1, "lambda_mode": "zero"}))
     return main(["sweep", "--config", str(cfg_path), "--out",
                  str(tmp_path / "s"), "--threads", "1"])
+
+
+def test_sweep_failed_cell_writes_none_of_its_rows(tmp_path, capsys,
+                                                   monkeypatch):
+    # lam = 1 fails after its counts were taken; over GF(5) lam = 2 is
+    # singular and has no zeta row
+    _recovery_raising(monkeypatch, NoConsistentSign, lam=1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2], "prime_list": [5],
+                                    "k_max": 1, "lambda_mode": "all"}))
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", "1"]) == cli.EXIT_RECOVERY
+    for name, rows in (("counts.jsonl", 4), ("congruence.jsonl", 4),
+                       ("zeta.jsonl", 3)):
+        assert len((out / name).read_text().splitlines()) == rows, name
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == [
+        {"key": [2, 5, 1, 1], "error": "NoConsistentSign: injected"}]
 
 
 def test_root_finding_failure_is_a_recovery_failure(tmp_path, capsys,

@@ -86,8 +86,7 @@ def test_recover_fermat_cubic_numerator_both_ways():
     psums = power_sums_from_counts(counts, "X", 2, 4)
     full, _ = recover_numerator(psums, 2, 1, 4)
     assert full.coeffs == (1, 4, 4)  # P = (1 + 2T)^2, roots of modulus 2
-    via_fe, sign = recover_numerator(psums[:1], 2, 1, 4,
-                                     use_functional_equation=True)
+    via_fe, sign = recover_numerator(psums[:1], 2, 1, 4)
     assert via_fe == full and sign == 1
 
 
@@ -95,7 +94,7 @@ def test_recover_numerator_synthetic_degree4_fe():
     q, w = 7, 1
     P = IntPoly([1, -1, 7]) * IntPoly([1, 3, 7])
     psums = P.power_sums(2)
-    got, sign = recover_numerator(psums, 4, w, q, use_functional_equation=True)
+    got, sign = recover_numerator(psums, 4, w, q)
     assert got == P
     assert sign == 1
 
@@ -103,7 +102,7 @@ def test_recover_numerator_synthetic_degree4_fe():
 def test_recover_numerator_no_consistent_sign():
     # s_1 = 5 forces |a_1| = 5 > 2*sqrt(4)*C(2,1): no Weil-pure candidate
     with pytest.raises(NoConsistentSign):
-        recover_numerator([5], 2, 1, 4, use_functional_equation=True)
+        recover_numerator([5], 2, 1, 4)
 
 
 _NO_SIGN = "no functional-equation sign yields an integral, pure numerator"
@@ -123,12 +122,10 @@ _AMBIGUOUS = "both functional-equation signs yield valid numerators; ambiguous"
 def test_recover_numerator_fe_outcomes(psums, degree, weight, q, outcome):
     if isinstance(outcome, Exception):
         with pytest.raises(type(outcome)) as exc:
-            recover_numerator(psums, degree, weight, q,
-                              use_functional_equation=True)
+            recover_numerator(psums, degree, weight, q)
         assert str(exc.value) == str(outcome)
     else:
-        assert recover_numerator(psums, degree, weight, q,
-                                 use_functional_equation=True) == outcome
+        assert recover_numerator(psums, degree, weight, q) == outcome
 
 
 @settings(max_examples=80, deadline=None)
@@ -146,10 +143,11 @@ def test_newton_identities_roundtrip_random(cs, other):
 
 
 def test_recover_numerator_insufficient():
+    # the functional equation needs floor(degree/2) power sums
     with pytest.raises(InsufficientData):
         recover_numerator([1], 4, 1, 7)
     with pytest.raises(InsufficientData):
-        recover_numerator([1], 4, 1, 7, use_functional_equation=True)
+        recover_numerator([], 3, 1, 7)
 
 
 def test_weight_purity_check():
@@ -238,7 +236,7 @@ def test_zeta_data_count_roundtrip_and_json():
 def test_zeta_from_counts_rejects_wrong_shape():
     with pytest.raises(NonIntegralCoefficient):
         # counts of the Fermat cubic fed with the wrong degree/extra data
-        zeta_from_counts("X", [9, 9, 100], 2, 2, 2, 4, None, 2, 1, use_fe=False)
+        zeta_from_counts("X", [9, 9, 100], 2, 2, 2, 4, None, 2, 1)
 
 
 def test_recover_mirror_zeta_frozen_value():
@@ -327,10 +325,9 @@ def test_recovered_zeta_model_independent():
 
 
 def test_counts_budget():
-    assert counts_budget(2, True) == 2
-    assert counts_budget(3, True) == 3
-    assert counts_budget(21, True) == 12
-    assert counts_budget(2, False) == 3
+    assert counts_budget(2) == 2
+    assert counts_budget(3) == 3
+    assert counts_budget(21) == 12
 
 
 @settings(max_examples=40, deadline=None)
