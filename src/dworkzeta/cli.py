@@ -121,6 +121,16 @@ def _atomic_open(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+def _make_out_dir(name: str):
+    """Make the output directory `name` if it is missing; ConfigError if it
+    cannot be made."""
+    try:
+        Path(name).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot make output directory {name}: {exc}") from exc
+
+
 @contextmanager
 def _output(args, name: str):
     """stdout, or the file `name` in the --out directory, written
@@ -128,9 +138,8 @@ def _output(args, name: str):
     if not args.out:
         yield sys.stdout
         return
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    with _atomic_open(path / name) as fh:
+    _make_out_dir(args.out)
+    with _atomic_open(Path(args.out) / name) as fh:
         yield fh
 
 
@@ -355,6 +364,7 @@ def cmd_sweep(args) -> int:
                         return EXIT_CAP
                     keys.append((n, p, r, lam))
 
+    _make_out_dir(cfg.out_dir)  # an unusable --out fails before any cell
     t0 = time.time()
     cell = partial(_sweep_instance, cfg, caps)
     # a pool forks all its workers at the first submit: never more than cells
@@ -367,7 +377,6 @@ def cmd_sweep(args) -> int:
     elapsed = time.time() - t0
 
     outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     with (_atomic_open(outdir / "counts.jsonl") as counts_f,
           _atomic_open(outdir / "congruence.jsonl") as cong_f,
           _atomic_open(outdir / "zeta.jsonl") as zeta_f):

@@ -43,6 +43,9 @@ class Caps:
             if not _is_int(getattr(self, f.name)):
                 raise ConfigError(f"caps {f.name} {getattr(self, f.name)!r} "
                                   f"is not an integer")
+        if self.precision_override < 0:
+            raise ConfigError(f"caps precision_override "
+                              f"{self.precision_override} is below 0")
 
     def with_tier(self, tier: str) -> "Caps":
         if tier == "extended":
@@ -93,6 +96,8 @@ class SweepConfig:
             if not _is_int(getattr(self, key)):
                 raise ConfigError(f"{key} {getattr(self, key)!r} is not an "
                                   f"integer")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir {self.out_dir!r} is not a string")
         for key, allowed in _SWEEP_CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"unknown {key} {getattr(self, key)!r}; "

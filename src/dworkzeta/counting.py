@@ -237,21 +237,6 @@ def _matvec(matrix, k):
     return tuple(sum(map(operator.mul, row, k)) for row in matrix)
 
 
-def _lift_zero_residues(res, q, fixed_last: bool):
-    """All lifts of a residue tuple into [0, q-1]: coordinates with residue 0
-    may be 0 or q-1; the last coordinate stays 0 when pinned (lam = 0)."""
-    options = []
-    for idx, r in enumerate(res):
-        if r == 0:
-            if fixed_last and idx == len(res) - 1:
-                options.append((0,))
-            else:
-                options.append((0, q - 1))
-        else:
-            options.append((r,))
-    return itertools.product(*options)
-
-
 def _reorderings(block) -> int:
     """The number of distinct reorderings of a sorted tuple."""
     out = factorial(len(block))
@@ -283,11 +268,13 @@ def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[tupl
     n = ncols - 2
 
     def emit(block, tail):
-        z = block.count(0)
-        for j in range(z + 1):
+        options = [(t,) if t else (0, q1) for t in tail]
+        if lam_zero:  # the last residue is 0, and its lift stays 0
+            options[-1] = (0,)
+        for j in range(block.count(0) + 1):
             head = block[j:] + (q1,) * j
             count = _reorderings(head)
-            for rest in _lift_zero_residues(tail, q, lam_zero):
+            for rest in itertools.product(*options):
                 k = head + rest
                 v = _matvec(matrix, k)
                 if any(x % q1 for x in v):
@@ -313,9 +300,15 @@ def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[tupl
 # the character-sum engine
 # ---------------------------------------------------------------------------
 
-def required_precision(p: int, q: int, n: int) -> int:
-    """Smallest N with p^N > 2 q^{n+2}; enough to pin q*N_f as an integer."""
+def required_precision(p: int, q: int, n: int, override: int = 0) -> int:
+    """The p-adic precision N that pins q*N_f as an integer, p^N > 2 q^{n+2}:
+    a nonzero `override` if it clears the bound (PrecisionInsufficient if
+    not), else the smallest such N."""
     bound = 2 * q ** (n + 2)
+    if override:
+        if p ** override <= bound:
+            raise PrecisionInsufficient(bound, p ** override)
+        return override
     N, pN = 1, p
     while pN <= bound:
         pN *= p
@@ -377,6 +370,21 @@ def gauss_field_degree(inst: DworkInstance, k: int) -> int:
     return next(f for f in range(1, k + 1) if (q ** f - 1) % g == 0)
 
 
+def _prefix_products(keys, gauss: dict, prod, depth: int = 0):
+    """(key, product of gauss[j] over the key's indices j) for the sorted
+    tuples `keys`, which share their first `depth` indices, whose product is
+    `prod` (the ring's one at depth 0).  The keys are walked as a prefix
+    tree: every distinct prefix longer than one index costs one multiply,
+    and only the products along one path are held at a time."""
+    for head, group in itertools.groupby(keys, lambda t: t[depth:depth + 1]):
+        if not head:  # the key that ends here
+            yield next(group), prod
+            continue
+        G = gauss[head[0]]
+        yield from _prefix_products(group, gauss, prod * G if depth else G,
+                                    depth + 1)
+
+
 @functools.lru_cache(maxsize=64)  # one instance needs a few dozen at most
 def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
                         lam_zero: bool, m: int = 1) -> dict:
@@ -395,9 +403,8 @@ def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
     orbit of length log_p Q, and the products are keyed by the sorted tuple
     of those minima.  The boundary sums G_Q(0) = Q-1 and G_Q(Q-1) = -Q are
     rational integers and are not reduced: with the class size they become
-    one integer that scales the product of the inner indices.  The keys are
-    walked in sorted order on a stack of prefix products, so a key costs one
-    ring multiply per index it does not share with the previous one.
+    one integer that scales the product of the inner indices, formed once
+    per distinct prefix by `_prefix_products`.
 
     Only the coset minima that occur are read, through the Hasse-Davenport
     lift G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m, the identity at
@@ -423,15 +430,7 @@ def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
     gauss = {kj: (tower.from_zp(G) ** m).scale((-1) ** (m - 1)) for kj, G
              in zip(idx, gauss_tower.gauss_sums([kj // step for kj in idx]))}
     sums: dict = {}
-    prev, stack = (), []  # stack[i]: the product over prev[:i+1]
-    for inner in sorted(coeffs):
-        shared = next((i for i, (a, b) in enumerate(zip(prev, inner))
-                       if a != b), min(len(prev), len(inner)))
-        del stack[shared:]
-        for kj in inner[shared:]:
-            stack.append(stack[-1] * gauss[kj] if stack else gauss[kj])
-        prev = inner
-        prod = stack[-1] if stack else tower.one()
+    for inner, prod in _prefix_products(sorted(coeffs), gauss, tower.one()):
         for key, coeff in coeffs[inner].items():
             term = prod.scale(coeff)
             sums[key] = sums[key] + term if key in sums else term
@@ -447,10 +446,8 @@ def _fiber_sums(inst: DworkInstance, matrix, k: int, caps: Caps):
     n, p, Q = inst.n, inst.field.pp.p, inst.field.pp.q ** k
     f = gauss_field_degree(inst, k)
     F = inst.extension(f, cap=caps.field_table_max_q)[0]
-    tower = build_tower(inst.field, caps.precision_override
-                        or required_precision(p, Q, n))
-    if tower.pN <= 2 * Q ** (n + 2):
-        raise PrecisionInsufficient(2 * Q ** (n + 2), tower.pN)
+    tower = build_tower(inst.field, required_precision(
+        p, Q, n, caps.precision_override))
     tp, q1, out = tower.teich_pows(), tower.q - 1, {}
     for (s, c), total in _gauss_product_sums(
             tower, build_tower(F, tower.N), matrix, inst.lam == 0,
@@ -502,8 +499,8 @@ def count_record(inst: DworkInstance, k: int = 1, method: str = "charsum",
         n=inst.n, p=pp.p, r=pp.r, k=k, lam_dlog=inst.lam_dlog,
         Nf=nf, Nfstar=nfstar[0] if nfstar else None, Ngstar=ngstar,
         X=count_X(nf, q), Y=count_Y(ngstar, inst.n, q), method=method,
-        precision=None if method == "brute" else (
-            caps.precision_override or required_precision(pp.p, q, inst.n)))
+        precision=None if method == "brute" else required_precision(
+            pp.p, q, inst.n, caps.precision_override))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ class ConfigError(DworkZetaError):
 class NotPrime(ConfigError):
     def __init__(self, p):
         super().__init__(f"{p} is not prime")
-        self.p = p
 
 
 class CapExceeded(DworkZetaError):
@@ -36,8 +35,6 @@ class CapExceeded(DworkZetaError):
 class FieldTooLarge(CapExceeded):
     def __init__(self, q, cap):
         super().__init__(f"field size {q} exceeds table cap {cap}")
-        self.q = q
-        self.cap = cap
 
 
 class LogOfZero(DworkZetaError):
@@ -48,8 +45,6 @@ class LogOfZero(DworkZetaError):
 class EnumerationTooLarge(CapExceeded):
     def __init__(self, size, cap):
         super().__init__(f"enumeration of {size} points exceeds cap {cap}")
-        self.size = size
-        self.cap = cap
 
 
 class DivisibilityViolation(DworkZetaError):
@@ -61,8 +56,6 @@ class PrecisionInsufficient(DworkZetaError):
         super().__init__(
             f"p-adic precision too low: need modulus > {needed}, have {have}"
         )
-        self.needed = needed
-        self.have = have
 
 
 class NonIntegralResult(DworkZetaError):

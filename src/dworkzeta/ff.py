@@ -227,12 +227,6 @@ class FieldCtx:
         q1 = self.pp.q - 1
         return self.exp_table[(self.log_table[a] + self.log_table[b]) % q1]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(q)")
-        q1 = self.pp.q - 1
-        return self.exp_table[(-self.log_table[a]) % q1]
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:

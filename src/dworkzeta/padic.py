@@ -87,10 +87,6 @@ class TowerElem:
         return TowerElem(self.ctx, tuple(
             (x - y) % pN for x, y in zip(self.c, other.c)))
 
-    def __neg__(self):
-        pN = self.ctx.pN
-        return TowerElem(self.ctx, tuple((-x) % pN for x in self.c))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
@@ -99,9 +95,6 @@ class TowerElem:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __pow__(self, e: int):
         if e < 0:
@@ -114,16 +107,11 @@ class TowerElem:
         return TowerElem(self.ctx, tuple((x * n) % pN for x in self.c))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.from_int(other)
         if not isinstance(other, TowerElem):
             return NotImplemented
         return self.ctx is other.ctx and self.rows == other.rows
 
-    def __hash__(self):
-        return hash((id(self.ctx), self.rows))
-
-    def as_integer(self, centered: bool = False) -> int:
+    def as_integer(self) -> int:
         """The value as a rational integer mod p^N; raises if coordinates
         outside the Z_p slot are nonzero."""
         rows = self.rows
@@ -132,10 +120,7 @@ class TowerElem:
                 if (i, j) != (0, 0) and x != 0:
                     raise NonIntegralResult(
                         f"nonzero coordinate at pi^{i} y^{j}: {x}")
-        v = rows[0][0]
-        if centered and v > self.ctx.pN // 2:
-            v -= self.ctx.pN
-        return v
+        return rows[0][0]
 
     def __repr__(self):
         return f"TowerElem({self.rows} mod {self.ctx.p}^{self.ctx.N})"

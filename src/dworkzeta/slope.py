@@ -125,21 +125,13 @@ class SlopeZeta:
             t[s] = t.get(s, 0) + m
         return SlopeZeta(t)
 
-    def inverse(self) -> "SlopeZeta":
-        return SlopeZeta({s: -m for s, m in self.terms.items()})
-
     def __pow__(self, e: int) -> "SlopeZeta":
         return SlopeZeta({s: m * e for s, m in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, SlopeZeta):
             return self.terms == other.terms
-        if other == 1:
-            return not self.terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     @property
     def is_one(self) -> bool:
@@ -153,10 +145,6 @@ class SlopeZeta:
     def to_json_dict(self) -> dict:
         return {f"{s.numerator}/{s.denominator}": m
                 for s, m in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SlopeZeta":
-        return cls({Fraction(k): int(v) for k, v in d.items()})
 
     def render(self) -> str:
         """Human-readable product form, e.g. (1-T)^-2 (1-uT)^-20 (1-u^2T)^-2."""

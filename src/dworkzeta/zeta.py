@@ -17,6 +17,7 @@ bounds, and archimedean purity.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 from typing import Optional, Sequence
@@ -49,12 +50,6 @@ class IntPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -242,6 +237,7 @@ def square_free_part(P: IntPoly) -> IntPoly:
     return divide_check(P, IntPoly(a))
 
 
+@functools.lru_cache(maxsize=64)  # FE completion and the zeta rows share P
 def weight_purity_check(P: IntPoly, q: int, w: int) -> PurityReport:
     """All complex roots of P have |root| = q^{-w/2} within PURITY_TOL,
     checked with 256-bit arithmetic.  Root finding runs on the square-free

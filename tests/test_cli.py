@@ -365,7 +365,9 @@ _COUNT = ["count", "--n", "2", "--p", "5", "--lambda", "zero",
           "--method", "charsum"]
 _BAD_CONFIG_FILES = {"missing": None, "truncated": '{"n_list": [2',
                      "top-level-list": "[1, 2]",
-                     "caps-list": '{"caps": [1, 2]}'}
+                     "caps-list": '{"caps": [1, 2]}',
+                     "negative-precision":
+                         '{"caps": {"precision_override": -1}}'}
 
 
 @pytest.mark.parametrize("command,case", [
@@ -391,8 +393,9 @@ def test_bad_config_files_are_config_errors(tmp_path, capsys, command, case):
     ("n_list", {"n_list": [2.0]}), ("r_list", {"r_list": "1"}),
     ("lambda_list", {"lambda_mode": "list", "lambda_list": [None]}),
     ("field_table_max_q", {"caps": {"field_table_max_q": "25"}}),
+    ("out_dir", {"out_dir": 5}),
 ], ids=["k_max", "seed", "zeta_n_max", "threads", "k_max-bool",
-        "prime_list", "n_list", "r_list", "lambda_list", "caps"])
+        "prime_list", "n_list", "r_list", "lambda_list", "caps", "out_dir"])
 def test_non_integer_config_values_are_config_errors(tmp_path, capsys, key,
                                                      config):
     cfg_path = tmp_path / "cfg.json"
@@ -403,6 +406,26 @@ def test_non_integer_config_values_are_config_errors(tmp_path, capsys, key,
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err and key in err
+
+
+@pytest.mark.parametrize("command", ["congruence", "sweep"])
+def test_unusable_out_is_config_error(tmp_path, capsys, monkeypatch,
+                                      command):
+    # --out names an existing file, so no directory can be made there
+    out = tmp_path / "taken"
+    out.write_text("")
+    cells = []
+    monkeypatch.setattr(cli, "_sweep_instance", lambda *a: cells.append(a))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_list": [2], "prime_list": [3],
+                                    "k_max": 1}))
+    argv = (["congruence", "--n", "2", "--p", "3", "--k", "1"]
+            if command == "congruence" else
+            ["sweep", "--config", str(cfg_path)])
+    assert main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("bad configuration: ") and "Traceback" not in err
+    assert cells == [] and out.read_text() == ""
 
 
 def test_sweep_config_tier_is_kept(tmp_path, capsys):
@@ -771,3 +794,28 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, capsys,
                           if f.name != "timings.json"}
     assert started == [2]  # the 2-cell grid; no pool for 1 or 0 cells
     assert files[64] == files[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--n", "2", "--p", "5", "--lambda", "all"],
+    ["zeta", "--n", "4", "--p", "3", "--lambda", "all"],
+    ["zeta", "--n", "3", "--p", "5", "--lambda", "zero", "--tier",
+     "extended"],
+], ids=["n2-p5", "n4-p3", "n3-p5-extended"])
+def test_purity_roots_are_found_once_per_numerator(capsys, monkeypatch,
+                                                   argv):
+    # the functional-equation completion and the zeta rows check the same
+    # numerators; each is root-found once
+    import mpmath
+
+    real, numerators = mpmath.polyroots, []
+
+    def spy(coeffs, **kw):
+        numerators.append(tuple(map(int, coeffs)))
+        return real(coeffs, **kw)
+
+    cli.weight_purity_check.cache_clear()
+    monkeypatch.setattr(mpmath, "polyroots", spy)
+    main(argv)
+    capsys.readouterr()
+    assert numerators and len(numerators) == len(set(numerators))

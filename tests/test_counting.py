@@ -354,7 +354,7 @@ def _find_singular_point(F: FieldCtx, n: int, lam: int):
                 term = mul(d_mod, pow_n[x[i]])
                 if lam:
                     if not zeros:
-                        prod_others = F.mul(prod_all, F.inv(x[i]))
+                        prod_others = F.mul(prod_all, F.pow(x[i], -1))
                     elif zeros == [i]:
                         lsum = sum(F.log_table[xj] for j, xj in enumerate(x) if j != i)
                         prod_others = F.gen_pow(lsum % q1)

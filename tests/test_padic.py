@@ -358,7 +358,6 @@ def test_pi_valuation_examples():
 def test_as_integer_certification():
     T = tower(5, 1, 4)
     assert T.from_int(37).as_integer() == 37
-    assert T.from_int(-3).as_integer(centered=True) == -3
     with pytest.raises(NonIntegralResult):
         T.pi().as_integer()
 

@@ -91,11 +91,10 @@ def test_slope_zeta_algebra_and_json():
     a = SlopeZeta({F(0): 1, F(1, 2): 2})
     b = SlopeZeta({F(0): -1, F(1): 5})
     assert (a * b).terms == {F(1, 2): 2, F(1): 5}
-    assert (a * a.inverse()).is_one
+    assert (a * a ** -1).is_one
     assert (a ** 3).terms == {F(0): 3, F(1, 2): 6}
     d = (a * b).to_json_dict()
     assert d == {"1/2": 2, "1/1": 5}
-    assert SlopeZeta.from_json_dict(d) == a * b
 
 
 def test_hodge_numbers_quintic():
