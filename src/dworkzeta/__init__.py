@@ -3,7 +3,7 @@ and its toric mirror over finite fields."""
 
 __version__ = "0.1.0"
 
-from .ff import PrimePower, FieldCtx, build_field, extend
+from .ff import PrimePower, FieldCtx, build_field, embed
 from .padic import (
     TowerCtx,
     TowerElem,

@@ -26,7 +26,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .config import Caps, SweepConfig
+from .config import MAX_PRECISION, Caps, SweepConfig
 from .counting import (
     DworkInstance,
     count_record,
@@ -457,12 +457,14 @@ def _caps_for(args) -> Caps:
     return cfg.caps.with_tier(args.tier)  # None: the ci caps
 
 
-def _int_from(lo: int):
-    """argparse type: an integer >= lo."""
+def _int_from(lo: int, hi: float = float("inf")):
+    """argparse type: an integer in [lo, hi]."""
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"{value} is below {lo}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"{value} is above {hi}")
         return value
     return parse
 
@@ -529,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                         parents=[common])
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--r", type=_int_from(1), default=1)
-    sp.add_argument("--N", type=_int_from(1), required=True)
+    sp.add_argument("--N", type=_int_from(1, MAX_PRECISION), required=True)
     sp.set_defaults(func=cmd_gauss)
     return ap
 

@@ -8,7 +8,7 @@ extended tier raises them for documented offline runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 
@@ -28,6 +28,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# the largest p-adic precision (p-digits) a user may ask for; the automatic
+# one is 158 over GF(2^26), the largest field of the default caps, at n = 4
+MAX_PRECISION = 1000
+
+
 @dataclass(frozen=True)
 class Caps:
     # largest q for which a full discrete-log table is built
@@ -43,18 +48,15 @@ class Caps:
             if not _is_int(getattr(self, f.name)):
                 raise ConfigError(f"caps {f.name} {getattr(self, f.name)!r} "
                                   f"is not an integer")
-        if self.precision_override < 0:
+        if not 0 <= self.precision_override <= MAX_PRECISION:
             raise ConfigError(f"caps precision_override "
-                              f"{self.precision_override} is below 0")
+                              f"{self.precision_override} is outside "
+                              f"[0, {MAX_PRECISION}]")
 
     def with_tier(self, tier: str) -> "Caps":
         if tier == "extended":
-            return Caps(
-                field_table_max_q=self.field_table_max_q,
-                affine_enum_max=self.affine_enum_max << 4,
-                torus_enum_max=self.torus_enum_max << 4,
-                precision_override=self.precision_override,
-            )
+            return replace(self, affine_enum_max=self.affine_enum_max << 4,
+                           torus_enum_max=self.torus_enum_max << 4)
         return self
 
     @classmethod

@@ -60,7 +60,7 @@ from .errors import (
     NonIntegralResult,
     PrecisionInsufficient,
 )
-from .ff import FieldCtx, extend
+from .ff import FieldCtx, build_field, embed
 from .padic import TowerCtx, build_tower
 
 
@@ -111,11 +111,12 @@ class DworkInstance:
         self.Nmat = dwork_matrix_N(self.n)
 
     def extension(self, k: int, cap: int = DEFAULT_CAPS.field_table_max_q):
-        """(field of GF(q^k), image of lam) under the canonical embedding."""
+        """(the shared model of GF(q^k), the image of lam under `embed`)."""
         if k == 1:
             return self.field, self.lam
-        ext = extend(self.field, k, cap=cap)
-        return ext.ext, ext.embed(self.lam)
+        F = self.field
+        ext = build_field(F.pp.p, F.pp.r * k, F.seed, cap=cap)
+        return ext, embed(F, ext, self.lam)
 
     @property
     def lam_dlog(self) -> Optional[int]:

@@ -302,50 +302,18 @@ def build_field(p: int, r: int, seed: int = 0,
 _field = functools.lru_cache(maxsize=32)(FieldCtx)
 
 
-class FieldExtension:
-    """GF(q) -> GF(q^k) with a genuine (additive and multiplicative) embedding.
-
-    The image of the power-basis root of the base modulus is the root of that
-    modulus inside the extension with the smallest discrete log; every base
-    element embeds by evaluating its coefficient vector there.
-    """
-
-    def __init__(self, base: FieldCtx, ext: FieldCtx, k: int):
-        self.base = base
-        self.ext = ext
-        self.k = k
-        self.basis_root = self._find_basis_root()
-
-    def _find_basis_root(self):
-        base, ext = self.base, self.ext
-        if base.pp.r == 1:
-            return 0  # unused: coefficient vectors are constants
-        qb, qe = base.pp.q, ext.pp.q
-        m = (qe - 1) // (qb - 1)
-        mod_coeffs = [c % base.pp.p for c in base.modulus]  # prime-field codes
-        for j in range(qb - 1):
-            cand = ext.gen_pow(m * j)
-            if ext.eval_poly(mod_coeffs, cand) == 0:
-                return cand
-        raise RuntimeError("base modulus has no root in the extension (unreachable)")
-
-    def embed(self, a: int) -> int:
-        return self.ext.eval_poly(self.base.coeffs(a), self.basis_root)
-
-
-def extend(ctx: FieldCtx, k: int,
-           cap: int = DEFAULT_CAPS.field_table_max_q) -> FieldExtension:
-    """Field context for GF(q^k) plus the canonical embedding of GF(q);
-    cached per (base model object, k)."""
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
-    if ctx.pp.q ** k > cap:
-        raise FieldTooLarge(ctx.pp.q ** k, cap)
-    return _extension(ctx, k)
-
-
-@functools.lru_cache(maxsize=32)
-def _extension(ctx: FieldCtx, k: int) -> FieldExtension:
-    # `extend` has checked the cap
-    ext = build_field(ctx.pp.p, ctx.pp.r * k, ctx.seed, cap=ctx.pp.q ** k)
-    return FieldExtension(ctx, ext, k)
+def embed(base: FieldCtx, ext: FieldCtx, a: int) -> int:
+    """Image of the `base` code a in `ext`, a model of an extension field:
+    a's coefficient vector evaluated at the root of the base modulus in `ext`
+    with the least discrete log, so sums and products are preserved."""
+    p, r = base.pp.p, base.pp.r
+    if ext.pp.p != p or ext.pp.r % r:
+        raise ValueError(f"{base!r} is not a subfield of {ext!r}")
+    if r == 1:
+        return a  # a prime-field code names the same element in every model
+    step = (ext.pp.q - 1) // (base.pp.q - 1)
+    for e in range(0, ext.pp.q - 1, step):
+        root = ext.gen_pow(e)
+        if ext.eval_poly(base.modulus, root) == 0:
+            return ext.eval_poly(base.coeffs(a), root)
+    raise RuntimeError("base modulus has no root in the extension (unreachable)")

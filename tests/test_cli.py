@@ -10,6 +10,7 @@ import pytest
 import dworkzeta
 from dworkzeta import cli, counting
 from dworkzeta.cli import main
+from dworkzeta.config import Caps
 from dworkzeta.errors import (
     DivisibilityViolation,
     FieldTooLarge,
@@ -68,9 +69,11 @@ def test_bad_lambda_says_why_and_writes_no_file(tmp_path, capsys, command):
     (["count", "--n", "1", "--p", "5"], None),
     (["count", "--n", "2", "--p", "5", "--r", "0"], None),
     (["gauss", "--p", "5", "--N", "0"], None),
+    (["gauss", "--p", "3", "--N", "1001"], None),
     (["sweep"], {"prime_list": [4]}),
     (["sweep"], {"n_list": [1]}),
-], ids=["p-not-prime", "n-1", "r-0", "N-0", "sweep-p-not-prime", "sweep-n-1"])
+], ids=["p-not-prime", "n-1", "r-0", "N-0", "N-1001", "sweep-p-not-prime",
+        "sweep-n-1"])
 def test_bad_parameters_exit_2_without_traceback(tmp_path, capsys, argv,
                                                  config):
     if config is not None:
@@ -367,7 +370,9 @@ _BAD_CONFIG_FILES = {"missing": None, "truncated": '{"n_list": [2',
                      "top-level-list": "[1, 2]",
                      "caps-list": '{"caps": [1, 2]}',
                      "negative-precision":
-                         '{"caps": {"precision_override": -1}}'}
+                         '{"caps": {"precision_override": -1}}',
+                     "precision-above-max":
+                         '{"caps": {"precision_override": 1001}}'}
 
 
 @pytest.mark.parametrize("command,case", [
@@ -426,6 +431,21 @@ def test_unusable_out_is_config_error(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("bad configuration: ") and "Traceback" not in err
     assert cells == [] and out.read_text() == ""
+
+
+def test_largest_precision_is_accepted(tmp_path):
+    assert Caps(precision_override=1000).precision_override == 1000
+    assert main(["gauss", "--p", "3", "--N", "1000", "--out",
+                 str(tmp_path)]) == 0
+
+
+def test_extended_tier_raises_only_the_brute_force_caps():
+    caps = Caps(field_table_max_q=81, affine_enum_max=100, torus_enum_max=7,
+                precision_override=5)
+    assert caps.with_tier("ci") is caps and caps.with_tier(None) is caps
+    assert caps.with_tier("extended") == Caps(
+        field_table_max_q=81, affine_enum_max=1600, torus_enum_max=112,
+        precision_override=5)
 
 
 def test_sweep_config_tier_is_kept(tmp_path, capsys):

@@ -28,7 +28,7 @@ from dworkzeta.errors import (
     FieldTooLarge,
     PrecisionInsufficient,
 )
-from dworkzeta.ff import FieldCtx, build_field, extend, factorize
+from dworkzeta.ff import FieldCtx, build_field, embed, factorize
 from dworkzeta.padic import TowerCtx, build_tower, pi_valuation
 
 
@@ -231,9 +231,7 @@ def test_charsum_extension_field_consistency():
     ii = inst(2, 3, 1, 2)
     nf2, _, ng2 = charsum_triple(ii, k=2)
     F9 = build_field(3, 2, 0)
-    from dworkzeta.ff import extend
-
-    lam9 = extend(build_field(3, 1, 0), 2).embed(2)
+    lam9 = embed(build_field(3, 1, 0), F9, 2)
     ii9 = DworkInstance(n=2, field=F9, lam=lam9)
     nf9, _, ng9 = charsum_triple(ii9)
     assert (nf2, ng2) == (nf9, ng9)
@@ -624,7 +622,7 @@ def test_family_part_matches_per_vector_sum_key_by_key():
             (3, 3, 1, 3, 1, False)} <= set(cases)
     for n, p, r, f, m, lam_zero in cases:
         F = build_field(p, r, 0)
-        Ff = extend(F, f).ext
+        Ff = build_field(p, r * f, 0)
         N = required_precision(p, Ff.pp.q ** m, n)
         for matrix in (dwork_matrix_M(n), dwork_matrix_N(n)):
             fast = _gauss_product_sums.__wrapped__(

@@ -11,10 +11,11 @@ from dworkzeta.ff import (
     _is_irreducible,
     _poly_mulmod,
     build_field,
-    extend,
+    embed,
     factorize,
     is_prime,
 )
+from dworkzeta.counting import DworkInstance
 from dworkzeta.padic import build_tower
 
 
@@ -107,27 +108,22 @@ def test_field_cap():
     with pytest.raises(FieldTooLarge):
         build_field(2, 30, 0, cap=1 << 26)
     # the cap holds for an already cached model and its extensions too
-    F = build_field(3, 2, 0)
+    ii = DworkInstance(n=2, field=build_field(3, 2, 0), lam=1)
     with pytest.raises(FieldTooLarge):
         build_field(3, 2, 0, cap=8)
-    extend(F, 2)
+    ii.extension(2)
     with pytest.raises(FieldTooLarge):
-        extend(F, 2, cap=80)
+        ii.extension(2, cap=80)
 
 
 def test_field_caches_stay_bounded():
     from dworkzeta import ff
 
     bound = ff._field.cache_info().maxsize
-    assert ff._extension.cache_info().maxsize == bound
-    # more distinct models of GF(2) and GF(4) than the caches keep
-    fields = [build_field(2, 1, seed) for seed in range(bound + 5)]
-    exts = [extend(F, 2) for F in fields]
+    # more distinct models of GF(2) than the cache keeps
+    for seed in range(bound + 5):
+        build_field(2, 1, seed)
     assert ff._field.cache_info().currsize == bound
-    assert ff._extension.cache_info().currsize == bound
-    # an extension is keyed on its base object, never on an evicted twin
-    assert all(fe.base is F for fe, F in zip(exts, fields))
-    assert extend(fields[-1], 2) is exts[-1]
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 1), (3, 2), (5, 1), (7, 1), (2, 3)])
@@ -229,41 +225,55 @@ def test_character_orthogonality_multiset():
 
 def test_extend_gf3_to_gf9_fixed_points():
     F3 = build_field(3, 1, 0)
-    ext = extend(F3, 2)
-    F9 = ext.ext
-    images = {ext.embed(a) for a in range(3)}
+    F9 = build_field(3, 2, 0)
+    images = {embed(F3, F9, a) for a in range(3)}
     fixed = {a for a in range(9) if F9.pow(a, 3) == a}
     assert images == fixed
 
 
 def test_extend_identity_and_prime_subfield():
     F4 = build_field(2, 2, 0)
-    ident = extend(F4, 1)
     for a in range(4):
-        assert ident.embed(a) == a
-    F2 = build_field(2, 1, 0)
-    e = extend(F2, 3)
-    assert e.embed(0) == 0 and e.embed(1) == 1
+        assert embed(F4, F4, a) == a
+    F2, F8 = build_field(2, 1, 0), build_field(2, 3, 0)
+    assert embed(F2, F8, 0) == 0 and embed(F2, F8, 1) == 1
 
 
 @pytest.mark.parametrize("p,r,k", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 2, 2), (5, 1, 3)])
 def test_embedding_is_field_homomorphism(p, r, k):
     base = build_field(p, r, 0)
-    ext = extend(base, k)
-    E = ext.ext
+    E = build_field(p, r * k, 0)
     q = base.pp.q
+    image = [embed(base, E, a) for a in range(q)]
     for a in range(q):
         for b in range(q):
-            assert ext.embed(base.add(a, b)) == E.add(ext.embed(a), ext.embed(b))
-            assert ext.embed(base.mul(a, b)) == E.mul(ext.embed(a), ext.embed(b))
+            assert image[base.add(a, b)] == E.add(image[a], image[b])
+            assert image[base.mul(a, b)] == E.mul(image[a], image[b])
+
+
+@pytest.mark.parametrize("p,r", [(5, 2), (3, 3)], ids=["GF25", "GF27"])
+def test_embed_refuses_a_field_that_does_not_extend_the_base(p, r):
+    with pytest.raises(ValueError, match="not a subfield"):
+        embed(build_field(3, 2, 0), build_field(p, r, 0), 1)
+
+
+@pytest.mark.parametrize("p,r,seed", [(3, 1, 0), (3, 2, 1), (2, 2, 0)])
+def test_extension_reads_the_shared_field_model(p, r, seed):
+    base = build_field(p, r, seed)
+    ii = DworkInstance(n=2, field=base, lam=base.pp.q - 1)
+    F, lam = ii.extension(2)
+    assert F is build_field(p, 2 * r, seed)
+    assert lam == embed(base, F, ii.lam)
+    F1, lam1 = ii.extension(1)
+    assert F1 is base and lam1 == ii.lam
 
 
 @pytest.mark.parametrize("p,r,k", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
 def test_embedding_trace_compatibility(p, r, k):
     base = build_field(p, r, 0)
-    ext = extend(base, k)
+    E = build_field(p, r * k, 0)
     for a in range(base.pp.q):
-        assert ext.ext.trace(ext.embed(a)) == (k * base.trace(a)) % p
+        assert E.trace(embed(base, E, a)) == (k * base.trace(a)) % p
 
 
 def test_different_seeds_give_valid_models():
@@ -348,6 +358,7 @@ def test_field_models_are_pinned(p, r, seed):
 def test_teichmuller_values_and_embedding_are_pinned():
     T = build_tower(build_field(5, 2, 0), 6)
     assert [T.teich(a).rows[0] for a in range(25)] == _PINNED_TEICH_GF25_N6
-    e = extend(build_field(3, 2, 1), 3)
-    assert e.basis_root == 231
-    assert [e.embed(a) for a in range(9)] == [0, 1, 2, 231, 232, 233, 129, 130, 131]
+    base, ext = build_field(3, 2, 1), build_field(3, 6, 1)
+    # 231 is the image of the power-basis root of the base modulus
+    assert [embed(base, ext, a) for a in range(9)] == \
+        [0, 1, 2, 231, 232, 233, 129, 130, 131]
