@@ -18,8 +18,6 @@ import json
 import os
 import sys
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
@@ -321,6 +319,7 @@ def _sweep_instance(cfg: SweepConfig, caps: Caps, key: tuple) -> dict:
                            if name in rep}
     except Exception as exc:  # noqa: BLE001 - the worker boundary
         if not isinstance(exc, DworkZetaError):
+            import traceback  # loaded on this failure path only
             traceback.print_exc(file=sys.stderr)
         out.update(counts=[], congruence=[],
                    error=f"{type(exc).__name__}: {exc}",
@@ -367,9 +366,11 @@ def cmd_sweep(args) -> int:
     _make_out_dir(cfg.out_dir)  # an unusable --out fails before any cell
     t0 = time.time()
     cell = partial(_sweep_instance, cfg, caps)
-    # a pool forks all its workers at the first submit: never more than cells
+    # a pool forks all its workers at the first submit: never more than
+    # cells; multiprocessing is loaded only when a pool is needed
     workers = min(cfg.threads, len(keys))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(cell, keys))
     else:

@@ -416,10 +416,13 @@ def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
     orbit = range(gauss_tower.r * m)  # Q = p^(r m)
     # sorted tuple of coset minima -> {(s, k_last mod (q-1)): integer}
     coeffs: dict = {}
+    least: dict = {}  # inner index -> least member of its coset, this call
     for k, s, count in enumerate_solutions(matrix, Q1 + 1, lam_zero):
         lo, hi = k.count(0), k.count(Q1)
-        inner = tuple(sorted(min(kj * p ** i % Q1 for i in orbit)
-                             for kj in k if 0 < kj < Q1))
+        for kj in k:
+            if kj not in least:
+                least[kj] = min(kj * p ** i % Q1 for i in orbit)
+        inner = tuple(sorted(least[kj] for kj in k if 0 < kj < Q1))
         by_key = coeffs.setdefault(inner, {})
         key = (s, k[-1] % q1)
         by_key[key] = (by_key.get(key, 0)

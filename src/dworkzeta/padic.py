@@ -5,10 +5,13 @@ the integer lift of the GF(q) model's modulus.  The ring is computed as
 R = (W/p^N)[x]/(x^p - 1) with x = zeta_p; its quotient by
 Phi_p(x) = 1 + x + ... + x^{p-1} is Z_p[zeta_p] (x) W mod p^N.  An element
 is a flat tuple of p*r residues, entry i*r + j the coefficient of x^i y^j,
-and a product is one big-int product of Kronecker-packed operands.
+and a product is one big-int product of operands packed by Horner, x^i y^j
+in slot i(2r-1) + j.  The reduction by m(y) of the y-degrees r..2r-2 runs
+only at r > 1; at r = 1 the slots are unpacked mod p^N in one pass, and a
+product in W is one integer product mod p^N.
 
 Teichmuller values chi(a) lie on x^0 and are computed in W alone (the
-packed product with one x-block).  A Gauss sum
+packed product with one x-block), by Newton iteration.  A Gauss sum
 G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m], each
 acc[m] in Z_p, with G(0) = q-1 and G(q-1) = -q by convention.
 `TowerCtx.gauss_sums` is the one entry point: a context computes each G(k)
@@ -148,9 +151,11 @@ class TowerCtx:
         # Kronecker slots: x^i y^j sits at bit B*(i*(2r-1) + j); a slot of a
         # product folded by x^p = 1 sums p*r products of residues < p^N
         p, r = self.p, self.r
-        self._slot_bits = (p * r * self.pN ** 2).bit_length() + 1
-        self._offsets = [self._slot_bits * (i * (2 * r - 1) + j)
-                         for i in range(p) for j in range(r)]
+        B = self._slot_bits = (p * r * self.pN ** 2).bit_length() + 1
+        # Horner shifts, top coefficient first: entering a block skips its
+        # r-1 empty slots; of period r, so it serves any number of blocks
+        self._shifts = [B * r if i % r == 0 else B
+                        for i in range(p * r, 0, -1)]
         self._teich_pows = None
         self._gauss_memo: dict = {}
 
@@ -203,15 +208,20 @@ class TowerCtx:
     def _mul_coeffs(self, a, b, blocks: int) -> tuple:
         """The product of two flat coefficient tuples of `blocks` powers of
         x each, x^blocks = 1: the ring at blocks = p, W alone at 1."""
-        r, pN, B = self.r, self.pN, self._slot_bits
-        offsets = self._offsets
-        prod = (sum(v << o for v, o in zip(a, offsets) if v)
-                * sum(v << o for v, o in zip(b, offsets) if v))
+        r, pN, B, shifts = self.r, self.pN, self._slot_bits, self._shifts
+        x = y = 0
+        for v, s in zip(reversed(a), shifts):
+            x = x << s | v
+        for v, s in zip(reversed(b), shifts):
+            y = y << s | v
         w = 2 * r - 1
         span = B * blocks * w
+        prod = x * y
         prod = (prod & ((1 << span) - 1)) + (prod >> span)  # x^blocks = 1
         mask = (1 << B) - 1
-        d = [(prod >> (B * s)) & mask for s in range(blocks * w)]
+        if r == 1:
+            return tuple((prod >> s & mask) % pN for s in range(0, span, B))
+        d = [prod >> s & mask for s in range(0, span, B)]
         mod = self.unramified_modulus
         out = []
         for i in range(0, blocks * w, w):
@@ -227,12 +237,20 @@ class TowerCtx:
     # -- Teichmuller lifts and character tables -------------------------------
 
     def teich(self, a) -> TowerElem:
-        """Teichmuller lift of a field element code, a value of W: t^(q^(N-1))
-        in W for t the lift of the coefficients of a, exact since
-        t = teich(a) mod p."""
-        t = tuple(v % self.pN for v in self.field.coeffs(a))
-        return self.from_w(_power(t, self.q ** (self.N - 1),
-                                  functools.partial(self._mul_coeffs, blocks=1)))
+        """Teichmuller lift of a field element code, a value of W: the root
+        of f(X) = X^q - X congruent to the lift t of the coefficients of a,
+        by Newton steps X <- X - c f(X), c = (q-1)^{-1} mod p^N, from X = t.
+        f'(X) = q X^(q-1) - 1 differs from f'(root) = q - 1 by a multiple of
+        the error, so each step doubles the precision, 1 at X = t:
+        ceil(log2 N) q-th powers in W."""
+        pN, q = self.pN, self.q
+        c = pow(q - 1, -1, pN)
+        mul = functools.partial(self._mul_coeffs, blocks=1)
+        x = tuple(v % pN for v in self.field.coeffs(a))
+        for _ in range((self.N - 1).bit_length()):
+            xq = _power(x, q, mul)
+            x = tuple((u - c * (v - u)) % pN for u, v in zip(x, xq))
+        return self.from_w(x)
 
     def teich_pows(self):
         """TP[j] = teich(g)^j for j in [0, q-1), computed in W."""

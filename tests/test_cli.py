@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -108,6 +109,14 @@ def test_cli_import_does_not_load_mpmath():
     # mpmath is loaded by the purity check alone, not at start-up
     _run_fresh_interpreter("import sys, dworkzeta.cli\n"
                            "assert 'mpmath' not in sys.modules\n")
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # only a sweep with more than one worker starts a process pool
+    _run_fresh_interpreter(
+        "import sys, dworkzeta.cli\n"
+        "for name in ('multiprocessing', 'concurrent.futures'):\n"
+        "    assert name not in sys.modules, name\n")
 
 
 def test_sweep_does_not_load_mpmath(tmp_path):
@@ -801,7 +810,7 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, capsys,
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     files = {}
     for n_list, threads in (([2], 1), ([2], 64), ([], 2)):
         cfg_path = tmp_path / "cfg.json"

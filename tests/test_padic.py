@@ -1,11 +1,14 @@
+import functools
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dworkzeta import padic
 from dworkzeta.errors import NonIntegralResult
-from dworkzeta.ff import FieldCtx, build_field
+from dworkzeta.ff import FieldCtx, _power, build_field
 from dworkzeta.padic import (
     TowerCtx,
     TowerElem,
@@ -32,34 +35,67 @@ def eisenstein_at_pi(T):
     return sum((pi ** i).scale(comb(T.p, i + 1)) for i in range(T.p))
 
 
+def _w_mul(T, u, v):
+    """The schoolbook product of two values of W, unreduced mod p^N."""
+    r, mod = T.r, T.unramified_modulus
+    out = [0] * (2 * r - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] += ui * vj
+    for i in range(2 * r - 2, r - 1, -1):  # y^r = -sum_{j<r} m_j y^j
+        for j in range(r):
+            out[i - r + j] -= out[i] * mod[j]
+    return out[:r]
+
+
 def _oracle_mul(T, a, b):
     """The pi-basis product of two row arrays: schoolbook products in W,
     reduced by the lifted field modulus, then pi-degrees >= p-1 reduced by
     the Eisenstein polynomial."""
-    p, r, pN, mod = T.p, T.r, T.pN, T.unramified_modulus
+    p, r, pN = T.p, T.r, T.pN
     d = p - 1
     eis = [comb(p, i + 1) for i in range(p)]
-
-    def w_mul(u, v):
-        out = [0] * (2 * r - 1)
-        for i, ui in enumerate(u):
-            for j, vj in enumerate(v):
-                out[i + j] += ui * vj
-        for i in range(2 * r - 2, r - 1, -1):  # y^r = -sum_{j<r} m_j y^j
-            for j in range(r):
-                out[i - r + j] -= out[i] * mod[j]
-        return out[:r]
-
     out = [[0] * r for _ in range(2 * d - 1)]
     for i, ra in enumerate(a):
         for j, rb in enumerate(b):
-            for t, v in enumerate(w_mul(ra, rb)):
+            for t, v in enumerate(_w_mul(T, ra, rb)):
                 out[i + j][t] += v
     for i in range(2 * d - 2, d - 1, -1):  # pi^d = -sum_{j<d} E_j pi^j
         for j in range(d):
             for t in range(r):
                 out[i - d + j][t] -= eis[j] * out[i][t]
     return tuple(tuple(v % pN for v in row) for row in out[:d])
+
+
+def _schoolbook_mul_coeffs(T, a, b, blocks):
+    """The product in ((Z/p^N)[y]/(m(y)))[x]/(x^blocks - 1) of two flat
+    coefficient tuples, block by block."""
+    r = T.r
+    out = [0] * (blocks * r)
+    for i in range(blocks):
+        for j in range(blocks):
+            k = (i + j) % blocks
+            for t, v in enumerate(_w_mul(T, a[i * r:i * r + r],
+                                         b[j * r:j * r + r])):
+                out[k * r + t] += v
+    return tuple(v % T.pN for v in out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_mul_coeffs_matches_schoolbook(p, r):
+    T = TowerCtx(build_field(p, r, 0), 6)
+    rng = random.Random(p * 10 + r)
+    for blocks in sorted({1, p}):
+        size = blocks * r
+        # all-(p^N - 1) operands fill every slot to its bound: a narrower
+        # slot width would carry into the next slot
+        cases = [((T.pN - 1,) * size,) * 2]
+        cases += [tuple(tuple(rng.randrange(T.pN) for _ in range(size))
+                        for _ in range(2)) for _ in range(20)]
+        for a, b in cases:
+            assert T._mul_coeffs(a, b, blocks) == \
+                _schoolbook_mul_coeffs(T, a, b, blocks), (blocks, a, b)
 
 
 def test_build_tower_gf2_trivial_ramification():
@@ -162,6 +198,37 @@ def _ring_teich(T, a):
             return t
         t = nxt
     raise AssertionError("Teichmuller iteration did not stabilize")
+
+
+def _power_teich(T, a):
+    """teich(a) as t^(q^(N-1)) in W, t the lift of the coefficients of a:
+    exact since t = teich(a) mod p."""
+    t = tuple(v % T.pN for v in T.field.coeffs(a))
+    mul = functools.partial(T._mul_coeffs, blocks=1)
+    return T.from_w(_power(t, T.q ** (T.N - 1), mul))
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                                 (7, 2), (11, 2)])
+@pytest.mark.parametrize("N", [1, 2, 5, 17])
+def test_teich_newton_matches_power_lift(p, r, N):
+    T = TowerCtx(build_field(p, r, 0), N)
+    for a in range(T.q):
+        assert T.teich(a).c == _power_teich(T, a).c, a
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 17])
+def test_teich_takes_ceil_log2_n_qth_powers(monkeypatch, N):
+    T = TowerCtx(build_field(5, 2, 0), N)
+    calls = []
+
+    def spy(x, e, mul):
+        calls.append(e)
+        return _power(x, e, mul)
+
+    monkeypatch.setattr(padic, "_power", spy)
+    T.teich(T.field.generator)
+    assert calls == [T.q] * (N - 1).bit_length()
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2), (5, 3)])
