@@ -29,12 +29,12 @@ from .zeta import (
     ZetaData,
     divide_check,
     expected_degree_P,
+    is_weil_pure,
     power_sums_from_counts,
     r_poly,
     recover_mirror_zeta,
     recover_numerator,
     recover_pencil_zeta,
-    weight_purity_check,
 )
 from .slope import (
     HodgeData,

@@ -7,7 +7,7 @@ exit code:
 - CapExceeded (exit 3): a resource cap refused a field or an enumeration;
 - RecoveryFailure (exit 6): the counts did not determine a valid zeta
   function, or a finding that a structural claim failed on data
-  (divisibility of P by Q, the functional-equation sign, root finding);
+  (divisibility of P by Q, the functional-equation sign);
 - any other DworkZetaError (exit 4): a broken mathematical contract, which
   signals an implementation bug (integrality of certified quantities, exact
   divisions, precision).
@@ -84,10 +84,6 @@ class NotDivisible(RecoveryFailure):
 
 class SubstitutionNotIntegral(RecoveryFailure):
     """P/Q is not a polynomial in qT with integer coefficients.  A finding."""
-
-
-class RootFindingFailure(RecoveryFailure):
-    """Root finding did not converge while checking a numerator's purity."""
 
 
 class DimensionMismatch(DworkZetaError):

@@ -240,14 +240,16 @@ class TowerCtx:
         """Teichmuller lift of a field element code, a value of W: the root
         of f(X) = X^q - X congruent to the lift t of the coefficients of a,
         by Newton steps X <- X - c f(X), c = (q-1)^{-1} mod p^N, from X = t.
-        f'(X) = q X^(q-1) - 1 differs from f'(root) = q - 1 by a multiple of
-        the error, so each step doubles the precision, 1 at X = t:
-        ceil(log2 N) q-th powers in W."""
+        With X = root + e, the step leaves -c times the terms C(q, k) e^k,
+        k >= 2, of f(X): each is divisible by p e^2, or is e^q.  So for
+        q >= 3 a step takes the precision v to 2v + 1 (from 1 at X = t),
+        and s steps reach 2^(s+1) - 1: N.bit_length() - 1 q-th powers in W.
+        Over GF(2), t is 0 or 1 and already exact."""
         pN, q = self.pN, self.q
         c = pow(q - 1, -1, pN)
         mul = functools.partial(self._mul_coeffs, blocks=1)
         x = tuple(v % pN for v in self.field.coeffs(a))
-        for _ in range((self.N - 1).bit_length()):
+        for _ in range(self.N.bit_length() - 1):
             xq = _power(x, q, mul)
             x = tuple((u - c * (v - u)) % pN for u, v in zip(x, xq))
         return self.from_w(x)

@@ -13,11 +13,11 @@ The projective pencil X and its mirror Y share trivial factors
 numerator is recovered from power sums by Newton's identities; when fewer
 than its degree are given, the Weil functional equation a_{D-i} = sign *
 q^{w(D-2i)/2} a_i completes it, with the sign pinned by integrality, Weil
-bounds, and archimedean purity.
+bounds, and Weil purity.  Purity is decided exactly, by a Sturm count on a
+trace polynomial; nothing here uses floating point.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
 from typing import Optional, Sequence
@@ -29,9 +29,25 @@ from .errors import (
     NoConsistentSign,
     NonIntegralCoefficient,
     NotDivisible,
-    RootFindingFailure,
     SubstitutionNotIntegral,
 )
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _add(*polys: Sequence[int]) -> list:
+    out = [0] * max(map(len, polys))
+    for a in polys:
+        for i, c in enumerate(a):
+            out[i] += c
+    return out
 
 
 class IntPoly:
@@ -52,13 +68,7 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPoly(out)
+        return IntPoly(_mul(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, IntPoly):
@@ -190,25 +200,23 @@ def weil_bound_ok(coeffs: Sequence[int], q: int, w: int) -> bool:
     return True
 
 
-# the archimedean purity tolerance: the only floating-point check
-PURITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class PurityReport:
-    max_deviation: float
-    passed: bool
-
-
 def _primitive(a: list) -> list:
     g = gcd(*a)
     return [c // g for c in a]
 
 
+def _value(a: list, u: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * u + c
+    return v
+
+
 def _pseudo_remainder(a: list, b: list) -> list:
-    """lc(b)^e * a mod b in Z[T], ascending coefficients, trailing zeros
-    trimmed; [] for zero."""
-    a = list(a)
+    """|lc(b)|^e * a mod b in Z[T], ascending coefficients, trailing zeros
+    trimmed; [] for zero.  b is first negated if need be, so that the
+    multiplier is positive and the remainder keeps the sign Sturm needs."""
+    a, b = list(a), b if b[-1] > 0 else [-c for c in b]
     while len(a) >= len(b):
         lead, shift = a[-1], len(a) - len(b)
         a = [b[-1] * c for c in a]
@@ -219,45 +227,47 @@ def _pseudo_remainder(a: list, b: list) -> list:
     return a
 
 
-def square_free_part(P: IntPoly) -> IntPoly:
-    """P / gcd(P, P'), the product of the distinct irreducible factors.
-
-    The gcd comes from the primitive pseudo-remainder sequence in Z[T].  It
-    is primitive and divides P, so by Gauss's lemma it divides P in Z[T] and
-    its constant term divides P(0) = 1: the division is exact."""
-    if P.degree == 0:
-        return P
-    a = list(P.coeffs)
-    b = [i * c for i, c in enumerate(a)][1:]
-    while b:
-        b = _primitive(b)
-        a, b = b, _pseudo_remainder(a, b)
-    if a[0] == -1:
-        a = [-c for c in a]
-    return divide_check(P, IntPoly(a))
+def _sturm_sequence(a: list) -> list:
+    """a, a' and the negated pseudo-remainders by primitive divisors: a Sturm
+    sequence up to positive factors, ending in gcd(a, a') times an integer."""
+    seq = [a, [i * c for i, c in enumerate(a)][1:]]
+    while seq[-1]:
+        seq[-1] = _primitive(seq[-1])
+        seq.append([-c for c in _pseudo_remainder(seq[-2], seq[-1])])
+    return seq[:-1]
 
 
-@functools.lru_cache(maxsize=64)  # FE completion and the zeta rows share P
-def weight_purity_check(P: IntPoly, q: int, w: int) -> PurityReport:
-    """All complex roots of P have |root| = q^{-w/2} within PURITY_TOL,
-    checked with 256-bit arithmetic.  Root finding runs on the square-free
-    part, which has the same root set and keeps multiple roots from
-    wrecking convergence.  Constant polynomials pass vacuously."""
-    # the package's only runtime dependency, needed by this check alone
-    import mpmath as mp
+def _sign_changes(seq: list, u: int) -> int:
+    signs = [v > 0 for v in (_value(a, u) for a in seq) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    if P.degree == 0:
-        return PurityReport(0.0, True)
-    sqf = square_free_part(P)
-    with mp.workprec(256):
-        cs = [mp.mpf(c) for c in reversed(sqf.coeffs)]
-        try:
-            roots = mp.polyroots(cs, maxsteps=600, extraprec=300)
-        except (mp.libmp.NoConvergence, ZeroDivisionError) as exc:
-            raise RootFindingFailure(str(exc)) from exc
-        scale = mp.power(mp.mpf(q), mp.mpf(w) / 2)
-        dev = float(max(abs(abs(rt) * scale - 1) for rt in roots))
-    return PurityReport(dev, dev <= PURITY_TOL)
+
+def is_weil_pure(P: IntPoly, q: int, w: int) -> bool:
+    """Every reciprocal root alpha of P has |alpha| = q^{w/2}, decided
+    exactly (Kedlaya's trace-polynomial reduction, then Sturm).
+
+    R(x) = x^D P(1/x) = A(y) x + B(y) mod x^2 - yx + c, c = q^w, so
+    h = cA^2 + yAB + B^2 = Res_x(x^2 - yx + c, R) has the roots
+    t = alpha + c/alpha, and alpha is pure iff t is real with t^2 <= 4c.
+    From h(y) = E(y^2) + yO(y^2), H(u) = E(u)^2 - uO(u)^2 = h(y)h(-y) has
+    the roots t^2.  With u and u - 4c divided out, P is pure iff the Sturm
+    count of H on (0, 4c) is its number of distinct roots."""
+    c = q ** w
+    A, B = [], []
+    for a in P.coeffs:  # Horner from the top coefficient of R, a_0
+        A, B = _add([0] + A, B), _add([-c * x for x in A], [a])
+    h = _add(_mul([c], _mul(A, A)), [0] + _mul(A, B), _mul(B, B))
+    E, O = h[0::2], h[1::2]
+    H = _add(_mul(E, E), [0] + [-x for x in _mul(O, O)])
+    while H[-1] == 0:
+        H.pop()
+    while H[0] == 0:
+        H.pop(0)
+    while _value(H, 4 * c) == 0:  # H / (u - 4c), by synthetic division
+        H = [_value(H[i:], 4 * c) for i in range(1, len(H))]
+    seq = _sturm_sequence(H)
+    distinct = len(H) - len(seq[-1])  # deg H - deg gcd(H, H')
+    return _sign_changes(seq, 0) - _sign_changes(seq, 4 * c) == distinct
 
 
 def _fe_partner(ai: int, q: int, w: int, e2: int):
@@ -308,7 +318,7 @@ def recover_numerator(power_sums: Sequence[int], degree: int, weight: int,
         poly = IntPoly(lower + [sign * a for a in reversed(upper)])
         if (weil_bound_ok(poly.coeffs, q, weight)
                 and poly.power_sums(m) == list(power_sums)
-                and weight_purity_check(poly, q, weight).passed):
+                and is_weil_pure(poly, q, weight)):
             candidates.append((sign, poly))
     if not candidates:
         raise NoConsistentSign(

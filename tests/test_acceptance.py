@@ -43,10 +43,10 @@ from dworkzeta.slope import (
 from dworkzeta.zeta import (
     IntPoly,
     expected_degree_P,
+    is_weil_pure,
     r_poly,
     recover_mirror_zeta,
     recover_pencil_zeta,
-    weight_purity_check,
     zeta_from_counts,
 )
 
@@ -207,12 +207,11 @@ def test_criterion_07_n2_zeta_P_equals_Q():
             assert zx.numerator == zy.numerator, (q, lam)
             R2 = r_poly(zx.numerator, zy.numerator, q, 2)
             assert R2 == IntPoly([1]), (q, lam)
-            purity = weight_purity_check(zx.numerator, q, 1)
-            assert purity.passed and purity.max_deviation <= 1e-8, (q, lam)
+            assert is_weil_pure(zx.numerator, q, 1), (q, lam)
             fibers += 1
     dt = time.monotonic() - t0
     _report("ACCEPT-07 n2-P-equals-Q-and-R2-trivial", dt < 60,
-            f"{fibers} smooth fibers, purity within 1e-8, {dt:.2f}s < 60s")
+            f"{fibers} smooth fibers, Weil-pure, {dt:.2f}s < 60s")
 
 
 def test_criterion_08_pipeline_selfcheck_synthetic():
@@ -232,7 +231,7 @@ def test_criterion_08_pipeline_selfcheck_synthetic():
     assert zx.numerator == P
     R3 = r_poly(zx.numerator, Q, q, 3)
     assert R3.degree == 18
-    assert weight_purity_check(R3, 1, 0).max_deviation <= 1e-8
+    assert is_weil_pure(R3, 1, 0)
     dt = time.monotonic() - t0
     _report("ACCEPT-08a degree21-recovery-selfcheck(ci, synthetic counts)",
             True, f"FE completion from 11 power sums, R_3 roots +-1, {dt:.2f}s")
@@ -251,10 +250,10 @@ def test_criterion_08_n3_q5_full_recovery():
     assert zx.numerator.degree == 21 == expected_degree_P(3)
     R3 = r_poly(zx.numerator, zy.numerator, q, 3)
     assert R3.degree == 18
-    assert weight_purity_check(R3, 1, 0).max_deviation <= 1e-8
+    assert is_weil_pure(R3, 1, 0)
     dt = time.monotonic() - t0
     _report("ACCEPT-08 n3-q5-full-recovery", True,
-            f"deg P = 21, Q | P, R_3 roots +-1 within 1e-8, {dt:.1f}s")
+            f"deg P = 21, Q | P, R_3 roots +-1 (Weil-pure), {dt:.1f}s")
 
 
 def _recovered_zetas_for_fe():

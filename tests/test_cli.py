@@ -16,7 +16,7 @@ from dworkzeta.errors import (
     DivisibilityViolation,
     FieldTooLarge,
     NoConsistentSign,
-    RootFindingFailure,
+    NonIntegralCoefficient,
 )
 
 
@@ -85,13 +85,17 @@ def test_bad_parameters_exit_2_without_traceback(tmp_path, capsys, argv,
     assert "Traceback" not in capsys.readouterr().err
 
 
-def _run_fresh_interpreter(code: str):
-    """Run `code` in a new Python process that imports this checkout."""
+def _fresh_env() -> dict:
+    """The environment of a new Python process that imports this checkout."""
     src = str(Path(dworkzeta.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return env
+
+
+def _run_fresh_interpreter(code: str):
+    subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True,
                    timeout=120)
 
 
@@ -105,12 +109,6 @@ def test_zeta_does_not_import_sympy():
         "assert 'sympy' not in sys.modules\n")
 
 
-def test_cli_import_does_not_load_mpmath():
-    # mpmath is loaded by the purity check alone, not at start-up
-    _run_fresh_interpreter("import sys, dworkzeta.cli\n"
-                           "assert 'mpmath' not in sys.modules\n")
-
-
 def test_cli_import_does_not_load_multiprocessing():
     # only a sweep with more than one worker starts a process pool
     _run_fresh_interpreter(
@@ -119,9 +117,12 @@ def test_cli_import_does_not_load_multiprocessing():
         "    assert name not in sys.modules, name\n")
 
 
+def test_cli_import_does_not_load_mpmath():
+    _run_fresh_interpreter("import sys, dworkzeta.cli\n"
+                           "assert 'mpmath' not in sys.modules\n")
+
+
 def test_sweep_does_not_load_mpmath(tmp_path):
-    # zeta rows stop at zeta_n_max = 2, where both numerators come from
-    # exact counts, so no purity check runs
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_list": [2, 3, 4],
                                     "prime_list": [2, 3, 5], "k_max": 2}))
@@ -132,6 +133,35 @@ def test_sweep_does_not_load_mpmath(tmp_path):
         f"{str(tmp_path / 'out')!r}, '--threads', '1'])\n"
         "assert code == 0, code\n"
         "assert 'mpmath' not in sys.modules\n")
+
+
+def test_runs_without_mpmath():
+    # purity is decided exactly: no command needs mpmath, including the
+    # functional-equation completion of the degree-21 P at n = 3, q = 5
+    _run_fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from dworkzeta.cli import main\n"
+        "for argv in (['zeta', '--n', '3', '--p', '7', '--lambda', 'all'],\n"
+        "             ['zeta', '--n', '3', '--p', '5', '--lambda', 'zero',\n"
+        "              '--tier', 'extended'],\n"
+        "             ['slope', '--n', '3', '--p', '3', '--lambda', 'all']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    assert code == 0, (argv, code)\n")
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes one line and closes the pipe
+    with subprocess.Popen(
+            [sys.executable, "-m", "dworkzeta.cli", "congruence", "--n", "2",
+             "--p", "5", "--lambda", "all", "--k", "2"],
+            env=_fresh_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert json.loads(proc.stdout.readline())["schema"] == 1
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_congruence_all_pass(capsys):
@@ -181,7 +211,7 @@ def test_zeta_smooth_lambda(capsys):
     assert row["X"]["numerator_coeffs"] == row["Y"]["numerator_coeffs"]
     assert len(row["X"]["numerator_coeffs"]) == 3
     assert row["R_coeffs"] == ["1"]
-    assert float(row["purity_X_dev"]) < 1e-8
+    assert row["purity_X"] == row["purity_Y"] == "pass"
 
 
 def test_zeta_singular_lambda_guarded(capsys):
@@ -511,12 +541,14 @@ def test_sweep_recovery_failure_exits_6(tmp_path, capsys, monkeypatch):
 # before the p-adic ring moved to the x^p - 1 basis.
 # Covered: singular fibers (n = 2, p = 5), an n = 3 slope, an r = 2 field,
 # the per-lambda recovery-error rows of zeta (n = 4, p = 2), and Gauss
-# tables over GF(8), GF(9) and GF(13).  The n = 3, p = 7 zeta rows were
-# captured while `square_free_part` still called sympy: their first fiber
-# has Q = (1 - 7T)^2 (1 + 7T), a purity check on a repeated root.
+# tables over GF(8), GF(9) and GF(13).  The three zeta digests were
+# re-captured when the purity deviations became exact pass/fail verdicts;
+# every other field of their rows was unchanged.  The n = 3, p = 7 rows'
+# first fiber has Q = (1 - 7T)^2 (1 + 7T), a purity check on a repeated
+# root.
 COMMAND_SHA256 = [
     (["zeta", "--n", "2", "--p", "5", "--lambda", "all"], 0,
-     "6e4383dec51181cfcf2e2db4d13d67c01099b551d60647ebcae9fe23b67db7a8"),
+     "d06660006d2099bbfabcdc3c351b16bc05d31239037c0320c9e3ddb5a621eb27"),
     (["slope", "--n", "2", "--p", "5", "--lambda", "all"], 0,
      "5ebce2fe0afa97bf7ae9b3a7350a4f2fee9514e4e01d6dd065b496caa1f06603"),
     (["congruence", "--n", "2", "--p", "5", "--lambda", "all", "--k", "2"], 0,
@@ -524,7 +556,7 @@ COMMAND_SHA256 = [
     (["slope", "--n", "3", "--p", "3", "--lambda", "all"], 0,
      "82397d769d7b5e09fd7da9e914648e2719fb9d668012fa35385af629d0906945"),
     (["zeta", "--n", "2", "--p", "3", "--r", "2", "--lambda", "all"], 0,
-     "44a9e816902c9ce3fcde63dd5262a0eac0246ae410c73cba646568ce2302b123"),
+     "0a1d113d0a32a1815bd6e9b0fd41fa499a1f72f71965f1dad8d8b750a13e6f3d"),
     (["slope", "--n", "2", "--p", "3", "--r", "2", "--lambda", "all"], 0,
      "72335665cc1b0e8a51e155673e8de1381c1ec2d2c9da7ecbf686770711945fae"),
     (["congruence", "--n", "2", "--p", "3", "--r", "2", "--lambda", "all",
@@ -533,7 +565,7 @@ COMMAND_SHA256 = [
     (["zeta", "--n", "4", "--p", "2", "--lambda", "all"], cli.EXIT_RECOVERY,
      "1925f92c60b543572947066e694b40d1f2a9fdff76782cebd2dba1976e7a89f4"),
     (["zeta", "--n", "3", "--p", "7", "--lambda", "all"], 0,
-     "6a7c273f1da7cb21eb6b9efa0e7d5c5cc38ab241af684b91e29e098e08ab30cd"),
+     "3d66c7c78d7ad2f1a20274109390d964ef208a8db5cdc58da633ff42b8508474"),
     (["count", "--n", "2", "--p", "5", "--lambda", "all", "--k", "2",
       "--method", "both", "--nfstar"], 0,
      "381b4903441364f2d6e1190ba5c16b6e1dc730cee483521410d87269639e6b36"),
@@ -752,17 +784,16 @@ def test_sweep_failed_cell_writes_none_of_its_rows(tmp_path, capsys,
         {"key": [2, 5, 1, 1], "error": "NoConsistentSign: injected"}]
 
 
-def test_root_finding_failure_is_a_recovery_failure(tmp_path, capsys,
-                                                    monkeypatch):
+def test_recovery_failure_is_an_error_row(tmp_path, capsys, monkeypatch):
     # an error row for lam = 1, then the remaining fibers
-    _recovery_raising(monkeypatch, RootFindingFailure, lam=1)
+    _recovery_raising(monkeypatch, NonIntegralCoefficient, lam=1)
     code, rows = run(capsys, "zeta", "--n", "2", "--p", "5", "--lambda", "all")
     assert code == cli.EXIT_RECOVERY
     assert len(rows) == 5
     assert rows[1] == {"schema": 2, "n": 2, "p": 5, "r": 1,
                        "lambda_dlog": 0, "error": "injected"}
     assert all("error" not in row for i, row in enumerate(rows) if i != 1)
-    _recovery_raising(monkeypatch, RootFindingFailure)
+    _recovery_raising(monkeypatch, NonIntegralCoefficient)
     assert _sweep_zero_fiber(tmp_path) == cli.EXIT_RECOVERY
 
 
@@ -823,28 +854,3 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, capsys,
                           if f.name != "timings.json"}
     assert started == [2]  # the 2-cell grid; no pool for 1 or 0 cells
     assert files[64] == files[1]
-
-
-@pytest.mark.parametrize("argv", [
-    ["zeta", "--n", "2", "--p", "5", "--lambda", "all"],
-    ["zeta", "--n", "4", "--p", "3", "--lambda", "all"],
-    ["zeta", "--n", "3", "--p", "5", "--lambda", "zero", "--tier",
-     "extended"],
-], ids=["n2-p5", "n4-p3", "n3-p5-extended"])
-def test_purity_roots_are_found_once_per_numerator(capsys, monkeypatch,
-                                                   argv):
-    # the functional-equation completion and the zeta rows check the same
-    # numerators; each is root-found once
-    import mpmath
-
-    real, numerators = mpmath.polyroots, []
-
-    def spy(coeffs, **kw):
-        numerators.append(tuple(map(int, coeffs)))
-        return real(coeffs, **kw)
-
-    cli.weight_purity_check.cache_clear()
-    monkeypatch.setattr(mpmath, "polyroots", spy)
-    main(argv)
-    capsys.readouterr()
-    assert numerators and len(numerators) == len(set(numerators))

@@ -1,5 +1,7 @@
+from math import isqrt
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dworkzeta.counting import DworkInstance, count_brute, count_X
 from dworkzeta.errors import (
@@ -13,19 +15,22 @@ from dworkzeta.ff import build_field
 from dworkzeta.zeta import (
     IntPoly,
     ZetaData,
+    _mul,
+    _primitive,
+    _sign_changes,
+    _sturm_sequence,
     coeffs_from_power_sums,
     counts_budget,
     divide_check,
     expected_degree_P,
+    is_weil_pure,
     numerator_exponent,
     power_sums_from_counts,
     r_poly,
     recover_mirror_zeta,
     recover_numerator,
     recover_pencil_zeta,
-    square_free_part,
     trivial_factors,
-    weight_purity_check,
     weil_bound_ok,
     zeta_from_counts,
 )
@@ -150,18 +155,30 @@ def test_recover_numerator_insufficient():
 
 
 def test_weight_purity_check():
-    assert weight_purity_check(IntPoly([1, -4, 4]), 4, 1).passed
-    rep = weight_purity_check(IntPoly([1, -1]), 4, 1)
-    assert not rep.passed and rep.max_deviation > 0.4
-    assert weight_purity_check(IntPoly([1]), 4, 1).passed  # vacuous
+    assert is_weil_pure(IntPoly([1, -4, 4]), 4, 1)
+    assert not is_weil_pure(IntPoly([1, -1]), 4, 1)
+    assert is_weil_pure(IntPoly([1]), 4, 1)  # vacuous
+
+
+def _sympy_poly(P):
+    from sympy import Poly, symbols
+
+    return Poly(list(reversed(P.coeffs)), symbols("T"))
 
 
 def _sympy_sqf_part(P):
-    from sympy import Poly, symbols
-
-    cs = Poly(list(reversed(P.coeffs)), symbols("T")).sqf_part().all_coeffs()
-    cs = [int(c) for c in reversed(cs)]
+    cs = [int(c) for c in reversed(_sympy_poly(P).sqf_part().all_coeffs())]
     return IntPoly(cs if cs[0] == 1 else [-c for c in cs])
+
+
+def _square_free_part(P):
+    """P / gcd(P, P'), the gcd read off the end of the remainder sequence
+    and checked against sympy's.  It is primitive and divides P, so by
+    Gauss's lemma its constant term divides P(0) = 1."""
+    g = _primitive(_sturm_sequence(list(P.coeffs))[-1])
+    want = _sympy_poly(P).gcd(_sympy_poly(P).diff()).all_coeffs()
+    assert g == [int(c) * (1 if g[-1] > 0 else -1) for c in reversed(want)]
+    return divide_check(P, IntPoly(g if g[0] == 1 else [-c for c in g]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,17 +190,189 @@ def test_square_free_part_matches_sympy(factors):
     for cs, mult in factors:
         for _ in range(mult):
             P = P * IntPoly([1] + cs)
-    assert square_free_part(P) == _sympy_sqf_part(P)
+    assert _square_free_part(P) == _sympy_sqf_part(P)
+
+
+def _degree21_P():
+    """Criterion 8's P at n = 3, q = 5, lam = 0: Q R_3(5T)."""
+    P = IntPoly([1, 1, -5, -125])
+    for _ in range(9):
+        P = P * IntPoly([1, -5]) * IntPoly([1, 5])
+    return P
 
 
 def test_square_free_part_degree21_shape():
-    Q = IntPoly([1, 1, -5, -125])
-    P = Q
-    for _ in range(9):
-        P = P * IntPoly([1, -5]) * IntPoly([1, 5])
     # Q = (1 - 5T)(1 + 6T + 25T^2) shares the factor 1 - 5T
     want = IntPoly([1, 6, 25]) * IntPoly([1, 0, -25])
-    assert square_free_part(P) == _sympy_sqf_part(P) == want
+    P = _degree21_P()
+    assert _square_free_part(P) == _sympy_sqf_part(P) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, -1, 2, -3]),
+       st.lists(st.integers(-6, 12).filter(lambda r: r not in (0, 8)),
+                max_size=5),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 5)),
+                max_size=2))
+@example(-1, [1, -1], [])  # 1 - u^2: one pseudo-division step by -u
+def test_sturm_count_is_the_number_of_distinct_real_roots(lead, roots,
+                                                          quads):
+    # lead * prod (u - r) * prod ((u + b)^2 + k), counted on (0, 8); a
+    # negative leading coefficient needs the pseudo-remainder's positive
+    # multiplier
+    H = [lead]
+    for r in roots:
+        H = _mul(H, [-r, 1])
+    for b, k in quads:
+        H = _mul(H, [b * b + k, 2 * b, 1])
+    seq = _sturm_sequence(H)
+    assert _sign_changes(seq, 0) - _sign_changes(seq, 8) == len(
+        {r for r in roots if 0 < r < 8})
+
+
+def _oracle_pure(P, q, w):
+    """The floating-point purity check: every root of the square-free part
+    (sympy) has |root| q^{w/2} within 1e-8 of 1, roots by mpmath at 256
+    bits."""
+    import mpmath as mp
+
+    if P.degree == 0:
+        return True
+    cs = _sympy_poly(P).sqf_part().all_coeffs()
+    with mp.workprec(256):
+        roots = mp.polyroots([mp.mpf(int(c)) for c in cs], maxsteps=600,
+                             extraprec=300)
+        scale = mp.power(mp.mpf(q), mp.mpf(w) / 2)
+        return max(abs(abs(rt) * scale - 1) for rt in roots) <= 1e-8
+
+
+def _nudged(coeffs, indices):
+    """coeffs with one coefficient a_i, i in `indices`, moved by +-1."""
+    for i in indices:
+        for d in (1, -1):
+            yield IntPoly(coeffs[:i] + (coeffs[i] + d,) + coeffs[i + 1:])
+
+
+# Every numerator that `zeta --lambda all` recovers at seed 0 for n = 2..4
+# over GF(8), GF(9), GF(5), GF(7), GF(11) and GF(13), with every
+# functional-equation candidate that the recovery checked for purity
+# (1 +- q^6 T^4 at the ambiguous n = 4 Fermat fibers).  Keyed by (n, p, r).
+GRID_NUMERATORS = {
+    (2, 2, 3): [(1, -3, 8), (1, 0, 8), (1, 1), (1, 3, 8)],
+    (2, 3, 2): [(1,), (1, -4, 9), (1, -1, 9), (1, 2, 9), (1, 5, 9)],
+    (2, 5, 1): [(1, -3, 5), (1, 0, 5), (1, 1), (1, 3, 5)],
+    (2, 7, 1): [(1, -1), (1, 1, 7)],
+    (2, 11, 1): [(1, -6, 11), (1, -3, 11), (1, 0, 11), (1, 1), (1, 3, 11),
+        (1, 6, 11)],
+    (2, 13, 1): [(1, -5, 13), (1, -1), (1, 4, 13)],
+    (3, 2, 3): [(1,), (1, -17, 136, -512), (1, -1, 8, -512), (1, 7, -56, -512)],
+    (3, 3, 2): [(1, -27, 243, -729), (1, -7, 63, -729), (1, 14, 81)],
+    (3, 5, 1): [(1, 0, -25), (1, 1, -5, -125)],
+    (3, 7, 1): [(1, -7, -49, 343), (1, 0, -49), (1, 1, 7, 343),
+        (1, 3, -21, -343)],
+    (3, 11, 1): [(1, -14, 121), (1, -11, -121, 1331), (1, -5, 55, -1331),
+        (1, -3, -33, 1331), (1, 7, -77, -1331), (1, 21, 231, 1331)],
+    (3, 13, 1): [(1, -23, 299, -2197), (1, -13, -169, 2197), (1, 0, -169),
+        (1, 19, 247, 2197)],
+    (4, 2, 3): [(1, -25, 1000, -12800, 262144), (1, 0, 0, 0, -262144),
+        (1, 0, 0, 0, 262144), (1, 15, -40, 7680, 262144), (1, 31, 696, 4096)],
+    (4, 3, 2): [(1, -25, 1008, -18225, 531441), (1, -10, 558, -7290, 531441),
+        (1, -4, 684, -6561), (1, 0, 1458, 0, 531441),
+        (1, 5, -792, 3645, 531441), (1, 65, 2133, 47385, 531441)],
+    (4, 5, 1): [(1,), (1, -16, 180, -2000, 15625), (1, -1, -45, -125, 15625),
+        (1, 4, 130, 500, 15625), (1, 14, 230, 1750, 15625)],
+    (4, 7, 1): [(1, -35, 805, -12005, 117649), (1, -5, -210, -1715, 117649),
+        (1, 0, 0, 0, -117649), (1, 0, 0, 0, 117649), (1, 1, 301, 2401),
+        (1, 5, 385, 1715, 117649), (1, 10, 420, 3430, 117649),
+        (1, 25, 350, 8575, 117649)],
+    (4, 11, 1): [(1, -89, 3861, -118459, 1771561),
+        (1, -14, 836, -18634, 1771561), (1, 32, 858, -14641)],
+    (4, 13, 1): [(1, -120, 7670, -263640, 4826809),
+        (1, -25, 1300, -54925, 4826809), (1, -25, 3575, -54925, 4826809),
+        (1, -15, -260, -32955, 4826809), (1, -5, 2080, -10985, 4826809),
+        (1, -5, 3380, -10985, 4826809), (1, 0, 0, 0, -4826809),
+        (1, 0, 0, 0, 4826809), (1, 10, -910, 21970, 4826809),
+        (1, 15, 1560, 32955, 4826809), (1, 20, -1170, 43940, 4826809),
+        (1, 25, 1300, 54925, 4826809), (1, 41, 2561, 28561),
+        (1, 85, 5265, 186745, 4826809)],
+}
+
+
+@pytest.mark.parametrize("n,p,r", list(GRID_NUMERATORS), ids=str)
+def test_is_weil_pure_matches_oracle_on_grid_numerators(n, p, r):
+    q, w = p ** r, n - 1
+    for cs in GRID_NUMERATORS[n, p, r]:
+        for P in [IntPoly(cs), *_nudged(cs, range(1, len(cs)))]:
+            assert is_weil_pure(P, q, w) == _oracle_pure(P, q, w), P
+
+
+def _R3():
+    """Criterion 8's R_3 = (1 - T)^9 (1 + T)^9, weight 0."""
+    R = IntPoly([1])
+    for _ in range(9):
+        R = R * IntPoly([1, -1]) * IntPoly([1, 1])
+    return R
+
+
+@pytest.mark.parametrize("P,q,w", [(_degree21_P(), 5, 2), (_R3(), 1, 0)],
+                         ids=["P-n3-q5", "R3"])
+def test_is_weil_pure_matches_oracle_at_criterion_8(P, q, w):
+    # every root on the boundary u = 4c; the oracle takes about a second a
+    # nudge here, so only a_1 is nudged
+    assert is_weil_pure(P, q, w) and _oracle_pure(P, q, w)
+    for nudged in _nudged(P.coeffs, [1]):
+        assert is_weil_pure(nudged, q, w) == _oracle_pure(nudged, q, w)
+
+
+def test_is_weil_pure_boundaries():
+    # u = t^2 = 0: alpha = +-i sqrt(c); u = 4c: alpha = +-sqrt(c), here
+    # also with multiplicity, beside an impure root
+    c = 4 ** 3
+    assert is_weil_pure(IntPoly([1, 0, c]), 4, 3)
+    assert is_weil_pure(IntPoly([1, 0, c]) * IntPoly([1, 0, c]), 4, 3)
+    assert is_weil_pure(IntPoly([1, -8]) * IntPoly([1, 8]), 4, 3)
+    assert not is_weil_pure(IntPoly([1, -8]) * IntPoly([1, -8])
+                            * IntPoly([1, -9]), 4, 3)
+    # q = 1, w = 0: roots +-1 on the unit circle, at u = 4c = 4
+    assert is_weil_pure(IntPoly([1, -1]), 1, 0)
+    assert is_weil_pure(IntPoly([1, -1]) * IntPoly([1, -1]), 1, 0)
+    assert is_weil_pure(IntPoly([1, 0, 1]) * IntPoly([1, 1]), 1, 0)
+    assert not is_weil_pure(IntPoly([1, -1]) * IntPoly([1, -1])
+                            * IntPoly([1, -3]), 1, 0)
+    assert not is_weil_pure(IntPoly([1, -2]), 1, 0)
+
+
+def _pure_factor(c):
+    """A factor whose reciprocal roots all have |alpha|^2 = c."""
+    s = isqrt(c)
+    t_max = isqrt(4 * c)
+    choices = [st.integers(-t_max, t_max).map(lambda t: [1, -t, c]),
+               st.sampled_from([[1, 0, c], [1, 0, -c]])]
+    if s * s == c:
+        choices.append(st.sampled_from([[1, s], [1, -s]]))
+    return st.one_of(choices)
+
+
+@st.composite
+def _products(draw):
+    q, w = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    c, P, pure = q ** w, IntPoly([1]), True
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            f = draw(_pure_factor(c))
+        else:  # 1 - aT with a^2 != c
+            a = draw(st.integers(-12, 12).filter(lambda a: a and a * a != c))
+            f, pure = [1, -a], False
+        for _ in range(draw(st.integers(1, 2))):
+            P = P * IntPoly(f)
+    return P, q, w, pure
+
+
+@settings(max_examples=60, deadline=None)
+@given(_products())
+def test_is_weil_pure_matches_oracle_on_products(case):
+    P, q, w, pure = case
+    assert is_weil_pure(P, q, w) == _oracle_pure(P, q, w) == pure
 
 
 def test_weil_bound():
@@ -215,8 +404,7 @@ def test_r_poly_full_degree_identity():
     assert P.degree == 21
     got = r_poly(P, Q, 5, 3)
     assert got == R
-    rep = weight_purity_check(got, 5, 0)
-    assert rep.passed  # weight 0: all roots on the unit circle
+    assert is_weil_pure(got, 5, 0)  # weight 0: all roots on the unit circle
 
 
 def test_zeta_data_count_roundtrip_and_json():
@@ -246,7 +434,7 @@ def test_recover_mirror_zeta_frozen_value():
     zd = recover_mirror_zeta(inst)
     assert zd.numerator.coeffs == (1, 1, -5, -125)
     assert zd.count(1) == 30 and zd.count(2) == 662 and zd.count(3) == 16110
-    assert weight_purity_check(zd.numerator, 5, 2).passed
+    assert is_weil_pure(zd.numerator, 5, 2)
 
 
 def test_recover_mirror_zeta_via_fe_from_two_counts():
