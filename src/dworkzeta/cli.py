@@ -21,7 +21,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -480,6 +480,11 @@ def _add_common(sp, with_k=False):
                         help="count over GF(q^j) for j = 1..k")
 
 
+# Built once per process: the parser binds `_run_fibers` (in partials),
+# `cmd_sweep` and `cmd_gauss` as they are at the first build, so patching
+# one of those names later does not reach `main`; every other name they
+# call is looked up at call time.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")

@@ -33,13 +33,17 @@ Only chi(lam)^{k_m} depends on lam, through k_m mod (q-1), as lam lies in
 GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
 (s(k), k_m mod (q-1)) on the tower over the base field GF(q); the fiber
 part twists each class by chi(lam)^{k_m}, one multiply per class.  The
-family part uses two exact symmetries.  Reordering the variables' exponents
-(the block of the first v-1 coordinates) keeps the solution set and s(k),
-so the solutions are walked one per reordering class, weighted by its size.
-Frobenius gives G(p k mod (q-1)) = G(k), so each inner index is replaced by
-the least member of its p-cyclotomic coset and each product is formed once
-per sorted tuple of those minima, sharing prefixes; the boundary sums
-G(0) = q-1 and G(q-1) = -q scale it as rational integers.  Every Gauss sum
+family part uses three exact symmetries.  Reordering the variables'
+exponents (the block of the first v-1 coordinates) keeps the solution set
+and s(k), so the solutions are walked one per reordering class, weighted
+by its size.  Counting over GF(Q), Q a power of q, k -> q k keeps s(k),
+k_m mod (q-1) and every G(k_j), so only one residue class per orbit of
+that map is walked, weighted by the orbit length.  Frobenius gives
+G(p k mod (Q-1)) = G(k), so each inner index is replaced by the least
+member of its p-cyclotomic coset and each product is formed once per
+sorted tuple of those minima, on packed integers (the products lie in
+Z_p[zeta_p]); the boundary sums G(0) = Q-1 and G(Q-1) = -Q scale it as
+rational integers.  Every Gauss sum
 over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
 f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (the
 identity lift) otherwise.
@@ -246,35 +250,54 @@ def _reorderings(block) -> int:
     return out
 
 
-def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[tuple]:
+def _orbit_leaders(residues, base_q: int, mod: int) -> Iterator[tuple]:
+    """(a, orbit length) for each a of `residues`, a set closed under
+    a -> base_q a mod `mod`, that is the least member of its orbit."""
+    for a in residues:
+        b, size = a * base_q % mod, 1
+        while b > a:
+            b, size = b * base_q % mod, size + 1
+        if b == a:
+            yield a, size
+
+
+def enumerate_solutions(matrix, q: int, lam_zero: bool = False,
+                        base_q: Optional[int] = None) -> Iterator[tuple]:
     """Solutions k in [0, q-1]^m of matrix*k = 0 mod (q-1), one per class of
-    block reorderings, as triples (k, s(k), count) with s(k) the number of
-    nonzero entries of matrix*k.
+    block reorderings and orbit of base_q-Frobenius, as triples
+    (k, s(k), count) with s(k) the number of nonzero entries of matrix*k.
 
     The block is the first len(matrix) - 1 coordinates: the exponents of
     x_i^{n+1} for M, of x_i for N.  Reordering the block's columns only
     permutes the rows below the row of ones, so it keeps both the solution
-    set and s(k).  The representative has its block sorted; count is the
-    number of its distinct reorderings.
+    set and s(k).  The representative has its block sorted.
 
     Uses the structure of the two Dwork matrices instead of scanning q^m
     tuples: for M the block residues are a + d m_i, d = (q-1)/gcd(n+1, q-1),
     with sum m_i = 0 mod gcd(n+1, q-1), walked as sorted multisets, and the
     last residue is determined; for N every residue but the last is a.  A
     zero residue lifts to 0 or q-1; in the block, lifting j of z zeros gives
-    one class, with the q-1's last.  lam = 0 pins k_last to 0.  Each
-    representative is re-verified against the matrix, once per class.
+    one class, with the q-1's last.  lam = 0 pins k_last to 0.
+
+    For GF(base_q) a subfield of GF(q), k -> base_q k (residue-wise, each
+    lift of 0 kept) maps the solutions of class a onto those of class
+    base_q a (mod d for M, mod q-1 for N) one to one, and keeps s(k),
+    k_last mod (base_q - 1), each Gauss product G(k_j) and each class size.
+    So only the least a of each orbit is walked, and count is the number of
+    distinct reorderings times the orbit length; base_q = q (the default)
+    walks every a.  Each representative is re-verified against the matrix.
     """
     nrows, ncols, q1 = len(matrix), len(matrix[0]), q - 1
     n = ncols - 2
+    base_q = q if base_q is None else base_q
 
-    def emit(block, tail):
+    def emit(block, tail, size):
         options = [(t,) if t else (0, q1) for t in tail]
         if lam_zero:  # the last residue is 0, and its lift stays 0
             options[-1] = (0,)
         for j in range(block.count(0) + 1):
             head = block[j:] + (q1,) * j
-            count = _reorderings(head)
+            count = _reorderings(head) * size
             for rest in itertools.product(*options):
                 k = head + rest
                 v = _matvec(matrix, k)
@@ -285,16 +308,18 @@ def enumerate_solutions(matrix, q: int, lam_zero: bool = False) -> Iterator[tupl
     if nrows == ncols:  # M
         g = gcd(n + 1, q1)
         d = q1 // g
-        for a in (0,) if lam_zero else range(d):
+        multisets = [ms for ms in itertools.combinations_with_replacement(
+            range(g), n + 1) if sum(ms) % g == 0]
+        for a, size in _orbit_leaders((0,) if lam_zero else range(d),
+                                      base_q, d):
             tail = ((-(n + 1) * a) % q1,)
-            for ms in itertools.combinations_with_replacement(range(g), n + 1):
-                if sum(ms) % g == 0:
-                    yield from emit(tuple(a + d * m for m in ms), tail)
+            for ms in multisets:
+                yield from emit(tuple(a + d * m for m in ms), tail, size)
     else:
         # lam = 0 pins k_last = 0, i.e. (n+1) a = 0 mod (q-1)
         step = q1 // gcd(n + 1, q1) if lam_zero else 1
-        for a in range(0, q1, step):
-            yield from emit((a,) * n, (a, (-(n + 1) * a) % q1))
+        for a, size in _orbit_leaders(range(0, q1, step), base_q, q1):
+            yield from emit((a,) * n, (a, (-(n + 1) * a) % q1), size)
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +396,6 @@ def gauss_field_degree(inst: DworkInstance, k: int) -> int:
     return next(f for f in range(1, k + 1) if (q ** f - 1) % g == 0)
 
 
-def _prefix_products(keys, gauss: dict, prod, depth: int = 0):
-    """(key, product of gauss[j] over the key's indices j) for the sorted
-    tuples `keys`, which share their first `depth` indices, whose product is
-    `prod` (the ring's one at depth 0).  The keys are walked as a prefix
-    tree: every distinct prefix longer than one index costs one multiply,
-    and only the products along one path are held at a time."""
-    for head, group in itertools.groupby(keys, lambda t: t[depth:depth + 1]):
-        if not head:  # the key that ends here
-            yield next(group), prod
-            continue
-        G = gauss[head[0]]
-        yield from _prefix_products(group, gauss, prod * G if depth else G,
-                                    depth + 1)
-
-
 @functools.lru_cache(maxsize=64)  # one instance needs a few dozen at most
 def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
                         lam_zero: bool, m: int = 1) -> dict:
@@ -395,17 +405,18 @@ def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
     {(s(k), k_last mod (q-1)): sum of prod_j G_Q(k_j)} over the solutions k
     of matrix * k = 0 mod (Q-1).
 
-    Two exact symmetries cut the work.  `enumerate_solutions` yields one
-    solution per class of block reorderings with the class size, which is
-    added in place of 1: reordering the block keeps s(k), k_last and the
-    multiset of indices.  Frobenius a -> a^p permutes GF(Q)^* and keeps the
-    trace, so G_Q(p k mod (Q-1)) = G_Q(k): each inner index 0 < k_j < Q-1
-    is replaced by the least member of its p-cyclotomic coset mod Q-1, an
-    orbit of length log_p Q, and the products are keyed by the sorted tuple
-    of those minima.  The boundary sums G_Q(0) = Q-1 and G_Q(Q-1) = -Q are
-    rational integers and are not reduced: with the class size they become
-    one integer that scales the product of the inner indices, formed once
-    per distinct prefix by `_prefix_products`.
+    Three exact symmetries cut the work.  `enumerate_solutions` yields one
+    solution per class of block reorderings and orbit of k -> q k, with
+    the class size times the orbit length, which is added in place of 1:
+    both keep s(k), k_last mod (q-1) and each Gauss product.  Frobenius
+    a -> a^p permutes GF(Q)^* and keeps the trace, so
+    G_Q(p k mod (Q-1)) = G_Q(k): each inner index 0 < k_j < Q-1 is replaced
+    by the least member of its p-cyclotomic coset mod Q-1, an orbit of
+    length log_p Q, and the products are keyed by the sorted tuple of those
+    minima.  The boundary sums G_Q(0) = Q-1 and G_Q(Q-1) = -Q are rational
+    integers and are not reduced: with the count they become one integer
+    coefficient of the product of the inner indices.  The products and
+    their sums are formed on packed integers by `TowerCtx.zp_product_sums`.
 
     Only the coset minima that occur are read, through the Hasse-Davenport
     lift G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m, the identity at
@@ -417,7 +428,8 @@ def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
     # sorted tuple of coset minima -> {(s, k_last mod (q-1)): integer}
     coeffs: dict = {}
     least: dict = {}  # inner index -> least member of its coset, this call
-    for k, s, count in enumerate_solutions(matrix, Q1 + 1, lam_zero):
+    for k, s, count in enumerate_solutions(matrix, Q1 + 1, lam_zero,
+                                           tower.q):
         lo, hi = k.count(0), k.count(Q1)
         for kj in k:
             if kj not in least:
@@ -433,12 +445,7 @@ def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
         raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
     gauss = {kj: (tower.from_zp(G) ** m).scale((-1) ** (m - 1)) for kj, G
              in zip(idx, gauss_tower.gauss_sums([kj // step for kj in idx]))}
-    sums: dict = {}
-    for inner, prod in _prefix_products(sorted(coeffs), gauss, tower.one()):
-        for key, coeff in coeffs[inner].items():
-            term = prod.scale(coeff)
-            sums[key] = sums[key] + term if key in sums else term
-    return sums
+    return tower.zp_product_sums(gauss, coeffs)
 
 
 def _fiber_sums(inst: DworkInstance, matrix, k: int, caps: Caps):

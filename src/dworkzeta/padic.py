@@ -8,7 +8,9 @@ is a flat tuple of p*r residues, entry i*r + j the coefficient of x^i y^j,
 and a product is one big-int product of operands packed by Horner, x^i y^j
 in slot i(2r-1) + j.  The reduction by m(y) of the y-degrees r..2r-2 runs
 only at r > 1; at r = 1 the slots are unpacked mod p^N in one pass, and a
-product in W is one integer product mod p^N.
+product in W is one integer product mod p^N.  Sums of products of values
+of Z_p[zeta_p] (`zp_product_sums`, the character-sum family part) are
+formed on their p x-coordinates alone, packed into one integer each.
 
 Teichmuller values chi(a) lie on x^0 and are computed in W alone (the
 packed product with one x-block), by Newton iteration.  A Gauss sum
@@ -233,6 +235,51 @@ class TowerCtx:
                         d[top - r + j] -= t * mod[j]
             out.extend(v % pN for v in d[i:i + r])
         return tuple(out)
+
+    def zp_product_sums(self, factors: dict, terms: dict) -> dict:
+        """{key: sum of coeff * prod_{j in inner} factors[j]} over the
+        entries {inner: {key: coeff}} of `terms`, each factor a value of
+        Z_p[zeta_p] (its y^j coordinates, j > 0, all 0).
+
+        Products of such values stay in Z_p[zeta_p], so they are formed on
+        integers: the p x-coordinates of a value packed into one, x^i in
+        slot i of B bits.  Each further factor of a product is one big-int
+        multiply, folded by x^p = 1 (slots below p (p^N)^2), with its slots
+        reduced mod p^N.  A term, (coeff mod p^N) times a product, has slots
+        below (p^N)^2 and a key sums at most T of them, T the number of
+        (inner, key) entries; B is sized for max(p, T) (p^N)^2, so no slot
+        carries into the next, and each key's sum is reduced once."""
+        p, r, pN = self.p, self.r, self.pN
+        T = sum(map(len, terms.values()))
+        B = (max(p, T) * pN ** 2).bit_length()
+        span, mask = B * p, (1 << B) - 1
+        low, down = (1 << span) - 1, range(span - B, -1, -B)
+        packed = {}
+        for j, x in factors.items():
+            if any(v for i, v in enumerate(x.c) if i % r):
+                raise ValueError(f"factor {j} is not in Z_p[zeta_p]")
+            v = 0
+            for c in reversed(x.c[::r]):
+                v = v << B | c
+            packed[j] = v
+        sums: dict = {}
+        for inner, by_key in terms.items():
+            prod = packed[inner[0]] if inner else 1
+            for j in inner[1:]:
+                prod *= packed[j]
+                prod = (prod & low) + (prod >> span)  # x^p = 1
+                v = 0
+                for s in down:
+                    v = v << B | (prod >> s & mask) % pN
+                prod = v
+            for key, coeff in by_key.items():
+                sums[key] = sums.get(key, 0) + coeff % pN * prod
+        out = {}
+        for key, v in sums.items():
+            c = [0] * (p * r)
+            c[::r] = [(v >> s & mask) % pN for s in range(0, span, B)]
+            out[key] = TowerElem(self, tuple(c))
+        return out
 
     # -- Teichmuller lifts and character tables -------------------------------
 

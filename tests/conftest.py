@@ -8,11 +8,12 @@ from dworkzeta.counting import enumerate_solutions
 
 def each_solution(matrix, q, lam_zero=False):
     """Every solution k of matrix*k = 0 mod (q-1), as pairs (k, s(k)): each
-    class `enumerate_solutions` yields, expanded into the distinct
-    reorderings of its block (the first len(matrix) - 1 coordinates), after
-    checking that their number is the class size."""
+    class `enumerate_solutions` yields with base_q = q (every residue class,
+    no Frobenius orbit merged), expanded into the distinct reorderings of
+    its block (the first len(matrix) - 1 coordinates), after checking that
+    their number is the class size."""
     nb = len(matrix) - 1
-    for k, s, count in enumerate_solutions(matrix, q, lam_zero):
+    for k, s, count in enumerate_solutions(matrix, q, lam_zero, q):
         blocks = sorted(set(itertools.permutations(k[:nb])))
         assert len(blocks) == count, (k, count)
         for block in blocks:

@@ -54,6 +54,16 @@ def test_bad_lambda_is_config_error(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert main(["count", "--n", "2", "--p", "5", "--bogus"]) == \
+        cli.EXIT_CONFIG
+    assert main(["gauss", "--p", "3", "--N", "2"]) == 0
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("command", ["count", "congruence", "zeta", "slope"])
 def test_bad_lambda_says_why_and_writes_no_file(tmp_path, capsys, command):
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from math import comb, gcd
 
@@ -555,9 +556,9 @@ def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
     real = counting.enumerate_solutions
     walks = []
 
-    def spy(matrix, q, lam_zero=False):
-        walks.append((matrix, q, lam_zero))
-        return real(matrix, q, lam_zero)
+    def spy(matrix, q, lam_zero=False, base_q=None):
+        walks.append((matrix, q, lam_zero, base_q))
+        return real(matrix, q, lam_zero, base_q)
 
     counting._gauss_product_sums.cache_clear()
     monkeypatch.setattr(counting, "enumerate_solutions", spy)
@@ -617,7 +618,9 @@ def test_family_part_matches_per_vector_sum_key_by_key():
     # lam != 0 over GF(q^k) reads GF(q^k) and twists by chi(lam) from GF(q)
     cases += [(n, p, r, k, 1, False) for n in (2, 3, 4)
               for p, r, k in ((2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2),
-                              (3, 1, 3))]
+                              (3, 1, 3), (5, 1, 3), (2, 2, 3))]
+    # the deepest products: n = 4 over GF(11)
+    cases += [(4, 11, 1, 1, 1, lam_zero) for lam_zero in (True, False)]
     assert {(2, 5, 1, 2, 1, True), (3, 3, 1, 2, 2, True),
             (3, 3, 1, 3, 1, False)} <= set(cases)
     for n, p, r, f, m, lam_zero in cases:
@@ -634,36 +637,76 @@ def test_family_part_matches_per_vector_sum_key_by_key():
                 (n, p, r, f, m, lam_zero, matrix)
 
 
-def test_family_part_multiplies_once_per_new_prefix(monkeypatch):
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_walk_weights_match_every_solution(n):
+    # over GF(Q), Q = p^e, and each proper subfield GF(base_q): the orbit
+    # representatives, weighted by their counts, carry every invariant the
+    # family part reads, as often as the unreduced walk does
+    for p, e in ((2, 3), (3, 2), (5, 2), (3, 3), (2, 6), (5, 3)):
+        Q1 = p ** e - 1
+        least = {kj: min(kj * p ** i % Q1 for i in range(e))
+                 for kj in range(1, Q1)}
+        for f in (f for f in range(1, e) if e % f == 0):
+            base_q = p ** f
+
+            def key(k, s):
+                return (s, k[-1] % (base_q - 1),
+                        tuple(sorted(least[kj] for kj in k if 0 < kj < Q1)),
+                        k.count(0), k.count(Q1))
+
+            for matrix in (dwork_matrix_M(n), dwork_matrix_N(n)):
+                for lam_zero in (False, True):
+                    want = collections.Counter(
+                        key(k, s) for k, s in
+                        each_solution(matrix, Q1 + 1, lam_zero))
+                    got = collections.Counter()
+                    for k, s, count in enumerate_solutions(
+                            matrix, Q1 + 1, lam_zero, base_q):
+                        got[key(k, s)] += count
+                    assert got == want, (n, Q1 + 1, base_q, lam_zero)
+
+
+def test_family_part_walks_one_class_per_orbit(monkeypatch):
+    from dworkzeta import counting
     from dworkzeta.counting import _gauss_product_sums
 
     N = required_precision(5, 125, 3)
     base = TowerCtx(build_field(5, 1, 0), N)
     T = TowerCtx(build_field(5, 3, 0), N)
     T.gauss_table()
-    real, muls = TowerCtx._mul, []
-
-    def spy(tower, a, b):
-        muls.append(1)
-        return real(tower, a, b)
-
-    monkeypatch.setattr(TowerCtx, "_mul", spy)
     M = dwork_matrix_M(3)
+    # GF(125) over GF(5), lam != 0: a -> 5 a has order 3 mod d = 31, so the
+    # 31 residue classes a fall into {0} and ten orbits of three
+    reps = list(enumerate_solutions(M, 125, False, 5))
+    assert len(reps) == 140
+    assert len(list(enumerate_solutions(M, 125, False))) == 340
+    assert sum(count for _, _, count in reps) == 2234 == \
+        sum(1 for _ in each_solution(M, 125))
+
+    real_mul, real_walk, muls, walks = TowerCtx._mul, \
+        counting.enumerate_solutions, [], []
+
+    def mul(tower, a, b):
+        muls.append(tower)
+        return real_mul(tower, a, b)
+
+    def walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(TowerCtx, "_mul", mul)
+    monkeypatch.setattr(counting, "enumerate_solutions", walk)
     _gauss_product_sums.__wrapped__(base, T, M, False)
-    prefixes, coset_prefixes, vectors = set(), set(), 0
-    for k, _ in each_solution(M, 125):
-        inner = tuple(kj for kj in sorted(k) if 0 < kj < 124)
-        prefixes.update(inner[:i] for i in range(1, len(inner) + 1))
-        # G(5 k mod 124) = G(k): the least member of each 5-cyclotomic coset
-        least = sorted(min(kj * 5 ** i % 124 for i in range(3))
-                       for kj in inner)
-        coset_prefixes.update(tuple(least[:i])
-                              for i in range(1, len(least) + 1))
-        vectors += 1
-    # one product per vector would take 4 * 2,234 = 8,936 multiplies
-    assert vectors == 2234
-    assert len(muls) <= len(prefixes), (len(muls), len(prefixes))
-    assert len(muls) <= len(coset_prefixes), (len(muls), len(coset_prefixes))
+    assert walks == [(M, 125, False, 5)]
+    # the products are formed on packed integers: no ring multiply at m = 1
+    assert muls == []
+    # at m > 1 only the Hasse-Davenport powers G^m multiply, bitlen(m) +
+    # popcount(m) - 2 = 1 each for m = 2
+    T1 = TowerCtx(build_field(5, 1, 0), required_precision(5, 25, 3))
+    sums = _gauss_product_sums.__wrapped__(T1, T1, M, True, 2)
+    inner = {kj for k, _ in each_solution(M, 25, True) for kj in k
+             if 0 < kj < 24}
+    assert sums and muls == [T1] * len({min(kj, kj * 5 % 24) for kj in inner})
 
 
 @pytest.mark.parametrize("n", [3, 2])

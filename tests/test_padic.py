@@ -291,6 +291,43 @@ def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
     assert len(asks) == cosets + 2
 
 
+@pytest.mark.parametrize("p,r,N", [(2, 1, 9), (3, 2, 12), (5, 1, 19),
+                                   (5, 3, 23), (11, 1, 16)])
+def test_zp_product_sums_worst_case_slots(p, r, N):
+    # every x-coordinate and coefficient p^N - 1: the first multiply of the
+    # D = n + 2 = 6 factors fills each slot to p (p^N - 1)^2 before its
+    # reduction, and 28 one-factor terms on one key sum slots of
+    # (p^N - 1)^2, which overflow a slot sized without log2 T
+    T = TowerCtx(build_field(p, r, 0), N)
+    top = T.pN - 1
+    c = [0] * (p * r)
+    c[::r] = [top] * p
+    factors = dict.fromkeys(range(28), TowerElem(T, tuple(c)))
+    terms = {(j,): {"key": top} for j in factors}
+    terms[tuple(range(6))] = {"key": top, "deep": top}
+    terms[()] = {"key": top, "one": 1}
+    want = {}
+    for inner, by_key in terms.items():
+        prod = T.one()
+        for j in inner:
+            prod = prod * factors[j]
+        for key, coeff in by_key.items():
+            want[key] = want.get(key, T.zero()) + prod.scale(coeff)
+    got = T.zp_product_sums(factors, terms)
+    assert {key: x.c for key, x in got.items()} == \
+        {key: x.c for key, x in want.items()}
+    # with T = 1 < p the products alone set the slot width
+    deep = T.zp_product_sums(factors, {tuple(range(6)): {"deep": top}})
+    assert deep["deep"].c == want["deep"].c
+
+
+def test_zp_product_sums_refuses_a_factor_outside_zp_zeta_p():
+    T = TowerCtx(build_field(3, 2, 0), 4)
+    y = T.from_w((0, 1))
+    with pytest.raises(ValueError, match="not in Z_p"):
+        T.zp_product_sums({1: y}, {(1,): {0: 1}})
+
+
 def test_teich_cube_roots_sum_to_zero():
     T = tower(2, 2, 5)
     F = T.field
