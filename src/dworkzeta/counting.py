@@ -32,7 +32,9 @@ to 0 and the character factor is dropped.
 Only chi(lam)^{k_m} depends on lam, through k_m mod (q-1), as lam lies in
 GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
 (s(k), k_m mod (q-1)) on the tower over the base field GF(q); the fiber
-part twists each class by chi(lam)^{k_m}, one multiply per class.  The
+part twists each class by chi(lam)^{k_m}, one packed multiply-add per
+class and y^j, and `charsum_count` combines the s-classes and certifies
+the count on the packed slots (`padic` alone knows their layout).  The
 family part uses three exact symmetries.  Reordering the variables'
 exponents (the block of the first v-1 coordinates) keeps the solution set
 and s(k), so the solutions are walked one per reordering class, weighted
@@ -45,8 +47,8 @@ sorted tuple of those minima, on packed integers (the products lie in
 Z_p[zeta_p]); the boundary sums G(0) = Q-1 and G(Q-1) = -Q scale it as
 rational integers.  Every Gauss sum
 over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
-f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (the
-identity lift) otherwise.
+f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (no
+lift) otherwise.
 """
 from __future__ import annotations
 
@@ -238,8 +240,8 @@ def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
 # structural enumeration of character-sum solutions
 # ---------------------------------------------------------------------------
 
-def _matvec(matrix, k):
-    return tuple(sum(map(operator.mul, row, k)) for row in matrix)
+def _matvec(matrix, k) -> list:
+    return [sum(map(operator.mul, row, k)) for row in matrix]
 
 
 def _reorderings(block) -> int:
@@ -290,31 +292,39 @@ def enumerate_solutions(matrix, q: int, lam_zero: bool = False,
     nrows, ncols, q1 = len(matrix), len(matrix[0]), q - 1
     n = ncols - 2
     base_q = q if base_q is None else base_q
+    residue = q1.__rmod__  # x -> x % q1
 
-    def emit(block, tail, size):
+    def emit(block, tail, weight):
+        # weight: the block's reorderings times the orbit length; lifting j
+        # of its z zeros to q-1 multiplies the reorderings by C(z, j)
         options = [(t,) if t else (0, q1) for t in tail]
         if lam_zero:  # the last residue is 0, and its lift stays 0
             options[-1] = (0,)
-        for j in range(block.count(0) + 1):
+        rests = list(itertools.product(*options))
+        z = block.count(0)
+        for j in range(z + 1):
             head = block[j:] + (q1,) * j
-            count = _reorderings(head) * size
-            for rest in itertools.product(*options):
+            count = weight * comb(z, j)
+            for rest in rests:
                 k = head + rest
                 v = _matvec(matrix, k)
-                if any(x % q1 for x in v):
+                if any(map(residue, v)):
                     raise RuntimeError(f"enumerated non-solution {k} (bug)")
-                yield k, sum(1 for x in v if x != 0), count
+                yield k, nrows - v.count(0), count
 
     if nrows == ncols:  # M
         g = gcd(n + 1, q1)
         d = q1 // g
-        multisets = [ms for ms in itertools.combinations_with_replacement(
-            range(g), n + 1) if sum(ms) % g == 0]
+        # m -> a + d m is one to one, so a block has the reorderings of ms
+        multisets = [([d * m for m in ms], _reorderings(ms)) for ms in
+                     itertools.combinations_with_replacement(range(g), n + 1)
+                     if sum(ms) % g == 0]
         for a, size in _orbit_leaders((0,) if lam_zero else range(d),
                                       base_q, d):
             tail = ((-(n + 1) * a) % q1,)
-            for ms in multisets:
-                yield from emit(tuple(a + d * m for m in ms), tail, size)
+            for dms, ways in multisets:
+                yield from emit(tuple(map(a.__add__, dms)), tail,
+                                ways * size)
     else:
         # lam = 0 pins k_last = 0, i.e. (n+1) a = 0 mod (q-1)
         step = q1 // gcd(n + 1, q1) if lam_zero else 1
@@ -375,9 +385,8 @@ class CountRecord:
         }
 
 
-def _certified_count(elem, q: int, bound: int, what: str) -> int:
-    """De-truncate a tower element certified to be q * (a count)."""
-    v = elem.as_integer()
+def _certified_count(v: int, q: int, bound: int, what: str) -> int:
+    """De-truncate v, certified to be q * (a count) mod p^N."""
     if v > bound:
         raise NonIntegralResult(
             f"{what} = {v} exceeds its a-priori bound {bound}; precision bug")
@@ -400,10 +409,9 @@ def gauss_field_degree(inst: DworkInstance, k: int) -> int:
 def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
                         lam_zero: bool, m: int = 1) -> dict:
     """The family part over GF(Q), Q = q_f^m for the field GF(q_f) of
-    `gauss_tower`, on `tower` over the base field GF(q), where every
-    product of Gauss sums, a value of Z_p[zeta_p], has p*r slots:
+    `gauss_tower`, on `tower` over the base field GF(q):
     {(s(k), k_last mod (q-1)): sum of prod_j G_Q(k_j)} over the solutions k
-    of matrix * k = 0 mod (Q-1).
+    of matrix * k = 0 mod (Q-1), each sum a packed value of Z_p[zeta_p].
 
     Three exact symmetries cut the work.  `enumerate_solutions` yields one
     solution per class of block reorderings and orbit of k -> q k, with
@@ -419,54 +427,62 @@ def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
     their sums are formed on packed integers by `TowerCtx.zp_product_sums`.
 
     Only the coset minima that occur are read, through the Hasse-Davenport
-    lift G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m, the identity at
-    m = 1; the caller picks q_f so that every inner index is such a
+    lift G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m, formed only at
+    m > 1; the caller picks q_f so that every inner index is such a
     multiple, and then so is every member of its coset.  At t = q_f-1 the
     lift is -Q as well, so the boundary convention holds for every m."""
     Q1, q1, p = gauss_tower.q ** m - 1, tower.q - 1, gauss_tower.p
-    orbit = range(gauss_tower.r * m)  # Q = p^(r m)
+    frobenius = [p ** i for i in range(gauss_tower.r * m)]  # Q = p^(r m)
     # sorted tuple of coset minima -> {(s, k_last mod (q-1)): integer}
     coeffs: dict = {}
-    least: dict = {}  # inner index -> least member of its coset, this call
+    # index -> least member of its coset, this call; 0 for 0 and Q-1 alone
+    least: dict = {}
+    lookup = least.__getitem__
     for k, s, count in enumerate_solutions(matrix, Q1 + 1, lam_zero,
                                            tower.q):
         lo, hi = k.count(0), k.count(Q1)
         for kj in k:
             if kj not in least:
-                least[kj] = min(kj * p ** i % Q1 for i in orbit)
-        inner = tuple(sorted(least[kj] for kj in k if 0 < kj < Q1))
-        by_key = coeffs.setdefault(inner, {})
+                least[kj] = min([kj * f % Q1 for f in frobenius])
+        mins = sorted(map(lookup, k))
+        inner = tuple(mins[lo + hi:])  # the boundary indices sort first
+        by_key = coeffs.get(inner)
+        if by_key is None:
+            by_key = coeffs[inner] = {}
         key = (s, k[-1] % q1)
-        by_key[key] = (by_key.get(key, 0)
-                       + count * Q1 ** lo * (-(Q1 + 1)) ** hi)
+        if lo or hi:
+            count *= Q1 ** lo * (-(Q1 + 1)) ** hi
+        by_key[key] = by_key.get(key, 0) + count
     step = Q1 // (gauss_tower.q - 1)
     idx = sorted({kj for inner in coeffs for kj in inner})
     if any(kj % step for kj in idx):
         raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
-    gauss = {kj: (tower.from_zp(G) ** m).scale((-1) ** (m - 1)) for kj, G
-             in zip(idx, gauss_tower.gauss_sums([kj // step for kj in idx]))}
+    gauss = dict(zip(idx, gauss_tower.gauss_sums([kj // step for kj in idx])))
+    if m > 1:
+        sign = (-1) ** (m - 1)
+        gauss = {kj: (G ** m).scale(sign) for kj, G in gauss.items()}
     return tower.zp_product_sums(gauss, coeffs)
 
 
 def _fiber_sums(inst: DworkInstance, matrix, k: int, caps: Caps):
     """The fiber part over GF(q^k): the tower over GF(q) at the precision
     GF(q^k) needs and, on it, {s: sum over the solutions k with s(k) = s of
-    prod_j G(k_j) chi(lam)^{k_last}}.  The Gauss sums are read on the tower
-    over GF(q^f), f = `gauss_field_degree`: at lam = 0, GF(q^k) itself is
-    built only if f = k."""
+    prod_j G(k_j) chi(lam)^{k_last}}, packed by `TowerCtx.twist_sums`.  The
+    Gauss sums are read on the tower over GF(q^f), f = `gauss_field_degree`:
+    at lam = 0, GF(q^k) itself is built only if f = k, and no class is
+    twisted, so the Teichmuller table of GF(q) is not built either."""
     n, p, Q = inst.n, inst.field.pp.p, inst.field.pp.q ** k
     f = gauss_field_degree(inst, k)
     F = inst.extension(f, cap=caps.field_table_max_q)[0]
     tower = build_tower(inst.field, required_precision(
         p, Q, n, caps.precision_override))
-    tp, q1, out = tower.teich_pows(), tower.q - 1, {}
-    for (s, c), total in _gauss_product_sums(
-            tower, build_tower(F, tower.N), matrix, inst.lam == 0,
-            k // f).items():
-        if c:  # never for lam = 0, whose k_last is pinned to 0
-            total = total * tp[(inst.lam_dlog * c) % q1]
-        out[s] = out[s] + total if s in out else total
-    return tower, out
+    sums = _gauss_product_sums(tower, build_tower(F, tower.N), matrix,
+                               inst.lam == 0, k // f)
+    # c = k_last mod (q-1) is pinned to 0 at lam = 0
+    classes, q1 = {c for _, c in sums if c}, tower.q - 1
+    tp = tower.teich_pows() if classes else None
+    twists = {c: tp[(inst.lam_dlog * c) % q1] for c in classes}
+    return tower, tower.twist_sums(sums, twists)
 
 
 def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
@@ -474,16 +490,19 @@ def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
     """The count `count_brute` makes, from the Gauss-sum formula over
     `_fiber_sums`, with v rows and m columns in `matrix`: on the torus
     q N = (q-1)^{v-1} + (q-1)^{v-m} sum, in affine space
-    q N = sum_s (q-1)^{s-m} q^{v-s} by_s[s], certified against q^v."""
+    q N = sum_s (q-1)^{s-m} q^{v-s} by_s[s].  The s-classes are combined
+    mod p^N by `TowerCtx.zp_integer`, which certifies that the value is a
+    rational integer, and it is certified against the bound q^v."""
     v, m, q = len(matrix), len(matrix[0]), inst.field.pp.q ** k
     tower, by_s = _fiber_sums(inst, matrix, k, caps)
     pN = tower.pN
     if torus:
-        qN = (sum(by_s.values(), tower.zero()).scale(pow(q - 1, v - m, pN))
-              + tower.from_int((q - 1) ** (v - 1)))
+        w = pow(q - 1, v - m, pN)
+        qN = tower.zp_integer(by_s, dict.fromkeys(by_s, w))
+        qN = (qN + (q - 1) ** (v - 1)) % pN
     else:
-        qN = sum((t.scale(pow(q - 1, s - m, pN) * q ** (v - s))
-                  for s, t in by_s.items()), tower.zero())
+        qN = tower.zp_integer(by_s, {s: pow(q - 1, s - m, pN) * q ** (v - s)
+                                     for s in by_s})
     return _certified_count(qN, q, q ** v, "q * count")
 
 

@@ -252,16 +252,20 @@ class FieldCtx:
         return self._trace_table[a]
 
     def _make_trace_table(self):
-        p, r, q = self.pp.p, self.pp.r, self.pp.q
-        t = [0] * q
-        for a in range(q):
-            s, x = 0, a
+        """Tr is GF(p)-linear, so Tr(a) = sum_i a_i Tr(y^i) mod p over the
+        digits a_i of the code a; only the r values Tr(y^i), the codes
+        p^i, are summed as a + a^p + ... + a^(p^(r-1))."""
+        p, r = self.pp.p, self.pp.r
+        t = [0]
+        for i in range(r):
+            s, x = 0, p ** i
             for _ in range(r):
                 s = self.add(s, x)
                 x = self.pow(x, p)
             if s >= p:
                 raise RuntimeError("trace landed outside the prime field")
-            t[a] = s
+            # codes below p^(i+1): digit d of y^i above each code below p^i
+            t = [(v + d * s) % p for d in range(p) for v in t]
         return t
 
     # -- iteration and embedding helpers ------------------------------------

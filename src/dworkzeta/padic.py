@@ -8,23 +8,32 @@ is a flat tuple of p*r residues, entry i*r + j the coefficient of x^i y^j,
 and a product is one big-int product of operands packed by Horner, x^i y^j
 in slot i(2r-1) + j.  The reduction by m(y) of the y-degrees r..2r-2 runs
 only at r > 1; at r = 1 the slots are unpacked mod p^N in one pass, and a
-product in W is one integer product mod p^N.  Sums of products of values
-of Z_p[zeta_p] (`zp_product_sums`, the character-sum family part) are
-formed on their p x-coordinates alone, packed into one integer each.
+product in W is one integer product mod p^N.
+
+The character-sum count runs on packed integers, and only this module
+knows their layout: the p x-coordinates of a value of Z_p[zeta_p], x^i in
+slot i.  `zp_product_sums` (the family part) sums products of such values
+into one packed integer per key, its slots reduced mod p^N;
+`twist_sums` (the fiber part) multiplies them by values of W, one packed
+sum per y^j, so no reduction by m(y) is needed at any r; `zp_integer`
+combines those sums and certifies the result a rational integer on the
+slots, the condition `as_integer` checks.
 
 Teichmuller values chi(a) lie on x^0 and are computed in W alone (the
 packed product with one x-block), by Newton iteration.  A Gauss sum
 G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m], each
-acc[m] in Z_p, with G(0) = q-1 and G(q-1) = -q by convention.
-`TowerCtx.gauss_sums` is the one entry point: a context computes each G(k)
-on its first request and keeps it, so the full table (`gauss_table`) is
-only built on demand.
+acc[m] in Z_p, with G(0) = q-1 and G(q-1) = -q by convention; it reads
+only the y^0 coordinates of the powers chi(g)^j, which follow a linear
+recurrence of order r (`teich_y0`).  `TowerCtx.gauss_sums` is the one
+entry point: a context computes each G(k) on its first request and keeps
+it, so the full table (`gauss_table`) is only built on demand.
 
 Since x^p - 1 = (x - 1) Phi_p, a value has many representatives in R.
-Every read-out (equality, hashing, `as_integer`, `pi_valuation`, the `gauss`
-dump) goes through `rows`: the canonical coordinates in the basis pi^i y^j
-(i < p-1, j < r), pi-degree major, where pi = zeta_p - 1 is a root of the
-Eisenstein polynomial ((1+pi)^p - 1)/pi (pi = -2 for p = 2).
+Every read-out of an element (equality, hashing, `as_integer`,
+`pi_valuation`, the `gauss` dump) goes through `rows`: the canonical
+coordinates in the basis pi^i y^j (i < p-1, j < r), pi-degree major, where
+pi = zeta_p - 1 is a root of the Eisenstein polynomial ((1+pi)^p - 1)/pi
+(pi = -2 for p = 2).
 """
 from __future__ import annotations
 
@@ -158,7 +167,10 @@ class TowerCtx:
         # r-1 empty slots; of period r, so it serves any number of blocks
         self._shifts = [B * r if i % r == 0 else B
                         for i in range(p * r, 0, -1)]
+        # a class sum of `twist_sums` adds at most q-1 products of residues
+        self._zp_bits = ((self.q - 1) * (self.pN - 1) ** 2).bit_length()
         self._teich_pows = None
+        self._gauss_inputs = None
         self._gauss_memo: dict = {}
 
     # -- element constructors ------------------------------------------------
@@ -184,14 +196,6 @@ class TowerCtx:
 
     def pi(self) -> TowerElem:
         return self.zeta_p() - 1
-
-    def from_zp(self, x: TowerElem) -> TowerElem:
-        """x in Z_p[zeta_p], on a tower with this p and N, in this tower."""
-        if (x.ctx.p, x.ctx.N) != (self.p, self.N):
-            raise ValueError("towers of different p or N")
-        c = [0] * (self.p * self.r)
-        c[::self.r] = x.c[::x.ctx.r]
-        return TowerElem(self, tuple(c))
 
     def coerce(self, x) -> TowerElem:
         if isinstance(x, TowerElem):
@@ -239,27 +243,44 @@ class TowerCtx:
     def zp_product_sums(self, factors: dict, terms: dict) -> dict:
         """{key: sum of coeff * prod_{j in inner} factors[j]} over the
         entries {inner: {key: coeff}} of `terms`, each factor a value of
-        Z_p[zeta_p] (its y^j coordinates, j > 0, all 0).
+        Z_p[zeta_p] (its y^j coordinates, j > 0, all 0) on a tower of this
+        p and N, each sum packed (`twist_sums` and `zp_slots` read it).
 
         Products of such values stay in Z_p[zeta_p], so they are formed on
         integers: the p x-coordinates of a value packed into one, x^i in
         slot i of B bits.  Each further factor of a product is one big-int
-        multiply, folded by x^p = 1 (slots below p (p^N)^2), with its slots
-        reduced mod p^N.  A term, (coeff mod p^N) times a product, has slots
-        below (p^N)^2 and a key sums at most T of them, T the number of
-        (inner, key) entries; B is sized for max(p, T) (p^N)^2, so no slot
-        carries into the next, and each key's sum is reduced once."""
-        p, r, pN = self.p, self.r, self.pN
+        multiply, folded by x^p = 1, after which every slot is brought below
+        2 p^N at once by a Barrett step: with mu = floor(2^e / p^N), the
+        slotwise quotient estimate floor(s mu / 2^e) is at most s / p^N and
+        more than s / p^N - 2 for s < 2^e, so s minus p^N times it lies in
+        [0, 2 p^N).  A folded product of such slots and a factor's is below
+        S = 2p (p^N)^2, e is the bit length of S, and slots of S mu bits
+        keep both the product and its multiple by mu from carrying into
+        the next.  A term, (coeff mod p^N) times a product, is below
+        2 (p^N)^2, and a key sums at most T of them, T the number of
+        (inner, key) entries, so B also covers 2T (p^N)^2.  Each key's sum
+        is reduced once, into slots of the width `twist_sums` needs."""
+        p, pN = self.p, self.pN
         T = sum(map(len, terms.values()))
-        B = (max(p, T) * pN ** 2).bit_length()
+        S = 2 * p * pN ** 2
+        e = S.bit_length()
+        mu = (1 << e) // pN
+        B = max(S * mu, 2 * T * pN ** 2).bit_length()
         span, mask = B * p, (1 << B) - 1
         low, down = (1 << span) - 1, range(span - B, -1, -B)
+        # the low B - e bits of each slot: where a quotient lands after >> e
+        qmask = low // mask * ((1 << (B - e)) - 1)
         packed = {}
         for j, x in factors.items():
-            if any(v for i, v in enumerate(x.c) if i % r):
+            r = x.ctx.r
+            if (x.ctx.p, x.ctx.N) != (p, self.N):
+                raise ValueError(f"factor {j} is on a tower of another p or N")
+            zs = x.c[::r]
+            # every coordinate outside zs (the y^j, j > 0) must be a zero
+            if x.c.count(0) - zs.count(0) != len(x.c) - p:
                 raise ValueError(f"factor {j} is not in Z_p[zeta_p]")
             v = 0
-            for c in reversed(x.c[::r]):
+            for c in reversed(zs):
                 v = v << B | c
             packed[j] = v
         sums: dict = {}
@@ -268,18 +289,70 @@ class TowerCtx:
             for j in inner[1:]:
                 prod *= packed[j]
                 prod = (prod & low) + (prod >> span)  # x^p = 1
-                v = 0
-                for s in down:
-                    v = v << B | (prod >> s & mask) % pN
-                prod = v
+                prod -= (prod * mu >> e & qmask) * pN
             for key, coeff in by_key.items():
                 sums[key] = sums.get(key, 0) + coeff % pN * prod
+        Z = self._zp_bits
         out = {}
         for key, v in sums.items():
-            c = [0] * (p * r)
-            c[::r] = [(v >> s & mask) % pN for s in range(0, span, B)]
-            out[key] = TowerElem(self, tuple(c))
+            w = 0
+            for s in down:
+                w = w << Z | (v >> s & mask) % pN
+            out[key] = w
         return out
+
+    def twist_sums(self, sums: dict, twists: dict) -> dict:
+        """{s: the sum over the keys (s, c) of `sums`, packed values of
+        `zp_product_sums`, of sums[(s, c)] * twists[c]}, a value of W per
+        class c in [0, q-1), 1 where c is not in `twists`.
+
+        A twist by w = sum_j w_j y^j is an outer product: w_j times the
+        packed x-coordinates adds to part j of the result, one packed
+        integer per y^j, so no m(y) reduction is needed at any r.  Each
+        part's slots sum at most q-1 classes of residues below (p^N)^2,
+        which the slot width allows for."""
+        q1, one = self.q - 1, (1,)
+        out: dict = {}
+        for (s, c), v in sums.items():
+            if not 0 <= c < q1:
+                raise ValueError(f"class {c} is not a residue mod {q1}")
+            parts = out.get(s)
+            if parts is None:
+                parts = out[s] = [0] * self.r
+            w = twists[c].c[:self.r] if c in twists else one
+            for j, wj in enumerate(w):
+                if wj:
+                    parts[j] += v * wj
+        return out
+
+    def zp_slots(self, v: int) -> list:
+        """The p x-coordinates of a packed value, each reduced mod p^N."""
+        Z, pN = self._zp_bits, self.pN
+        mask = (1 << Z) - 1
+        return [(v >> s & mask) % pN for s in range(0, Z * self.p, Z)]
+
+    def zp_integer(self, sums: dict, weights: dict) -> int:
+        """sum_s weights[s] * sums[s] as a rational integer mod p^N, for the
+        results {s: parts} of `twist_sums`.  Certified on the slots, as
+        `as_integer` would be on the element: modulo Phi_p a y^j part is 0
+        when its p slots are equal, and a y^0 part with equal slots
+        x^1..x^{p-1} is the integer x^0 - x^{p-1}.  So every y^j part,
+        j > 0, must have equal slots, and the y^0 part equal slots
+        1..p-1; NonIntegralResult if not."""
+        p, pN, Z = self.p, self.pN, self._zp_bits
+        mask, shifts = (1 << Z) - 1, range(0, Z * p, Z)
+        acc = [0] * (p * self.r)
+        for s, parts in sums.items():
+            w = weights[s] % pN
+            row = [w * (v >> t & mask) for v in parts for t in shifts]
+            acc = list(map(operator.add, acc, row))
+        acc = [x % pN for x in acc]
+        for j in range(0, len(acc), p):
+            a = acc[j:j + p]
+            if a[1:] != a[-1:] * (p - 1) or (j and a[0] != a[-1]):
+                raise NonIntegralResult(
+                    f"nonzero coordinate off Z_p in the y^{j // p} part: {a}")
+        return (acc[0] - acc[p - 1]) % pN
 
     # -- Teichmuller lifts and character tables -------------------------------
 
@@ -297,12 +370,15 @@ class TowerCtx:
         mul = functools.partial(self._mul_coeffs, blocks=1)
         x = tuple(v % pN for v in self.field.coeffs(a))
         for _ in range(self.N.bit_length() - 1):
-            xq = _power(x, q, mul)
+            # over GF(p), W is Z/p^N and the q-th power one modular pow
+            xq = (pow(x[0], q, pN),) if self.r == 1 else _power(x, q, mul)
             x = tuple((u - c * (v - u)) % pN for u, v in zip(x, xq))
         return self.from_w(x)
 
     def teich_pows(self):
-        """TP[j] = teich(g)^j for j in [0, q-1), computed in W."""
+        """TP[j] = teich(g)^j for j in [0, q-1), computed in W by q-2
+        multiplies: the twists of the fiber part read whole values.  The
+        Gauss sums read only y^0 coordinates, from `teich_y0`."""
         if self._teich_pows is None:
             tg = self.teich(self.field.generator).c[:self.r]
             tp = [(1,) + (0,) * (self.r - 1)]
@@ -310,6 +386,37 @@ class TowerCtx:
                 tp.append(self._mul_coeffs(tp[-1], tg, 1))
             self._teich_pows = [self.from_w(t) for t in tp]
         return self._teich_pows
+
+    def teich_y0(self) -> list:
+        """The y^0 coordinates of teich(g)^j for j in [0, q-1), without the
+        powers themselves.  t = teich(g) is a root of its minimal polynomial
+        over Z_p, of degree r (g generates GF(q) over GF(p)), so
+        t^r = sum_{i<r} c_i t^i, and the Z_p-linear y^0 coordinate follows
+        a_{j+r} = sum_i c_i a_{j+i}: r scalar multiply-adds a term.  The
+        c_i solve the r x r system whose columns are t^0..t^{r-1}; it is
+        invertible mod p, so every pivot can be taken a unit."""
+        r, pN = self.r, self.pN
+        tg = self.teich(self.field.generator).c[:r]
+        pows = [(1,) + (0,) * (r - 1)]
+        for _ in range(r):
+            pows.append(self._mul_coeffs(pows[-1], tg, 1))
+        # rows: coordinate j of t^0..t^r, the last column the right side
+        rows = [[t[j] for t in pows] for j in range(r)]
+        for i in range(r):
+            piv = next(j for j in range(i, r) if rows[j][i] % self.p)
+            rows[i], rows[piv] = rows[piv], rows[i]
+            inv = pow(rows[i][i], -1, pN)
+            rows[i] = [v * inv % pN for v in rows[i]]
+            for j in range(r):
+                if j != i and rows[j][i]:
+                    f = rows[j][i]
+                    rows[j] = [(v - f * u) % pN
+                               for v, u in zip(rows[j], rows[i])]
+        c = [row[r] for row in rows]
+        seq = [t[0] for t in pows[:r]]
+        for j in range(self.q - 1 - r):
+            seq.append(sum(map(operator.mul, c, seq[j:j + r])) % pN)
+        return seq
 
     # -- Gauss sums ------------------------------------------------------------
 
@@ -340,12 +447,17 @@ class TowerCtx:
         """G(k) for each k in ks.  acc[m] sums chi(a)^{-k} over Tr(a) = m.
         Frobenius permutes that set and acts on the Teichmuller values, so
         it fixes acc[m], which lies in Z_p: only the y^0 coordinate of each
-        power is summed, one int add per term, and G(k) = sum_m x^m acc[m]."""
+        power is summed, one int add per term, and G(k) = sum_m x^m acc[m].
+        The traces of g^j and the y^0 sequence of `teich_y0` are formed on
+        the first call and kept on the context."""
         p, r, q, pN = self.p, self.r, self.q, self.pN
         q1 = q - 1
-        field = self.field
-        traces = [field.trace(field.exp_table[j]) for j in range(q1)]
-        tp = [t.c[0] for t in self.teich_pows()]
+        if self._gauss_inputs is None:
+            field = self.field
+            self._gauss_inputs = (
+                [field.trace(field.exp_table[j]) for j in range(q1)],
+                self.teich_y0())
+        traces, tp = self._gauss_inputs
         out = []
         for k in ks:
             if k in (0, q1):  # the boundary conventions

@@ -30,7 +30,7 @@ from dworkzeta.errors import (
     PrecisionInsufficient,
 )
 from dworkzeta.ff import FieldCtx, build_field, embed, factorize
-from dworkzeta.padic import TowerCtx, build_tower, pi_valuation
+from dworkzeta.padic import TowerCtx, TowerElem, build_tower, pi_valuation
 
 
 def inst(n, p, r, lam, seed=0):
@@ -597,6 +597,14 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
     return {key: _zp_rows(v) for key, v in sums.items()}, len(seen) == 2
 
 
+def _zp_elem(T, v):
+    """The element of T whose x-coordinates are the slots of v, a packed
+    value of `zp_product_sums` on T."""
+    c = [0] * (T.p * T.r)
+    c[::T.r] = T.zp_slots(v)
+    return TowerElem(T, tuple(c))
+
+
 def _zp_rows(x):
     """The pi-coordinates of x, a value of Z_p[zeta_p]: its y^0 column,
     after checking that every other coordinate is 0."""
@@ -628,12 +636,14 @@ def test_family_part_matches_per_vector_sum_key_by_key():
         Ff = build_field(p, r * f, 0)
         N = required_precision(p, Ff.pp.q ** m, n)
         for matrix in (dwork_matrix_M(n), dwork_matrix_N(n)):
+            base = TowerCtx(F, N)
             fast = _gauss_product_sums.__wrapped__(
-                TowerCtx(F, N), TowerCtx(Ff, N), matrix, lam_zero, m)
+                base, TowerCtx(Ff, N), matrix, lam_zero, m)
             slow, both = _per_vector_sums(Ff, N, matrix, lam_zero, m,
                                           F.pp.q)
             assert both, "G(0) and G(Q-1) must both occur"
-            assert {key: _zp_rows(v) for key, v in fast.items()} == slow, \
+            assert {key: _zp_rows(_zp_elem(base, v))
+                    for key, v in fast.items()} == slow, \
                 (n, p, r, f, m, lam_zero, matrix)
 
 
@@ -712,27 +722,18 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
 @pytest.mark.parametrize("n", [3, 2])
 def test_fiber_part_twists_at_most_once_per_class(n, capsys, monkeypatch):
     # chi(lam) for lam in GF(q) has order dividing q-1: the classes are
-    # k_last mod (q-1), so a fiber twists each s at most q-2 times.  Every
-    # k_last is a multiple of n+1, so at n = 3, q = 5 no twist is needed.
+    # k_last mod (q-1), so a fiber twists each s at most q-2 times, each
+    # twist one packed multiply-add per y^j.  Every k_last is a multiple
+    # of n+1, so at n = 3, q = 5 no twist is needed.
     from dworkzeta import counting
     from dworkzeta.cli import main
 
-    real_mul = TowerCtx._mul
-    real_family, real_fiber = counting._gauss_product_sums, \
-        counting._fiber_sums
+    real_twist, real_fiber = TowerCtx.twist_sums, counting._fiber_sums
     fibers, current = [], [None]  # [twists, s values, q] per fiber call
 
-    def mul(tower, a, b):
-        if current[0] is not None:
-            current[0][0] += 1
-        return real_mul(tower, a, b)
-
-    def family(*args):
-        outer, current[0] = current[0], None
-        try:
-            return real_family(*args)
-        finally:
-            current[0] = outer
+    def twist(tower, sums, twists):
+        current[0][0] += sum(1 for _, c in sums if c in twists)
+        return real_twist(tower, sums, twists)
 
     def fiber(inst, *args):
         current[0] = [0, 0, inst.field.pp.q]
@@ -744,9 +745,7 @@ def test_fiber_part_twists_at_most_once_per_class(n, capsys, monkeypatch):
         fibers[-1][1] = len(out)
         return tower, out
 
-    counting._gauss_product_sums.cache_clear()
-    monkeypatch.setattr(TowerCtx, "_mul", mul)
-    monkeypatch.setattr(counting, "_gauss_product_sums", family)
+    monkeypatch.setattr(TowerCtx, "twist_sums", twist)
     monkeypatch.setattr(counting, "_fiber_sums", fiber)
     assert main(["congruence", "--n", str(n), "--p", "5", "--lambda", "all",
                  "--k", "3"]) == 0

@@ -194,6 +194,25 @@ def test_trace_additive_and_surjective():
         assert set(F.trace(a) for a in range(q)) == set(range(p))
 
 
+TRACE_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (5, 3),
+                (3, 8)]
+
+
+@pytest.mark.parametrize("p,r", TRACE_FIELDS)
+def test_linear_trace_table_matches_the_frobenius_sum(p, r):
+    # the oracle: a + a^p + ... + a^(p^(r-1)) for every element
+    F = build_field(p, r, 0)
+    want = []
+    for a in range(F.pp.q):
+        s, x = 0, a
+        for _ in range(r):
+            s = F.add(s, x)
+            x = F.pow(x, p)
+        assert s < p
+        want.append(s)
+    assert [F.trace(a) for a in range(F.pp.q)] == want
+
+
 def test_dlog_examples():
     F = build_field(5, 2, 0)
     assert F.dlog(1) == 0

@@ -297,7 +297,7 @@ def test_zp_product_sums_worst_case_slots(p, r, N):
     # every x-coordinate and coefficient p^N - 1: the first multiply of the
     # D = n + 2 = 6 factors fills each slot to p (p^N - 1)^2 before its
     # reduction, and 28 one-factor terms on one key sum slots of
-    # (p^N - 1)^2, which overflow a slot sized without log2 T
+    # (p^N - 1)^2
     T = TowerCtx(build_field(p, r, 0), N)
     top = T.pN - 1
     c = [0] * (p * r)
@@ -314,11 +314,25 @@ def test_zp_product_sums_worst_case_slots(p, r, N):
         for key, coeff in by_key.items():
             want[key] = want.get(key, T.zero()) + prod.scale(coeff)
     got = T.zp_product_sums(factors, terms)
-    assert {key: x.c for key, x in got.items()} == \
-        {key: x.c for key, x in want.items()}
+    assert {key: T.zp_slots(v) for key, v in got.items()} == \
+        {key: list(x.c[::r]) for key, x in want.items()}
     # with T = 1 < p the products alone set the slot width
     deep = T.zp_product_sums(factors, {tuple(range(6)): {"deep": top}})
-    assert deep["deep"].c == want["deep"].c
+    assert T.zp_slots(deep["deep"]) == list(want["deep"].c[::r])
+
+
+@pytest.mark.parametrize("p,N,terms", [(2, 1, 600), (3, 1, 300),
+                                       (2, 3, 2000)])
+def test_zp_product_sums_many_terms_on_one_key(p, N, terms):
+    # with p^N small the Barrett step's slot width leaves less room than a
+    # key's sum of T terms needs: T one-factor terms of slots (p^N - 1)^2
+    # overflow a slot sized without 2 T (p^N)^2
+    T = TowerCtx(build_field(p, 1, 0), N)
+    top = T.pN - 1
+    elem = TowerElem(T, (top,) * p)
+    factors = dict.fromkeys(range(terms), elem)
+    got = T.zp_product_sums(factors, {(j,): {"key": top} for j in factors})
+    assert T.zp_slots(got["key"]) == list(elem.scale(top * terms).c)
 
 
 def test_zp_product_sums_refuses_a_factor_outside_zp_zeta_p():
@@ -326,6 +340,17 @@ def test_zp_product_sums_refuses_a_factor_outside_zp_zeta_p():
     y = T.from_w((0, 1))
     with pytest.raises(ValueError, match="not in Z_p"):
         T.zp_product_sums({1: y}, {(1,): {0: 1}})
+
+
+def test_zp_product_sums_refuses_a_factor_of_another_precision():
+    T = TowerCtx(build_field(3, 1, 0), 4)
+    other = TowerCtx(build_field(3, 2, 0), 5)
+    with pytest.raises(ValueError, match="another p or N"):
+        T.zp_product_sums({1: other.one()}, {(1,): {0: 1}})
+    # a factor from a tower of the same p and N, over another field, is read
+    same = TowerCtx(build_field(3, 2, 0), 4)
+    got = T.zp_product_sums({1: same.pi()}, {(1,): {0: 2}})
+    assert T.zp_slots(got[0]) == list((T.pi() * 2).c)
 
 
 def test_teich_cube_roots_sum_to_zero():
@@ -464,6 +489,100 @@ def test_as_integer_certification():
     assert T.from_int(37).as_integer() == 37
     with pytest.raises(NonIntegralResult):
         T.pi().as_integer()
+
+
+def _packed_sums(T, elems):
+    """{(s, 0): elems[s]} packed by zp_product_sums."""
+    factors = dict(enumerate(elems))
+    return T.zp_product_sums(
+        factors, {(j,): {(j, 0): 1} for j in factors})
+
+
+def _slot_integer(T, by_s):
+    """zp_integer of the classes {0: ...}, or None where it refuses."""
+    try:
+        return T.zp_integer(by_s, {0: 1})
+    except NonIntegralResult:
+        return None
+
+
+def _as_integer(x):
+    try:
+        return x.as_integer()
+    except NonIntegralResult:
+        return None
+
+
+@pytest.mark.parametrize("p,r", [(5, 1), (3, 2), (2, 3), (7, 1)])
+def test_slot_certification_agrees_with_as_integer(p, r):
+    from dworkzeta.counting import _certified_count
+
+    T = tower(p, r, 6)
+    one_plus = T.zero()  # 1 + x + ... + x^(p-1) = 0 mod Phi_p
+    for i in range(p):
+        one_plus = one_plus + T.zeta_p() ** i
+    ints = [T.from_int(n) for n in (0, 1, 37, T.pN - 1)]
+    ints.append(T.from_int(12) + one_plus.scale(5))  # not the 0-slot form
+    others = [T.pi(), T.zeta_p(), T.pi() ** 2 + 3, one_plus + T.pi()]
+    for x in ints + others:
+        by_s = T.twist_sums(_packed_sums(T, [x]), {})
+        assert _slot_integer(T, by_s) == _as_integer(x), x
+    assert all(_as_integer(x) is not None for x in ints)
+    # pi = -2 at p = 2
+    assert (_as_integer(T.pi()) is None) == (p > 2)
+    # a combination of classes, weighted
+    by_s = T.twist_sums(_packed_sums(T, ints), {})
+    weights = {s: 3 * s + 1 for s in by_s}
+    assert T.zp_integer(by_s, weights) == \
+        sum(w * ints[s].as_integer() for s, w in weights.items()) % T.pN
+    if r > 1:
+        y = T.from_w((0, 1))
+        for x in (T.one(), one_plus, T.from_int(4) + one_plus):
+            # x y has a y^1 part; it is 0 mod Phi_p only for one_plus
+            by_s = T.twist_sums({(0, 1): _packed_sums(T, [x])[0, 0]},
+                                {1: y})
+            assert _slot_integer(T, by_s) == _as_integer(x * y), x
+        assert _as_integer(y) is None and _as_integer(one_plus * y) == 0
+    q = T.q
+    v = T.zp_integer(T.twist_sums(_packed_sums(T, [T.from_int(q * 7)]), {}),
+                     {0: 1})
+    assert _certified_count(v, q, q * 7, "q * count") == 7
+    with pytest.raises(NonIntegralResult, match="a-priori bound"):
+        _certified_count(v, q, q * 7 - 1, "q * count")
+    with pytest.raises(NonIntegralResult, match="not divisible"):
+        _certified_count(v + 1, q, q * 8, "q * count")
+
+
+@pytest.mark.parametrize("p,r,N", [(3, 1, 9), (5, 1, 19), (2, 2, 12),
+                                   (3, 2, 7), (7, 1, 5)])
+def test_twist_sums_worst_case_slots(p, r, N):
+    # every x-coordinate p^N - 1, and T = q-1 classes on each s, each
+    # twisted by the W value whose coordinates are all p^N - 1: a part's
+    # slots sum T (p^N - 1)^2, which overflow a slot sized without log2 T
+    T = TowerCtx(build_field(p, r, 0), N)
+    top = T.pN - 1
+    c = [0] * (p * r)
+    c[::r] = [top] * p
+    elem = TowerElem(T, tuple(c))
+    w = T.from_w((top,) * r)
+    keys = [(s, k) for s in range(3) for k in range(T.q - 1)]
+    sums = T.zp_product_sums({0: elem}, {(0,): dict.fromkeys(keys, 1)})
+    got = T.twist_sums(sums, dict.fromkeys(range(T.q - 1), w))
+    want = elem * w
+    for _ in range(T.q - 2):
+        want = want + elem * w
+    assert set(got) == {0, 1, 2}
+    for parts in got.values():
+        assert [T.zp_slots(v) for v in parts] == \
+            [list(want.c[j::r]) for j in range(r)]
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
+                                 (7, 2), (5, 3), (3, 8)])
+@pytest.mark.parametrize("N", [1, 2, 5, 17])
+def test_teich_y0_recurrence_matches_the_powers(p, r, N):
+    T = TowerCtx(build_field(p, r, 0), N)
+    assert T.teich_y0() == [t.c[0] for t in T.teich_pows()]
 
 
 def test_digit_sum():
