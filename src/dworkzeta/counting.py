@@ -34,27 +34,21 @@ GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
 (s(k), k_m mod (q-1)) on the tower over the base field GF(q); the fiber
 part twists each class by chi(lam)^{k_m}, one packed multiply-add per
 class and y^j, and `charsum_count` combines the s-classes and certifies
-the count on the packed slots (`padic` alone knows their layout).  The
-family part uses three exact symmetries.  Reordering the variables'
-exponents (the block of the first v-1 coordinates) keeps the solution set
-and s(k), so the solutions are walked one per reordering class, weighted
-by its size.  Counting over GF(Q), Q a power of q, k -> q k keeps s(k),
-k_m mod (q-1) and every G(k_j), so only one residue class per orbit of
-that map is walked, weighted by the orbit length.  Frobenius gives
-G(p k mod (Q-1)) = G(k), so each inner index is replaced by the least
-member of its p-cyclotomic coset and each product is formed once per
-sorted tuple of those minima, on packed integers (the products lie in
-Z_p[zeta_p]); the boundary sums G(0) = Q-1 and G(Q-1) = -Q scale it as
-rational integers.  Every Gauss sum
-over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
+the count on the packed slots (`padic` alone knows their layout).
+
+The family part walks no solution (module `family`): over GF(Q) the
+pencil's solutions fall into residue classes, each summed as one packed
+power in Z_p[zeta_p][z]/(z^g - 1), g = gcd(n+1, Q-1), and the mirror's
+solutions are the pencil's diagonal ones, so one pass sums both.
+`enumerate_solutions`, the walk over the solutions one per class of block
+reorderings and orbit of k -> q k, stays as the tests' oracle.  Every
+Gauss sum over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
 f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (no
 lift) otherwise.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass, field as dc_field
 from math import comb, factorial, gcd
 from typing import Iterator, Optional
@@ -67,7 +61,8 @@ from .errors import (
     PrecisionInsufficient,
 )
 from .ff import FieldCtx, build_field, embed
-from .padic import TowerCtx, build_tower
+from .family import _family_sums, _matvec, _orbit_leaders
+from .padic import build_tower
 
 
 def dwork_matrix_M(n: int) -> tuple:
@@ -240,27 +235,12 @@ def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
 # structural enumeration of character-sum solutions
 # ---------------------------------------------------------------------------
 
-def _matvec(matrix, k) -> list:
-    return [sum(map(operator.mul, row, k)) for row in matrix]
-
-
 def _reorderings(block) -> int:
     """The number of distinct reorderings of a sorted tuple."""
     out = factorial(len(block))
     for _, run in itertools.groupby(block):
         out //= factorial(sum(1 for _ in run))
     return out
-
-
-def _orbit_leaders(residues, base_q: int, mod: int) -> Iterator[tuple]:
-    """(a, orbit length) for each a of `residues`, a set closed under
-    a -> base_q a mod `mod`, that is the least member of its orbit."""
-    for a in residues:
-        b, size = a * base_q % mod, 1
-        while b > a:
-            b, size = b * base_q % mod, size + 1
-        if b == a:
-            yield a, size
 
 
 def enumerate_solutions(matrix, q: int, lam_zero: bool = False,
@@ -405,79 +385,25 @@ def gauss_field_degree(inst: DworkInstance, k: int) -> int:
     return next(f for f in range(1, k + 1) if (q ** f - 1) % g == 0)
 
 
-@functools.lru_cache(maxsize=64)  # one instance needs a few dozen at most
-def _gauss_product_sums(tower: TowerCtx, gauss_tower: TowerCtx, matrix,
-                        lam_zero: bool, m: int = 1) -> dict:
-    """The family part over GF(Q), Q = q_f^m for the field GF(q_f) of
-    `gauss_tower`, on `tower` over the base field GF(q):
-    {(s(k), k_last mod (q-1)): sum of prod_j G_Q(k_j)} over the solutions k
-    of matrix * k = 0 mod (Q-1), each sum a packed value of Z_p[zeta_p].
-
-    Three exact symmetries cut the work.  `enumerate_solutions` yields one
-    solution per class of block reorderings and orbit of k -> q k, with
-    the class size times the orbit length, which is added in place of 1:
-    both keep s(k), k_last mod (q-1) and each Gauss product.  Frobenius
-    a -> a^p permutes GF(Q)^* and keeps the trace, so
-    G_Q(p k mod (Q-1)) = G_Q(k): each inner index 0 < k_j < Q-1 is replaced
-    by the least member of its p-cyclotomic coset mod Q-1, an orbit of
-    length log_p Q, and the products are keyed by the sorted tuple of those
-    minima.  The boundary sums G_Q(0) = Q-1 and G_Q(Q-1) = -Q are rational
-    integers and are not reduced: with the count they become one integer
-    coefficient of the product of the inner indices.  The products and
-    their sums are formed on packed integers by `TowerCtx.zp_product_sums`.
-
-    Only the coset minima that occur are read, through the Hasse-Davenport
-    lift G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m, formed only at
-    m > 1; the caller picks q_f so that every inner index is such a
-    multiple, and then so is every member of its coset.  At t = q_f-1 the
-    lift is -Q as well, so the boundary convention holds for every m."""
-    Q1, q1, p = gauss_tower.q ** m - 1, tower.q - 1, gauss_tower.p
-    frobenius = [p ** i for i in range(gauss_tower.r * m)]  # Q = p^(r m)
-    # sorted tuple of coset minima -> {(s, k_last mod (q-1)): integer}
-    coeffs: dict = {}
-    # index -> least member of its coset, this call; 0 for 0 and Q-1 alone
-    least: dict = {}
-    lookup = least.__getitem__
-    for k, s, count in enumerate_solutions(matrix, Q1 + 1, lam_zero,
-                                           tower.q):
-        lo, hi = k.count(0), k.count(Q1)
-        for kj in k:
-            if kj not in least:
-                least[kj] = min([kj * f % Q1 for f in frobenius])
-        mins = sorted(map(lookup, k))
-        inner = tuple(mins[lo + hi:])  # the boundary indices sort first
-        by_key = coeffs.get(inner)
-        if by_key is None:
-            by_key = coeffs[inner] = {}
-        key = (s, k[-1] % q1)
-        if lo or hi:
-            count *= Q1 ** lo * (-(Q1 + 1)) ** hi
-        by_key[key] = by_key.get(key, 0) + count
-    step = Q1 // (gauss_tower.q - 1)
-    idx = sorted({kj for inner in coeffs for kj in inner})
-    if any(kj % step for kj in idx):
-        raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
-    gauss = dict(zip(idx, gauss_tower.gauss_sums([kj // step for kj in idx])))
-    if m > 1:
-        sign = (-1) ** (m - 1)
-        gauss = {kj: (G ** m).scale(sign) for kj, G in gauss.items()}
-    return tower.zp_product_sums(gauss, coeffs)
-
-
 def _fiber_sums(inst: DworkInstance, matrix, k: int, caps: Caps):
-    """The fiber part over GF(q^k): the tower over GF(q) at the precision
-    GF(q^k) needs and, on it, {s: sum over the solutions k with s(k) = s of
-    prod_j G(k_j) chi(lam)^{k_last}}, packed by `TowerCtx.twist_sums`.  The
-    Gauss sums are read on the tower over GF(q^f), f = `gauss_field_degree`:
-    at lam = 0, GF(q^k) itself is built only if f = k, and no class is
-    twisted, so the Teichmuller table of GF(q) is not built either."""
+    """The fiber part over GF(q^k) of `matrix`, the instance's M or N: the
+    tower over GF(q) at the precision GF(q^k) needs and, on it, {s: sum
+    over the solutions k with s(k) = s of prod_j G(k_j) chi(lam)^{k_last}},
+    packed by `TowerCtx.twist_sums`.  It twists the matrix's half of the
+    family part `_family_sums`, one pass for both.  The Gauss sums are read
+    on the tower over GF(q^f), f = `gauss_field_degree`: at lam = 0,
+    GF(q^k) itself is built only if f = k, and no class is twisted, so the
+    Teichmuller table of GF(q) is not built either."""
+    if matrix not in (inst.M, inst.Nmat):
+        raise ValueError("the character sum counts the matrices M and N")
     n, p, Q = inst.n, inst.field.pp.p, inst.field.pp.q ** k
     f = gauss_field_degree(inst, k)
     F = inst.extension(f, cap=caps.field_table_max_q)[0]
     tower = build_tower(inst.field, required_precision(
         p, Q, n, caps.precision_override))
-    sums = _gauss_product_sums(tower, build_tower(F, tower.N), matrix,
-                               inst.lam == 0, k // f)
+    family = _family_sums(tower, build_tower(F, tower.N), inst.M, inst.Nmat,
+                          inst.lam == 0, k // f)
+    sums = family.pencil() if matrix == inst.M else family.mirror
     # c = k_last mod (q-1) is pinned to 0 at lam = 0
     classes, q1 = {c for _, c in sums if c}, tower.q - 1
     tp = tower.teich_pows() if classes else None
@@ -488,7 +414,8 @@ def _fiber_sums(inst: DworkInstance, matrix, k: int, caps: Caps):
 def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
                   caps: Caps = DEFAULT_CAPS) -> int:
     """The count `count_brute` makes, from the Gauss-sum formula over
-    `_fiber_sums`, with v rows and m columns in `matrix`: on the torus
+    `_fiber_sums`, with v rows and m columns in `matrix` (the instance's M
+    or N, whose family parts come from one pass): on the torus
     q N = (q-1)^{v-1} + (q-1)^{v-m} sum, in affine space
     q N = sum_s (q-1)^{s-m} q^{v-s} by_s[s].  The s-classes are combined
     mod p^N by `TowerCtx.zp_integer`, which certifies that the value is a

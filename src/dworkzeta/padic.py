@@ -11,13 +11,16 @@ only at r > 1; at r = 1 the slots are unpacked mod p^N in one pass, and a
 product in W is one integer product mod p^N.
 
 The character-sum count runs on packed integers, and only this module
-knows their layout: the p x-coordinates of a value of Z_p[zeta_p], x^i in
-slot i.  `zp_product_sums` (the family part) sums products of such values
-into one packed integer per key, its slots reduced mod p^N;
-`twist_sums` (the fiber part) multiplies them by values of W, one packed
-sum per y^j, so no reduction by m(y) is needed at any r; `zp_integer`
-combines those sums and certifies the result a rational integer on the
-slots, the condition `as_integer` checks.
+knows their layout.  The family part computes in
+Z_p[zeta_p][z]/(z^g - 1) (`ZpCyclic`), x^i z^c in the slot e < pg with
+e = i mod p and e = c mod g, so that a product is one big-int multiply,
+one fold by w^{pg} = 1 and one Barrett step; it sums the products per
+key and reads each sum's z^0 part, the p x-coordinates of a value of
+Z_p[zeta_p], x^i in slot i, reduced mod p^N.  `twist_sums` (the fiber
+part) multiplies those by values of W, one packed sum per y^j, so no
+reduction by m(y) is needed at any r; `zp_integer` combines those sums
+and certifies the result a rational integer on the slots, the condition
+`as_integer` checks.
 
 Teichmuller values chi(a) lie on x^0 and are computed in W alone (the
 packed product with one x-block), by Newton iteration.  A Gauss sum
@@ -41,7 +44,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import NonIntegralResult
 from .ff import FieldCtx, PrimePower, _digits, _power
@@ -240,70 +243,9 @@ class TowerCtx:
             out.extend(v % pN for v in d[i:i + r])
         return tuple(out)
 
-    def zp_product_sums(self, factors: dict, terms: dict) -> dict:
-        """{key: sum of coeff * prod_{j in inner} factors[j]} over the
-        entries {inner: {key: coeff}} of `terms`, each factor a value of
-        Z_p[zeta_p] (its y^j coordinates, j > 0, all 0) on a tower of this
-        p and N, each sum packed (`twist_sums` and `zp_slots` read it).
-
-        Products of such values stay in Z_p[zeta_p], so they are formed on
-        integers: the p x-coordinates of a value packed into one, x^i in
-        slot i of B bits.  Each further factor of a product is one big-int
-        multiply, folded by x^p = 1, after which every slot is brought below
-        2 p^N at once by a Barrett step: with mu = floor(2^e / p^N), the
-        slotwise quotient estimate floor(s mu / 2^e) is at most s / p^N and
-        more than s / p^N - 2 for s < 2^e, so s minus p^N times it lies in
-        [0, 2 p^N).  A folded product of such slots and a factor's is below
-        S = 2p (p^N)^2, e is the bit length of S, and slots of S mu bits
-        keep both the product and its multiple by mu from carrying into
-        the next.  A term, (coeff mod p^N) times a product, is below
-        2 (p^N)^2, and a key sums at most T of them, T the number of
-        (inner, key) entries, so B also covers 2T (p^N)^2.  Each key's sum
-        is reduced once, into slots of the width `twist_sums` needs."""
-        p, pN = self.p, self.pN
-        T = sum(map(len, terms.values()))
-        S = 2 * p * pN ** 2
-        e = S.bit_length()
-        mu = (1 << e) // pN
-        B = max(S * mu, 2 * T * pN ** 2).bit_length()
-        span, mask = B * p, (1 << B) - 1
-        low, down = (1 << span) - 1, range(span - B, -1, -B)
-        # the low B - e bits of each slot: where a quotient lands after >> e
-        qmask = low // mask * ((1 << (B - e)) - 1)
-        packed = {}
-        for j, x in factors.items():
-            r = x.ctx.r
-            if (x.ctx.p, x.ctx.N) != (p, self.N):
-                raise ValueError(f"factor {j} is on a tower of another p or N")
-            zs = x.c[::r]
-            # every coordinate outside zs (the y^j, j > 0) must be a zero
-            if x.c.count(0) - zs.count(0) != len(x.c) - p:
-                raise ValueError(f"factor {j} is not in Z_p[zeta_p]")
-            v = 0
-            for c in reversed(zs):
-                v = v << B | c
-            packed[j] = v
-        sums: dict = {}
-        for inner, by_key in terms.items():
-            prod = packed[inner[0]] if inner else 1
-            for j in inner[1:]:
-                prod *= packed[j]
-                prod = (prod & low) + (prod >> span)  # x^p = 1
-                prod -= (prod * mu >> e & qmask) * pN
-            for key, coeff in by_key.items():
-                sums[key] = sums.get(key, 0) + coeff % pN * prod
-        Z = self._zp_bits
-        out = {}
-        for key, v in sums.items():
-            w = 0
-            for s in down:
-                w = w << Z | (v >> s & mask) % pN
-            out[key] = w
-        return out
-
     def twist_sums(self, sums: dict, twists: dict) -> dict:
         """{s: the sum over the keys (s, c) of `sums`, packed values of
-        `zp_product_sums`, of sums[(s, c)] * twists[c]}, a value of W per
+        `ZpCyclic.z0_sums`, of sums[(s, c)] * twists[c]}, a value of W per
         class c in [0, q-1), 1 where c is not in `twists`.
 
         A twist by w = sum_j w_j y^j is an outer product: w_j times the
@@ -477,6 +419,105 @@ class TowerCtx:
 
     def __repr__(self):
         return f"TowerCtx(GF({self.p}^{self.r}), N={self.N})"
+
+
+class ZpCyclic:
+    """Z_p[zeta_p][z]/(z^g - 1) mod p^N on packed integers, for g prime to
+    p, on a tower whose `twist_sums` reads the results.
+
+    x^i z^c (x = zeta_p) sits in the slot e < pg of B bits with e = i mod p
+    and e = c mod g: by the Chinese remainder theorem the ring is
+    Z[w]/(w^{pg} - 1), x and z powers of w, so a product is one big-int
+    multiply and one fold by w^{pg} = 1.  At g = 1 slot i holds x^i.
+
+    After every multiply a Barrett step brings each slot below 2 p^N at
+    once: with mu = floor(2^e / p^N), the slotwise quotient estimate
+    floor(s mu / 2^e) is at most s / p^N and more than s / p^N - 2 for
+    s < 2^e, so s minus p^N times it lies in [0, 2 p^N).  A folded product
+    of two values with slots below 2 p^N sums pg products of slots, below
+    S = 4 pg (p^N)^2; e is the bit length of S, and slots of S mu bits keep
+    both the product and its multiple by mu from carrying into the next.
+    A term of a sum, a coefficient below p^N times such a value, is below
+    2 (p^N)^2, and a sum of at most `terms` of them is below
+    2 terms (p^N)^2, which the slots also cover."""
+
+    def __init__(self, tower: TowerCtx, g: int, terms: int):
+        p, pN = tower.p, tower.pN
+        if g < 1 or gcd(p, g) != 1:
+            raise ValueError(f"g = {g} is not a positive integer prime to {p}")
+        self.tower, self.g, self.pN = tower, g, pN
+        S = 4 * p * g * pN ** 2
+        self._e = S.bit_length()
+        self._mu = (1 << self._e) // pN
+        self._set_width(max(S * self._mu, 2 * terms * pN ** 2).bit_length())
+
+    def _set_width(self, B: int) -> None:
+        p, g, L = self.tower.p, self.g, self.tower.p * self.g
+        self.bits, self._span, self._mask = B, B * L, (1 << B) - 1
+        self._low = (1 << self._span) - 1
+        # the low B - e bits of each slot: where a quotient lands after >> e
+        self._qmask = self._low // self._mask * ((1 << (B - self._e)) - 1)
+        # CRT: x^i z^c -> e = i g (g^-1 mod p) + c p (p^-1 mod g) mod pg
+        xs, zs = g * pow(g, -1, p), p * pow(p, -1, g)
+        self._shift = [[B * ((i * xs + c * zs) % L) for i in range(p)]
+                       for c in range(g)]
+
+    def coords(self, x: TowerElem) -> tuple:
+        """The p x-coordinates of x, a value of Z_p[zeta_p] on a tower of
+        this p and N; ValueError if x has another p or N, or a nonzero
+        y^j coordinate, j > 0."""
+        tower, r = self.tower, x.ctx.r
+        if (x.ctx.p, x.ctx.N) != (tower.p, tower.N):
+            raise ValueError(f"{x} is on a tower of another p or N")
+        zs = x.c[::r]
+        if x.c.count(0) - zs.count(0) != len(x.c) - tower.p:
+            raise ValueError(f"{x} is not in Z_p[zeta_p]")
+        return zs
+
+    def pack(self, cs) -> int:
+        """sum_c z^c sum_i cs[c][i] x^i packed, for at most g tuples of p
+        coordinates (from `coords`), each below 2 p^N."""
+        v = 0
+        for c, shifts in zip(cs, self._shift):
+            for ci, s in zip(c, shifts):
+                v |= ci << s
+        return v
+
+    def from_int(self, n: int) -> int:
+        """The rational integer n packed: n mod p^N on x^0 z^0, slot 0."""
+        return n % self.pN
+
+    def reduce(self, v: int) -> int:
+        """v with every slot brought below 2 p^N by the Barrett step, for
+        slots below S = 4 pg (p^N)^2."""
+        return v - (v * self._mu >> self._e & self._qmask) * self.pN
+
+    def mul(self, a: int, b: int) -> int:
+        """The product of two values whose slots are below 2 p^N, reduced."""
+        prod = a * b
+        return self.reduce((prod & self._low) + (prod >> self._span))
+
+    def power(self, a: int, e: int) -> int:
+        """a^e for e >= 1, left to right by squaring, reduced."""
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def z0_sums(self, sums: dict) -> dict:
+        """{key: the z^0 part of sums[key]}, sums of at most `terms` terms,
+        each x-slot reduced mod p^N, packed as `twist_sums` reads them."""
+        Z, mask, pN = self.tower._zp_bits, self._mask, self.pN
+        top_down = self._shift[0][::-1]
+        out = {}
+        for key, v in sums.items():
+            w = 0
+            for s in top_down:
+                w = w << Z | (v >> s & mask) % pN
+            out[key] = w
+        return out
 
 
 # ---------------------------------------------------------------------------

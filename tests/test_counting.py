@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 from math import comb, gcd
 
@@ -531,7 +532,7 @@ def test_each_gauss_sum_is_computed_once_per_tower(capsys, monkeypatch):
         asks.extend((tower, k) for k in ks)
         return real(tower, ks)
 
-    counting._gauss_product_sums.cache_clear()
+    counting._family_sums.cache_clear()
     build_tower.cache_clear()
     monkeypatch.setattr(TowerCtx, "_gauss_sums", spy)
     assert main(["congruence", "--n", "2", "--p", "5", "--lambda", "all",
@@ -550,23 +551,42 @@ def test_lam_zero_count_builds_no_extension_field():
 
 
 def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
-    from dworkzeta import counting
+    # no count path walks the solutions: one family pass per field and lam
+    # mode serves M and N
+    from dworkzeta import counting, family as fam
     from dworkzeta.cli import main
 
-    real = counting.enumerate_solutions
-    walks = []
+    real_walk, real_family, real_pencil = counting.enumerate_solutions, \
+        counting._family_sums.__wrapped__, fam._FamilyPass._pencil_sums
+    walks, passes, pencils = [], [], []
 
-    def spy(matrix, q, lam_zero=False, base_q=None):
-        walks.append((matrix, q, lam_zero, base_q))
-        return real(matrix, q, lam_zero, base_q)
+    def walk(*args):
+        walks.append(args)
+        return real_walk(*args)
 
-    counting._gauss_product_sums.cache_clear()
-    monkeypatch.setattr(counting, "enumerate_solutions", spy)
+    def family(*args):
+        passes.append(args)
+        return real_family(*args)
+
+    def pencil(self, *inputs):
+        pencils.append(self)
+        return real_pencil(self, *inputs)
+
+    monkeypatch.setattr(counting, "enumerate_solutions", walk)
+    monkeypatch.setattr(counting, "_family_sums",
+                        functools.lru_cache(maxsize=64)(family))
+    monkeypatch.setattr(fam._FamilyPass, "_pencil_sums", pencil)
     assert main(["congruence", "--n", "2", "--p", "5", "--lambda", "all",
                  "--k", "2"]) == 0
     capsys.readouterr()
-    # M and N, over GF(5) and GF(25), for lam = 0 and lam != 0
-    assert len(walks) == 8 and len(set(walks)) == 8
+    assert walks == []
+    # over GF(5) and GF(25), for lam = 0 and lam != 0, X's part once each
+    assert len(passes) == 4 and len(set(passes)) == 4
+    assert len(pencils) == 4
+    # a count of Y alone leaves X's part unsummed
+    ii = inst(3, 5, 1, 1)
+    assert charsum_count(ii, ii.Nmat, 2) == count_brute(ii, ii.Nmat, 2)
+    assert len(passes) == 5 and len(pencils) == 4
     ii = inst(2, 5, 1, 1)
     assert count_record(ii, 1, with_nfstar=True).Nfstar == \
         count_brute(ii, ii.M)
@@ -578,7 +598,7 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
     tower over F = GF(q_f), every Gauss sum over GF(Q), Q = q_f^m, read
     from the lifted table G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m
     (boundaries included), except G_Q(0) = Q-1; keyed like
-    `_gauss_product_sums`, k_last folded mod q-1 for the base field GF(q)
+    `_family_sums`, k_last folded mod q-1 for the base field GF(q)
     (q_f by default), values as Z_p coordinates."""
     T = TowerCtx(F, N)
     table = T.gauss_table()
@@ -599,7 +619,7 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
 
 def _zp_elem(T, v):
     """The element of T whose x-coordinates are the slots of v, a packed
-    value of `zp_product_sums` on T."""
+    value of the family part on T."""
     c = [0] * (T.p * T.r)
     c[::T.r] = T.zp_slots(v)
     return TowerElem(T, tuple(c))
@@ -612,11 +632,9 @@ def _zp_rows(x):
     return tuple(row[0] for row in x.rows)
 
 
-def test_family_part_matches_per_vector_sum_key_by_key():
-    from dworkzeta.counting import _gauss_product_sums
-
-    # (n, p, r, f, m, lam_zero): base field GF(p^r), Gauss sums over
-    # GF(p^(r f)), lifted to GF(p^(r f m))
+def _family_cases():
+    """(n, p, r, f, m, lam_zero): base field GF(p^r), Gauss sums over
+    GF(p^(r f)), lifted to GF(p^(r f m))."""
     cases = [(n, p, r, 1, 1, lam_zero) for n in (2, 3, 4)
              for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
                           (5, 2)) for lam_zero in (True, False)]
@@ -631,20 +649,65 @@ def test_family_part_matches_per_vector_sum_key_by_key():
     cases += [(4, 11, 1, 1, 1, lam_zero) for lam_zero in (True, False)]
     assert {(2, 5, 1, 2, 1, True), (3, 3, 1, 2, 2, True),
             (3, 3, 1, 3, 1, False)} <= set(cases)
-    for n, p, r, f, m, lam_zero in cases:
-        F = build_field(p, r, 0)
-        Ff = build_field(p, r * f, 0)
-        N = required_precision(p, Ff.pp.q ** m, n)
-        for matrix in (dwork_matrix_M(n), dwork_matrix_N(n)):
-            base = TowerCtx(F, N)
-            fast = _gauss_product_sums.__wrapped__(
-                base, TowerCtx(Ff, N), matrix, lam_zero, m)
+    return cases
+
+
+def _family_part(n, p, r, f, m, lam_zero):
+    """(base tower, Gauss field, N, {X, Y} parts as Z_p rows) of one
+    uncached family pass."""
+    from dworkzeta.family import _family_sums
+
+    F, Ff = build_field(p, r, 0), build_field(p, r * f, 0)
+    N = required_precision(p, Ff.pp.q ** m, n)
+    base = TowerCtx(F, N)
+    family = _family_sums.__wrapped__(
+        base, TowerCtx(Ff, N), dwork_matrix_M(n), dwork_matrix_N(n),
+        lam_zero, m)
+    return base, Ff, N, [{key: _zp_rows(_zp_elem(base, v))
+                          for key, v in part.items()}
+                         for part in (family.pencil(), family.mirror)]
+
+
+def test_family_part_matches_per_vector_sum_key_by_key():
+    # one pass gives X's part, equal to M's per-vector sum, and Y's, equal
+    # to N's
+    for n, p, r, f, m, lam_zero in _family_cases():
+        base, Ff, N, parts = _family_part(n, p, r, f, m, lam_zero)
+        for matrix, fast in zip((dwork_matrix_M(n), dwork_matrix_N(n)),
+                                parts):
             slow, both = _per_vector_sums(Ff, N, matrix, lam_zero, m,
-                                          F.pp.q)
+                                          base.q)
             assert both, "G(0) and G(Q-1) must both occur"
-            assert {key: _zp_rows(_zp_elem(base, v))
-                    for key, v in fast.items()} == slow, \
-                (n, p, r, f, m, lam_zero, matrix)
+            assert fast == slow, (n, p, r, f, m, lam_zero, matrix)
+
+
+def test_mirror_part_is_the_diagonal_of_the_pencil():
+    # the N solutions are the M solutions whose block residues are all
+    # equal: Y's family part is the sum of M's per-vector terms over those,
+    # keyed by s(k) for N
+    gs = set()
+    for n in (2, 3, 4):
+        for p, r in ((2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (2, 3), (5, 2),
+                     (11, 1), (13, 1)):
+            Q1 = p ** r - 1
+            gs.add(gcd(n + 1, Q1) > 1)
+            for lam_zero in (True, False):
+                base, F, N, (_, y) = _family_part(n, p, r, 1, 1, lam_zero)
+                T = TowerCtx(F, N)
+                table = T.gauss_table()
+                M, Nm = dwork_matrix_M(n), dwork_matrix_N(n)
+                want = {}
+                for k, _ in each_solution(M, Q1 + 1, lam_zero):
+                    if len({kj % Q1 for kj in k[:n + 1]}) > 1:
+                        continue
+                    prod = T.one()
+                    for kj in k:
+                        prod = prod * table[kj]
+                    key = (len(Nm) - _matvec(Nm, k).count(0), k[-1] % Q1)
+                    want[key] = want[key] + prod if key in want else prod
+                assert y == {key: _zp_rows(v) for key, v in want.items()}, \
+                    (n, p, r, lam_zero)
+    assert gs == {False, True}  # g = 1 and g > 1 both occur
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -677,8 +740,8 @@ def test_orbit_walk_weights_match_every_solution(n):
 
 
 def test_family_part_walks_one_class_per_orbit(monkeypatch):
-    from dworkzeta import counting
-    from dworkzeta.counting import _gauss_product_sums
+    from dworkzeta import family
+    from dworkzeta.family import _family_sums
 
     N = required_precision(5, 125, 3)
     base = TowerCtx(build_field(5, 1, 0), N)
@@ -689,34 +752,36 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
     # 31 residue classes a fall into {0} and ten orbits of three
     reps = list(enumerate_solutions(M, 125, False, 5))
     assert len(reps) == 140
-    assert len(list(enumerate_solutions(M, 125, False))) == 340
     assert sum(count for _, _, count in reps) == 2234 == \
         sum(1 for _ in each_solution(M, 125))
 
-    real_mul, real_walk, muls, walks = TowerCtx._mul, \
-        counting.enumerate_solutions, [], []
+    real_mul, real_leaders, muls, leaders = TowerCtx._mul, \
+        family._orbit_leaders, [], []
 
     def mul(tower, a, b):
         muls.append(tower)
         return real_mul(tower, a, b)
 
-    def walk(*args):
-        walks.append(args)
-        return real_walk(*args)
+    def orbit_leaders(*args):
+        for a, size in real_leaders(*args):
+            leaders.append((a, size))
+            yield a, size
 
     monkeypatch.setattr(TowerCtx, "_mul", mul)
-    monkeypatch.setattr(counting, "enumerate_solutions", walk)
-    _gauss_product_sums.__wrapped__(base, T, M, False)
-    assert walks == [(M, 125, False, 5)]
+    monkeypatch.setattr(family, "_orbit_leaders", orbit_leaders)
+    _family_sums.__wrapped__(base, T, M, dwork_matrix_N(3), False).pencil()
+    assert len(leaders) == 11
+    assert sorted(size for _, size in leaders) == [1] + [3] * 10
     # the products are formed on packed integers: no ring multiply at m = 1
     assert muls == []
     # at m > 1 only the Hasse-Davenport powers G^m multiply, bitlen(m) +
     # popcount(m) - 2 = 1 each for m = 2
     T1 = TowerCtx(build_field(5, 1, 0), required_precision(5, 25, 3))
-    sums = _gauss_product_sums.__wrapped__(T1, T1, M, True, 2)
+    part = _family_sums.__wrapped__(T1, T1, M, dwork_matrix_N(3), True, 2)
     inner = {kj for k, _ in each_solution(M, 25, True) for kj in k
              if 0 < kj < 24}
-    assert sums and muls == [T1] * len({min(kj, kj * 5 % 24) for kj in inner})
+    assert part.pencil() and part.mirror and \
+        muls == [T1] * len({min(kj, kj * 5 % 24) for kj in inner})
 
 
 @pytest.mark.parametrize("n", [3, 2])

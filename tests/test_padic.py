@@ -1,3 +1,4 @@
+import copy
 import functools
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from dworkzeta.ff import FieldCtx, _power, build_field
 from dworkzeta.padic import (
     TowerCtx,
     TowerElem,
+    ZpCyclic,
     build_tower,
     digit_sum,
     pi_valuation,
@@ -291,65 +293,113 @@ def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
     assert len(asks) == cosets + 2
 
 
+def _top_elem(T, top):
+    """The value of Z_p[zeta_p] on T whose x-coordinates are all top."""
+    c = [0] * (T.p * T.r)
+    c[::T.r] = [top] * T.p
+    return TowerElem(T, tuple(c))
+
+
+def _z_parts(ring, v):
+    """The x-slots of each z^c part of v, c < g, read as the z^0 part of
+    v z^{g-c}."""
+    T, g = ring.tower, ring.g
+    zero, one = (0,) * T.p, (1,) + (0,) * (T.p - 1)
+    return [T.zp_slots(ring.z0_sums({0: ring.mul(
+        v, ring.pack([zero] * ((g - c) % g) + [one]))})[0])
+        for c in range(g)]
+
+
+def _g_prime_to(p):
+    return 5 if p != 5 else 4
+
+
 @pytest.mark.parametrize("p,r,N", [(2, 1, 9), (3, 2, 12), (5, 1, 19),
                                    (5, 3, 23), (11, 1, 16)])
 def test_zp_product_sums_worst_case_slots(p, r, N):
-    # every x-coordinate and coefficient p^N - 1: the first multiply of the
-    # D = n + 2 = 6 factors fills each slot to p (p^N - 1)^2 before its
-    # reduction, and 28 one-factor terms on one key sum slots of
-    # (p^N - 1)^2
+    # the packed ring Z_p[zeta_p][z]/(z^g - 1), g = 5 (4 at p = 5), with
+    # every x-coordinate p^N - 1 in every z^c part: P = E (1 + ... +
+    # z^{g-1}) has P^5 = g^4 E^5 (1 + ... + z^{g-1}), and a key summing
+    # 28 terms (p^N - 1) P^5 adds 28 times that
     T = TowerCtx(build_field(p, r, 0), N)
     top = T.pN - 1
-    c = [0] * (p * r)
-    c[::r] = [top] * p
-    factors = dict.fromkeys(range(28), TowerElem(T, tuple(c)))
-    terms = {(j,): {"key": top} for j in factors}
-    terms[tuple(range(6))] = {"key": top, "deep": top}
-    terms[()] = {"key": top, "one": 1}
-    want = {}
-    for inner, by_key in terms.items():
-        prod = T.one()
-        for j in inner:
-            prod = prod * factors[j]
-        for key, coeff in by_key.items():
-            want[key] = want.get(key, T.zero()) + prod.scale(coeff)
-    got = T.zp_product_sums(factors, terms)
-    assert {key: T.zp_slots(v) for key, v in got.items()} == \
-        {key: list(x.c[::r]) for key, x in want.items()}
-    # with T = 1 < p the products alone set the slot width
-    deep = T.zp_product_sums(factors, {tuple(range(6)): {"deep": top}})
-    assert T.zp_slots(deep["deep"]) == list(want["deep"].c[::r])
+    E = _top_elem(T, top)
+    for g in (1, _g_prime_to(p)):
+        want = list((E ** 5).scale(g ** 4).c[::r])
+        ring = ZpCyclic(T, g, 28)
+        P5 = ring.power(ring.pack([ring.coords(E)] * g), 5)
+        assert _z_parts(ring, P5) == [want] * g
+        key = ring.z0_sums({"key": sum(top * P5 for _ in range(28))})
+        assert T.zp_slots(key["key"]) == [v * top * 28 % T.pN for v in want]
+
+
+@pytest.mark.parametrize("p,r,N", [(2, 1, 9), (3, 2, 12), (5, 1, 19),
+                                   (5, 3, 23), (11, 1, 16), (7, 1, 3)])
+def test_zp_cyclic_slot_width_is_sharp(p, r, N):
+    # operands at the limit `mul` allows, every slot 2 p^N - 1, and a key
+    # summing `terms` terms of (p^N - 1) times such a product: the ring
+    # gets them right, and a copy two bits narrower does not
+    T = TowerCtx(build_field(p, r, 0), N)
+    g, terms = _g_prime_to(p), 3
+    E = _top_elem(T, T.pN - 1)
+    want = list((E ** 5).scale(g ** 4).c[::r])
+    ring = ZpCyclic(T, g, terms)
+    narrow = copy.copy(ring)
+    narrow._set_width(ring.bits - 2)
+
+    def fifth_power(ring):
+        P = ring.pack([(2 * T.pN - 1,) * p] * g)
+        return ring.power(P, 5)
+
+    assert T.zp_slots(ring.z0_sums({0: fifth_power(ring)})[0]) == want
+    assert T.zp_slots(narrow.z0_sums({0: fifth_power(narrow)})[0]) != want
+    # with p^N small the terms set the width: 2000 terms (p^N - 1) times a
+    # value whose slots are 2 p^N - 1
+    T = TowerCtx(build_field(3, 1, 0), 1)
+    ring = ZpCyclic(T, 2, 2000)
+    assert ring.bits == (2 * 2000 * 3 ** 2).bit_length()
+    narrow = copy.copy(ring)
+    narrow._set_width(ring.bits - 2)
+    for r_, ok in ((ring, True), (narrow, False)):
+        v = r_.pack([(5, 5, 5)] * 2)
+        got = r_.z0_sums({0: sum(2 * v for _ in range(2000))})[0]
+        assert (T.zp_slots(got) == [2 * 5 * 2000 % 3] * 3) == ok
 
 
 @pytest.mark.parametrize("p,N,terms", [(2, 1, 600), (3, 1, 300),
                                        (2, 3, 2000)])
 def test_zp_product_sums_many_terms_on_one_key(p, N, terms):
     # with p^N small the Barrett step's slot width leaves less room than a
-    # key's sum of T terms needs: T one-factor terms of slots (p^N - 1)^2
+    # key's sum of T terms needs: T terms (p^N - 1) E of slots (p^N - 1)^2
     # overflow a slot sized without 2 T (p^N)^2
     T = TowerCtx(build_field(p, 1, 0), N)
     top = T.pN - 1
     elem = TowerElem(T, (top,) * p)
-    factors = dict.fromkeys(range(terms), elem)
-    got = T.zp_product_sums(factors, {(j,): {"key": top} for j in factors})
-    assert T.zp_slots(got["key"]) == list(elem.scale(top * terms).c)
+    for g in (1, 5):
+        ring = ZpCyclic(T, g, terms)
+        v = ring.pack([ring.coords(elem)])
+        got = ring.z0_sums({"key": sum(top * v for _ in range(terms))})
+        assert T.zp_slots(got["key"]) == list(elem.scale(top * terms).c)
 
 
 def test_zp_product_sums_refuses_a_factor_outside_zp_zeta_p():
     T = TowerCtx(build_field(3, 2, 0), 4)
     y = T.from_w((0, 1))
     with pytest.raises(ValueError, match="not in Z_p"):
-        T.zp_product_sums({1: y}, {(1,): {0: 1}})
+        ZpCyclic(T, 2, 1).coords(y)
+    with pytest.raises(ValueError, match="prime to 3"):
+        ZpCyclic(T, 3, 1)
 
 
 def test_zp_product_sums_refuses_a_factor_of_another_precision():
     T = TowerCtx(build_field(3, 1, 0), 4)
     other = TowerCtx(build_field(3, 2, 0), 5)
+    ring = ZpCyclic(T, 2, 1)
     with pytest.raises(ValueError, match="another p or N"):
-        T.zp_product_sums({1: other.one()}, {(1,): {0: 1}})
+        ring.coords(other.one())
     # a factor from a tower of the same p and N, over another field, is read
     same = TowerCtx(build_field(3, 2, 0), 4)
-    got = T.zp_product_sums({1: same.pi()}, {(1,): {0: 2}})
+    got = ring.z0_sums({0: 2 * ring.pack([ring.coords(same.pi())])})
     assert T.zp_slots(got[0]) == list((T.pi() * 2).c)
 
 
@@ -492,10 +542,10 @@ def test_as_integer_certification():
 
 
 def _packed_sums(T, elems):
-    """{(s, 0): elems[s]} packed by zp_product_sums."""
-    factors = dict(enumerate(elems))
-    return T.zp_product_sums(
-        factors, {(j,): {(j, 0): 1} for j in factors})
+    """{(s, 0): elems[s]} packed as the family part packs its sums."""
+    ring = ZpCyclic(T, 1, 1)
+    return ring.z0_sums({(s, 0): ring.pack([ring.coords(x)])
+                         for s, x in enumerate(elems)})
 
 
 def _slot_integer(T, by_s):
@@ -566,7 +616,8 @@ def test_twist_sums_worst_case_slots(p, r, N):
     elem = TowerElem(T, tuple(c))
     w = T.from_w((top,) * r)
     keys = [(s, k) for s in range(3) for k in range(T.q - 1)]
-    sums = T.zp_product_sums({0: elem}, {(0,): dict.fromkeys(keys, 1)})
+    sums = _packed_sums(T, [elem])
+    sums = dict.fromkeys(keys, sums[0, 0])
     got = T.twist_sums(sums, dict.fromkeys(range(T.q - 1), w))
     want = elem * w
     for _ in range(T.q - 2):
