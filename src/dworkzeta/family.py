@@ -76,7 +76,8 @@ class _FamilyPass:
     prod_j G_Q(k_j)} over the solutions k, each sum a packed value of
     Z_p[zeta_p] (`twist_sums` reads it).  Y's part, `mirror`, is summed
     on construction and X's, `pencil()`, on its first request: a caller
-    that counts only Y does not pay for X's powers mod z^g - 1.
+    that counts only Y does not pay for X's powers mod z^g - 1, but its
+    pass keeps X's inputs, the leaders and the Gauss sums, while cached.
 
     With Q1 = Q-1, e = n+1, g = gcd(e, Q1) and d = Q1/g, the M solutions
     have block residues a + d m_i, a < d, with sum m_i = 0 mod g, and
@@ -151,8 +152,11 @@ class _FamilyPass:
         self.mirror = self._mirror(
             leaders, G, least, xr if g == 1 else ZpCyclic(tower, 1, terms),
             shared)
-        # what X's part reads, dropped once it is summed
-        self._pending = (leaders, G, xr, shared)
+        # what X's part reads, dropped once it is summed: each leader with
+        # its s for M, the Gauss sums and the shared terms
+        self._pending = ([(a, size, last, shapes[0][0])
+                          for a, size, last, shapes in leaders], G, xr,
+                         shared)
         self._pencil: dict = {}
 
     def _s_values(self, x: int, y: int) -> tuple:
@@ -214,12 +218,12 @@ class _FamilyPass:
     def _pencil_sums(self, leaders, G, xr, shared) -> dict:
         Q1, e, g, d = self.Q1, self.e, self.g, self.d
         xs: dict = {}
-        for a, size, last, shapes in leaders:
+        for a, size, last, sx in leaders:
             term = shared.get(a)
             if term is None:
                 P = xr.pack([G[a + d * c] for c in range(g)])
                 term = size * xr.mul(xr.power(P, e), xr.pack((G[last],)))
-            _add(xs, (shapes[0][0], last % self.q1), term)
+            _add(xs, (sx, last % self.q1), term)
         # a = 0, where k_last = 0 mod (q-1): from the powers of K
         ends = self._ends
         K = xr.pack([(0,) * xr.tower.p] + [G[d * c] for c in range(1, g)]) \

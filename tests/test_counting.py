@@ -752,6 +752,7 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
     # 31 residue classes a fall into {0} and ten orbits of three
     reps = list(enumerate_solutions(M, 125, False, 5))
     assert len(reps) == 140
+    assert len(list(enumerate_solutions(M, 125, False))) == 340
     assert sum(count for _, _, count in reps) == 2234 == \
         sum(1 for _ in each_solution(M, 125))
 
