@@ -4,14 +4,7 @@ and its toric mirror over finite fields."""
 __version__ = "0.1.0"
 
 from .ff import PrimePower, FieldCtx, build_field, embed
-from .padic import (
-    TowerCtx,
-    TowerElem,
-    Valuation,
-    build_tower,
-    digit_sum,
-    pi_valuation,
-)
+from .padic import TowerCtx, TowerElem, build_tower
 from .counting import (
     CountRecord,
     DworkInstance,
@@ -20,8 +13,6 @@ from .counting import (
     count_record,
     count_X,
     count_Y,
-    count_Y_strata_brute,
-    enumerate_solutions,
     is_singular,
 )
 from .zeta import (

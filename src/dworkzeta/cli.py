@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
 from functools import cache, partial
 from pathlib import Path
 
@@ -416,7 +415,7 @@ def cmd_sweep(args) -> int:
         "version": __version__,
         # execution-only parameters do not affect results and would break
         # byte-identical reproducibility of the manifest
-        "config": {key: v for key, v in asdict(cfg).items()
+        "config": {key: v for key, v in cfg.to_json_dict().items()
                    if key not in ("out_dir", "threads")},
         "failures": failures,
         "summary": summary,

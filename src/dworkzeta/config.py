@@ -8,7 +8,7 @@ extended tier raises them for documented offline runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 
 from .errors import ConfigError
 
@@ -18,7 +18,7 @@ def _known_keys(cls, raw, what: str) -> dict:
     keys `cls` does not take."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} {raw!r} is not a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    unknown = sorted(set(raw) - set(cls._fields))
     if unknown:
         raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
     return raw
@@ -33,30 +33,33 @@ def _is_int(v) -> bool:
 MAX_PRECISION = 1000
 
 
-@dataclass(frozen=True)
-class Caps:
-    # largest q for which a full discrete-log table is built
-    field_table_max_q: int = 1 << 26
-    # brute-force evaluation budgets
-    affine_enum_max: int = 1 << 34
-    torus_enum_max: int = 1 << 30
-    # override for the p-adic working precision (number of p-digits); 0 = auto
-    precision_override: int = 0
+class Caps(namedtuple("Caps", ("field_table_max_q", "affine_enum_max",
+                               "torus_enum_max", "precision_override"))):
+    """The caps; immutable.  field_table_max_q: largest q for which a full
+    discrete-log table is built; affine_enum_max, torus_enum_max:
+    brute-force evaluation budgets; precision_override: the p-adic working
+    precision (number of p-digits), 0 = auto."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            if not _is_int(getattr(self, f.name)):
-                raise ConfigError(f"caps {f.name} {getattr(self, f.name)!r} "
-                                  f"is not an integer")
-        if not 0 <= self.precision_override <= MAX_PRECISION:
+    __slots__ = ()
+
+    def __new__(cls, field_table_max_q: int = 1 << 26,
+                affine_enum_max: int = 1 << 34, torus_enum_max: int = 1 << 30,
+                precision_override: int = 0):
+        self = super().__new__(cls, field_table_max_q, affine_enum_max,
+                               torus_enum_max, precision_override)
+        for name, value in zip(cls._fields, self):
+            if not _is_int(value):
+                raise ConfigError(f"caps {name} {value!r} is not an integer")
+        if not 0 <= precision_override <= MAX_PRECISION:
             raise ConfigError(f"caps precision_override "
-                              f"{self.precision_override} is outside "
+                              f"{precision_override} is outside "
                               f"[0, {MAX_PRECISION}]")
+        return self
 
     def with_tier(self, tier: str) -> "Caps":
         if tier == "extended":
-            return replace(self, affine_enum_max=self.affine_enum_max << 4,
-                           torus_enum_max=self.torus_enum_max << 4)
+            return self._replace(affine_enum_max=self.affine_enum_max << 4,
+                                 torus_enum_max=self.torus_enum_max << 4)
         return self
 
     @classmethod
@@ -71,24 +74,35 @@ _SWEEP_CHOICES = {"lambda_mode": ("all", "subfield", "zero", "list"),
                   "tier": ("ci", "extended")}
 
 
-@dataclass
 class SweepConfig:
-    """Grid description for the `sweep` command."""
+    """Grid description for the `sweep` command; `cmd_sweep` sets its
+    execution options on the loaded config."""
 
-    n_list: list = field(default_factory=lambda: [2, 3])
-    prime_list: list = field(default_factory=lambda: [3, 5, 7])
-    r_list: list = field(default_factory=lambda: [1])
-    k_max: int = 2
-    lambda_mode: str = "all"  # all | subfield | zero | list
-    lambda_list: list = field(default_factory=list)
-    tier: str = "ci"  # ci | extended
-    seed: int = 0
-    out_dir: str = "sweep_out"
-    threads: int = 1
-    zeta_n_max: int = 2  # recover numerators only for n <= this
-    caps: Caps = field(default_factory=lambda: DEFAULT_CAPS)
+    # every key and its default; a list default is copied per config
+    _fields = {
+        "n_list": [2, 3],
+        "prime_list": [3, 5, 7],
+        "r_list": [1],
+        "k_max": 2,
+        "lambda_mode": "all",  # all | subfield | zero | list
+        "lambda_list": [],
+        "tier": "ci",  # ci | extended
+        "seed": 0,
+        "out_dir": "sweep_out",
+        "threads": 1,
+        "zeta_n_max": 2,  # recover numerators only for n <= this
+        "caps": DEFAULT_CAPS,
+    }
 
-    def __post_init__(self):
+    def __init__(self, **given):
+        unknown = given.keys() - self._fields.keys()
+        if unknown:
+            raise TypeError(f"SweepConfig() got unexpected keyword "
+                            f"argument(s) {', '.join(sorted(unknown))}")
+        for key, default in self._fields.items():
+            value = given.get(key, default)
+            setattr(self, key, value.copy() if value is default and
+                    isinstance(default, list) else value)
         for key in ("n_list", "prime_list", "r_list", "lambda_list"):
             values = getattr(self, key)
             if not (isinstance(values, list) and all(map(_is_int, values))):
@@ -113,6 +127,11 @@ class SweepConfig:
             if any(v < lo for v in values):
                 raise ConfigError(f"{key} {getattr(self, key)!r} has a value "
                                   f"below {lo}")
+
+    def to_json_dict(self) -> dict:
+        """Every key, the caps as a JSON object."""
+        return {**{key: getattr(self, key) for key in self._fields},
+                "caps": self.caps._asdict()}
 
     @classmethod
     def from_json(cls, path: str) -> "SweepConfig":

@@ -40,18 +40,16 @@ The family part walks no solution (module `family`): over GF(Q) the
 pencil's solutions fall into residue classes, each summed as one packed
 power in Z_p[zeta_p][z]/(z^g - 1), g = gcd(n+1, Q-1), and the mirror's
 solutions are the pencil's diagonal ones, so one pass sums both.
-`enumerate_solutions`, the walk over the solutions one per class of block
-reorderings and orbit of k -> q k, stays as the tests' oracle.  Every
+`oracles.enumerate_solutions`, the walk over the solutions one per class
+of block reorderings and orbit of k -> q k, is the tests' oracle.  Every
 Gauss sum over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
 f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (no
 lift) otherwise.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dc_field
-from math import comb, factorial, gcd
-from typing import Iterator, Optional
+from collections import namedtuple
+from math import gcd
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
@@ -61,7 +59,7 @@ from .errors import (
     PrecisionInsufficient,
 )
 from .ff import FieldCtx, build_field, embed
-from .family import _family_sums, _matvec, _orbit_leaders
+from .family import _family_sums
 from .padic import build_tower
 
 
@@ -93,23 +91,18 @@ def dwork_matrix_N(n: int) -> tuple:
     return tuple(rows)
 
 
-@dataclass
 class DworkInstance:
-    """The pair (f, g) for parameters (n, lam) over a base field model."""
+    """The pair (f, g) for parameters (n, lam) over a base field model, with
+    their exponent matrices M and Nmat."""
 
-    n: int
-    field: FieldCtx
-    lam: int  # element code in `field`
-    M: tuple = dc_field(init=False)
-    Nmat: tuple = dc_field(init=False)
-
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, field: FieldCtx, lam: int):
+        if n < 2:
             raise ValueError("n must be >= 2")
-        if not 0 <= self.lam < self.field.pp.q:
+        if not 0 <= lam < field.pp.q:
             raise ValueError("lam is not an element code of the base field")
-        self.M = dwork_matrix_M(self.n)
-        self.Nmat = dwork_matrix_N(self.n)
+        self.n, self.field, self.lam = n, field, lam  # lam: a code in field
+        self.M = dwork_matrix_M(n)
+        self.Nmat = dwork_matrix_N(n)
 
     def extension(self, k: int, cap: int = DEFAULT_CAPS.field_table_max_q):
         """(the shared model of GF(q^k), the image of lam under `embed`)."""
@@ -120,7 +113,7 @@ class DworkInstance:
         return ext, embed(F, ext, self.lam)
 
     @property
-    def lam_dlog(self) -> Optional[int]:
+    def lam_dlog(self) -> int | None:
         """The discrete log of lam in the base field; None for lam = 0."""
         return None if self.lam == 0 else self.field.dlog(self.lam)
 
@@ -208,110 +201,6 @@ def count_Y(n_g_star: int, n: int, q: int) -> int:
     return n_g_star - t1 // q + t2 // (q - 1)
 
 
-def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
-                         caps: Caps = DEFAULT_CAPS) -> int:
-    """Independent #Y oracle: sum the counts of the torus hypersurface over
-    every face of the simplex.  Proper faces of dimension d are cut out by
-    1 + x_1 + ... + x_d = 0 in a d-torus and there are C(n+1, d+1) of them;
-    vertices contribute nothing; the big cell contributes N_g*."""
-    F, _lam = inst.extension(k, cap=caps.field_table_max_q)
-    n = inst.n
-    q = F.pp.q
-    total = count_brute(inst, inst.Nmat, k, caps=caps)
-    add = F.add
-    for d in range(1, n):
-        cnt = 0
-        for xs in itertools.product(range(1, q), repeat=d):
-            s = 1
-            for x in xs:
-                s = add(s, x)
-            if s == 0:
-                cnt += 1
-        total += comb(n + 1, d + 1) * cnt
-    return total
-
-
-# ---------------------------------------------------------------------------
-# structural enumeration of character-sum solutions
-# ---------------------------------------------------------------------------
-
-def _reorderings(block) -> int:
-    """The number of distinct reorderings of a sorted tuple."""
-    out = factorial(len(block))
-    for _, run in itertools.groupby(block):
-        out //= factorial(sum(1 for _ in run))
-    return out
-
-
-def enumerate_solutions(matrix, q: int, lam_zero: bool = False,
-                        base_q: Optional[int] = None) -> Iterator[tuple]:
-    """Solutions k in [0, q-1]^m of matrix*k = 0 mod (q-1), one per class of
-    block reorderings and orbit of base_q-Frobenius, as triples
-    (k, s(k), count) with s(k) the number of nonzero entries of matrix*k.
-
-    The block is the first len(matrix) - 1 coordinates: the exponents of
-    x_i^{n+1} for M, of x_i for N.  Reordering the block's columns only
-    permutes the rows below the row of ones, so it keeps both the solution
-    set and s(k).  The representative has its block sorted.
-
-    Uses the structure of the two Dwork matrices instead of scanning q^m
-    tuples: for M the block residues are a + d m_i, d = (q-1)/gcd(n+1, q-1),
-    with sum m_i = 0 mod gcd(n+1, q-1), walked as sorted multisets, and the
-    last residue is determined; for N every residue but the last is a.  A
-    zero residue lifts to 0 or q-1; in the block, lifting j of z zeros gives
-    one class, with the q-1's last.  lam = 0 pins k_last to 0.
-
-    For GF(base_q) a subfield of GF(q), k -> base_q k (residue-wise, each
-    lift of 0 kept) maps the solutions of class a onto those of class
-    base_q a (mod d for M, mod q-1 for N) one to one, and keeps s(k),
-    k_last mod (base_q - 1), each Gauss product G(k_j) and each class size.
-    So only the least a of each orbit is walked, and count is the number of
-    distinct reorderings times the orbit length; base_q = q (the default)
-    walks every a.  Each representative is re-verified against the matrix.
-    """
-    nrows, ncols, q1 = len(matrix), len(matrix[0]), q - 1
-    n = ncols - 2
-    base_q = q if base_q is None else base_q
-    residue = q1.__rmod__  # x -> x % q1
-
-    def emit(block, tail, weight):
-        # weight: the block's reorderings times the orbit length; lifting j
-        # of its z zeros to q-1 multiplies the reorderings by C(z, j)
-        options = [(t,) if t else (0, q1) for t in tail]
-        if lam_zero:  # the last residue is 0, and its lift stays 0
-            options[-1] = (0,)
-        rests = list(itertools.product(*options))
-        z = block.count(0)
-        for j in range(z + 1):
-            head = block[j:] + (q1,) * j
-            count = weight * comb(z, j)
-            for rest in rests:
-                k = head + rest
-                v = _matvec(matrix, k)
-                if any(map(residue, v)):
-                    raise RuntimeError(f"enumerated non-solution {k} (bug)")
-                yield k, nrows - v.count(0), count
-
-    if nrows == ncols:  # M
-        g = gcd(n + 1, q1)
-        d = q1 // g
-        # m -> a + d m is one to one, so a block has the reorderings of ms
-        multisets = [([d * m for m in ms], _reorderings(ms)) for ms in
-                     itertools.combinations_with_replacement(range(g), n + 1)
-                     if sum(ms) % g == 0]
-        for a, size in _orbit_leaders((0,) if lam_zero else range(d),
-                                      base_q, d):
-            tail = ((-(n + 1) * a) % q1,)
-            for dms, ways in multisets:
-                yield from emit(tuple(map(a.__add__, dms)), tail,
-                                ways * size)
-    else:
-        # lam = 0 pins k_last = 0, i.e. (n+1) a = 0 mod (q-1)
-        step = q1 // gcd(n + 1, q1) if lam_zero else 1
-        for a, size in _orbit_leaders(range(0, q1, step), base_q, q1):
-            yield from emit((a,) * n, (a, (-(n + 1) * a) % q1), size)
-
-
 # ---------------------------------------------------------------------------
 # the character-sum engine
 # ---------------------------------------------------------------------------
@@ -332,20 +221,13 @@ def required_precision(p: int, q: int, n: int, override: int = 0) -> int:
     return N
 
 
-@dataclass
-class CountRecord:
-    n: int
-    p: int
-    r: int
-    k: int
-    lam_dlog: Optional[int]  # None encodes lam = 0
-    Nf: int
-    Nfstar: Optional[int]
-    Ngstar: int
-    X: int
-    Y: int
-    method: str
-    precision: Optional[int] = None
+class CountRecord(namedtuple("CountRecord", (
+        "n", "p", "r", "k", "lam_dlog", "Nf", "Nfstar", "Ngstar", "X", "Y",
+        "method", "precision"), defaults=(None,))):
+    """The counts of one instance over GF(q^k); lam_dlog None encodes
+    lam = 0, Nfstar None a count not made, precision None a brute count."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,15 +9,15 @@ a, each summed as one packed power in Z_p[zeta_p][z]/(z^g - 1),
 g = gcd(n+1, Q-1) (`padic.ZpCyclic`); the mirror's solutions are the
 pencil's diagonal ones (Weil 1949; Koblitz, Compositio Math. 1983), so one
 pass (`_FamilyPass`) serves both.  The walk over the solutions,
-`counting.enumerate_solutions`, stays as the tests' oracle and shares
-`_matvec` and `_orbit_leaders` with this module.
+`oracles.enumerate_solutions`, is the tests' oracle and shares `_matvec`
+and `_orbit_leaders` with this module.
 """
 from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Iterator
 from math import comb, gcd
-from typing import Iterator
 
 from .padic import TowerCtx, ZpCyclic
 

@@ -15,8 +15,7 @@ tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .config import DEFAULT_CAPS
 from .errors import FieldTooLarge, LogOfZero, NotPrime
@@ -40,18 +39,18 @@ def factorize(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    p: int
-    r: int
-    q: int = 0
+class PrimePower(namedtuple("PrimePower", ("p", "r", "q"))):
+    """q = p^r for a prime p and r >= 1; immutable and hashable (a field
+    model's cache key).  A given q is ignored: it is always p^r."""
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(self.p)
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        object.__setattr__(self, "q", self.p ** self.r)
+    __slots__ = ()
+
+    def __new__(cls, p: int, r: int, q: int = 0):
+        if not is_prime(p):
+            raise NotPrime(p)
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+        return super().__new__(cls, p, r, p ** r)
 
     def __repr__(self):
         return f"PrimePower({self.p}^{self.r}={self.q})"
@@ -169,7 +168,7 @@ class FieldCtx:
         # g^la (1 + g^(lb-la)); 1 + c steps the constant (lowest) digit of c
         self.zech_table = [self.log_table[c - c % p + (c % p + 1) % p]
                            for c in self.exp_table]
-        self._trace_table: Optional[list] = None
+        self._trace_table: list | None = None
 
     # -- construction ------------------------------------------------------
 

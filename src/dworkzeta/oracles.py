@@ -1,0 +1,169 @@
+"""Independent oracles for the tests: code that no command runs.
+
+Each recomputes a quantity the package computes another way, or walks what
+the package's fast paths only sum: the mirror count stratum by stratum
+(`count_Y_strata_brute`), the character-sum solutions one per class
+(`enumerate_solutions`), which the family pass of module `family` sums
+without walking, and the pi-adic valuation of a tower element
+(`pi_valuation`), which Stickelberger's theorem predicts for a Gauss sum
+from a digit sum (`digit_sum`).  Neither the package nor its CLI imports
+this module.
+"""
+from __future__ import annotations
+
+import itertools
+from collections import namedtuple
+from collections.abc import Iterator
+from fractions import Fraction
+from math import comb, factorial, gcd
+
+from .config import DEFAULT_CAPS, Caps
+from .counting import DworkInstance, count_brute
+from .family import _matvec, _orbit_leaders
+from .ff import PrimePower, _digits
+from .padic import TowerElem, vp
+
+
+# ---------------------------------------------------------------------------
+# brute-force mirror count
+# ---------------------------------------------------------------------------
+
+def count_Y_strata_brute(inst: DworkInstance, k: int = 1,
+                         caps: Caps = DEFAULT_CAPS) -> int:
+    """Independent #Y oracle: sum the counts of the torus hypersurface over
+    every face of the simplex.  Proper faces of dimension d are cut out by
+    1 + x_1 + ... + x_d = 0 in a d-torus and there are C(n+1, d+1) of them;
+    vertices contribute nothing; the big cell contributes N_g*."""
+    F, _lam = inst.extension(k, cap=caps.field_table_max_q)
+    n = inst.n
+    q = F.pp.q
+    total = count_brute(inst, inst.Nmat, k, caps=caps)
+    add = F.add
+    for d in range(1, n):
+        cnt = 0
+        for xs in itertools.product(range(1, q), repeat=d):
+            s = 1
+            for x in xs:
+                s = add(s, x)
+            if s == 0:
+                cnt += 1
+        total += comb(n + 1, d + 1) * cnt
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the character-sum solutions, one per class
+# ---------------------------------------------------------------------------
+
+def _reorderings(block) -> int:
+    """The number of distinct reorderings of a sorted tuple."""
+    out = factorial(len(block))
+    for _, run in itertools.groupby(block):
+        out //= factorial(sum(1 for _ in run))
+    return out
+
+
+def enumerate_solutions(matrix, q: int, lam_zero: bool = False,
+                        base_q: int | None = None) -> Iterator[tuple]:
+    """Solutions k in [0, q-1]^m of matrix*k = 0 mod (q-1), one per class of
+    block reorderings and orbit of base_q-Frobenius, as triples
+    (k, s(k), count) with s(k) the number of nonzero entries of matrix*k.
+
+    The block is the first len(matrix) - 1 coordinates: the exponents of
+    x_i^{n+1} for M, of x_i for N.  Reordering the block's columns only
+    permutes the rows below the row of ones, so it keeps both the solution
+    set and s(k).  The representative has its block sorted.
+
+    Uses the structure of the two Dwork matrices instead of scanning q^m
+    tuples: for M the block residues are a + d m_i, d = (q-1)/gcd(n+1, q-1),
+    with sum m_i = 0 mod gcd(n+1, q-1), walked as sorted multisets, and the
+    last residue is determined; for N every residue but the last is a.  A
+    zero residue lifts to 0 or q-1; in the block, lifting j of z zeros gives
+    one class, with the q-1's last.  lam = 0 pins k_last to 0.
+
+    For GF(base_q) a subfield of GF(q), k -> base_q k (residue-wise, each
+    lift of 0 kept) maps the solutions of class a onto those of class
+    base_q a (mod d for M, mod q-1 for N) one to one, and keeps s(k),
+    k_last mod (base_q - 1), each Gauss product G(k_j) and each class size.
+    So only the least a of each orbit is walked, and count is the number of
+    distinct reorderings times the orbit length; base_q = q (the default)
+    walks every a.  Each representative is re-verified against the matrix.
+    """
+    nrows, ncols, q1 = len(matrix), len(matrix[0]), q - 1
+    n = ncols - 2
+    base_q = q if base_q is None else base_q
+    residue = q1.__rmod__  # x -> x % q1
+
+    def emit(block, tail, weight):
+        # weight: the block's reorderings times the orbit length; lifting j
+        # of its z zeros to q-1 multiplies the reorderings by C(z, j)
+        options = [(t,) if t else (0, q1) for t in tail]
+        if lam_zero:  # the last residue is 0, and its lift stays 0
+            options[-1] = (0,)
+        rests = list(itertools.product(*options))
+        z = block.count(0)
+        for j in range(z + 1):
+            head = block[j:] + (q1,) * j
+            count = weight * comb(z, j)
+            for rest in rests:
+                k = head + rest
+                v = _matvec(matrix, k)
+                if any(map(residue, v)):
+                    raise RuntimeError(f"enumerated non-solution {k} (bug)")
+                yield k, nrows - v.count(0), count
+
+    if nrows == ncols:  # M
+        g = gcd(n + 1, q1)
+        d = q1 // g
+        # m -> a + d m is one to one, so a block has the reorderings of ms
+        multisets = [([d * m for m in ms], _reorderings(ms)) for ms in
+                     itertools.combinations_with_replacement(range(g), n + 1)
+                     if sum(ms) % g == 0]
+        for a, size in _orbit_leaders((0,) if lam_zero else range(d),
+                                      base_q, d):
+            tail = ((-(n + 1) * a) % q1,)
+            for dms, ways in multisets:
+                yield from emit(tuple(map(a.__add__, dms)), tail,
+                                ways * size)
+    else:
+        # lam = 0 pins k_last = 0, i.e. (n+1) a = 0 mod (q-1)
+        step = q1 // gcd(n + 1, q1) if lam_zero else 1
+        for a, size in _orbit_leaders(range(0, q1, step), base_q, q1):
+            yield from emit((a,) * n, (a, (-(n + 1) * a) % q1), size)
+
+
+# ---------------------------------------------------------------------------
+# pi-adic valuations
+# ---------------------------------------------------------------------------
+
+class Valuation(namedtuple("Valuation", ("numerator", "r", "p", "exact"),
+                           defaults=(True,))):
+    """A pi-adic valuation in units of 1/(r(p-1)) of ord_q.
+
+    numerator/(r(p-1)) is ord_q; numerator/(p-1) is ord_p.  When exact is
+    False the element was indistinguishable from 0 at the working precision
+    and numerator is only a lower bound.
+    """
+
+    __slots__ = ()
+
+    @property
+    def ord_q(self) -> Fraction:
+        return Fraction(self.numerator, self.r * (self.p - 1))
+
+
+def pi_valuation(x: TowerElem) -> Valuation:
+    p, r = x.ctx.p, x.ctx.r
+    vals = [i + (p - 1) * vp(c, p)
+            for i, row in enumerate(x.rows) for c in row if c]
+    if not vals:
+        # indistinguishable from zero; (p-1)*N is the precision horizon
+        return Valuation((p - 1) * x.ctx.N, r, p, exact=False)
+    return Valuation(min(vals), r, p, exact=True)
+
+
+def digit_sum(k: int, pp: PrimePower) -> int:
+    """Sum of base-p digits of k, for 0 <= k <= q-1."""
+    if not 0 <= k <= pp.q - 1:
+        raise ValueError(f"k must lie in [0, q-1], got {k}")
+    return sum(_digits(k, pp.p, pp.r))

@@ -33,7 +33,7 @@ it, so the full table (`gauss_table`) is only built on demand.
 
 Since x^p - 1 = (x - 1) Phi_p, a value has many representatives in R.
 Every read-out of an element (equality, hashing, `as_integer`,
-`pi_valuation`, the `gauss` dump) goes through `rows`: the canonical
+`oracles.pi_valuation`, the `gauss` dump) goes through `rows`: the canonical
 coordinates in the basis pi^i y^j (i < p-1, j < r), pi-degree major, where
 pi = zeta_p - 1 is a root of the Eisenstein polynomial ((1+pi)^p - 1)/pi
 (pi = -2 for p = 2).
@@ -42,31 +42,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 
 from .errors import NonIntegralResult
-from .ff import FieldCtx, PrimePower, _digits, _power
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """A pi-adic valuation in units of 1/(r(p-1)) of ord_q.
-
-    numerator/(r(p-1)) is ord_q; numerator/(p-1) is ord_p.  When exact is
-    False the element was indistinguishable from 0 at the working precision
-    and numerator is only a lower bound.
-    """
-
-    numerator: int
-    r: int
-    p: int
-    exact: bool = True
-
-    @property
-    def ord_q(self) -> Fraction:
-        return Fraction(self.numerator, self.r * (self.p - 1))
+from .ff import FieldCtx, PrimePower, _power
 
 
 class TowerElem:
@@ -540,20 +519,3 @@ def vp(c: int, p: int) -> int:
         c //= p
         v += 1
     return v
-
-
-def pi_valuation(x: TowerElem) -> Valuation:
-    p, r = x.ctx.p, x.ctx.r
-    vals = [i + (p - 1) * vp(c, p)
-            for i, row in enumerate(x.rows) for c in row if c]
-    if not vals:
-        # indistinguishable from zero; (p-1)*N is the precision horizon
-        return Valuation((p - 1) * x.ctx.N, r, p, exact=False)
-    return Valuation(min(vals), r, p, exact=True)
-
-
-def digit_sum(k: int, pp: PrimePower) -> int:
-    """Sum of base-p digits of k, for 0 <= k <= q-1."""
-    if not 0 <= k <= pp.q - 1:
-        raise ValueError(f"k must lie in [0, q-1], got {k}")
-    return sum(_digits(k, pp.p, pp.r))

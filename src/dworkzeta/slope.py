@@ -8,9 +8,9 @@ opposite sign cancel on construction, which is exactly the reduced form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
 from .padic import vp
@@ -21,11 +21,10 @@ from .zeta import IntPoly, ZetaData
 # Newton polygons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(namedtuple("NewtonPolygon", ("vertices",))):
     """Lower convex hull of (i, ord_q(c_i)); vertices with Fraction heights."""
 
-    vertices: tuple
+    __slots__ = ()
 
     @property
     def segments(self) -> tuple:
@@ -180,7 +179,7 @@ def slope_zeta(z: ZetaData) -> SlopeZeta:
     return SlopeZeta(terms)
 
 
-def slope_fe_check(S: SlopeZeta, d: int, e: Optional[int] = None) -> bool:
+def slope_fe_check(S: SlopeZeta, d: int, e: int | None = None) -> bool:
     """Multiset form of S_p(X, u, 1/(u^d T)) = S_p(X, u, T) (-u^{d/2} T)^{e}:
     slopes symmetric under s -> d - s, the weighted sum sits at d/2 of the
     total, and e (when given) matches -sum m_s."""
@@ -200,16 +199,17 @@ def slope_fe_check(S: SlopeZeta, d: int, e: Optional[int] = None) -> bool:
 # Hodge data for the pencil
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HodgeData:
-    d: int
-    h: tuple  # (d+1) x (d+1) Hodge numbers
+class HodgeData(namedtuple("HodgeData", ("d", "h"))):
+    """The (d+1) x (d+1) Hodge numbers h of a variety of dimension d."""
 
-    def __post_init__(self):
-        for i in range(self.d + 1):
-            for j in range(self.d + 1):
-                if self.h[i][j] != self.h[j][i]:
+    __slots__ = ()
+
+    def __new__(cls, d: int, h: tuple):
+        for i in range(d + 1):
+            for j in range(d + 1):
+                if h[i][j] != h[j][i]:
                     raise ValueError("Hodge numbers must be symmetric")
+        return super().__new__(cls, d, h)
 
     @property
     def euler(self) -> int:

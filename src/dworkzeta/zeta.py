@@ -18,9 +18,9 @@ trace polynomial; nothing here uses floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from math import comb, gcd, isqrt
-from typing import Optional, Sequence
 
 from . import counting
 from .config import DEFAULT_CAPS
@@ -124,19 +124,14 @@ def numerator_exponent(n: int) -> int:
     return (-1) ** n
 
 
-@dataclass
-class ZetaData:
-    """A factored zeta function with integer numerator and trivial factors."""
+class ZetaData(namedtuple("ZetaData", (
+        "variety", "n", "p", "r", "q", "lam_dlog", "numerator",
+        "numerator_exponent", "trivial"))):
+    """A factored zeta function with integer numerator and trivial factors:
+    variety X or Y, the IntPoly numerator with its exponent, and trivial
+    ((i, e_i), ...)."""
 
-    variety: str  # X | Y
-    n: int
-    p: int
-    r: int
-    q: int
-    lam_dlog: Optional[int]
-    numerator: IntPoly
-    numerator_exponent: int
-    trivial: tuple  # ((i, e_i), ...)
+    __slots__ = ()
 
     def count(self, k: int) -> int:
         s = self.numerator.power_sums(k)
@@ -396,7 +391,7 @@ def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
     return zd
 
 
-def _recover(inst, variety: str, caps, k_budget: Optional[int]) -> ZetaData:
+def _recover(inst, variety: str, caps, k_budget: int | None) -> ZetaData:
     """Count `variety` over GF(q^k), k = 1..budget, and recover its zeta:
     X from M in affine space, Y from N on the torus, both of weight n-1."""
     caps = caps or DEFAULT_CAPS
@@ -415,13 +410,13 @@ def _recover(inst, variety: str, caps, k_budget: Optional[int]) -> ZetaData:
 
 
 def recover_pencil_zeta(inst, caps=None,
-                        k_budget: Optional[int] = None) -> ZetaData:
+                        k_budget: int | None = None) -> ZetaData:
     """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1,
     completed by the functional equation."""
     return _recover(inst, "X", caps, k_budget)
 
 
 def recover_mirror_zeta(inst, caps=None,
-                        k_budget: Optional[int] = None) -> ZetaData:
+                        k_budget: int | None = None) -> ZetaData:
     """Z(Y_lam): numerator of degree n, weight n-1."""
     return _recover(inst, "Y", caps, k_budget)

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from dworkzeta.counting import enumerate_solutions
+from dworkzeta.oracles import enumerate_solutions
 
 
 def each_solution(matrix, q, lam_zero=False):

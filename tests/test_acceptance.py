@@ -24,12 +24,12 @@ from dworkzeta.counting import (
     count_brute,
     count_X,
     count_Y,
-    count_Y_strata_brute,
     dwork_matrix_M,
     is_singular,
 )
 from dworkzeta.ff import build_field
-from dworkzeta.padic import build_tower, digit_sum, pi_valuation
+from dworkzeta.oracles import count_Y_strata_brute, digit_sum, pi_valuation
+from dworkzeta.padic import build_tower
 from dworkzeta.slope import (
     hodge_numbers_dwork,
     newton_above_hodge,

@@ -104,9 +104,9 @@ def _fresh_env() -> dict:
     return env
 
 
-def _run_fresh_interpreter(code: str):
-    subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True,
-                   timeout=120)
+def _run_fresh_interpreter(code: str, *flags: str):
+    subprocess.run([sys.executable, *flags, "-c", code], env=_fresh_env(),
+                   check=True, timeout=120)
 
 
 def test_zeta_does_not_import_sympy():
@@ -119,12 +119,22 @@ def test_zeta_does_not_import_sympy():
         "assert 'sympy' not in sys.modules\n")
 
 
-def test_cli_import_does_not_load_multiprocessing():
-    # only a sweep with more than one worker starts a process pool
+# modules a command never needs: the record types are plain classes and
+# namedtuples (dataclasses pulls in inspect, ast, dis and tokenize), no
+# annotation is evaluated (typing), only a sweep with more than one worker
+# starts a process pool, and the oracles serve the tests alone
+_DENIED_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                     "typing", "multiprocessing", "concurrent.futures",
+                     "dworkzeta.oracles")
+
+
+def test_cli_import_loads_no_denied_module():
+    # -S: a site hook that preloads one of them cannot hide a regression
     _run_fresh_interpreter(
         "import sys, dworkzeta.cli\n"
-        "for name in ('multiprocessing', 'concurrent.futures'):\n"
-        "    assert name not in sys.modules, name\n")
+        f"loaded = [name for name in {_DENIED_AT_IMPORT!r}\n"
+        "          if name in sys.modules]\n"
+        "assert not loaded, loaded\n", "-S")
 
 
 def test_cli_import_does_not_load_mpmath():

@@ -10,16 +10,13 @@ from dworkzeta.config import Caps
 from dworkzeta.counting import (
     CountRecord,
     DworkInstance,
-    _matvec,
     charsum_count,
     count_brute,
     count_record,
     count_X,
     count_Y,
-    count_Y_strata_brute,
     dwork_matrix_M,
     dwork_matrix_N,
-    enumerate_solutions,
     gauss_field_degree,
     is_singular,
     required_precision,
@@ -30,8 +27,14 @@ from dworkzeta.errors import (
     FieldTooLarge,
     PrecisionInsufficient,
 )
+from dworkzeta.family import _matvec
 from dworkzeta.ff import FieldCtx, build_field, embed, factorize
-from dworkzeta.padic import TowerCtx, TowerElem, build_tower, pi_valuation
+from dworkzeta.oracles import (
+    count_Y_strata_brute,
+    enumerate_solutions,
+    pi_valuation,
+)
+from dworkzeta.padic import TowerCtx, TowerElem, build_tower
 
 
 def inst(n, p, r, lam, seed=0):
@@ -553,10 +556,10 @@ def test_lam_zero_count_builds_no_extension_field():
 def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
     # no count path walks the solutions: one family pass per field and lam
     # mode serves M and N
-    from dworkzeta import counting, family as fam
+    from dworkzeta import counting, family as fam, oracles
     from dworkzeta.cli import main
 
-    real_walk, real_family, real_pencil = counting.enumerate_solutions, \
+    real_walk, real_family, real_pencil = oracles.enumerate_solutions, \
         counting._family_sums.__wrapped__, fam._FamilyPass._pencil_sums
     walks, passes, pencils = [], [], []
 
@@ -572,7 +575,7 @@ def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
         pencils.append(self)
         return real_pencil(self, *inputs)
 
-    monkeypatch.setattr(counting, "enumerate_solutions", walk)
+    monkeypatch.setattr(oracles, "enumerate_solutions", walk)
     monkeypatch.setattr(counting, "_family_sums",
                         functools.lru_cache(maxsize=64)(family))
     monkeypatch.setattr(fam._FamilyPass, "_pencil_sums", pencil)
