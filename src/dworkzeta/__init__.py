@@ -4,7 +4,7 @@ and its toric mirror over finite fields."""
 __version__ = "0.1.0"
 
 from .ff import PrimePower, FieldCtx, build_field, embed
-from .padic import TowerCtx, TowerElem, build_tower
+from .padic import TowerCtx, build_tower
 from .counting import (
     CountRecord,
     DworkInstance,

@@ -437,8 +437,9 @@ def cmd_gauss(args) -> int:
         _emit({"schema": 1, "p": args.p, "r": args.r, "N": args.N,
                "seed": _seed_of(args),
                "modulus": [int(c) for c in field.modulus]}, out)
-        for k, g in enumerate(tower.gauss_table()):
-            coords = [str(c) for row in g.rows for c in row]  # pi-major
+        for k, g in enumerate(tower.gauss_table()):  # G(k) is y^0 only
+            coords = [str(c) for row in tower.pi_rows(g)  # pi-major
+                      for c in row + (0,) * (args.r - 1)]
             _emit({"k": k, "coords": coords}, out)
     return EXIT_OK
 

@@ -105,13 +105,15 @@ class _FamilyPass:
 
     Frobenius a -> a^p permutes GF(Q)^* and keeps the trace, so
     G_Q(p k mod Q1) = G_Q(k): each Gauss sum is read at the least member
-    of its p-cyclotomic coset, through the Hasse-Davenport lift
-    G_Q(t Q1/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m, formed only at m > 1; the
-    caller picks q_f so that every index 0 < k_j < Q-1 is such a multiple,
-    and then so is every member of its coset."""
+    of its p-cyclotomic coset, lifted from GF(q_f) at m > 1
+    (`ZpCyclic.power`); the caller picks q_f so that every index
+    0 < k_j < Q-1 is a multiple of Q1/(q_f-1), and then so is every member
+    of its coset."""
 
     def __init__(self, tower: TowerCtx, gauss_tower: TowerCtx, M: tuple,
                  Nm: tuple, lam_zero: bool, m: int = 1):
+        if (gauss_tower.p, gauss_tower.N) != (tower.p, tower.N):
+            raise ValueError(f"{gauss_tower} has another p or N than {tower}")
         n, Q1 = len(Nm) - 1, gauss_tower.q ** m - 1
         e, g = n + 1, gcd(n + 1, Q1)
         d = Q1 // g
@@ -141,17 +143,17 @@ class _FamilyPass:
         if any(kj % step for kj in mins):
             raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
         gauss = gauss_tower.gauss_sums([kj // step for kj in mins])
-        if m > 1:
-            sign = (-1) ** (m - 1)
-            gauss = [(G ** m).scale(sign) for G in gauss]
         terms = Q1 + 4 * (n + 2) ** 2  # a bound on the terms of a key's sum
         xr = ZpCyclic(tower, g, terms)
-        coords = dict(zip(mins, map(xr.coords, gauss)))
-        G = {kj: coords[least[kj]] for kj in idx}
+        yr = xr if g == 1 else ZpCyclic(tower, 1, terms)
+        if m > 1:  # Hasse-Davenport: (-1)^{m-1} G^m
+            sign = (-1) ** (m - 1)
+            gauss = [tuple(sign * x % self.pN for x in yr.coords(
+                yr.power(yr.pack((G,)), m))) for G in gauss]
+        by_min = dict(zip(mins, gauss))
+        G = {kj: by_min[least[kj]] for kj in idx}
         shared: dict = {}  # a -> the term X and Y share at g = 1
-        self.mirror = self._mirror(
-            leaders, G, least, xr if g == 1 else ZpCyclic(tower, 1, terms),
-            shared)
+        self.mirror = self._mirror(leaders, G, least, yr, shared)
         # what X's part reads, dropped once it is summed: each leader with
         # its s for M, the Gauss sums and the shared terms
         self._pending = ([(a, size, last, shapes[0][0])

@@ -6,12 +6,14 @@ the package's fast paths only sum: the mirror count stratum by stratum
 (`enumerate_solutions`), which the family pass of module `family` sums
 without walking, and the pi-adic valuation of a tower element
 (`pi_valuation`), which Stickelberger's theorem predicts for a Gauss sum
-from a digit sum (`digit_sum`).  Neither the package nor its CLI imports
-this module.
+from a digit sum (`digit_sum`), in the ring of `TowerElem`s, where the
+tests check the tuples and packed integers of `padic`.  Neither the
+package nor its CLI imports this module.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -19,9 +21,10 @@ from math import comb, factorial, gcd
 
 from .config import DEFAULT_CAPS, Caps
 from .counting import DworkInstance, count_brute
+from .errors import NonIntegralResult
 from .family import _matvec, _orbit_leaders
-from .ff import PrimePower, _digits
-from .padic import TowerElem, vp
+from .ff import PrimePower, _digits, _power
+from .padic import TowerCtx, vp
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +133,127 @@ def enumerate_solutions(matrix, q: int, lam_zero: bool = False,
         step = q1 // gcd(n + 1, q1) if lam_zero else 1
         for a, size in _orbit_leaders(range(0, q1, step), base_q, q1):
             yield from emit((a,) * n, (a, (-(n + 1) * a) % q1), size)
+
+
+# ---------------------------------------------------------------------------
+# the tower ring
+# ---------------------------------------------------------------------------
+
+class TowerElem:
+    """An element of (W/p^N)[x]/(x^p - 1), x = zeta_p, on a `TowerCtx`: p*r
+    residues c, c[i*r + j] the coefficient of x^i y^j; immutable.  Products
+    are `TowerCtx._mul_coeffs` at p x-blocks; equality compares `rows`."""
+
+    __slots__ = ("ctx", "c")
+
+    def __init__(self, ctx: TowerCtx, c):
+        self.ctx = ctx
+        self.c = c
+
+    @classmethod
+    def from_w(cls, ctx: TowerCtx, w) -> "TowerElem":
+        """A value of W, as `teich` returns it, placed on x^0."""
+        c = tuple(v % ctx.pN for v in w)
+        return cls(ctx, c + (0,) * (ctx.p * ctx.r - len(c)))
+
+    @classmethod
+    def from_zp(cls, ctx: TowerCtx, xs) -> "TowerElem":
+        """A value of Z_p[zeta_p], as `gauss_sums` returns it, on y^0."""
+        c = [0] * (ctx.p * ctx.r)
+        c[::ctx.r] = [v % ctx.pN for v in xs]
+        return cls(ctx, tuple(c))
+
+    @classmethod
+    def from_int(cls, ctx: TowerCtx, n: int) -> "TowerElem":
+        return cls.from_w(ctx, (n,))
+
+    @classmethod
+    def zero(cls, ctx: TowerCtx) -> "TowerElem":
+        return cls.from_int(ctx, 0)
+
+    @classmethod
+    def one(cls, ctx: TowerCtx) -> "TowerElem":
+        return cls.from_int(ctx, 1)
+
+    @classmethod
+    def zeta_p(cls, ctx: TowerCtx) -> "TowerElem":
+        return cls.from_zp(ctx, (0, 1) + (0,) * (ctx.p - 2))
+
+    @classmethod
+    def pi(cls, ctx: TowerCtx) -> "TowerElem":
+        return cls.zeta_p(ctx) + -1
+
+    @property
+    def rows(self) -> tuple:
+        """The pi-coordinates, (p-1) rows of r (`TowerCtx.pi_rows`)."""
+        return self.ctx.pi_rows(self.c)
+
+    def _coerce(self, x) -> "TowerElem":
+        if isinstance(x, TowerElem):
+            if x.ctx is not self.ctx:
+                raise ValueError("mixing elements of different towers")
+            return x
+        if isinstance(x, int):
+            return TowerElem.from_int(self.ctx, x)
+        raise TypeError(f"cannot coerce {type(x)} into the tower")
+
+    def __add__(self, other):
+        pN = self.ctx.pN
+        return TowerElem(self.ctx, tuple(
+            (x + y) % pN for x, y in zip(self.c, self._coerce(other).c)))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        ctx = self.ctx
+        return TowerElem(ctx, ctx._mul_coeffs(self.c, self._coerce(other).c,
+                                              ctx.p))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative powers are not defined in the tower")
+        return _power(self, e, operator.mul) if e else TowerElem.one(self.ctx)
+
+    def scale(self, n: int) -> "TowerElem":
+        pN = self.ctx.pN
+        return TowerElem(self.ctx, tuple(x * n % pN for x in self.c))
+
+    def __eq__(self, other):
+        if not isinstance(other, TowerElem):
+            return NotImplemented
+        return self.ctx is other.ctx and self.rows == other.rows
+
+    def as_integer(self) -> int:
+        """The value as a rational integer mod p^N; raises if coordinates
+        outside the Z_p slot are nonzero."""
+        rows = self.rows
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if (i, j) != (0, 0) and x != 0:
+                    raise NonIntegralResult(
+                        f"nonzero coordinate at pi^{i} y^{j}: {x}")
+        return rows[0][0]
+
+    def __repr__(self):
+        return f"TowerElem({self.rows} mod {self.ctx.p}^{self.ctx.N})"
+
+
+def zp_coords(x: TowerElem) -> tuple:
+    """The p x-coordinates of x, as `ZpCyclic.pack` reads them; ValueError
+    if x has a nonzero y^j part, j > 0, so is not in Z_p[zeta_p]."""
+    xs = x.c[::x.ctx.r]
+    if x.c.count(0) - xs.count(0) != len(x.c) - x.ctx.p:
+        raise ValueError(f"{x} is not in Z_p[zeta_p]")
+    return xs
+
+
+def zp_slots(tower: TowerCtx, v: int) -> list:
+    """The p x-slots mod p^N of a `z0_sums` value or `twist_sums` part."""
+    Z, pN = tower._zp_bits, tower.pN
+    return [(v >> s & (1 << Z) - 1) % pN for s in range(0, Z * tower.p, Z)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,42 +1,30 @@
 """Truncated p-adic arithmetic in Z_p[zeta_p] (x) W, modulo p^N.
 
-W/p^N = (Z/p^N)[y]/(m(y)) is the unramified extension of degree r, with m
-the integer lift of the GF(q) model's modulus.  The ring is computed as
-R = (W/p^N)[x]/(x^p - 1) with x = zeta_p; its quotient by
-Phi_p(x) = 1 + x + ... + x^{p-1} is Z_p[zeta_p] (x) W mod p^N.  An element
-is a flat tuple of p*r residues, entry i*r + j the coefficient of x^i y^j,
-and a product is one big-int product of operands packed by Horner, x^i y^j
-in slot i(2r-1) + j.  The reduction by m(y) of the y-degrees r..2r-2 runs
-only at r > 1; at r = 1 the slots are unpacked mod p^N in one pass, and a
-product in W is one integer product mod p^N.
+W/p^N = (Z/p^N)[y]/(m(y)) is the unramified extension of degree r, m the
+integer lift of the GF(q) model's modulus.  Values are plain tuples: a
+value of W is r residues, y^j at entry j, and a value of Z_p[zeta_p] is p
+residues, x^i at entry i, x = zeta_p, read in (Z/p^N)[x]/(x^p - 1), whose
+quotient by Phi_p(x) = 1 + x + ... + x^{p-1} is Z_p[zeta_p] mod p^N.
+`pi_rows` gives the canonical coordinates, in the basis pi^i with
+pi = zeta_p - 1, a root of the Eisenstein polynomial ((1+pi)^p - 1)/pi
+(pi = -2 for p = 2).  A product in W is one big-int product of
+Kronecker-packed operands (`_mul_coeffs`).
 
-The character-sum count runs on packed integers, and only this module
-knows their layout.  The family part computes in
-Z_p[zeta_p][z]/(z^g - 1) (`ZpCyclic`), x^i z^c in the slot e < pg with
-e = i mod p and e = c mod g, so that a product is one big-int multiply,
-one fold by w^{pg} = 1 and one Barrett step; it sums the products per
-key and reads each sum's z^0 part, the p x-coordinates of a value of
-Z_p[zeta_p], x^i in slot i, reduced mod p^N.  `twist_sums` (the fiber
-part) multiplies those by values of W, one packed sum per y^j, so no
-reduction by m(y) is needed at any r; `zp_integer` combines those sums
-and certifies the result a rational integer on the slots, the condition
-`as_integer` checks.
-
-Teichmuller values chi(a) lie on x^0 and are computed in W alone (the
-packed product with one x-block), by Newton iteration.  A Gauss sum
-G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m], each
+Teichmuller values chi(a) are computed in W by Newton iteration.  A Gauss
+sum G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m],
 acc[m] in Z_p, with G(0) = q-1 and G(q-1) = -q by convention; it reads
 only the y^0 coordinates of the powers chi(g)^j, which follow a linear
-recurrence of order r (`teich_y0`).  `TowerCtx.gauss_sums` is the one
-entry point: a context computes each G(k) on its first request and keeps
-it, so the full table (`gauss_table`) is only built on demand.
+recurrence of order r (`teich_y0`).  `TowerCtx.gauss_sums` computes each
+G(k) on its first request and keeps it.
 
-Since x^p - 1 = (x - 1) Phi_p, a value has many representatives in R.
-Every read-out of an element (equality, hashing, `as_integer`,
-`oracles.pi_valuation`, the `gauss` dump) goes through `rows`: the canonical
-coordinates in the basis pi^i y^j (i < p-1, j < r), pi-degree major, where
-pi = zeta_p - 1 is a root of the Eisenstein polynomial ((1+pi)^p - 1)/pi
-(pi = -2 for p = 2).
+The character-sum count runs on packed integers, whose layouts only this
+module knows.  The family part computes in Z_p[zeta_p][z]/(z^g - 1)
+(`ZpCyclic`) and reads each sum's z^0 part as p x-slots; `twist_sums`
+multiplies those by values of W, one packed sum per y^j, so no reduction
+by m(y) is needed, and `zp_integer` certifies the combination a rational
+integer on the slots.  The ring (W/p^N)[x]/(x^p - 1) as a whole, whose
+products are `_mul_coeffs` at p x-blocks, is the tests' oracle ring in
+module `oracles`, which no command runs.
 """
 from __future__ import annotations
 
@@ -48,82 +36,8 @@ from .errors import NonIntegralResult
 from .ff import FieldCtx, PrimePower, _power
 
 
-class TowerElem:
-    """Element of the truncated tower ring; immutable."""
-
-    __slots__ = ("ctx", "c")
-
-    def __init__(self, ctx: "TowerCtx", c):
-        self.ctx = ctx
-        self.c = c  # p*r ints mod p^N; c[i*r + j] multiplies x^i y^j
-
-    @property
-    def rows(self) -> tuple:
-        """The pi-coordinates: (p-1) tuples of r residues, rows[i][j] the
-        coefficient of pi^i y^j."""
-        ctx = self.ctx
-        p, r, pN, c = ctx.p, ctx.r, ctx.pN, self.c
-        top = c[(p - 1) * r:]
-        # x^{p-1} = -(1 + x + ... + x^{p-2}) mod Phi_p, then x^i = (1 + pi)^i
-        a = [[c[i * r + j] - top[j] for j in range(r)] for i in range(p - 1)]
-        return tuple(
-            tuple(sum(comb(i, k) * a[i][j] for i in range(k, p - 1)) % pN
-                  for j in range(r))
-            for k in range(p - 1))
-
-    def __add__(self, other):
-        other = self.ctx.coerce(other)
-        pN = self.ctx.pN
-        return TowerElem(self.ctx, tuple(
-            (x + y) % pN for x, y in zip(self.c, other.c)))
-
-    def __sub__(self, other):
-        other = self.ctx.coerce(other)
-        pN = self.ctx.pN
-        return TowerElem(self.ctx, tuple(
-            (x - y) % pN for x, y in zip(self.c, other.c)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        other = self.ctx.coerce(other)
-        return self.ctx._mul(self, other)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined in the tower")
-        return _power(self, e, operator.mul) if e else self.ctx.one()
-
-    def scale(self, n: int) -> "TowerElem":
-        pN = self.ctx.pN
-        n %= pN
-        return TowerElem(self.ctx, tuple((x * n) % pN for x in self.c))
-
-    def __eq__(self, other):
-        if not isinstance(other, TowerElem):
-            return NotImplemented
-        return self.ctx is other.ctx and self.rows == other.rows
-
-    def as_integer(self) -> int:
-        """The value as a rational integer mod p^N; raises if coordinates
-        outside the Z_p slot are nonzero."""
-        rows = self.rows
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if (i, j) != (0, 0) and x != 0:
-                    raise NonIntegralResult(
-                        f"nonzero coordinate at pi^{i} y^{j}: {x}")
-        return rows[0][0]
-
-    def __repr__(self):
-        return f"TowerElem({self.rows} mod {self.ctx.p}^{self.ctx.N})"
-
-
 class TowerCtx:
-    """The truncated tower ring attached to one FieldCtx model and precision N.
+    """Z_p[zeta_p] (x) W mod p^N over one FieldCtx model, at precision N.
 
     The Teichmuller powers and each Gauss sum are computed lazily, once, and
     kept on the context; the fills are idempotent, so sharing a context
@@ -155,47 +69,12 @@ class TowerCtx:
         self._gauss_inputs = None
         self._gauss_memo: dict = {}
 
-    # -- element constructors ------------------------------------------------
-
-    def zero(self) -> TowerElem:
-        return TowerElem(self, (0,) * (self.p * self.r))
-
-    def one(self) -> TowerElem:
-        return self.from_int(1)
-
-    def from_int(self, n: int) -> TowerElem:
-        return self.from_w((n,))
-
-    def from_w(self, w) -> TowerElem:
-        """A value of W (coefficients of y^0, y^1, ...) placed on x^0."""
-        c = tuple(v % self.pN for v in w)
-        return TowerElem(self, c + (0,) * (self.p * self.r - len(c)))
-
-    def zeta_p(self) -> TowerElem:
-        c = [0] * (self.p * self.r)
-        c[self.r] = 1  # x^1 y^0
-        return TowerElem(self, tuple(c))
-
-    def pi(self) -> TowerElem:
-        return self.zeta_p() - 1
-
-    def coerce(self, x) -> TowerElem:
-        if isinstance(x, TowerElem):
-            if x.ctx is not self:
-                raise ValueError("mixing elements of different towers")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        raise TypeError(f"cannot coerce {type(x)} into the tower")
-
-    # -- ring multiplication --------------------------------------------------
-
-    def _mul(self, a: TowerElem, b: TowerElem) -> TowerElem:
-        return TowerElem(self, self._mul_coeffs(a.c, b.c, self.p))
+    # -- multiplication in W and in the ring ----------------------------------
 
     def _mul_coeffs(self, a, b, blocks: int) -> tuple:
         """The product of two flat coefficient tuples of `blocks` powers of
-        x each, x^blocks = 1: the ring at blocks = p, W alone at 1."""
+        x each, x^blocks = 1, entry i*r + j the coefficient of x^i y^j: W
+        alone at 1, the oracle ring (W/p^N)[x]/(x^p - 1) at blocks = p."""
         r, pN, B, shifts = self.r, self.pN, self._slot_bits, self._shifts
         x = y = 0
         for v, s in zip(reversed(a), shifts):
@@ -240,26 +119,19 @@ class TowerCtx:
             parts = out.get(s)
             if parts is None:
                 parts = out[s] = [0] * self.r
-            w = twists[c].c[:self.r] if c in twists else one
+            w = twists.get(c, one)
             for j, wj in enumerate(w):
                 if wj:
                     parts[j] += v * wj
         return out
 
-    def zp_slots(self, v: int) -> list:
-        """The p x-coordinates of a packed value, each reduced mod p^N."""
-        Z, pN = self._zp_bits, self.pN
-        mask = (1 << Z) - 1
-        return [(v >> s & mask) % pN for s in range(0, Z * self.p, Z)]
-
     def zp_integer(self, sums: dict, weights: dict) -> int:
         """sum_s weights[s] * sums[s] as a rational integer mod p^N, for the
-        results {s: parts} of `twist_sums`.  Certified on the slots, as
-        `as_integer` would be on the element: modulo Phi_p a y^j part is 0
-        when its p slots are equal, and a y^0 part with equal slots
-        x^1..x^{p-1} is the integer x^0 - x^{p-1}.  So every y^j part,
-        j > 0, must have equal slots, and the y^0 part equal slots
-        1..p-1; NonIntegralResult if not."""
+        results {s: parts} of `twist_sums`, certified on the slots: modulo
+        Phi_p a y^j part is 0 when its p slots are equal, and a y^0 part
+        with equal slots x^1..x^{p-1} is the integer x^0 - x^{p-1}.  So
+        every y^j part, j > 0, must have equal slots, and the y^0 part
+        equal slots 1..p-1; NonIntegralResult if not."""
         p, pN, Z = self.p, self.pN, self._zp_bits
         mask, shifts = (1 << Z) - 1, range(0, Z * p, Z)
         acc = [0] * (p * self.r)
@@ -277,7 +149,7 @@ class TowerCtx:
 
     # -- Teichmuller lifts and character tables -------------------------------
 
-    def teich(self, a) -> TowerElem:
+    def teich(self, a) -> tuple:
         """Teichmuller lift of a field element code, a value of W: the root
         of f(X) = X^q - X congruent to the lift t of the coefficients of a,
         by Newton steps X <- X - c f(X), c = (q-1)^{-1} mod p^N, from X = t.
@@ -294,18 +166,18 @@ class TowerCtx:
             # over GF(p), W is Z/p^N and the q-th power one modular pow
             xq = (pow(x[0], q, pN),) if self.r == 1 else _power(x, q, mul)
             x = tuple((u - c * (v - u)) % pN for u, v in zip(x, xq))
-        return self.from_w(x)
+        return x
 
-    def teich_pows(self):
+    def teich_pows(self) -> list:
         """TP[j] = teich(g)^j for j in [0, q-1), computed in W by q-2
         multiplies: the twists of the fiber part read whole values.  The
         Gauss sums read only y^0 coordinates, from `teich_y0`."""
         if self._teich_pows is None:
-            tg = self.teich(self.field.generator).c[:self.r]
+            tg = self.teich(self.field.generator)
             tp = [(1,) + (0,) * (self.r - 1)]
             for _ in range(self.q - 2):
                 tp.append(self._mul_coeffs(tp[-1], tg, 1))
-            self._teich_pows = [self.from_w(t) for t in tp]
+            self._teich_pows = tp
         return self._teich_pows
 
     def teich_y0(self) -> list:
@@ -317,7 +189,7 @@ class TowerCtx:
         c_i solve the r x r system whose columns are t^0..t^{r-1}; it is
         invertible mod p, so every pivot can be taken a unit."""
         r, pN = self.r, self.pN
-        tg = self.teich(self.field.generator).c[:r]
+        tg = self.teich(self.field.generator)
         pows = [(1,) + (0,) * (r - 1)]
         for _ in range(r):
             pows.append(self._mul_coeffs(pows[-1], tg, 1))
@@ -342,9 +214,10 @@ class TowerCtx:
     # -- Gauss sums ------------------------------------------------------------
 
     def gauss_sums(self, ks) -> list:
-        """G(k) for each k in ks; each missing G(k) is computed once and
-        kept on the context.  a -> a^p permutes GF(q)^* and keeps the trace,
-        so G(p k mod (q-1)) = G(k): only the least index of each p-cyclotomic
+        """G(k) for each k in ks, a value of Z_p[zeta_p]: p x-coordinates
+        mod p^N.  Each missing G(k) is computed once and kept on the
+        context.  a -> a^p permutes GF(q)^* and keeps the trace, so
+        G(p k mod (q-1)) = G(k): only the least index of each p-cyclotomic
         coset is summed.  The boundary indices 0 and q-1 are not reduced."""
         ks, memo, q1 = list(ks), self._gauss_memo, self.q - 1
         missing = [k for k in dict.fromkeys(ks) if k not in memo]
@@ -371,7 +244,7 @@ class TowerCtx:
         power is summed, one int add per term, and G(k) = sum_m x^m acc[m].
         The traces of g^j and the y^0 sequence of `teich_y0` are formed on
         the first call and kept on the context."""
-        p, r, q, pN = self.p, self.r, self.q, self.pN
+        p, q, pN = self.p, self.q, self.pN
         q1 = q - 1
         if self._gauss_inputs is None:
             field = self.field
@@ -382,7 +255,7 @@ class TowerCtx:
         out = []
         for k in ks:
             if k in (0, q1):  # the boundary conventions
-                out.append(self.from_int(q1 if k == 0 else -q))
+                out.append(((q1 if k == 0 else -q) % pN,) + (0,) * (p - 1))
                 continue
             acc = [0] * p
             kj = 0
@@ -391,10 +264,21 @@ class TowerCtx:
                 kj -= k
                 if kj < 0:
                     kj += q1
-            c = [0] * (p * r)
-            c[::r] = [v % pN for v in acc]
-            out.append(TowerElem(self, tuple(c)))
+            out.append(tuple(v % pN for v in acc))
         return out
+
+    def pi_rows(self, c) -> tuple:
+        """(p-1) tuples of w residues, rows[i][j] the coefficient of
+        pi^i y^j in sum_i x^i c_i, c flat in p blocks of w = len(c)/p:
+        mod Phi_p, x^{p-1} = -(1 + ... + x^{p-2}), then x^i = (1 + pi)^i."""
+        p, pN = self.p, self.pN
+        w = len(c) // p
+        top = c[(p - 1) * w:]
+        a = [[c[i * w + j] - top[j] for j in range(w)] for i in range(p - 1)]
+        return tuple(
+            tuple(sum(comb(i, k) * a[i][j] for i in range(k, p - 1)) % pN
+                  for j in range(w))
+            for k in range(p - 1))
 
     def __repr__(self):
         return f"TowerCtx(GF({self.p}^{self.r}), N={self.N})"
@@ -441,21 +325,10 @@ class ZpCyclic:
         self._shift = [[B * ((i * xs + c * zs) % L) for i in range(p)]
                        for c in range(g)]
 
-    def coords(self, x: TowerElem) -> tuple:
-        """The p x-coordinates of x, a value of Z_p[zeta_p] on a tower of
-        this p and N; ValueError if x has another p or N, or a nonzero
-        y^j coordinate, j > 0."""
-        tower, r = self.tower, x.ctx.r
-        if (x.ctx.p, x.ctx.N) != (tower.p, tower.N):
-            raise ValueError(f"{x} is on a tower of another p or N")
-        zs = x.c[::r]
-        if x.c.count(0) - zs.count(0) != len(x.c) - tower.p:
-            raise ValueError(f"{x} is not in Z_p[zeta_p]")
-        return zs
-
     def pack(self, cs) -> int:
         """sum_c z^c sum_i cs[c][i] x^i packed, for at most g tuples of p
-        coordinates (from `coords`), each below 2 p^N."""
+        x-coordinates (as `TowerCtx.gauss_sums` returns them), each below
+        2 p^N."""
         v = 0
         for c, shifts in zip(cs, self._shift):
             for ci, s in zip(c, shifts):
@@ -477,26 +350,25 @@ class ZpCyclic:
         return self.reduce((prod & self._low) + (prod >> self._span))
 
     def power(self, a: int, e: int) -> int:
-        """a^e for e >= 1, left to right by squaring, reduced."""
-        out = a
-        for bit in bin(e)[3:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, a)
-        return out
+        """a^e for e >= 1, left to right by squaring, reduced.  At g = 1
+        this is the Hasse-Davenport lift of a Gauss sum to GF(q^m):
+        G_{q^m}(k (q^m - 1)/(q - 1)) = (-1)^{m-1} G_q(k)^m, read back by
+        `coords`."""
+        return _power(a, e, self.mul)
+
+    def coords(self, v: int) -> tuple:
+        """The p x-coordinates of the z^0 part of v, each reduced mod p^N:
+        at g = 1, the value of Z_p[zeta_p] that v packs."""
+        mask, pN = self._mask, self.pN
+        return tuple((v >> s & mask) % pN for s in self._shift[0])
 
     def z0_sums(self, sums: dict) -> dict:
         """{key: the z^0 part of sums[key]}, sums of at most `terms` terms,
         each x-slot reduced mod p^N, packed as `twist_sums` reads them."""
-        Z, mask, pN = self.tower._zp_bits, self._mask, self.pN
-        top_down = self._shift[0][::-1]
-        out = {}
-        for key, v in sums.items():
-            w = 0
-            for s in top_down:
-                w = w << Z | (v >> s & mask) % pN
-            out[key] = w
-        return out
+        Z = self.tower._zp_bits
+        shifts = range(0, Z * self.tower.p, Z)
+        return {key: sum(map(operator.lshift, self.coords(v), shifts))
+                for key, v in sums.items()}
 
 
 # ---------------------------------------------------------------------------

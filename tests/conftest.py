@@ -3,7 +3,13 @@ import itertools
 
 import pytest
 
-from dworkzeta.oracles import enumerate_solutions
+from dworkzeta.oracles import TowerElem, enumerate_solutions
+
+
+def gauss_elems(T):
+    """The Gauss table of the tower T, each G(k) lifted to the oracle
+    ring."""
+    return [TowerElem.from_zp(T, G) for G in T.gauss_table()]
 
 
 def each_solution(matrix, q, lam_zero=False):

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import each_solution
+from conftest import each_solution, gauss_elems
 
 from dworkzeta.counting import (
     DworkInstance,
@@ -28,7 +28,12 @@ from dworkzeta.counting import (
     is_singular,
 )
 from dworkzeta.ff import build_field
-from dworkzeta.oracles import count_Y_strata_brute, digit_sum, pi_valuation
+from dworkzeta.oracles import (
+    TowerElem,
+    count_Y_strata_brute,
+    digit_sum,
+    pi_valuation,
+)
 from dworkzeta.padic import build_tower
 from dworkzeta.slope import (
     hodge_numbers_dwork,
@@ -65,13 +70,14 @@ def test_criterion_01_gauss_interpolation():
         T = build_tower(build_field(p, r, 0), 12)
         q, q1 = T.q, T.q - 1
         inv_q1 = pow(q1, -1, T.pN)
-        table = T.gauss_table()
-        tp = T.teich_pows()
-        zeta = T.zeta_p()
+        table = gauss_elems(T)
+        tp = [TowerElem.from_w(T, t) for t in T.teich_pows()]
+        zeta = TowerElem.zeta_p(T)
         F = T.field
-        assert table[0] == T.from_int(q - 1) and table[q1] == T.from_int(-q)
+        assert table[0] == TowerElem.from_int(T, q - 1)
+        assert table[q1] == TowerElem.from_int(T, -q)
         for a in range(q):
-            rhs = T.zero()
+            rhs = TowerElem.zero(T)
             if a == 0:
                 rhs = table[0].scale(inv_q1)
             else:
@@ -91,7 +97,7 @@ def test_criterion_02_stickelberger():
     for p, r in FIELDS_12:
         T = build_tower(build_field(p, r, 0), 12)
         for k in range(T.q):
-            v = pi_valuation(T.gauss_table()[k])
+            v = pi_valuation(TowerElem.from_zp(T, T.gauss_table()[k]))
             assert v.exact and v.numerator == digit_sum(k, T.pp), (p, r, k)
             checks += 1
     dt = time.monotonic() - t0
@@ -162,13 +168,13 @@ def test_criterion_06_gauss_product_valuations(solution_class):
             F = build_field(p, r, 0)
             q = F.pp.q
             T = build_tower(F, (n + 2) * r + 2)
-            table = T.gauss_table()
+            table = gauss_elems(T)
             units = r * (p - 1)  # ord_q = 1 in pi-valuation units
             for k, s in each_solution(dwork_matrix_M(n), q):
                 cls = solution_class(k, s, n, q)
                 if cls == "zero":
                     continue
-                prod = T.one()
+                prod = TowerElem.one(T)
                 for kj in k:
                     prod = prod * table[kj]
                 v = pi_valuation(prod)

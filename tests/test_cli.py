@@ -137,6 +137,18 @@ def test_cli_import_loads_no_denied_module():
         "assert not loaded, loaded\n", "-S")
 
 
+def test_cli_import_holds_no_tower_element():
+    # the runtime computes on coordinate tuples and packed integers; the
+    # ring of tower elements is the tests' oracle, outside the package's
+    # namespace and its exports
+    _run_fresh_interpreter(
+        "import sys, dworkzeta, dworkzeta.cli\n"
+        "assert not hasattr(sys.modules['dworkzeta.padic'], 'TowerElem')\n"
+        "assert not hasattr(dworkzeta, 'TowerElem')\n"
+        "assert 'TowerElem' not in dworkzeta.__all__\n"
+        "assert 'dworkzeta.oracles' not in sys.modules\n", "-S")
+
+
 def test_cli_import_does_not_load_mpmath():
     _run_fresh_interpreter("import sys, dworkzeta.cli\n"
                            "assert 'mpmath' not in sys.modules\n")
@@ -172,10 +184,11 @@ def test_runs_without_mpmath():
 
 
 def test_closed_stdout_exits_quietly():
-    # the reader takes one line and closes the pipe
+    # the reader takes one line and closes the pipe; the dump (~280 KB) is
+    # several times a pipe's 64 KiB, so a write always meets the closed pipe
     with subprocess.Popen(
-            [sys.executable, "-m", "dworkzeta.cli", "congruence", "--n", "2",
-             "--p", "5", "--lambda", "all", "--k", "2"],
+            [sys.executable, "-m", "dworkzeta.cli", "gauss", "--p", "2",
+             "--r", "11", "--N", "200"],
             env=_fresh_env(), stdout=subprocess.PIPE,
             stderr=subprocess.PIPE) as proc:
         assert json.loads(proc.stdout.readline())["schema"] == 1
@@ -281,11 +294,12 @@ def test_gauss_dump_matches_engine(capsys):
     assert header["p"] == 3 and header["r"] == 2 and header["N"] == 4
     assert len(table) == 9  # one record per k in [0, q-1]
     from dworkzeta.ff import build_field
+    from dworkzeta.oracles import TowerElem
     from dworkzeta.padic import TowerCtx
 
     T = TowerCtx(build_field(3, 2, 0), 4)  # not the command's cached tower
     for rec in table:
-        g = T.gauss_sums([rec["k"]])[0]
+        g = TowerElem.from_zp(T, T.gauss_sums([rec["k"]])[0])
         flat = [str(c) for row_ in g.rows for c in row_]
         assert rec["coords"] == flat
 

@@ -4,7 +4,7 @@ import itertools
 from math import comb, gcd
 
 import pytest
-from conftest import each_solution
+from conftest import each_solution, gauss_elems
 
 from dworkzeta.config import Caps
 from dworkzeta.counting import (
@@ -30,11 +30,13 @@ from dworkzeta.errors import (
 from dworkzeta.family import _matvec
 from dworkzeta.ff import FieldCtx, build_field, embed, factorize
 from dworkzeta.oracles import (
+    TowerElem,
     count_Y_strata_brute,
     enumerate_solutions,
     pi_valuation,
+    zp_slots,
 )
-from dworkzeta.padic import TowerCtx, TowerElem, build_tower
+from dworkzeta.padic import TowerCtx, ZpCyclic, build_tower
 
 
 def inst(n, p, r, lam, seed=0):
@@ -268,17 +270,18 @@ def test_charsum_trivial_part_identity():
         q = F.pp.q
         ii = DworkInstance(n=n, field=F, lam=lam)
         T = build_tower(F, required_precision(p, q, n))
-        table = T.gauss_table()
-        acc = T.zero()
+        table = gauss_elems(T)
+        acc = TowerElem.zero(T)
         for k, _ in each_solution(ii.Nmat, q):
             if not all(ki in (0, q - 1) for ki in k):
                 continue
-            prod = T.one()
+            prod = TowerElem.one(T)
             for kj in k:
                 prod = prod * table[kj]
             acc = acc + prod  # chi(lam)^{k_last} = 1 on boundary lifts
         inv_q1 = pow(q - 1, -1, T.pN)
-        assert acc.scale(inv_q1) == T.from_int((-1) ** n).scale(inv_q1)
+        assert acc.scale(inv_q1) == \
+            TowerElem.from_int(T, (-1) ** n).scale(inv_q1)
 
 
 @pytest.mark.parametrize("n,p,r", [(2, 5, 1), (3, 2, 2), (2, 7, 1), (4, 3, 1),
@@ -288,13 +291,13 @@ def test_gauss_product_valuations_small(n, p, r, solution_class):
     F = build_field(p, r, 0)
     q = F.pp.q
     T = build_tower(F, (n + 2) * r + 2)
-    table = T.gauss_table()
+    table = gauss_elems(T)
     units = r * (p - 1)
     for k, s in each_solution(dwork_matrix_M(n), q):
         cls = solution_class(k, s, n, q)
         if cls == "zero":
             continue
-        prod = T.one()
+        prod = TowerElem.one(T)
         for kj in k:
             prod = prod * table[kj]
         v = pi_valuation(prod)
@@ -460,11 +463,12 @@ def _direct_qcounts(ii, k=1):
     n, p, q = ii.n, F.pp.p, F.pp.q
     q1 = q - 1
     T = TowerCtx(F, required_precision(p, q, n))
-    table, tp = T.gauss_table(), T.teich_pows()
+    table = gauss_elems(T)
+    tp = [TowerElem.from_w(T, t) for t in T.teich_pows()]
 
     def terms(matrix):
         for k, s in each_solution(matrix, q, lam == 0):
-            prod = T.one()
+            prod = TowerElem.one(T)
             for kj in k:
                 prod = prod * table[kj]
             if lam:
@@ -472,11 +476,11 @@ def _direct_qcounts(ii, k=1):
             yield s, prod
 
     inv_q1 = pow(q1, -1, T.pN)
-    q_nf, q_nfstar = T.zero(), T.from_int(q1 ** (n + 1))
+    q_nf, q_nfstar = TowerElem.zero(T), TowerElem.from_int(T, q1 ** (n + 1))
     for s, prod in terms(ii.M):
         q_nf = q_nf + prod.scale(pow(q * inv_q1, n + 2 - s, T.pN))
         q_nfstar = q_nfstar + prod
-    q_ngstar = T.from_int(q1 ** n)
+    q_ngstar = TowerElem.from_int(T, q1 ** n)
     for _s, prod in terms(ii.Nmat):
         q_ngstar = q_ngstar + prod.scale(inv_q1)
     out = []
@@ -604,15 +608,15 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
     `_family_sums`, k_last folded mod q-1 for the base field GF(q)
     (q_f by default), values as Z_p coordinates."""
     T = TowerCtx(F, N)
-    table = T.gauss_table()
+    table = gauss_elems(T)
     Q1 = F.pp.q ** m - 1
     step = Q1 // (F.pp.q - 1)
     q1 = (q or F.pp.q) - 1
     sums, seen = {}, set()
     for k, s in each_solution(matrix, Q1 + 1, lam_zero):
-        prod = T.one()
+        prod = TowerElem.one(T)
         for kj in k:
-            prod = prod * (T.from_int(Q1) if kj == 0 else
+            prod = prod * (TowerElem.from_int(T, Q1) if kj == 0 else
                            (table[kj // step] ** m).scale((-1) ** (m - 1)))
         key = (s, k[-1] % q1)
         sums[key] = sums[key] + prod if key in sums else prod
@@ -623,9 +627,7 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
 def _zp_elem(T, v):
     """The element of T whose x-coordinates are the slots of v, a packed
     value of the family part on T."""
-    c = [0] * (T.p * T.r)
-    c[::T.r] = T.zp_slots(v)
-    return TowerElem(T, tuple(c))
+    return TowerElem.from_zp(T, zp_slots(T, v))
 
 
 def _zp_rows(x):
@@ -697,13 +699,13 @@ def test_mirror_part_is_the_diagonal_of_the_pencil():
             for lam_zero in (True, False):
                 base, F, N, (_, y) = _family_part(n, p, r, 1, 1, lam_zero)
                 T = TowerCtx(F, N)
-                table = T.gauss_table()
+                table = gauss_elems(T)
                 M, Nm = dwork_matrix_M(n), dwork_matrix_N(n)
                 want = {}
                 for k, _ in each_solution(M, Q1 + 1, lam_zero):
                     if len({kj % Q1 for kj in k[:n + 1]}) > 1:
                         continue
-                    prod = T.one()
+                    prod = TowerElem.one(T)
                     for kj in k:
                         prod = prod * table[kj]
                     key = (len(Nm) - _matvec(Nm, k).count(0), k[-1] % Q1)
@@ -759,33 +761,36 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
     assert sum(count for _, _, count in reps) == 2234 == \
         sum(1 for _ in each_solution(M, 125))
 
-    real_mul, real_leaders, muls, leaders = TowerCtx._mul, \
+    real_power, real_leaders, powers, leaders = ZpCyclic.power, \
         family._orbit_leaders, [], []
 
-    def mul(tower, a, b):
-        muls.append(tower)
-        return real_mul(tower, a, b)
+    def power(ring, a, e):
+        powers.append((ring.tower, ring.g, e))
+        return real_power(ring, a, e)
 
     def orbit_leaders(*args):
         for a, size in real_leaders(*args):
             leaders.append((a, size))
             yield a, size
 
-    monkeypatch.setattr(TowerCtx, "_mul", mul)
+    monkeypatch.setattr(ZpCyclic, "power", power)
     monkeypatch.setattr(family, "_orbit_leaders", orbit_leaders)
     _family_sums.__wrapped__(base, T, M, dwork_matrix_N(3), False).pencil()
     assert len(leaders) == 11
     assert sorted(size for _, size in leaders) == [1] + [3] * 10
-    # the products are formed on packed integers: no ring multiply at m = 1
-    assert muls == []
-    # at m > 1 only the Hasse-Davenport powers G^m multiply, bitlen(m) +
-    # popcount(m) - 2 = 1 each for m = 2
+    # at m = 1 every power is a family power, to e = n+1 = 4: no
+    # Hasse-Davenport power
+    assert powers and {e for _, _, e in powers} == {4}
+    # at m > 1 the Hasse-Davenport powers G^m, one per coset minimum, on
+    # the g = 1 ring of the base tower; the rest are family powers
+    powers.clear()
     T1 = TowerCtx(build_field(5, 1, 0), required_precision(5, 25, 3))
     part = _family_sums.__wrapped__(T1, T1, M, dwork_matrix_N(3), True, 2)
     inner = {kj for k, _ in each_solution(M, 25, True) for kj in k
              if 0 < kj < 24}
-    assert part.pencil() and part.mirror and \
-        muls == [T1] * len({min(kj, kj * 5 % 24) for kj in inner})
+    assert part.pencil() and part.mirror
+    assert [x for x in powers if x[2] != 4] == \
+        [(T1, 1, 2)] * len({min(kj, kj * 5 % 24) for kj in inner})
 
 
 @pytest.mark.parametrize("n", [3, 2])
