@@ -9,7 +9,7 @@ report per instance (`_report`).  Exit codes: 2 bad configuration
 (ConfigError), 3 cap exceeded (CapExceeded), 4 oracle mismatch (any other
 error), 5 congruence failure, 6 zeta recovery failure (RecoveryFailure), 7
 slope functional-equation failure.  A command whose fibers fail in several
-ways exits with the most severe: 4, then 6, 7, 3 and 5.  A reader that
+ways exits with the most severe: 4, then 2, 6, 7, 3 and 5.  A reader that
 closes stdout early makes the command exit 1, quietly.
 """
 from __future__ import annotations
@@ -58,8 +58,8 @@ EXIT_CONGRUENCE = 5
 EXIT_RECOVERY = 6
 EXIT_SLOPE_FE = 7
 # the failure classes, most severe first; the first one that occurs decides
-_SEVERITY = (EXIT_ORACLE, EXIT_RECOVERY, EXIT_SLOPE_FE, EXIT_CAP,
-             EXIT_CONGRUENCE)
+_SEVERITY = (EXIT_ORACLE, EXIT_CONFIG, EXIT_RECOVERY, EXIT_SLOPE_FE,
+             EXIT_CAP, EXIT_CONGRUENCE)
 
 # exit code and stderr label of each error class; any other exception is a
 # broken contract

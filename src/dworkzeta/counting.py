@@ -31,10 +31,10 @@ to 0 and the character factor is dropped.
 
 Only chi(lam)^{k_m} depends on lam, through k_m mod (q-1), as lam lies in
 GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
-(s(k), k_m mod (q-1)) on the tower over the base field GF(q); the fiber
-part twists each class by chi(lam)^{k_m}, one packed multiply-add per
-class and y^j, and `charsum_count` combines the s-classes and certifies
-the count on the packed slots (`padic` alone knows their layout).
+key (s(k), k_m mod (q-1)) on the tower over the base field GF(q); the
+fiber part, in `charsum_count`, weights each key by its s-coefficient
+times chi(lam)^{k_m}, a value of W, and `TowerCtx.zp_integer` certifies
+the weighted sum a rational integer.
 
 The family part walks no solution (module `family`): over GF(Q) the
 pencil's solutions fall into residue classes, each summed as one packed
@@ -267,51 +267,44 @@ def gauss_field_degree(inst: DworkInstance, k: int) -> int:
     return next(f for f in range(1, k + 1) if (q ** f - 1) % g == 0)
 
 
-def _fiber_sums(inst: DworkInstance, matrix, k: int, caps: Caps):
-    """The fiber part over GF(q^k) of `matrix`, the instance's M or N: the
-    tower over GF(q) at the precision GF(q^k) needs and, on it, {s: sum
-    over the solutions k with s(k) = s of prod_j G(k_j) chi(lam)^{k_last}},
-    packed by `TowerCtx.twist_sums`.  It twists the matrix's half of the
-    family part `_family_sums`, one pass for both.  The Gauss sums are read
-    on the tower over GF(q^f), f = `gauss_field_degree`: at lam = 0,
-    GF(q^k) itself is built only if f = k, and no class is twisted, so the
-    Teichmuller table of GF(q) is not built either."""
+def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
+                  caps: Caps = DEFAULT_CAPS) -> int:
+    """The count `count_brute` makes, from the Gauss-sum formula over the
+    family part of `matrix`, the instance's M or N, with v rows and m
+    columns (`_family_sums`, one pass for both).  Each key (s, c) of the
+    part is weighted by its s-coefficient, (q-1)^{v-m} on the torus and
+    (q-1)^{s-m} q^{v-s} in affine space, times chi(lam)^c, the fiber
+    twist; c = k_last mod (q-1) is pinned to 0 at lam = 0, where nothing is
+    twisted and no Teichmuller table is built.  `TowerCtx.zp_integer`
+    certifies that the weighted sum, plus (q-1)^{v-1} on the torus, is a
+    rational integer q N mod p^N, and it is certified against the bound
+    q^v.  The Gauss sums are read on the tower over GF(q^f),
+    f = `gauss_field_degree`: at lam = 0, GF(q^k) itself is built only
+    if f = k."""
     if matrix not in (inst.M, inst.Nmat):
         raise ValueError("the character sum counts the matrices M and N")
-    n, p, Q = inst.n, inst.field.pp.p, inst.field.pp.q ** k
+    v, m, n = len(matrix), len(matrix[0]), inst.n
+    p, q = inst.field.pp.p, inst.field.pp.q ** k
     f = gauss_field_degree(inst, k)
     F = inst.extension(f, cap=caps.field_table_max_q)[0]
     tower = build_tower(inst.field, required_precision(
-        p, Q, n, caps.precision_override))
+        p, q, n, caps.precision_override))
     family = _family_sums(tower, build_tower(F, tower.N), inst.M, inst.Nmat,
                           inst.lam == 0, k // f)
     sums = family.pencil() if matrix == inst.M else family.mirror
-    # c = k_last mod (q-1) is pinned to 0 at lam = 0
-    classes, q1 = {c for _, c in sums if c}, tower.q - 1
-    tp = tower.teich_pows() if classes else None
-    twists = {c: tp[(inst.lam_dlog * c) % q1] for c in classes}
-    return tower, tower.twist_sums(sums, twists)
-
-
-def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
-                  caps: Caps = DEFAULT_CAPS) -> int:
-    """The count `count_brute` makes, from the Gauss-sum formula over
-    `_fiber_sums`, with v rows and m columns in `matrix` (the instance's M
-    or N, whose family parts come from one pass): on the torus
-    q N = (q-1)^{v-1} + (q-1)^{v-m} sum, in affine space
-    q N = sum_s (q-1)^{s-m} q^{v-s} by_s[s].  The s-classes are combined
-    mod p^N by `TowerCtx.zp_integer`, which certifies that the value is a
-    rational integer, and it is certified against the bound q^v."""
-    v, m, q = len(matrix), len(matrix[0]), inst.field.pp.q ** k
-    tower, by_s = _fiber_sums(inst, matrix, k, caps)
-    pN = tower.pN
+    pN, q1 = tower.pN, tower.q - 1
+    one = (1,) + (0,) * (tower.r - 1)
+    terms = []
+    for (s, c), x in sums.items():
+        if not 0 <= c < q1:
+            raise ValueError(f"class {c} is not a residue mod {q1}")
+        w = (pow(q - 1, v - m, pN) if torus
+             else pow(q - 1, s - m, pN) * q ** (v - s) % pN)
+        chi = tower.teich_pows()[inst.lam_dlog * c % q1] if c else one
+        terms.append((x, tuple(w * t for t in chi)))
+    qN = tower.zp_integer(terms)
     if torus:
-        w = pow(q - 1, v - m, pN)
-        qN = tower.zp_integer(by_s, dict.fromkeys(by_s, w))
         qN = (qN + (q - 1) ** (v - 1)) % pN
-    else:
-        qN = tower.zp_integer(by_s, {s: pow(q - 1, s - m, pN) * q ** (v - s)
-                                     for s in by_s})
     return _certified_count(qN, q, q ** v, "q * count")
 
 

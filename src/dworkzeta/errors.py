@@ -3,14 +3,15 @@
 Every error is a DworkZetaError, and the command line gives each class one
 exit code:
 
-- ConfigError (exit 2): a bad parameter, including a non-prime p;
+- ConfigError (exit 2): a bad parameter, including a non-prime p and a
+  precision override too low to certify the counts;
 - CapExceeded (exit 3): a resource cap refused a field or an enumeration;
 - RecoveryFailure (exit 6): the counts did not determine a valid zeta
   function, or a finding that a structural claim failed on data
   (divisibility of P by Q, the functional-equation sign);
 - any other DworkZetaError (exit 4): a broken mathematical contract, which
   signals an implementation bug (integrality of certified quantities, exact
-  divisions, precision).
+  divisions).
 """
 
 
@@ -51,7 +52,9 @@ class DivisibilityViolation(DworkZetaError):
     """An exact integer division failed; always an implementation bug."""
 
 
-class PrecisionInsufficient(DworkZetaError):
+class PrecisionInsufficient(ConfigError):
+    """`caps.precision_override` is too low to certify a count."""
+
     def __init__(self, needed, have):
         super().__init__(
             f"p-adic precision too low: need modulus > {needed}, have {have}"

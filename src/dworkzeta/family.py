@@ -2,8 +2,9 @@
 its mirror Y, for `counting.charsum_count`.
 
 Over GF(Q) the part is {(s(k), k_last mod (q-1)): sum of prod_j G(k_j)}
-over the solutions k of M k = 0 (X) or N k = 0 (Y) mod Q-1, on the tower
-over the base field GF(q); the fiber part twists it by chi(lam)^{k_last}.
+over the solutions k of M k = 0 (X) or N k = 0 (Y) mod Q-1, each sum p
+x-coordinates of Z_p[zeta_p] on the tower over the base field GF(q); the
+fiber part (`counting.charsum_count`) twists it by chi(lam)^{k_last}.
 No solution is walked.  The pencil's solutions fall into residue classes
 a, each summed as one packed power in Z_p[zeta_p][z]/(z^g - 1),
 g = gcd(n+1, Q-1) (`padic.ZpCyclic`); the mirror's solutions are the
@@ -73,11 +74,12 @@ class _FamilyPass:
     """The family parts of X (matrix M) and of Y (matrix N) over GF(Q),
     Q = q_f^m for the field GF(q_f) of `gauss_tower`, on `tower` over the
     base field GF(q): for each, {(s(k), k_last mod (q-1)): sum of
-    prod_j G_Q(k_j)} over the solutions k, each sum a packed value of
-    Z_p[zeta_p] (`twist_sums` reads it).  Y's part, `mirror`, is summed
-    on construction and X's, `pencil()`, on its first request: a caller
-    that counts only Y does not pay for X's powers mod z^g - 1, but its
-    pass keeps X's inputs, the leaders and the Gauss sums, while cached.
+    prod_j G_Q(k_j)} over the solutions k, each sum a value of
+    Z_p[zeta_p], p x-coordinates read out by `ZpCyclic.coords`.  Y's
+    part, `mirror`, is summed on construction and X's, `pencil()`, on its
+    first request: a caller that counts only Y does not pay for X's
+    powers mod z^g - 1, but its pass keeps X's inputs, the leaders and
+    the Gauss sums, while cached.
 
     With Q1 = Q-1, e = n+1, g = gcd(e, Q1) and d = Q1/g, the M solutions
     have block residues a + d m_i, a < d, with sum m_i = 0 mod g, and
@@ -206,7 +208,7 @@ class _FamilyPass:
             zeros = n + 2 - j - b_n - b
             _add(ys, (s, 0), yr.from_int(comb(n, j) * ends[0] ** zeros
                                          * ends[1] ** (n + 2 - zeros)))
-        return yr.z0_sums(ys)
+        return {key: yr.coords(v) for key, v in ys.items()}
 
     def pencil(self) -> dict:
         # the part is set before its inputs are dropped, so a thread that
@@ -240,7 +242,7 @@ class _FamilyPass:
         for s, row in rows.items():
             _add(xs, (s, 0), sum(c % self.pN * h
                                  for c, h in zip(row, powers)))
-        return xr.z0_sums(xs)
+        return {key: xr.coords(v) for key, v in xs.items()}
 
 
 def _add(sums: dict, key, v) -> None:

@@ -250,12 +250,6 @@ def zp_coords(x: TowerElem) -> tuple:
     return xs
 
 
-def zp_slots(tower: TowerCtx, v: int) -> list:
-    """The p x-slots mod p^N of a `z0_sums` value or `twist_sums` part."""
-    Z, pN = tower._zp_bits, tower.pN
-    return [(v >> s & (1 << Z) - 1) % pN for s in range(0, Z * tower.p, Z)]
-
-
 # ---------------------------------------------------------------------------
 # pi-adic valuations
 # ---------------------------------------------------------------------------

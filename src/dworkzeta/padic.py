@@ -17,14 +17,14 @@ only the y^0 coordinates of the powers chi(g)^j, which follow a linear
 recurrence of order r (`teich_y0`).  `TowerCtx.gauss_sums` computes each
 G(k) on its first request and keeps it.
 
-The character-sum count runs on packed integers, whose layouts only this
-module knows.  The family part computes in Z_p[zeta_p][z]/(z^g - 1)
-(`ZpCyclic`) and reads each sum's z^0 part as p x-slots; `twist_sums`
-multiplies those by values of W, one packed sum per y^j, so no reduction
-by m(y) is needed, and `zp_integer` certifies the combination a rational
-integer on the slots.  The ring (W/p^N)[x]/(x^p - 1) as a whole, whose
-products are `_mul_coeffs` at p x-blocks, is the tests' oracle ring in
-module `oracles`, which no command runs.
+The family part of the character-sum count computes in
+Z_p[zeta_p][z]/(z^g - 1) on packed integers (`ZpCyclic`), whose layout
+only this module knows, and reads each sum's z^0 part out as p
+x-coordinates.  `zp_integer` combines such values with values of W and
+certifies the combination a rational integer.  The ring
+(W/p^N)[x]/(x^p - 1) as a whole, whose products are `_mul_coeffs` at p
+x-blocks, is the tests' oracle ring in module `oracles`, which no command
+runs.
 """
 from __future__ import annotations
 
@@ -63,8 +63,6 @@ class TowerCtx:
         # r-1 empty slots; of period r, so it serves any number of blocks
         self._shifts = [B * r if i % r == 0 else B
                         for i in range(p * r, 0, -1)]
-        # a class sum of `twist_sums` adds at most q-1 products of residues
-        self._zp_bits = ((self.q - 1) * (self.pN - 1) ** 2).bit_length()
         self._teich_pows = None
         self._gauss_inputs = None
         self._gauss_memo: dict = {}
@@ -101,45 +99,22 @@ class TowerCtx:
             out.extend(v % pN for v in d[i:i + r])
         return tuple(out)
 
-    def twist_sums(self, sums: dict, twists: dict) -> dict:
-        """{s: the sum over the keys (s, c) of `sums`, packed values of
-        `ZpCyclic.z0_sums`, of sums[(s, c)] * twists[c]}, a value of W per
-        class c in [0, q-1), 1 where c is not in `twists`.
-
-        A twist by w = sum_j w_j y^j is an outer product: w_j times the
-        packed x-coordinates adds to part j of the result, one packed
-        integer per y^j, so no m(y) reduction is needed at any r.  Each
-        part's slots sum at most q-1 classes of residues below (p^N)^2,
-        which the slot width allows for."""
-        q1, one = self.q - 1, (1,)
-        out: dict = {}
-        for (s, c), v in sums.items():
-            if not 0 <= c < q1:
-                raise ValueError(f"class {c} is not a residue mod {q1}")
-            parts = out.get(s)
-            if parts is None:
-                parts = out[s] = [0] * self.r
-            w = twists.get(c, one)
+    def zp_integer(self, terms) -> int:
+        """sum x (x) w as a rational integer mod p^N, for pairs (x, w) of a
+        value x of Z_p[zeta_p] (p x-coordinates) and a value w of W (r
+        residues), certified on the coordinates: modulo Phi_p a y^j part
+        is 0 when its p coordinates are equal, and a y^0 part with equal
+        coordinates x^1..x^{p-1} is the integer x^0 - x^{p-1}.  So every
+        y^j part, j > 0, must have equal coordinates, and the y^0 part
+        equal coordinates 1..p-1; NonIntegralResult if not."""
+        p, pN = self.p, self.pN
+        acc = [0] * (p * self.r)  # x^i y^j at j*p + i
+        for x, w in terms:
             for j, wj in enumerate(w):
                 if wj:
-                    parts[j] += v * wj
-        return out
-
-    def zp_integer(self, sums: dict, weights: dict) -> int:
-        """sum_s weights[s] * sums[s] as a rational integer mod p^N, for the
-        results {s: parts} of `twist_sums`, certified on the slots: modulo
-        Phi_p a y^j part is 0 when its p slots are equal, and a y^0 part
-        with equal slots x^1..x^{p-1} is the integer x^0 - x^{p-1}.  So
-        every y^j part, j > 0, must have equal slots, and the y^0 part
-        equal slots 1..p-1; NonIntegralResult if not."""
-        p, pN, Z = self.p, self.pN, self._zp_bits
-        mask, shifts = (1 << Z) - 1, range(0, Z * p, Z)
-        acc = [0] * (p * self.r)
-        for s, parts in sums.items():
-            w = weights[s] % pN
-            row = [w * (v >> t & mask) for v in parts for t in shifts]
-            acc = list(map(operator.add, acc, row))
-        acc = [x % pN for x in acc]
+                    for i, xi in enumerate(x, j * p):
+                        acc[i] += wj * xi
+        acc = [v % pN for v in acc]
         for j in range(0, len(acc), p):
             a = acc[j:j + p]
             if a[1:] != a[-1:] * (p - 1) or (j and a[0] != a[-1]):
@@ -286,7 +261,7 @@ class TowerCtx:
 
 class ZpCyclic:
     """Z_p[zeta_p][z]/(z^g - 1) mod p^N on packed integers, for g prime to
-    p, on a tower whose `twist_sums` reads the results.
+    p, read out by `coords`.
 
     x^i z^c (x = zeta_p) sits in the slot e < pg of B bits with e = i mod p
     and e = c mod g: by the Chinese remainder theorem the ring is
@@ -361,14 +336,6 @@ class ZpCyclic:
         at g = 1, the value of Z_p[zeta_p] that v packs."""
         mask, pN = self._mask, self.pN
         return tuple((v >> s & mask) % pN for s in self._shift[0])
-
-    def z0_sums(self, sums: dict) -> dict:
-        """{key: the z^0 part of sums[key]}, sums of at most `terms` terms,
-        each x-slot reduced mod p^N, packed as `twist_sums` reads them."""
-        Z = self.tower._zp_bits
-        shifts = range(0, Z * self.tower.p, Z)
-        return {key: sum(map(operator.lshift, self.coords(v), shifts))
-                for key, v in sums.items()}
 
 
 # ---------------------------------------------------------------------------

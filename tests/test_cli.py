@@ -464,6 +464,32 @@ def test_bad_config_files_are_config_errors(tmp_path, capsys, command, case):
     assert not (tmp_path / "o").exists()
 
 
+def test_too_low_precision_override_is_a_config_error(tmp_path, capsys):
+    # p^N = 5^2 certifies no count of n = 2 over GF(5), which needs
+    # p^N > 2 q^{n+2} = 1250: the config is at fault, not the engine
+    text = "p-adic precision too low: need modulus > 1250, have 25"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n_list": [2], "prime_list": [5], "k_max": 1, "lambda_mode": "zero",
+        "caps": {"precision_override": 2}}))
+    assert main(["congruence", "--n", "2", "--p", "5", "--lambda", "zero",
+                 "--config", str(cfg_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"bad configuration: {text}\n"
+    # a sweep whose one cell fails so exits 2 too, not 0
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", "1"]) == cli.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == [
+        {"key": [2, 5, 1, 0], "error": f"PrecisionInsufficient: {text}"}]
+    # 2 ranks below 4 and above every other failure
+    assert cli._most_severe({cli.EXIT_CONFIG, cli.EXIT_ORACLE}) == \
+        cli.EXIT_ORACLE
+    for code in (cli.EXIT_RECOVERY, cli.EXIT_SLOPE_FE, cli.EXIT_CAP,
+                 cli.EXIT_CONGRUENCE):
+        assert cli._most_severe({code, cli.EXIT_CONFIG}) == cli.EXIT_CONFIG
+
+
 @pytest.mark.parametrize("key,config", [
     ("k_max", {"k_max": "2"}), ("seed", {"seed": "0"}),
     ("zeta_n_max", {"zeta_n_max": "2"}), ("threads", {"threads": "1"}),

@@ -34,7 +34,6 @@ from dworkzeta.oracles import (
     count_Y_strata_brute,
     enumerate_solutions,
     pi_valuation,
-    zp_slots,
 )
 from dworkzeta.padic import TowerCtx, ZpCyclic, build_tower
 
@@ -548,6 +547,40 @@ def test_each_gauss_sum_is_computed_once_per_tower(capsys, monkeypatch):
     assert asks and len(asks) == len(set(asks))
 
 
+def test_charsum_count_refuses_a_foreign_matrix_or_class(monkeypatch):
+    from dworkzeta import counting
+
+    ii = inst(2, 5, 1, 2)
+    with pytest.raises(ValueError, match="matrices M and N"):
+        charsum_count(ii, dwork_matrix_M(3))
+
+    class Part:  # a family part keyed by a class outside [0, q-1) = [0, 4)
+        mirror = {(1, 4): (0,) * 5}
+
+    monkeypatch.setattr(counting, "_family_sums", lambda *args: Part)
+    with pytest.raises(ValueError, match="class 4 is not a residue mod 4"):
+        charsum_count(ii, ii.Nmat)
+
+
+def test_lam_zero_count_builds_no_teichmuller_table():
+    # at lam = 0 the class c = k_last mod (q-1) is pinned to 0, so no term
+    # is twisted and the base tower's Teichmuller table stays unbuilt; at
+    # n = 2 a count at lam != 0 twists (k_last = -3a) and fills it
+    from dworkzeta import counting
+
+    counting._family_sums.cache_clear()
+    build_tower.cache_clear()
+    F = build_field(5, 1, 0)
+    for n in (3, 2):
+        towers = []
+        for k in (1, 2, 3):
+            count_record(DworkInstance(n, F, 0), k, with_nfstar=True)
+            towers.append(build_tower(F, required_precision(5, 5 ** k, n)))
+        assert [T._teich_pows for T in towers] == [None] * 3
+    count_record(DworkInstance(2, F, 2), 1)
+    assert towers[0]._teich_pows is not None
+
+
 def test_lam_zero_count_builds_no_extension_field():
     rec = count_record(inst(3, 5, 1, 0), 11,
                        caps=Caps(field_table_max_q=25))
@@ -624,12 +657,6 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
     return {key: _zp_rows(v) for key, v in sums.items()}, len(seen) == 2
 
 
-def _zp_elem(T, v):
-    """The element of T whose x-coordinates are the slots of v, a packed
-    value of the family part on T."""
-    return TowerElem.from_zp(T, zp_slots(T, v))
-
-
 def _zp_rows(x):
     """The pi-coordinates of x, a value of Z_p[zeta_p]: its y^0 column,
     after checking that every other coordinate is 0."""
@@ -668,8 +695,8 @@ def _family_part(n, p, r, f, m, lam_zero):
     family = _family_sums.__wrapped__(
         base, TowerCtx(Ff, N), dwork_matrix_M(n), dwork_matrix_N(n),
         lam_zero, m)
-    return base, Ff, N, [{key: _zp_rows(_zp_elem(base, v))
-                          for key, v in part.items()}
+    return base, Ff, N, [{key: _zp_rows(TowerElem.from_zp(base, x))
+                          for key, x in part.items()}
                          for part in (family.pencil(), family.mirror)]
 
 
@@ -796,39 +823,56 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
 @pytest.mark.parametrize("n", [3, 2])
 def test_fiber_part_twists_at_most_once_per_class(n, capsys, monkeypatch):
     # chi(lam) for lam in GF(q) has order dividing q-1: the classes are
-    # k_last mod (q-1), so a fiber twists each s at most q-2 times, each
-    # twist one packed multiply-add per y^j.  Every k_last is a multiple
-    # of n+1, so at n = 3, q = 5 no twist is needed.
+    # k_last mod (q-1), so a count passes `zp_integer` one term per key
+    # (s, c) of the family part, and each s at most q-2 twisted terms.
+    # Every k_last is a multiple of n+1, so at n = 3, q = 5 no term is
+    # twisted.
     from dworkzeta import counting
     from dworkzeta.cli import main
 
-    real_twist, real_fiber = TowerCtx.twist_sums, counting._fiber_sums
-    fibers, current = [], [None]  # [twists, s values, q] per fiber call
+    real_count, real_family = counting.charsum_count, counting._family_sums
+    real_integer = TowerCtx.zp_integer
+    counts, seen = [], {}  # [twisted terms, s values, q] per count
 
-    def twist(tower, sums, twists):
-        current[0][0] += sum(1 for _, c in sums if c in twists)
-        return real_twist(tower, sums, twists)
+    def family(*args):
+        seen["pass"] = real_family(*args)
+        return seen["pass"]
 
-    def fiber(inst, *args):
-        current[0] = [0, 0, inst.field.pp.q]
-        try:
-            tower, out = real_fiber(inst, *args)
-        finally:
-            fibers.append(current[0])
-            current[0] = None
-        fibers[-1][1] = len(out)
-        return tower, out
+    def integer(tower, terms):
+        seen["tower"], seen["terms"] = tower, list(terms)
+        return real_integer(tower, seen["terms"])
 
-    monkeypatch.setattr(TowerCtx, "twist_sums", twist)
-    monkeypatch.setattr(counting, "_fiber_sums", fiber)
+    def count(inst, matrix, k, torus, caps):
+        seen.clear()
+        out = real_count(inst, matrix, k, torus, caps)
+        part = (seen["pass"].pencil() if matrix == inst.M
+                else seen["pass"].mirror)
+        # one term per key, in the part's order, untwisted where c = 0:
+        # its W value is the weight of s alone
+        T, terms = seen["tower"], seen["terms"]
+        v, m, Q, pN = len(matrix), len(matrix[0]), inst.field.pp.q ** k, T.pN
+        assert [x for x, _ in terms] == list(part.values())
+        twisted = 0
+        for (s, c), (_, w) in zip(part, terms):
+            weight = (pow(Q - 1, v - m, pN) if torus else
+                      pow(Q - 1, s - m, pN) * Q ** (v - s) % pN)
+            if tuple(u % pN for u in w) != (weight,) + (0,) * (T.r - 1):
+                assert c, (s, c, w)
+                twisted += 1
+        counts.append([twisted, len({s for s, _ in part}), T.q])
+        return out
+
+    monkeypatch.setattr(counting, "_family_sums", family)
+    monkeypatch.setattr(TowerCtx, "zp_integer", integer)
+    monkeypatch.setattr(counting, "charsum_count", count)
     assert main(["congruence", "--n", str(n), "--p", "5", "--lambda", "all",
                  "--k", "3"]) == 0
     capsys.readouterr()
     # M and N for k = 1..3, at lam = 0 and at the four lam != 0
-    assert len(fibers) == 2 * 3 * 5
-    assert all(twists <= s_values * (q - 2)
-               for twists, s_values, q in fibers), fibers
-    assert (max(twists for twists, _, _ in fibers) > 0) == (n == 2), fibers
+    assert len(counts) == 2 * 3 * 5
+    assert all(twisted <= s_values * (q - 2)
+               for twisted, s_values, q in counts), counts
+    assert (max(twisted for twisted, _, _ in counts) > 0) == (n == 2), counts
 
 
 def test_brute_force_caps_are_sharp(tmp_path, capsys):

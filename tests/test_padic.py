@@ -17,7 +17,6 @@ from dworkzeta.oracles import (
     digit_sum,
     pi_valuation,
     zp_coords,
-    zp_slots,
 )
 from dworkzeta.padic import TowerCtx, ZpCyclic, build_tower
 
@@ -308,12 +307,12 @@ def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
 
 
 def _z_parts(ring, v):
-    """The x-slots of each z^c part of v, c < g, read as the z^0 part of
-    v z^{g-c}."""
+    """The x-coordinates of each z^c part of v, c < g, read as the z^0 part
+    of v z^{g-c}."""
     T, g = ring.tower, ring.g
     zero, one = (0,) * T.p, (1,) + (0,) * (T.p - 1)
-    return [zp_slots(T, ring.z0_sums({0: ring.mul(
-        v, ring.pack([zero] * ((g - c) % g) + [one]))})[0])
+    return [list(ring.coords(ring.mul(
+        v, ring.pack([zero] * ((g - c) % g) + [one]))))
         for c in range(g)]
 
 
@@ -336,8 +335,8 @@ def test_zp_product_sums_worst_case_slots(p, r, N):
         ring = ZpCyclic(T, g, 28)
         P5 = ring.power(ring.pack([(top,) * p] * g), 5)
         assert _z_parts(ring, P5) == [want] * g
-        key = ring.z0_sums({"key": sum(top * P5 for _ in range(28))})
-        assert zp_slots(T, key["key"]) == [v * top * 28 % T.pN for v in want]
+        key = ring.coords(sum(top * P5 for _ in range(28)))
+        assert list(key) == [v * top * 28 % T.pN for v in want]
 
 
 @pytest.mark.parametrize("p,r,N", [(2, 1, 9), (3, 2, 12), (5, 1, 19),
@@ -358,8 +357,8 @@ def test_zp_cyclic_slot_width_is_sharp(p, r, N):
         P = ring.pack([(2 * T.pN - 1,) * p] * g)
         return ring.power(P, 5)
 
-    assert zp_slots(T, ring.z0_sums({0: fifth_power(ring)})[0]) == want
-    assert zp_slots(T, narrow.z0_sums({0: fifth_power(narrow)})[0]) != want
+    assert list(ring.coords(fifth_power(ring))) == want
+    assert list(narrow.coords(fifth_power(narrow))) != want
     # with p^N small the terms set the width: 2000 terms (p^N - 1) times a
     # value whose slots are 2 p^N - 1
     T = TowerCtx(build_field(3, 1, 0), 1)
@@ -369,8 +368,8 @@ def test_zp_cyclic_slot_width_is_sharp(p, r, N):
     narrow._set_width(ring.bits - 2)
     for r_, ok in ((ring, True), (narrow, False)):
         v = r_.pack([(5, 5, 5)] * 2)
-        got = r_.z0_sums({0: sum(2 * v for _ in range(2000))})[0]
-        assert (zp_slots(T, got) == [2 * 5 * 2000 % 3] * 3) == ok
+        got = r_.coords(sum(2 * v for _ in range(2000)))
+        assert (got == (2 * 5 * 2000 % 3,) * 3) == ok
 
 
 @pytest.mark.parametrize("p,N,terms", [(2, 1, 600), (3, 1, 300),
@@ -385,8 +384,8 @@ def test_zp_product_sums_many_terms_on_one_key(p, N, terms):
     for g in (1, 5):
         ring = ZpCyclic(T, g, terms)
         v = ring.pack([zp_coords(elem)])
-        got = ring.z0_sums({"key": sum(top * v for _ in range(terms))})
-        assert zp_slots(T, got["key"]) == list(elem.scale(top * terms).c)
+        got = ring.coords(sum(top * v for _ in range(terms)))
+        assert got == elem.scale(top * terms).c
 
 
 def test_zp_product_sums_refuses_a_factor_outside_zp_zeta_p():
@@ -408,8 +407,8 @@ def test_zp_product_sums_refuses_a_factor_of_another_precision():
             _FamilyPass(T, gauss_tower, M, Nm, False)
     # a factor from a tower of the same p and N, over another field, is read
     same = TowerCtx(build_field(3, 2, 0), 4)
-    got = ring.z0_sums({0: 2 * ring.pack([zp_coords(TowerElem.pi(same))])})
-    assert zp_slots(T, got[0]) == list((TowerElem.pi(T) * 2).c)
+    got = ring.coords(2 * ring.pack([zp_coords(TowerElem.pi(same))]))
+    assert got == (TowerElem.pi(T) * 2).c
 
 
 def test_teich_cube_roots_sum_to_zero():
@@ -557,17 +556,10 @@ def test_as_integer_certification():
         TowerElem.pi(T).as_integer()
 
 
-def _packed_sums(T, elems):
-    """{(s, 0): elems[s]} packed as the family part packs its sums."""
-    ring = ZpCyclic(T, 1, 1)
-    return ring.z0_sums({(s, 0): ring.pack([zp_coords(x)])
-                         for s, x in enumerate(elems)})
-
-
-def _slot_integer(T, by_s):
-    """zp_integer of the classes {0: ...}, or None where it refuses."""
+def _slot_integer(T, terms):
+    """zp_integer of the (x, w) terms, or None where it refuses."""
     try:
-        return T.zp_integer(by_s, {0: 1})
+        return T.zp_integer(terms)
     except NonIntegralResult:
         return None
 
@@ -584,6 +576,7 @@ def test_slot_certification_agrees_with_as_integer(p, r):
     from dworkzeta.counting import _certified_count
 
     T = tower(p, r, 6)
+    one = (1,) + (0,) * (r - 1)  # in W
     one_plus = TowerElem.zero(T)  # 1 + x + ... + x^(p-1) = 0 mod Phi_p
     for i in range(p):
         one_plus = one_plus + TowerElem.zeta_p(T) ** i
@@ -593,27 +586,25 @@ def test_slot_certification_agrees_with_as_integer(p, r):
     pi = TowerElem.pi(T)
     others = [pi, TowerElem.zeta_p(T), pi ** 2 + 3, one_plus + pi]
     for x in ints + others:
-        by_s = T.twist_sums(_packed_sums(T, [x]), {})
-        assert _slot_integer(T, by_s) == _as_integer(x), x
+        assert _slot_integer(T, [(zp_coords(x), one)]) == _as_integer(x), x
     assert all(_as_integer(x) is not None for x in ints)
     # pi = -2 at p = 2
     assert (_as_integer(TowerElem.pi(T)) is None) == (p > 2)
-    # a combination of classes, weighted
-    by_s = T.twist_sums(_packed_sums(T, ints), {})
-    weights = {s: 3 * s + 1 for s in by_s}
-    assert T.zp_integer(by_s, weights) == \
-        sum(w * ints[s].as_integer() for s, w in weights.items()) % T.pN
+    # a combination of terms, weighted
+    weights = [3 * s + 1 for s in range(len(ints))]
+    assert T.zp_integer([(zp_coords(x), (w,) + one[1:])
+                         for x, w in zip(ints, weights)]) == \
+        sum(w * x.as_integer() for x, w in zip(ints, weights)) % T.pN
     if r > 1:
-        y = TowerElem.from_w(T, (0, 1))
+        y = (0, 1) + one[2:]
         for x in (TowerElem.one(T), one_plus, one_plus + 4):
             # x y has a y^1 part; it is 0 mod Phi_p only for one_plus
-            by_s = T.twist_sums({(0, 1): _packed_sums(T, [x])[0, 0]},
-                                {1: (0, 1)})
-            assert _slot_integer(T, by_s) == _as_integer(x * y), x
-        assert _as_integer(y) is None and _as_integer(one_plus * y) == 0
+            assert _slot_integer(T, [(zp_coords(x), y)]) == \
+                _as_integer(x * TowerElem.from_w(T, y)), x
+        assert _as_integer(TowerElem.from_w(T, y)) is None
+        assert _as_integer(one_plus * TowerElem.from_w(T, y)) == 0
     q = T.q
-    seven_q = _packed_sums(T, [TowerElem.from_int(T, q * 7)])
-    v = T.zp_integer(T.twist_sums(seven_q, {}), {0: 1})
+    v = T.zp_integer([(zp_coords(TowerElem.from_int(T, q * 7)), one)])
     assert _certified_count(v, q, q * 7, "q * count") == 7
     with pytest.raises(NonIntegralResult, match="a-priori bound"):
         _certified_count(v, q, q * 7 - 1, "q * count")
@@ -623,27 +614,19 @@ def test_slot_certification_agrees_with_as_integer(p, r):
 
 @pytest.mark.parametrize("p,r,N", [(3, 1, 9), (5, 1, 19), (2, 2, 12),
                                    (3, 2, 7), (7, 1, 5)])
-def test_twist_sums_worst_case_slots(p, r, N):
-    # every x-coordinate p^N - 1, and T = q-1 classes on each s, each
-    # twisted by the W value whose coordinates are all p^N - 1: a part's
-    # slots sum T (p^N - 1)^2, which overflow a slot sized without log2 T
+def test_zp_integer_worst_case_terms(p, r, N):
+    # q-1 classes on each of 3 values of s, every x-coordinate p^N - 1 and
+    # every coordinate of the twist p^N - 1, against the oracle ring: each
+    # y^j part is 0 mod Phi_p.  With the x^0 coordinate alone p^N - 1, and
+    # the twist's y^0 coordinate alone, the sum is a nonzero integer.
     T = TowerCtx(build_field(p, r, 0), N)
-    top = T.pN - 1
-    c = [0] * (p * r)
-    c[::r] = [top] * p
-    elem = TowerElem(T, tuple(c))
-    w = (top,) * r
-    keys = [(s, k) for s in range(3) for k in range(T.q - 1)]
-    sums = _packed_sums(T, [elem])
-    sums = dict.fromkeys(keys, sums[0, 0])
-    got = T.twist_sums(sums, dict.fromkeys(range(T.q - 1), w))
-    want = elem * TowerElem.from_w(T, w)
-    for _ in range(T.q - 2):
-        want = want + elem * TowerElem.from_w(T, w)
-    assert set(got) == {0, 1, 2}
-    for parts in got.values():
-        assert [zp_slots(T, v) for v in parts] == \
-            [list(want.c[j::r]) for j in range(r)]
+    top, classes = T.pN - 1, 3 * (T.q - 1)
+    for x in ((top,) * p, (top,) + (0,) * (p - 1)):
+        for w in ((top,) * r, (top,) + (0,) * (r - 1)):
+            term = TowerElem.from_zp(T, x) * TowerElem.from_w(T, w)
+            want = _as_integer(term.scale(classes))
+            assert _slot_integer(T, [(x, w)] * classes) == want, (x, w)
+    assert want == top * top * classes % T.pN != 0
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
