@@ -44,6 +44,7 @@ from .slope import (
     slope_zeta,
 )
 from .zeta import (
+    counts_budget,
     is_weil_pure,
     r_poly,
     recover_mirror_zeta,
@@ -292,6 +293,12 @@ _SWEEP_ZETA_KEYS = ("Y", "slope_zeta_Y", "fe_Y", "Y_ordinary",
                     "X_newton_above_hodge")
 
 
+def _gets_zeta_row(cfg: SweepConfig, inst) -> bool:
+    """Whether the sweep cell of `inst` gets a zeta row: n <= zeta_n_max
+    and a smooth fiber."""
+    return inst.n <= cfg.zeta_n_max and not is_singular(inst)
+
+
 def _sweep_instance(cfg: SweepConfig, caps: Caps, key: tuple) -> dict:
     """The rows of the sweep cell key = (n, p, r, lambda) under `cfg`, with
     `caps` at its tier; all three pickle.  Any exception makes the cell a
@@ -311,7 +318,7 @@ def _sweep_instance(cfg: SweepConfig, caps: Caps, key: tuple) -> dict:
             for name in ("X", "Y", "x_torus_form", "precision"):
                 del row[name]
             out["congruence"].append(row)
-        if n <= cfg.zeta_n_max and not is_singular(inst):
+        if _gets_zeta_row(cfg, inst):
             rep = _report(inst, caps, pencil=n == 2)[0]
             out["zeta"] = {name: rep[name] for name in _SWEEP_ZETA_KEYS
                            if name in rep}
@@ -352,10 +359,13 @@ def cmd_sweep(args) -> int:
                 field = build_field(p, r, cfg.seed, cap=caps.field_table_max_q)
                 for lam in _lambda_codes(spec, field):
                     # fail fast on a cell whose largest field, GF(q^f)
-                    # over k <= k_max, exceeds the caps
+                    # over the k its counts and zeta row reach, exceeds
+                    # the caps
                     inst = DworkInstance(n=n, field=field, lam=lam)
+                    k_top = max(cfg.k_max, counts_budget(n)) \
+                        if _gets_zeta_row(cfg, inst) else cfg.k_max
                     f_top = max(gauss_field_degree(inst, k)
-                                for k in range(1, cfg.k_max + 1))
+                                for k in range(1, k_top + 1))
                     if field.pp.q ** f_top > caps.field_table_max_q:
                         sys.stderr.write(f"instance {n},{p},{r} exceeds caps\n")
                         return EXIT_CAP

@@ -31,20 +31,20 @@ to 0 and the character factor is dropped.
 
 Only chi(lam)^{k_m} depends on lam, through k_m mod (q-1), as lam lies in
 GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
-key (s(k), k_m mod (q-1)) on the tower over the base field GF(q); the
-fiber part, in `charsum_count`, weights each key by its s-coefficient
-times chi(lam)^{k_m}, a value of W, and `TowerCtx.zp_integer` certifies
-the weighted sum a rational integer.
+key (s(k), k_m mod (q-1)); the fiber part, in `charsum_count`, weights
+each key by its s-coefficient times chi(lam)^{k_m}, a value of W, on the
+tower over the base field GF(q), and `TowerCtx.zp_integer` certifies the
+weighted sum a rational integer.
 
 The family part walks no solution (module `family`): over GF(Q) the
 pencil's solutions fall into residue classes, each summed as one packed
 power in Z_p[zeta_p][z]/(z^g - 1), g = gcd(n+1, Q-1), and the mirror's
 solutions are the pencil's diagonal ones, so one pass sums both.
 `oracles.enumerate_solutions`, the walk over the solutions one per class
-of block reorderings and orbit of k -> q k, is the tests' oracle.  Every
-Gauss sum over GF(q^k) is the Hasse-Davenport lift of a sum over GF(q^f),
-f = `gauss_field_degree`: a proper subfield only at lam = 0, f = k (no
-lift) otherwise.
+of block reorderings and orbit of k -> q k, is the tests' oracle.  The
+pass runs on the tower over GF(q^f), f = `gauss_field_degree`, and reads
+each Gauss sum over GF(q^k) by its index (`TowerCtx.gauss_sums`): a
+proper subfield only at lam = 0, f = k otherwise.
 """
 from __future__ import annotations
 
@@ -278,7 +278,7 @@ def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
     twisted and no Teichmuller table is built.  `TowerCtx.zp_integer`
     certifies that the weighted sum, plus (q-1)^{v-1} on the torus, is a
     rational integer q N mod p^N, and it is certified against the bound
-    q^v.  The Gauss sums are read on the tower over GF(q^f),
+    q^v.  The family part runs on the tower over GF(q^f),
     f = `gauss_field_degree`: at lam = 0, GF(q^k) itself is built only
     if f = k."""
     if matrix not in (inst.M, inst.Nmat):
@@ -289,8 +289,8 @@ def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
     F = inst.extension(f, cap=caps.field_table_max_q)[0]
     tower = build_tower(inst.field, required_precision(
         p, q, n, caps.precision_override))
-    family = _family_sums(tower, build_tower(F, tower.N), inst.M, inst.Nmat,
-                          inst.lam == 0, k // f)
+    family = _family_sums(build_tower(F, tower.N), tower.q, inst.M,
+                          inst.Nmat, inst.lam == 0, k // f)
     sums = family.pencil() if matrix == inst.M else family.mirror
     pN, q1 = tower.pN, tower.q - 1
     one = (1,) + (0,) * (tower.r - 1)

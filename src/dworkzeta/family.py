@@ -3,13 +3,14 @@ its mirror Y, for `counting.charsum_count`.
 
 Over GF(Q) the part is {(s(k), k_last mod (q-1)): sum of prod_j G(k_j)}
 over the solutions k of M k = 0 (X) or N k = 0 (Y) mod Q-1, each sum p
-x-coordinates of Z_p[zeta_p] on the tower over the base field GF(q); the
-fiber part (`counting.charsum_count`) twists it by chi(lam)^{k_last}.
-No solution is walked.  The pencil's solutions fall into residue classes
-a, each summed as one packed power in Z_p[zeta_p][z]/(z^g - 1),
-g = gcd(n+1, Q-1) (`padic.ZpCyclic`); the mirror's solutions are the
-pencil's diagonal ones (Weil 1949; Koblitz, Compositio Math. 1983), so one
-pass (`_FamilyPass`) serves both.  The walk over the solutions,
+x-coordinates of Z_p[zeta_p], keyed for the base field GF(q); the fiber
+part (`counting.charsum_count`) twists it by chi(lam)^{k_last}.  Each
+G(k_j) is read by its index over GF(Q) from `padic.TowerCtx.gauss_sums`
+on the one tower the pass runs on.  No solution is walked.  The pencil's
+solutions fall into residue classes a, each summed as one packed power in
+Z_p[zeta_p][z]/(z^g - 1), g = gcd(n+1, Q-1) (`padic.ZpCyclic`); the
+mirror's solutions are the pencil's diagonal ones (Weil 1949; Koblitz,
+Compositio Math. 1983), so one pass (`_FamilyPass`) serves both.  The walk over the solutions,
 `oracles.enumerate_solutions`, is the tests' oracle and shares `_matvec`
 and `_orbit_leaders` with this module.
 """
@@ -72,14 +73,14 @@ def _solution_shapes(M: tuple, Nm: tuple, lam_zero: bool) -> tuple:
 
 class _FamilyPass:
     """The family parts of X (matrix M) and of Y (matrix N) over GF(Q),
-    Q = q_f^m for the field GF(q_f) of `gauss_tower`, on `tower` over the
-    base field GF(q): for each, {(s(k), k_last mod (q-1)): sum of
-    prod_j G_Q(k_j)} over the solutions k, each sum a value of
+    Q = q_f^m for the field GF(q_f) of `tower`, keyed for the base field
+    GF(q), GF(q_f) an extension of it: for each, {(s(k), k_last mod (q-1)):
+    sum of prod_j G_Q(k_j)} over the solutions k, each sum a value of
     Z_p[zeta_p], p x-coordinates read out by `ZpCyclic.coords`.  Y's
     part, `mirror`, is summed on construction and X's, `pencil()`, on its
     first request: a caller that counts only Y does not pay for X's
-    powers mod z^g - 1, but its pass keeps X's inputs, the leaders and
-    the Gauss sums, while cached.
+    powers mod z^g - 1, and its pass keeps only X's leaders and, at g = 1,
+    the terms X and Y share, while cached.
 
     With Q1 = Q-1, e = n+1, g = gcd(e, Q1) and d = Q1/g, the M solutions
     have block residues a + d m_i, a < d, with sum m_i = 0 mod g, and
@@ -105,62 +106,38 @@ class _FamilyPass:
     vector is checked against both.  The products are formed on
     `ZpCyclic` packed integers.
 
-    Frobenius a -> a^p permutes GF(Q)^* and keeps the trace, so
-    G_Q(p k mod Q1) = G_Q(k): each Gauss sum is read at the least member
-    of its p-cyclotomic coset, lifted from GF(q_f) at m > 1
-    (`ZpCyclic.power`); the caller picks q_f so that every index
-    0 < k_j < Q-1 is a multiple of Q1/(q_f-1), and then so is every member
-    of its coset."""
+    Each leader reads its Gauss sums, by their indices over GF(Q), from
+    `tower.gauss_sums(..., m)` where it uses them; the caller picks q_f so
+    that every index 0 < k_j < Q-1 is a multiple of Q1/(q_f-1)."""
 
-    def __init__(self, tower: TowerCtx, gauss_tower: TowerCtx, M: tuple,
-                 Nm: tuple, lam_zero: bool, m: int = 1):
-        if (gauss_tower.p, gauss_tower.N) != (tower.p, tower.N):
-            raise ValueError(f"{gauss_tower} has another p or N than {tower}")
-        n, Q1 = len(Nm) - 1, gauss_tower.q ** m - 1
+    def __init__(self, tower: TowerCtx, q: int, M: tuple, Nm: tuple,
+                 lam_zero: bool, m: int = 1):
+        n, Q1 = len(Nm) - 1, tower.q ** m - 1
         e, g = n + 1, gcd(n + 1, Q1)
         d = Q1 // g
         self.n, self.Q1, self.e, self.g, self.d = n, Q1, e, g, d
-        self.q1, self.pN, self.lam_zero = tower.q - 1, tower.pN, lam_zero
+        self.q1, self.pN, self.lam_zero = q - 1, tower.pN, lam_zero
+        self._gauss = functools.partial(tower.gauss_sums, m=m)
         # G(0) and G(Q-1): the lifts 0 and 1 of a residue 0
         self._ends = (Q1, -(Q1 + 1))
         self._diagonal, self._x_lifts, self._y_lifts = \
             _solution_shapes(M, Nm, lam_zero)
         # (a, orbit length, k_last, (s for M, s for N) at each diagonal)
         leaders = []
-        for a, size in _orbit_leaders((0,) if lam_zero else range(d),
-                                      tower.q, d):
+        for a, size in _orbit_leaders((0,) if lam_zero else range(d), q, d):
             if a:
                 last = -e * a % Q1
                 leaders.append((a, size, last, [
                     self._s_values(a + d * c, last) for c in range(g)]))
-        # the Gauss indices, each read at the least member of its coset
-        idx = {d * c for c in range(1, g)}
-        for a, _, last, _ in leaders:
-            idx.update(a + d * c for c in range(g))
-            idx.add(last)
-        frobenius = [gauss_tower.p ** i for i in range(gauss_tower.r * m)]
-        least = {kj: min([kj * f % Q1 for f in frobenius]) for kj in idx}
-        step = Q1 // (gauss_tower.q - 1)
-        mins = sorted(set(least.values()))
-        if any(kj % step for kj in mins):
-            raise RuntimeError(f"Gauss index not a multiple of {step} (bug)")
-        gauss = gauss_tower.gauss_sums([kj // step for kj in mins])
         terms = Q1 + 4 * (n + 2) ** 2  # a bound on the terms of a key's sum
         xr = ZpCyclic(tower, g, terms)
         yr = xr if g == 1 else ZpCyclic(tower, 1, terms)
-        if m > 1:  # Hasse-Davenport: (-1)^{m-1} G^m
-            sign = (-1) ** (m - 1)
-            gauss = [tuple(sign * x % self.pN for x in yr.coords(
-                yr.power(yr.pack((G,)), m))) for G in gauss]
-        by_min = dict(zip(mins, gauss))
-        G = {kj: by_min[least[kj]] for kj in idx}
         shared: dict = {}  # a -> the term X and Y share at g = 1
-        self.mirror = self._mirror(leaders, G, least, yr, shared)
+        self.mirror = self._mirror(leaders, yr, shared)
         # what X's part reads, dropped once it is summed: each leader with
-        # its s for M, the Gauss sums and the shared terms
+        # its s for M, and the shared terms
         self._pending = ([(a, size, last, shapes[0][0])
-                          for a, size, last, shapes in leaders], G, xr,
-                         shared)
+                          for a, size, last, shapes in leaders], xr, shared)
         self._pencil: dict = {}
 
     def _s_values(self, x: int, y: int) -> tuple:
@@ -175,22 +152,23 @@ class _FamilyPass:
                 sx, sy = sx + cm, sy + cn
         return sx, sy
 
-    def _mirror(self, leaders, G, least, yr, shared) -> dict:
+    def _mirror(self, leaders, yr, shared) -> dict:
         Q1, e, g, d = self.Q1, self.e, self.g, self.d
         ys: dict = {}
-        powers: dict = {}  # least member of a coset -> G^e
+        powers: dict = {}  # G -> G^e
 
-        def power(kj):
-            key = least[kj]
-            if key not in powers:
-                powers[key] = yr.power(yr.pack((G[kj],)), e)
-            return powers[key]
+        def power(G):
+            if G not in powers:
+                powers[G] = yr.power(yr.pack((G,)), e)
+            return powers[G]
 
         for a, size, last, shapes in leaders:
+            *gauss, G_last = self._gauss([a + d * c for c in range(g)]
+                                         + [last])
             by_s: dict = {}  # s for N -> sum of G(a + dc)^e
-            for c, (_, sy) in enumerate(shapes):
-                _add(by_s, sy, power(a + d * c))
-            g_last = yr.pack((G[last],))
+            for (_, sy), G in zip(shapes, gauss):
+                _add(by_s, sy, power(G))
+            g_last = yr.pack((G_last,))
             for sy, v in by_s.items():
                 term = size * yr.mul(v if g == 1 else yr.reduce(v), g_last)
                 if g == 1:
@@ -199,8 +177,8 @@ class _FamilyPass:
         # a = 0, where k_last = 0 mod (q-1): the residues dc, c >= 1, and
         # the lifts of the all-zero residues
         ends, n = self._ends, self.n
-        for c in range(1, g):
-            pw = power(d * c)
+        for c, G in enumerate(self._gauss([d * c for c in range(1, g)]), 1):
+            pw = power(G)
             for b in ((0,) if self.lam_zero else (0, 1)):
                 _add(ys, (self._s_values(d * c, Q1 * b)[1], 0),
                      ends[b] % self.pN * pw)
@@ -219,18 +197,21 @@ class _FamilyPass:
             self._pending = None
         return self._pencil
 
-    def _pencil_sums(self, leaders, G, xr, shared) -> dict:
+    def _pencil_sums(self, leaders, xr, shared) -> dict:
         Q1, e, g, d = self.Q1, self.e, self.g, self.d
         xs: dict = {}
         for a, size, last, sx in leaders:
             term = shared.get(a)
             if term is None:
-                P = xr.pack([G[a + d * c] for c in range(g)])
-                term = size * xr.mul(xr.power(P, e), xr.pack((G[last],)))
+                *gauss, G_last = self._gauss([a + d * c for c in range(g)]
+                                             + [last])
+                term = size * xr.mul(xr.power(xr.pack(gauss), e),
+                                     xr.pack((G_last,)))
             _add(xs, (sx, last % self.q1), term)
         # a = 0, where k_last = 0 mod (q-1): from the powers of K
         ends = self._ends
-        K = xr.pack([(0,) * xr.tower.p] + [G[d * c] for c in range(1, g)]) \
+        K = xr.pack([(0,) * xr.tower.p]
+                    + self._gauss([d * c for c in range(1, g)])) \
             + xr.from_int(ends[1])
         powers = [xr.from_int(1), K]
         for _ in range(e - 1):
@@ -250,9 +231,9 @@ def _add(sums: dict, key, v) -> None:
 
 
 @functools.lru_cache(maxsize=64)  # one instance needs a few dozen at most
-def _family_sums(tower: TowerCtx, gauss_tower: TowerCtx, M: tuple, Nm: tuple,
+def _family_sums(tower: TowerCtx, q: int, M: tuple, Nm: tuple,
                  lam_zero: bool, m: int = 1) -> _FamilyPass:
     """The `_FamilyPass` of the pencil with matrix M and its mirror with
-    matrix N over GF(q_f^m), q_f the field size of `gauss_tower`, on
-    `tower`."""
-    return _FamilyPass(tower, gauss_tower, M, Nm, lam_zero, m)
+    matrix N over GF(q_f^m), q_f the field size of `tower`, keyed for the
+    base field GF(q)."""
+    return _FamilyPass(tower, q, M, Nm, lam_zero, m)

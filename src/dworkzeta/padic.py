@@ -12,10 +12,9 @@ Kronecker-packed operands (`_mul_coeffs`).
 
 Teichmuller values chi(a) are computed in W by Newton iteration.  A Gauss
 sum G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m],
-acc[m] in Z_p, with G(0) = q-1 and G(q-1) = -q by convention; it reads
-only the y^0 coordinates of the powers chi(g)^j, which follow a linear
-recurrence of order r (`teich_y0`).  `TowerCtx.gauss_sums` computes each
-G(k) on its first request and keeps it.
+acc[m] in Z_p; it reads only the y^0 coordinates of the powers chi(g)^j,
+which follow a linear recurrence of order r (`teich_y0`).  Which Gauss
+sum over GF(q^m) is which is decided in `TowerCtx.gauss_sums` alone.
 
 The family part of the character-sum count computes in
 Z_p[zeta_p][z]/(z^g - 1) on packed integers (`ZpCyclic`), whose layout
@@ -188,59 +187,66 @@ class TowerCtx:
 
     # -- Gauss sums ------------------------------------------------------------
 
-    def gauss_sums(self, ks) -> list:
-        """G(k) for each k in ks, a value of Z_p[zeta_p]: p x-coordinates
-        mod p^N.  Each missing G(k) is computed once and kept on the
-        context.  a -> a^p permutes GF(q)^* and keeps the trace, so
-        G(p k mod (q-1)) = G(k): only the least index of each p-cyclotomic
-        coset is summed.  The boundary indices 0 and q-1 are not reduced."""
-        ks, memo, q1 = list(ks), self._gauss_memo, self.q - 1
-        missing = [k for k in dict.fromkeys(ks) if k not in memo]
-        for k in missing:
-            if not 0 <= k <= q1:
-                raise ValueError(f"k must lie in [0, q-1], got {k}")
-        least = {k: k if k in (0, q1) else
-                 min(k * self.p ** i % q1 for i in range(self.r))
-                 for k in missing}
-        new = [c for c in dict.fromkeys(least.values()) if c not in memo]
-        if new:
-            memo.update(zip(new, self._gauss_sums(new)))
-        memo.update((k, memo[c]) for k, c in least.items())
-        return [memo[k] for k in ks]
+    def gauss_sums(self, ks, m: int = 1) -> list:
+        """G(k) over GF(Q), Q = q^m, for each k in ks, a value of
+        Z_p[zeta_p]: p x-coordinates mod p^N.  k must be a multiple of
+        s = (Q-1)/(q-1) in [0, Q-1] (ValueError if not); G(0) = Q-1 and
+        G(Q-1) = -Q by convention.  Any other k = t s is the
+        Hasse-Davenport lift of a sum over GF(q),
+        G_Q(t s) = (-1)^{m-1} G_q(t)^m, the power taken on the g = 1
+        `ZpCyclic`, and a -> a^p permutes GF(q)^* and keeps the trace, so
+        G_q(p t mod (q-1)) = G_q(t).  So the memo keeps one value per
+        (least member of the p-cyclotomic coset of t, m), computed on its
+        first request."""
+        p, pN, q1, Q1 = self.p, self.pN, self.q - 1, self.q ** m - 1
+        step, memo, ring = Q1 // q1, self._gauss_memo, None
+        frobenius = [p ** i for i in range(self.r)]
+        out = []
+        for k in ks:
+            if k % step or not 0 <= k <= Q1:
+                raise ValueError(
+                    f"k must be a multiple of {step} in [0, {Q1}], got {k}")
+            if k in (0, Q1):  # the boundary conventions
+                out.append(((Q1 if k == 0 else -Q1 - 1) % pN,)
+                           + (0,) * (p - 1))
+                continue
+            c = min([k // step * f % q1 for f in frobenius])
+            if (c, m) not in memo:
+                G = memo[c, 1] = memo.get((c, 1)) or self._gauss_sums(c)
+                if m > 1:
+                    ring = ring or ZpCyclic(self, 1, 1)
+                    memo[c, m] = tuple(
+                        (-1) ** (m - 1) * x % pN for x in
+                        ring.coords(ring.power(ring.pack((G,)), m)))
+            out.append(memo[c, m])
+        return out
 
     def gauss_table(self) -> list:
         """All G(k), 0 <= k <= q-1, with the boundary conventions."""
         return self.gauss_sums(range(self.q))
 
-    def _gauss_sums(self, ks) -> list:
-        """G(k) for each k in ks.  acc[m] sums chi(a)^{-k} over Tr(a) = m.
-        Frobenius permutes that set and acts on the Teichmuller values, so
-        it fixes acc[m], which lies in Z_p: only the y^0 coordinate of each
-        power is summed, one int add per term, and G(k) = sum_m x^m acc[m].
-        The traces of g^j and the y^0 sequence of `teich_y0` are formed on
-        the first call and kept on the context."""
-        p, q, pN = self.p, self.q, self.pN
-        q1 = q - 1
+    def _gauss_sums(self, k) -> tuple:
+        """G(k) for one index 0 < k < q-1.  acc[m] sums chi(a)^{-k} over
+        Tr(a) = m.  Frobenius permutes that set and acts on the Teichmuller
+        values, so it fixes acc[m], which lies in Z_p: only the y^0
+        coordinate of each power is summed, one int add per term, and
+        G(k) = sum_m x^m acc[m].  The traces of g^j and the y^0 sequence of
+        `teich_y0` are formed on the first call and kept on the context."""
+        p, pN, q1 = self.p, self.pN, self.q - 1
         if self._gauss_inputs is None:
             field = self.field
             self._gauss_inputs = (
                 [field.trace(field.exp_table[j]) for j in range(q1)],
                 self.teich_y0())
         traces, tp = self._gauss_inputs
-        out = []
-        for k in ks:
-            if k in (0, q1):  # the boundary conventions
-                out.append(((q1 if k == 0 else -q) % pN,) + (0,) * (p - 1))
-                continue
-            acc = [0] * p
-            kj = 0
-            for m in traces:
-                acc[m] += tp[kj]
-                kj -= k
-                if kj < 0:
-                    kj += q1
-            out.append(tuple(v % pN for v in acc))
-        return out
+        acc = [0] * p
+        kj = 0
+        for m in traces:
+            acc[m] += tp[kj]
+            kj -= k
+            if kj < 0:
+                kj += q1
+        return tuple(v % pN for v in acc)
 
     def pi_rows(self, c) -> tuple:
         """(p-1) tuples of w residues, rows[i][j] the coefficient of
@@ -325,10 +331,7 @@ class ZpCyclic:
         return self.reduce((prod & self._low) + (prod >> self._span))
 
     def power(self, a: int, e: int) -> int:
-        """a^e for e >= 1, left to right by squaring, reduced.  At g = 1
-        this is the Hasse-Davenport lift of a Gauss sum to GF(q^m):
-        G_{q^m}(k (q^m - 1)/(q - 1)) = (-1)^{m-1} G_q(k)^m, read back by
-        `coords`."""
+        """a^e for e >= 1, left to right by squaring, reduced."""
         return _power(a, e, self.mul)
 
     def coords(self, v: int) -> tuple:

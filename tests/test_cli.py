@@ -367,6 +367,27 @@ def test_sweep_cap_exceeded(tmp_path, capsys):
     assert not (tmp_path / "c").exists()  # refused before any cell ran
 
 
+def test_sweep_cap_guard_reads_the_zeta_row_counts(tmp_path, capsys):
+    # k_max = 2, but the zeta row of the smooth n = 3 fiber counts Y up to
+    # k = 3, over GF(7^3) = GF(343), above the cap
+    cfg = {"n_list": [3], "prime_list": [7], "k_max": 2,
+           "lambda_mode": "list", "lambda_list": [0], "zeta_n_max": 3,
+           "caps": {"field_table_max_q": 100}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "z"
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", "1"])
+    assert code == cli.EXIT_CAP
+    assert "instance 3,7,1 exceeds caps" in capsys.readouterr().err
+    assert not out.exists()  # refused before any cell ran
+    # without the zeta row the counts stop at k = 2, over GF(49)
+    cfg["zeta_n_max"] = 2
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                 "--threads", "1"]) == 0
+
+
 def test_sweep_cap_guard_reads_the_lam_zero_lift_field(tmp_path, capsys):
     # the Fermat fiber over GF(5^k), k <= 12, reads its Gauss sums over
     # GF(5^f) with f <= 2, far below the caps
@@ -636,6 +657,18 @@ COMMAND_SHA256 = [
      "780cd6155735d3d40b0b45b412918ec09899c998d5f637cb1c74579787c2db9a"),
     (["gauss", "--p", "13", "--r", "1", "--N", "9"], 0,
      "02e2a0ec480a1253c794d2b54861d5eaa032e028b7ee066a08353332f150d1b0"),
+    # lam = 0 counts whose Gauss sums are Hasse-Davenport lifts: m up to 11
+    # over GF(5); f = 2 at k = 2 and m = 3 at k = 3 over GF(11); coset
+    # minima over GF(9), m up to 4
+    (["count", "--n", "3", "--p", "5", "--lambda", "zero", "--k", "11",
+      "--method", "charsum"], 0,
+     "6a1131b9e70b698e97b269578b6934c976c731cf235acdde429656c7486c0b5d"),
+    (["count", "--n", "3", "--p", "11", "--lambda", "zero", "--k", "3",
+      "--method", "charsum"], 0,
+     "90325ea9622e77de89564c46bb84ee5ed1db971eb6a18a1fbac51b951db0c3b9"),
+    (["count", "--n", "3", "--p", "3", "--r", "2", "--lambda", "zero",
+      "--k", "4", "--method", "charsum"], 0,
+     "f4207ef65160222818f7346a4bf76f978d0d8dde68456fedae7bf2a77067687c"),
 ]
 
 

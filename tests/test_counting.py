@@ -533,10 +533,9 @@ def test_each_gauss_sum_is_computed_once_per_tower(capsys, monkeypatch):
     real = TowerCtx._gauss_sums
     asks = []
 
-    def spy(tower, ks):
-        ks = list(ks)
-        asks.extend((tower, k) for k in ks)
-        return real(tower, ks)
+    def spy(tower, k):
+        asks.append((tower, k))
+        return real(tower, k)
 
     counting._family_sums.cache_clear()
     build_tower.cache_clear()
@@ -633,6 +632,43 @@ def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
     assert count_record(ii, 1).Nfstar is None
 
 
+def _reachable_ids(obj, seen) -> set:
+    """The ids of obj and of everything reachable from it through tuples,
+    lists, sets and dicts."""
+    if id(obj) not in seen:
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            obj = [*obj.keys(), *obj.values()]
+        if isinstance(obj, (tuple, list, set, frozenset)):
+            for x in obj:
+                _reachable_ids(x, seen)
+    return seen
+
+
+def test_pass_for_y_alone_keeps_no_gauss_sum(monkeypatch):
+    # a count of Y leaves X's part unsummed; what the pass keeps for it
+    # holds none of the Gauss sums the towers keep
+    from dworkzeta import counting
+
+    real, passes, towers = counting._family_sums.__wrapped__, [], set()
+
+    def family(*args):
+        towers.update(a for a in args if isinstance(a, TowerCtx))
+        passes.append(real(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(counting, "_family_sums", family)
+    for n, q, lam, k in ((3, 5, 1, 1), (2, 5, 1, 2), (4, 11, 1, 1),
+                         (3, 5, 0, 2)):
+        ii = inst(n, q, 1, lam)
+        assert charsum_count(ii, ii.Nmat, k) == count_brute(ii, ii.Nmat, k)
+    assert all(part._pending is not None for part in passes)
+    kept = {id(G) for T in towers for G in T._gauss_memo.values()}
+    assert kept
+    for part in passes:
+        assert not kept & _reachable_ids(part._pending, set())
+
+
 def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
     """The family part summed one solution vector at a time on a fresh
     tower over F = GF(q_f), every Gauss sum over GF(Q), Q = q_f^m, read
@@ -693,7 +729,7 @@ def _family_part(n, p, r, f, m, lam_zero):
     N = required_precision(p, Ff.pp.q ** m, n)
     base = TowerCtx(F, N)
     family = _family_sums.__wrapped__(
-        base, TowerCtx(Ff, N), dwork_matrix_M(n), dwork_matrix_N(n),
+        TowerCtx(Ff, N), base.q, dwork_matrix_M(n), dwork_matrix_N(n),
         lam_zero, m)
     return base, Ff, N, [{key: _zp_rows(TowerElem.from_zp(base, x))
                           for key, x in part.items()}
@@ -775,9 +811,7 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
     from dworkzeta import family
     from dworkzeta.family import _family_sums
 
-    N = required_precision(5, 125, 3)
-    base = TowerCtx(build_field(5, 1, 0), N)
-    T = TowerCtx(build_field(5, 3, 0), N)
+    T = TowerCtx(build_field(5, 3, 0), required_precision(5, 125, 3))
     T.gauss_table()
     M = dwork_matrix_M(3)
     # GF(125) over GF(5), lam != 0: a -> 5 a has order 3 mod d = 31, so the
@@ -802,17 +836,17 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
 
     monkeypatch.setattr(ZpCyclic, "power", power)
     monkeypatch.setattr(family, "_orbit_leaders", orbit_leaders)
-    _family_sums.__wrapped__(base, T, M, dwork_matrix_N(3), False).pencil()
+    _family_sums.__wrapped__(T, 5, M, dwork_matrix_N(3), False).pencil()
     assert len(leaders) == 11
     assert sorted(size for _, size in leaders) == [1] + [3] * 10
     # at m = 1 every power is a family power, to e = n+1 = 4: no
     # Hasse-Davenport power
     assert powers and {e for _, _, e in powers} == {4}
     # at m > 1 the Hasse-Davenport powers G^m, one per coset minimum, on
-    # the g = 1 ring of the base tower; the rest are family powers
+    # the g = 1 ring of the Gauss tower; the rest are family powers
     powers.clear()
     T1 = TowerCtx(build_field(5, 1, 0), required_precision(5, 25, 3))
-    part = _family_sums.__wrapped__(T1, T1, M, dwork_matrix_N(3), True, 2)
+    part = _family_sums.__wrapped__(T1, 5, M, dwork_matrix_N(3), True, 2)
     inner = {kj for k, _ in each_solution(M, 25, True) for kj in k
              if 0 < kj < 24}
     assert part.pencil() and part.mirror

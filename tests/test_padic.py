@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dworkzeta import padic
-from dworkzeta.counting import dwork_matrix_M, dwork_matrix_N
 from dworkzeta.errors import NonIntegralResult
-from dworkzeta.family import _FamilyPass
 from dworkzeta.ff import FieldCtx, _power, build_field
 from dworkzeta.oracles import (
     TowerElem,
@@ -285,25 +283,60 @@ def test_gauss_sums_lie_in_zp_zeta_p(p, r):
                                         (2, 6, 12), (5, 3, 43)])
 def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
     # G(p k mod (q-1)) = G(k): the memo sums one index per p-cyclotomic
-    # coset of 0 < k < q-1, and the boundary indices 0 and q-1 themselves
+    # coset of 0 < k < q-1, its least member; 0 and q-1 are conventions
     field = build_field(p, r, 0)
     q1 = p ** r - 1
-    oracle = TowerCtx(field, 4)._gauss_sums(range(q1 + 1))
+    fresh = TowerCtx(field, 4)
+    oracle = [fresh._gauss_sums(k) for k in range(1, q1)]
     real, asks = TowerCtx._gauss_sums, []
 
-    def spy(tower, ks):
-        asks.extend(ks)
-        return real(tower, ks)
+    def spy(tower, k):
+        asks.append(k)
+        return real(tower, k)
 
     monkeypatch.setattr(TowerCtx, "_gauss_sums", spy)
     T = TowerCtx(field, 4)
-    assert T.gauss_sums(range(q1 + 1)) == oracle
+    G = T.gauss_sums(range(q1 + 1))
+    assert G[1:q1] == oracle
+    assert [TowerElem.from_zp(T, v) for v in (G[0], G[q1])] == \
+        [TowerElem.from_int(T, q1), TowerElem.from_int(T, -q1 - 1)]
     orbits = {frozenset(k * p ** i % q1 for i in range(r))
               for k in range(1, q1)}
     assert len(orbits) == cosets
-    assert sorted(asks) == [0, *sorted(min(o) for o in orbits), q1]
-    T.gauss_sums(range(q1 + 1))  # all kept
-    assert len(asks) == cosets + 2
+    assert sorted(asks) == sorted(min(o) for o in orbits)
+    assert T.gauss_sums(range(q1 + 1)) == G  # all kept
+    assert len(asks) == cosets
+
+
+@pytest.mark.parametrize("p,r,m", [(3, 1, 2), (2, 2, 2), (5, 1, 2),
+                                   (3, 1, 3), (7, 1, 2), (3, 2, 2),
+                                   (5, 1, 3)])
+def test_gauss_sums_over_an_extension_match_its_table(monkeypatch, p, r, m):
+    # gauss_sums(ks, m) on the tower over GF(q) is the table of GF(q^m) at
+    # every multiple of (Q-1)/(q-1), the boundary indices included
+    T = TowerCtx(build_field(p, r, 0), 8)
+    table = TowerCtx(build_field(p, r * m, 0), 8).gauss_table()
+    q, Q1 = p ** r, p ** (r * m) - 1
+    step = Q1 // (q - 1)
+    ks = range(0, Q1 + 1, step)
+    assert T.gauss_sums(ks, m) == [table[k] for k in ks]
+    for k in (1, Q1 + 1):
+        with pytest.raises(ValueError, match=f"multiple of {step}"):
+            T.gauss_sums([k], m)
+    # the m-th powers are kept: two passes take one per coset minimum
+    real, powers = ZpCyclic.power, []
+
+    def power(ring, a, e):
+        powers.append((ring.tower, ring.g, e))
+        return real(ring, a, e)
+
+    monkeypatch.setattr(ZpCyclic, "power", power)
+    T = TowerCtx(T.field, 8)
+    for _ in range(2):
+        T.gauss_sums(ks, m)
+    minima = {min(t * p ** i % (q - 1) for i in range(r))
+              for t in range(1, q - 1)}
+    assert powers == [(T, 1, m)] * len(minima)
 
 
 def _z_parts(ring, v):
@@ -397,15 +430,10 @@ def test_zp_product_sums_refuses_a_factor_outside_zp_zeta_p():
         ZpCyclic(T, 3, 1)
 
 
-def test_zp_product_sums_refuses_a_factor_of_another_precision():
-    T = TowerCtx(build_field(3, 1, 0), 4)
-    other = TowerCtx(build_field(3, 2, 0), 5)
-    ring = ZpCyclic(T, 2, 1)
-    M, Nm = dwork_matrix_M(2), dwork_matrix_N(2)
-    for gauss_tower in (other, TowerCtx(build_field(5, 1, 0), 4)):
-        with pytest.raises(ValueError, match="another p or N"):
-            _FamilyPass(T, gauss_tower, M, Nm, False)
+def test_zp_cyclic_reads_a_factor_from_another_field():
     # a factor from a tower of the same p and N, over another field, is read
+    T = TowerCtx(build_field(3, 1, 0), 4)
+    ring = ZpCyclic(T, 2, 1)
     same = TowerCtx(build_field(3, 2, 0), 4)
     got = ring.coords(2 * ring.pack([zp_coords(TowerElem.pi(same))]))
     assert got == (TowerElem.pi(T) * 2).c
