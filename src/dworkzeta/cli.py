@@ -45,7 +45,6 @@ from .slope import (
 )
 from .zeta import (
     counts_budget,
-    is_weil_pure,
     r_poly,
     recover_mirror_zeta,
     recover_pencil_zeta,
@@ -221,23 +220,22 @@ def _variety_values(rep: dict, v: str, z, d: int):
     return sz, np_
 
 
-def _report(inst, caps, pencil: bool):
+def _report(inst, caps, pencil: bool, records=()) -> dict:
     """The row values of one instance under the keys the rows print, shared
-    by `zeta`, `slope` and `sweep`, and its Z(Y) and Z(X) (None without the
-    pencil side).  Every count it needs is taken once per k.
+    by `zeta`, `slope` and `sweep`.  Every count it needs is taken once per
+    k: the CountRecords of `records`, k = 1, 2, ..., are not counted again.
 
-    Z(Y) always; on a singular fiber from exact counts (allowing a degree
-    drop in the numerator) and without the pencil side.  With `pencil`, a
-    smooth fiber also gets Z(X), R_n = P/Q and the X-side slope data.
-    Y_ordinary and Y_newton_above_hodge are present only when the Newton
-    polygon of Q has length n.
+    Z(Y) always; on a singular fiber by Newton's identities alone (allowing
+    a degree drop in the numerator) and without the pencil side.  With
+    `pencil`, a smooth fiber also gets Z(X), R_n = P/Q and the X-side slope
+    data.  Y_ordinary and Y_newton_above_hodge are present only when the
+    Newton polygon of Q has length n.
     """
     n, d = inst.n, inst.n - 1
     singular = is_singular(inst)
-    # a singular fiber is counted up to deg Q = n, so the functional
-    # equation never completes it
-    zy = recover_mirror_zeta(inst, caps=caps, k_budget=n if singular else None)
-    zx = recover_pencil_zeta(inst, caps=caps) if pencil and not singular else None
+    zy = recover_mirror_zeta(inst, caps=caps, records=records)
+    zx = (recover_pencil_zeta(inst, caps=caps, records=records)
+          if pencil and not singular else None)
     rep = {"smoothness": "singular" if singular else "smooth"}
     sy, np_y = _variety_values(rep, "Y", zy, d)
     if np_y.total_length == n:
@@ -252,23 +250,20 @@ def _report(inst, caps, pencil: bool):
                    slope_mirror_symmetry=sx == sy ** ((-1) ** d),
                    X_ordinary=ordinarity_test(np_x, prim),
                    X_newton_above_hodge=newton_above_hodge(np_x, prim))
-    return rep, zy, zx
+    return rep
 
 
 def _zeta_rows(args, inst, caps):
-    rep, zy, zx = _report(inst, caps, args.n == 2 or args.tier == "extended")
+    rep = _report(inst, caps, args.n == 2 or args.tier == "extended")
     row = {"schema": 2, **{key: rep[key] for key in (
         "smoothness", "Y", "X", "R_coeffs") if key in rep}}
-    q, w = inst.field.pp.q, args.n - 1
-    if zx is not None:
-        row["purity_X"] = _pass_fail(is_weil_pure(zx.numerator, q, w))
-    if rep["smoothness"] == "smooth":
-        row["purity_Y"] = _pass_fail(is_weil_pure(zy.numerator, q, w))
+    if rep["smoothness"] == "smooth":  # its recovery certified it pure
+        row.update({f"purity_{v}": "pass" for v in ("X", "Y") if v in rep})
     yield row, EXIT_OK
 
 
 def _slope_rows(args, inst, caps):
-    rep, _, _ = _report(inst, caps, args.n == 2 or args.tier == "extended")
+    rep = _report(inst, caps, args.n == 2 or args.tier == "extended")
     row = {"schema": 2, "n": args.n, "p": args.p, "r": args.r,
            "lambda_dlog": inst.lam_dlog,
            "ordinary_closed_form_X":
@@ -310,7 +305,8 @@ def _sweep_instance(cfg: SweepConfig, caps: Caps, key: tuple) -> dict:
     try:
         field = build_field(p, r, cfg.seed, cap=caps.field_table_max_q)
         inst = DworkInstance(n=n, field=field, lam=lam)
-        for rec in _count_records(inst, cfg.k_max, caps):
+        records = _count_records(inst, cfg.k_max, caps)
+        for rec in records:
             row = rec.to_json_dict()
             del row["Nfstar"]
             out["counts"].append(row)
@@ -319,7 +315,7 @@ def _sweep_instance(cfg: SweepConfig, caps: Caps, key: tuple) -> dict:
                 del row[name]
             out["congruence"].append(row)
         if _gets_zeta_row(cfg, inst):
-            rep = _report(inst, caps, pencil=n == 2)[0]
+            rep = _report(inst, caps, pencil=n == 2, records=records)
             out["zeta"] = {name: rep[name] for name in _SWEEP_ZETA_KEYS
                            if name in rep}
     except Exception as exc:  # noqa: BLE001 - the worker boundary

@@ -10,11 +10,12 @@ so counts and numerator power sums determine each other linearly:
 
 The projective pencil X and its mirror Y share trivial factors
 (1-T)...(1-q^{n-1}T) in the denominator with numerator exponent (-1)^n.  The
-numerator is recovered from power sums by Newton's identities; when fewer
-than its degree are given, the Weil functional equation a_{D-i} = sign *
-q^{w(D-2i)/2} a_i completes it, with the sign pinned by integrality, Weil
-bounds, and Weil purity.  Purity is decided exactly, by a Sturm count on a
-trace polynomial; nothing here uses floating point.
+numerator is recovered from power sums by Newton's identities: on a singular
+fiber alone, on a smooth one for the lower half, the Weil functional
+equation a_{D-i} = sign * q^{w(D-2i)/2} a_i completing it with the sign
+pinned by integrality, Weil bounds, and Weil purity.  Purity is decided
+exactly, by a Sturm count on a trace polynomial; nothing here uses floating
+point.
 """
 from __future__ import annotations
 
@@ -279,25 +280,14 @@ def _fe_partner(ai: int, q: int, w: int, e2: int):
 
 def recover_numerator(power_sums: Sequence[int], degree: int, weight: int,
                       q: int):
-    """The unique integer polynomial (constant term 1) with the given power
-    sums.  With fewer than `degree` of them, the missing upper coefficients
-    are completed by the Weil functional equation and the sign is pinned by
-    integrality, Weil bounds, and purity.  Returns (IntPoly, fe_sign or
-    None).
-    """
+    """The unique integer polynomial of full degree, constant term 1, with
+    the given power sums that satisfies the Weil functional equation: the
+    first degree//2 power sums give the lower half, the equation the rest,
+    and its sign is pinned by integrality, Weil bounds, purity and the
+    further power sums.  Returns (IntPoly, fe_sign)."""
     if degree == 0:
         return ONE, None
     m = len(power_sums)
-    if m >= degree:
-        a = coeffs_from_power_sums(power_sums[:degree], degree)
-        poly = IntPoly(a)
-        got = poly.power_sums(m)
-        if list(got) != list(power_sums):
-            raise NonIntegralCoefficient(
-                "extra power sums are inconsistent with the recovered numerator")
-        if not weil_bound_ok(poly.coeffs, q, weight):
-            raise NoConsistentSign("recovered numerator violates the Weil bounds")
-        return poly, None
     half = degree // 2
     if m < half:
         raise InsufficientData(
@@ -375,48 +365,50 @@ def counts_budget(degree: int) -> int:
     return (degree + 1) // 2 + 1
 
 
-def zeta_from_counts(variety: str, counts: Sequence[int], n: int, p: int,
-                     r: int, q: int, lam_dlog, degree: int,
-                     weight: int) -> ZetaData:
-    """Recover a ZetaData for one variety from its counts over GF(q^k)."""
-    psums = power_sums_from_counts(counts, variety, n, q)
-    poly, _sign = recover_numerator(psums, degree, weight, q)
-    zd = ZetaData(variety=variety, n=n, p=p, r=r, q=q, lam_dlog=lam_dlog,
-                  numerator=poly, numerator_exponent=numerator_exponent(n),
-                  trivial=trivial_factors(variety, n))
-    for k, ct in enumerate(counts, start=1):
-        if zd.count(k) != ct:
-            raise NonIntegralCoefficient(
-                f"recovered zeta does not reproduce the k={k} count")
-    return zd
-
-
-def _recover(inst, variety: str, caps, k_budget: int | None) -> ZetaData:
-    """Count `variety` over GF(q^k), k = 1..budget, and recover its zeta:
-    X from M in affine space, Y from N on the torus, both of weight n-1."""
+def _recover(inst, variety: str, caps, k_budget: int | None,
+             records: Sequence) -> ZetaData:
+    """Count `variety` over GF(q^k), k = 1..budget, past the CountRecords
+    for k = 1, 2, ... in `records`, and recover its zeta: X from M in affine
+    space, Y from N on the torus, both of weight n-1.  A smooth fiber is
+    counted to `counts_budget(degree)` and completed by `recover_numerator`;
+    a singular one to the degree, its numerator, which may drop degree, from
+    Newton's identities alone.  `k_budget` overrides either budget."""
     caps = caps or DEFAULT_CAPS
     n, pp = inst.n, inst.field.pp
     if variety == "X":
         matrix, torus, degree = inst.M, False, expected_degree_P(n)
     else:
         matrix, torus, degree = inst.Nmat, True, n
-    counts = []
-    for k in range(1, (k_budget or counts_budget(degree)) + 1):
+    singular = counting.is_singular(inst)
+    budget = k_budget or (degree if singular else counts_budget(degree))
+    counts = [getattr(rec, variety) for rec in records[:budget]]
+    for k in range(len(counts) + 1, budget + 1):
         points = counting.charsum_count(inst, matrix, k, torus, caps)
         counts.append(counting.count_Y(points, n, pp.q ** k) if torus
                       else counting.count_X(points, pp.q ** k))
-    return zeta_from_counts(variety, counts, n, pp.p, pp.r, pp.q,
-                            inst.lam_dlog, degree, n - 1)
+    psums = power_sums_from_counts(counts, variety, n, pp.q)
+    if singular:
+        poly = IntPoly(coeffs_from_power_sums(psums, degree))
+        if poly.power_sums(len(psums)) != psums:
+            raise NonIntegralCoefficient(
+                "extra power sums are inconsistent with the recovered numerator")
+        if not weil_bound_ok(poly.coeffs, pp.q, n - 1):
+            raise NoConsistentSign("recovered numerator violates the Weil bounds")
+    else:
+        poly = recover_numerator(psums, degree, n - 1, pp.q)[0]
+    return ZetaData(variety=variety, n=n, p=pp.p, r=pp.r, q=pp.q,
+                    lam_dlog=inst.lam_dlog, numerator=poly,
+                    numerator_exponent=numerator_exponent(n),
+                    trivial=trivial_factors(variety, n))
 
 
-def recover_pencil_zeta(inst, caps=None,
-                        k_budget: int | None = None) -> ZetaData:
-    """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1,
-    completed by the functional equation."""
-    return _recover(inst, "X", caps, k_budget)
+def recover_pencil_zeta(inst, caps=None, k_budget: int | None = None,
+                        records: Sequence = ()) -> ZetaData:
+    """Z(X_lam): numerator of degree n(n^n - (-1)^n)/(n+1), weight n-1."""
+    return _recover(inst, "X", caps, k_budget, records)
 
 
-def recover_mirror_zeta(inst, caps=None,
-                        k_budget: int | None = None) -> ZetaData:
+def recover_mirror_zeta(inst, caps=None, k_budget: int | None = None,
+                        records: Sequence = ()) -> ZetaData:
     """Z(Y_lam): numerator of degree n, weight n-1."""
-    return _recover(inst, "Y", caps, k_budget)
+    return _recover(inst, "Y", caps, k_budget, records)

@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
+from dworkzeta import counting
 from dworkzeta.oracles import TowerElem, enumerate_solutions
+from dworkzeta.padic import TowerCtx, build_tower
 
 
 def gauss_elems(T):
@@ -48,3 +50,54 @@ def _solution_class(k, s, n, q) -> str:
 @pytest.fixture
 def solution_class():
     return _solution_class
+
+
+def _hd_sign_dropped(monkeypatch):
+    """Hasse-Davenport lift without its sign (-1)^{m-1}: every interior
+    G(k) over GF(q^m) is negated at even m."""
+    real = TowerCtx.gauss_sums
+
+    def gauss_sums(self, ks, m=1):
+        ks = list(ks)
+        out = real(self, ks, m)
+        if m % 2:
+            return out
+        ends = (0, self.q ** m - 1)
+        return [G if k in ends else tuple(-x % self.pN for x in G)
+                for k, G in zip(ks, out)]
+
+    monkeypatch.setattr(TowerCtx, "gauss_sums", gauss_sums)
+
+
+def _twist_inverted(monkeypatch):
+    """The fiber twist chi(lam)^c read as chi(lam)^{-c}: teich_pows()[j]
+    returns the value at -j mod (q-1)."""
+    real = TowerCtx.teich_pows
+
+    def teich_pows(self):
+        tp = real(self)
+        return [tp[-j % len(tp)] for j in range(len(tp))]
+
+    monkeypatch.setattr(TowerCtx, "teich_pows", teich_pows)
+
+
+FAULTS = {"hd_sign": _hd_sign_dropped, "twist": _twist_inverted}
+
+
+@pytest.fixture
+def fault(monkeypatch):
+    """install(name) puts the named one-line fault of FAULTS into the
+    counting path.  The family-pass and tower caches are emptied when it
+    goes in and again at teardown, so no result computed on either side of
+    the fault reaches the other."""
+    def clear():
+        counting._family_sums.cache_clear()
+        build_tower.cache_clear()
+
+    def install(name):
+        clear()
+        FAULTS[name](monkeypatch)
+
+    yield install
+    monkeypatch.undo()
+    clear()

@@ -11,7 +11,7 @@ import pytest
 import dworkzeta
 from dworkzeta import cli, counting
 from dworkzeta.cli import main
-from dworkzeta.config import Caps
+from dworkzeta.config import Caps, SweepConfig
 from dworkzeta.errors import (
     DivisibilityViolation,
     FieldTooLarge,
@@ -386,6 +386,24 @@ def test_sweep_cap_guard_reads_the_zeta_row_counts(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out),
                  "--threads", "1"]) == 0
+
+
+@pytest.mark.parametrize("n,k_max", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_sweep_cell_counts_each_matrix_once_per_k(monkeypatch, n, k_max):
+    # the zeta row reads the cell's CountRecords and counts only the k
+    # beyond them: Y up to 3 at n = 3, X and Y up to 2 at n = 2
+    real, calls = counting.charsum_count, []
+
+    def spy(inst, matrix, k, torus, caps):
+        calls.append((matrix, k, torus))
+        return real(inst, matrix, k, torus, caps)
+
+    monkeypatch.setattr(counting, "charsum_count", spy)
+    cfg = SweepConfig(k_max=k_max, zeta_n_max=3)
+    cell = cli._sweep_instance(cfg, cfg.caps, (n, 5, 1, 1 if n == 2 else 0))
+    assert cell["error"] is None and cell["zeta"] is not None
+    assert len(calls) == len(set(calls))
+    assert max(k for _, k, _ in calls) == max(k_max, 2 if n == 2 else 3)
 
 
 def test_sweep_cap_guard_reads_the_lam_zero_lift_field(tmp_path, capsys):

@@ -3,7 +3,7 @@ from math import isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dworkzeta.counting import DworkInstance, count_brute, count_X
+from dworkzeta.counting import DworkInstance, count_brute, count_X, is_singular
 from dworkzeta.errors import (
     InsufficientData,
     NoConsistentSign,
@@ -32,7 +32,6 @@ from dworkzeta.zeta import (
     recover_pencil_zeta,
     trivial_factors,
     weil_bound_ok,
-    zeta_from_counts,
 )
 
 
@@ -421,9 +420,31 @@ def test_zeta_data_count_roundtrip_and_json():
 
 
 def test_zeta_from_counts_rejects_wrong_shape():
-    with pytest.raises(NonIntegralCoefficient):
+    with pytest.raises(NoConsistentSign):
         # counts of the Fermat cubic fed with the wrong degree/extra data
-        zeta_from_counts("X", [9, 9, 100], 2, 2, 2, 4, None, 2, 1)
+        recover_numerator(power_sums_from_counts([9, 9, 100], "X", 2, 4),
+                          2, 1, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11])
+def test_singular_mirror_is_recovered_from_newton_alone(p):
+    # a singular fiber is counted to deg Q = n and takes no functional
+    # equation: its Q drops degree
+    F = build_field(p, 1, 0)
+    fibers = [DworkInstance(n=4, field=F, lam=lam) for lam in range(p)]
+    fibers = [inst for inst in fibers if is_singular(inst)]
+    assert len(fibers) == (5 if p == 11 else 1)
+    for inst in fibers:
+        zd = recover_mirror_zeta(inst)
+        assert zd == recover_mirror_zeta(inst, k_budget=4)
+        assert zd.numerator.degree == 3
+
+
+def test_full_power_sums_without_a_functional_equation_are_refused():
+    # 1 + T + 2T^2 has the two power sums but satisfies no functional
+    # equation at weight 1 over GF(5): a_2 = 2 is not +-5
+    with pytest.raises(NoConsistentSign):
+        recover_numerator(IntPoly([1, 1, 2]).power_sums(2), 2, 1, 5)
 
 
 def test_recover_mirror_zeta_frozen_value():
