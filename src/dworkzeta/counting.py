@@ -39,7 +39,8 @@ weighted sum a rational integer.
 The family part walks no solution (module `family`): over GF(Q) the
 pencil's solutions fall into residue classes, each summed as one packed
 power in Z_p[zeta_p][z]/(z^g - 1), g = gcd(n+1, Q-1), and the mirror's
-solutions are the pencil's diagonal ones, so one pass sums both.
+solutions are the pencil's diagonal ones, so one pass sums both: the
+mirror's part at once and the pencil's on its first request.
 `oracles.enumerate_solutions`, the walk over the solutions one per class
 of block reorderings and orbit of k -> q k, is the tests' oracle.  The
 pass runs on the tower over GF(q^f), f = `gauss_field_degree`, and reads
@@ -280,13 +281,14 @@ def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
     rational integer q N mod p^N, and it is certified against the bound
     q^v.  The family part runs on the tower over GF(q^f),
     f = `gauss_field_degree`: at lam = 0, GF(q^k) itself is built only
-    if f = k."""
+    if f = k.  lam is read in the base field, and never embedded."""
     if matrix not in (inst.M, inst.Nmat):
         raise ValueError("the character sum counts the matrices M and N")
     v, m, n = len(matrix), len(matrix[0]), inst.n
     p, q = inst.field.pp.p, inst.field.pp.q ** k
     f = gauss_field_degree(inst, k)
-    F = inst.extension(f, cap=caps.field_table_max_q)[0]
+    F = inst.field if f == 1 else build_field(
+        p, inst.field.pp.r * f, inst.field.seed, caps.field_table_max_q)
     tower = build_tower(inst.field, required_precision(
         p, q, n, caps.precision_override))
     family = _family_sums(build_tower(F, tower.N), tower.q, inst.M,

@@ -5,14 +5,16 @@ Over GF(Q) the part is {(s(k), k_last mod (q-1)): sum of prod_j G(k_j)}
 over the solutions k of M k = 0 (X) or N k = 0 (Y) mod Q-1, each sum p
 x-coordinates of Z_p[zeta_p], keyed for the base field GF(q); the fiber
 part (`counting.charsum_count`) twists it by chi(lam)^{k_last}.  Each
-G(k_j) is read by its index over GF(Q) from `padic.TowerCtx.gauss_sums`
-on the one tower the pass runs on.  No solution is walked.  The pencil's
-solutions fall into residue classes a, each summed as one packed power in
-Z_p[zeta_p][z]/(z^g - 1), g = gcd(n+1, Q-1) (`padic.ZpCyclic`); the
-mirror's solutions are the pencil's diagonal ones (Weil 1949; Koblitz,
-Compositio Math. 1983), so one pass (`_FamilyPass`) serves both.  The walk over the solutions,
-`oracles.enumerate_solutions`, is the tests' oracle and shares `_matvec`
-and `_orbit_leaders` with this module.
+G(k_j), G(0) and G(Q-1) included, is read by its index over GF(Q) from
+`padic.TowerCtx.gauss_sums` on the one tower the pass runs on.  No
+solution is walked.  The pencil's solutions fall into residue classes a,
+each summed as one packed power in Z_p[zeta_p][z]/(z^g - 1),
+g = gcd(n+1, Q-1) (`padic.ZpCyclic`); the mirror's solutions are the
+pencil's diagonal ones (Weil 1949; Koblitz, Compositio Math. 1983), so
+one pass (`_FamilyPass`) serves both: Y's part at once, with X's terms
+at g = 1, where they are Y's, and X's other terms on first request.  The
+walk over the solutions, `oracles.enumerate_solutions`, is the tests'
+oracle and shares `_matvec` and `_orbit_leaders` with this module.
 """
 from __future__ import annotations
 
@@ -79,8 +81,9 @@ class _FamilyPass:
     Z_p[zeta_p], p x-coordinates read out by `ZpCyclic.coords`.  Y's
     part, `mirror`, is summed on construction and X's, `pencil()`, on its
     first request: a caller that counts only Y does not pay for X's
-    powers mod z^g - 1, and its pass keeps only X's leaders and, at g = 1,
-    the terms X and Y share, while cached.
+    powers mod z^g - 1.  At g = 1 X's terms are Y's, added to X's key sums
+    in Y's loop, so a cached pass holds `mirror`, those key sums and, once
+    asked for, X's part: no per-leader value and no Gauss sum.
 
     With Q1 = Q-1, e = n+1, g = gcd(e, Q1) and d = Q1/g, the M solutions
     have block residues a + d m_i, a < d, with sum m_i = 0 mod g, and
@@ -96,49 +99,46 @@ class _FamilyPass:
         X gets G(k_last) [z^0] P^e mod z^g - 1,
         Y gets G(k_last) sum_c G(a + dc)^e.
 
-    At a = 0 a residue 0 lifts to 0 (G = Q-1) or to Q-1 (G = -Q), k_last
-    to 0 only at lam = 0.  A block coordinate not lifted to 0 then
-    contributes K = -Q + sum_{c>=1} G(dc) z^c, so the blocks with j
-    coordinates lifted to 0 give C(e, j) (Q-1)^j [z^0] K^{e-j} times
-    G(k_last) to X; Y gets G(dc)^e G(k_last) for c >= 1, and each lift of
-    the all-zero residues, C(n, j) times for j of N's block lifted to Q-1.
-    Each s is read off its matrix (`_solution_shapes`), and each diagonal
-    vector is checked against both.  The products are formed on
-    `ZpCyclic` packed integers.
+    At a = 0 a residue 0 lifts to 0 or to Q-1, k_last to 0 only at
+    lam = 0.  A block coordinate not lifted to 0 then contributes
+    K = G(Q-1) + sum_{c>=1} G(dc) z^c, so the blocks with j coordinates
+    lifted to 0 give C(e, j) G(0)^j [z^0] K^{e-j} times G(k_last) to X;
+    Y gets G(dc)^e G(k_last) for c >= 1, and each lift of the all-zero
+    residues, C(n, j) times for j of N's block lifted to Q-1.  Each s is
+    read off its matrix (`_solution_shapes`), and each diagonal vector is
+    checked against both.  The products are formed on `ZpCyclic` packed
+    integers.
 
-    Each leader reads its Gauss sums, by their indices over GF(Q), from
-    `tower.gauss_sums(..., m)` where it uses them; the caller picks q_f so
-    that every index 0 < k_j < Q-1 is a multiple of Q1/(q_f-1)."""
+    Each part reads its Gauss sums, by their indices over GF(Q), from
+    `tower.gauss_sums(..., m)` where it uses them, G(0) and G(Q-1)
+    included; the caller picks q_f so that every index 0 < k_j < Q-1 is a
+    multiple of Q1/(q_f-1)."""
 
     def __init__(self, tower: TowerCtx, q: int, M: tuple, Nm: tuple,
                  lam_zero: bool, m: int = 1):
         n, Q1 = len(Nm) - 1, tower.q ** m - 1
         e, g = n + 1, gcd(n + 1, Q1)
-        d = Q1 // g
-        self.n, self.Q1, self.e, self.g, self.d = n, Q1, e, g, d
-        self.q1, self.pN, self.lam_zero = q - 1, tower.pN, lam_zero
+        self.n, self.Q1, self.e, self.g, self.d = n, Q1, e, g, Q1 // g
+        self.q, self.pN, self.lam_zero = q, tower.pN, lam_zero
+        self._tower = tower
         self._gauss = functools.partial(tower.gauss_sums, m=m)
-        # G(0) and G(Q-1): the lifts 0 and 1 of a residue 0
-        self._ends = (Q1, -(Q1 + 1))
         self._diagonal, self._x_lifts, self._y_lifts = \
             _solution_shapes(M, Nm, lam_zero)
-        # (a, orbit length, k_last, (s for M, s for N) at each diagonal)
-        leaders = []
-        for a, size in _orbit_leaders((0,) if lam_zero else range(d), q, d):
+        self._x_sums: dict = {}  # X's key sums of the leaders, at g = 1
+        self.mirror = self._mirror()
+        self._pencil = None
+
+    def _ring(self, g: int) -> ZpCyclic:
+        # Q1 + 4 (n+2)^2 bounds the terms of a key's sum
+        return ZpCyclic(self._tower, g, self.Q1 + 4 * (self.n + 2) ** 2)
+
+    def _leaders(self) -> Iterator[tuple]:
+        """(a, orbit length, k_last) for each orbit leader a != 0."""
+        d = self.d
+        for a, size in _orbit_leaders((0,) if self.lam_zero else range(d),
+                                      self.q, d):
             if a:
-                last = -e * a % Q1
-                leaders.append((a, size, last, [
-                    self._s_values(a + d * c, last) for c in range(g)]))
-        terms = Q1 + 4 * (n + 2) ** 2  # a bound on the terms of a key's sum
-        xr = ZpCyclic(tower, g, terms)
-        yr = xr if g == 1 else ZpCyclic(tower, 1, terms)
-        shared: dict = {}  # a -> the term X and Y share at g = 1
-        self.mirror = self._mirror(leaders, yr, shared)
-        # what X's part reads, dropped once it is summed: each leader with
-        # its s for M, and the shared terms
-        self._pending = ([(a, size, last, shapes[0][0])
-                          for a, size, last, shapes in leaders], xr, shared)
-        self._pencil: dict = {}
+                yield a, size, -self.e * a % self.Q1
 
     def _s_values(self, x: int, y: int) -> tuple:
         """(s for M, s for N) at (x, ..., x, y), checked to solve both."""
@@ -152,8 +152,9 @@ class _FamilyPass:
                 sx, sy = sx + cm, sy + cn
         return sx, sy
 
-    def _mirror(self, leaders, yr, shared) -> dict:
-        Q1, e, g, d = self.Q1, self.e, self.g, self.d
+    def _mirror(self) -> dict:
+        Q1, e, g, d, q1 = self.Q1, self.e, self.g, self.d, self.q - 1
+        yr = self._ring(1)
         ys: dict = {}
         powers: dict = {}  # G -> G^e
 
@@ -162,7 +163,8 @@ class _FamilyPass:
                 powers[G] = yr.power(yr.pack((G,)), e)
             return powers[G]
 
-        for a, size, last, shapes in leaders:
+        for a, size, last in self._leaders():
+            shapes = [self._s_values(a + d * c, last) for c in range(g)]
             *gauss, G_last = self._gauss([a + d * c for c in range(g)]
                                          + [last])
             by_s: dict = {}  # s for N -> sum of G(a + dc)^e
@@ -171,17 +173,18 @@ class _FamilyPass:
             g_last = yr.pack((G_last,))
             for sy, v in by_s.items():
                 term = size * yr.mul(v if g == 1 else yr.reduce(v), g_last)
-                if g == 1:
-                    shared[a] = term
-                _add(ys, (sy, last % self.q1), term)
+                _add(ys, (sy, last % q1), term)
+                if g == 1:  # the block is diagonal: X's term is Y's
+                    _add(self._x_sums, (shapes[0][0], last % q1), term)
         # a = 0, where k_last = 0 mod (q-1): the residues dc, c >= 1, and
         # the lifts of the all-zero residues
-        ends, n = self._ends, self.n
-        for c, G in enumerate(self._gauss([d * c for c in range(1, g)]), 1):
+        G0, GQ, *inner = self._gauss([0, Q1] + [d * c for c in range(1, g)])
+        ends, n = (G0[0], GQ[0]), self.n
+        for c, G in enumerate(inner, 1):
             pw = power(G)
             for b in ((0,) if self.lam_zero else (0, 1)):
                 _add(ys, (self._s_values(d * c, Q1 * b)[1], 0),
-                     ends[b] % self.pN * pw)
+                     ends[b] * pw)
         for j, b_n, b, s in self._y_lifts:
             zeros = n + 2 - j - b_n - b
             _add(ys, (s, 0), yr.from_int(comb(n, j) * ends[0] ** zeros
@@ -189,37 +192,31 @@ class _FamilyPass:
         return {key: yr.coords(v) for key, v in ys.items()}
 
     def pencil(self) -> dict:
-        # the part is set before its inputs are dropped, so a thread that
-        # finds no inputs finds the part
-        pending = self._pending
-        if pending is not None:
-            self._pencil = self._pencil_sums(*pending)
-            self._pending = None
+        if self._pencil is None:
+            self._pencil = self._pencil_sums()
         return self._pencil
 
-    def _pencil_sums(self, leaders, xr, shared) -> dict:
-        Q1, e, g, d = self.Q1, self.e, self.g, self.d
-        xs: dict = {}
-        for a, size, last, sx in leaders:
-            term = shared.get(a)
-            if term is None:
+    def _pencil_sums(self) -> dict:
+        Q1, e, g, d, q1 = self.Q1, self.e, self.g, self.d, self.q - 1
+        xr = self._ring(g)
+        xs = dict(self._x_sums)
+        if g > 1:
+            for a, size, last in self._leaders():
                 *gauss, G_last = self._gauss([a + d * c for c in range(g)]
                                              + [last])
                 term = size * xr.mul(xr.power(xr.pack(gauss), e),
                                      xr.pack((G_last,)))
-            _add(xs, (sx, last % self.q1), term)
+                _add(xs, (self._s_values(a, last)[0], last % q1), term)
         # a = 0, where k_last = 0 mod (q-1): from the powers of K
-        ends = self._ends
-        K = xr.pack([(0,) * xr.tower.p]
-                    + self._gauss([d * c for c in range(1, g)])) \
-            + xr.from_int(ends[1])
+        G0, GQ, *inner = self._gauss([0, Q1] + [d * c for c in range(1, g)])
+        ends, K = (G0[0], GQ[0]), xr.pack([GQ] + inner)
         powers = [xr.from_int(1), K]
         for _ in range(e - 1):
             powers.append(xr.mul(powers[-1], K))
         rows: dict = {}  # s -> coefficient of K^u, u = 0..e
         for j, b, s in self._x_lifts:
             row = rows.setdefault(s, [0] * (e + 1))
-            row[e - j] += comb(e, j) * Q1 ** j * ends[b]
+            row[e - j] += comb(e, j) * ends[0] ** j * ends[b]
         for s, row in rows.items():
             _add(xs, (s, 0), sum(c % self.pN * h
                                  for c, h in zip(row, powers)))

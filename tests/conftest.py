@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from dworkzeta import counting
+from dworkzeta import counting, family
 from dworkzeta.oracles import TowerElem, enumerate_solutions
 from dworkzeta.padic import TowerCtx, build_tower
 
@@ -81,7 +81,19 @@ def _twist_inverted(monkeypatch):
     monkeypatch.setattr(TowerCtx, "teich_pows", teich_pows)
 
 
-FAULTS = {"hd_sign": _hd_sign_dropped, "twist": _twist_inverted}
+def _orbit_weight_dropped(monkeypatch):
+    """Every orbit leader of the family pass weighted 1: X's and Y's
+    terms both lose their orbit lengths."""
+    real = family._orbit_leaders
+
+    def orbit_leaders(*args):
+        return ((a, 1) for a, _ in real(*args))
+
+    monkeypatch.setattr(family, "_orbit_leaders", orbit_leaders)
+
+
+FAULTS = {"hd_sign": _hd_sign_dropped, "twist": _twist_inverted,
+          "orbit_weight": _orbit_weight_dropped}
 
 
 @pytest.fixture

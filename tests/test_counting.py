@@ -589,6 +589,25 @@ def test_lam_zero_count_builds_no_extension_field():
         count_record(inst(3, 5, 1, 1), 3, caps=Caps(field_table_max_q=25))
 
 
+def test_charsum_count_embeds_nothing(monkeypatch):
+    # the character sum reads lam in the base field: only the brute-force
+    # route embeds it into GF(q^k)
+    from dworkzeta import counting
+
+    real, calls = counting.embed, []
+
+    def embed(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "embed", embed)
+    ii = DworkInstance(2, build_field(3, 2), 3)
+    count_record(ii, 2, method="charsum")
+    assert calls == []
+    count_record(ii, 2, method="both")  # which checks charsum == brute
+    assert calls
+
+
 def test_family_part_walks_solutions_once_per_class(capsys, monkeypatch):
     # no count path walks the solutions: one family pass per field and lam
     # mode serves M and N
@@ -646,27 +665,41 @@ def _reachable_ids(obj, seen) -> set:
 
 
 def test_pass_for_y_alone_keeps_no_gauss_sum(monkeypatch):
-    # a count of Y leaves X's part unsummed; what the pass keeps for it
-    # holds none of the Gauss sums the towers keep
+    # a count of Y leaves X's part unsummed; the pass then holds its two
+    # (s, c)-keyed parts, Y's and, at g = 1, X's leader terms, and besides
+    # them only what its matrices and field give: none of the Gauss sums
+    # the towers keep and no per-leader value
     from dworkzeta import counting
+    from dworkzeta.family import _solution_shapes
 
     real, passes, towers = counting._family_sums.__wrapped__, [], set()
 
     def family(*args):
         towers.update(a for a in args if isinstance(a, TowerCtx))
-        passes.append(real(*args))
-        return passes[-1]
+        passes.append((real(*args), args))
+        return passes[-1][0]
 
     monkeypatch.setattr(counting, "_family_sums", family)
     for n, q, lam, k in ((3, 5, 1, 1), (2, 5, 1, 2), (4, 11, 1, 1),
-                         (3, 5, 0, 2)):
+                         (3, 5, 0, 2), (2, 5, 1, 1)):
         ii = inst(n, q, 1, lam)
         assert charsum_count(ii, ii.Nmat, k) == count_brute(ii, ii.Nmat, k)
-    assert all(part._pending is not None for part in passes)
     kept = {id(G) for T in towers for G in T._gauss_memo.values()}
     assert kept
-    for part in passes:
-        assert not kept & _reachable_ids(part._pending, set())
+    # (2, 5, 1, 1) is at g = 1, where X's leader terms are summed with Y's
+    assert [bool(part._x_sums) for part, _ in passes] == [False] * 4 + [True]
+    for part, (_, _, M, Nm, lam_zero, *_) in passes:
+        assert part._pencil is None
+        held = dict(vars(part))
+        assert not kept & _reachable_ids(held, set())
+        parts = held.pop("mirror"), held.pop("_x_sums")
+        assert all(len(key) == 2 for sums in parts for key in sums)
+        assert [held.pop(name) for name in ("_diagonal", "_x_lifts",
+                                            "_y_lifts")] == \
+            list(_solution_shapes(M, Nm, lam_zero))
+        assert all(isinstance(v, (int, type(None), TowerCtx,
+                                  functools.partial))
+                   for v in held.values()), held
 
 
 def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
@@ -822,7 +855,7 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
     assert sum(count for _, _, count in reps) == 2234 == \
         sum(1 for _ in each_solution(M, 125))
 
-    real_power, real_leaders, powers, leaders = ZpCyclic.power, \
+    real_power, real_leaders, powers, walks = ZpCyclic.power, \
         family._orbit_leaders, [], []
 
     def power(ring, a, e):
@@ -830,15 +863,18 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
         return real_power(ring, a, e)
 
     def orbit_leaders(*args):
+        walks.append([])
         for a, size in real_leaders(*args):
-            leaders.append((a, size))
+            walks[-1].append(size)
             yield a, size
 
     monkeypatch.setattr(ZpCyclic, "power", power)
     monkeypatch.setattr(family, "_orbit_leaders", orbit_leaders)
-    _family_sums.__wrapped__(T, 5, M, dwork_matrix_N(3), False).pencil()
-    assert len(leaders) == 11
-    assert sorted(size for _, size in leaders) == [1] + [3] * 10
+    part = _family_sums.__wrapped__(T, 5, M, dwork_matrix_N(3), False)
+    assert len(walks) == 1
+    part.pencil()
+    # Y's part, then X's at g = 4: each walks one class per orbit
+    assert [sorted(sizes) for sizes in walks] == [[1] + [3] * 10] * 2
     # at m = 1 every power is a family power, to e = n+1 = 4: no
     # Hasse-Davenport power
     assert powers and {e for _, _, e in powers} == {4}
@@ -852,6 +888,12 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
     assert part.pencil() and part.mirror
     assert [x for x in powers if x[2] != 4] == \
         [(T1, 1, 2)] * len({min(kj, kj * 5 % 24) for kj in inner})
+    # at g = 1 (n = 2 over GF(5)) X's leader terms are Y's: only Y walks
+    walks.clear()
+    T5 = TowerCtx(build_field(5, 1, 0), required_precision(5, 5, 2))
+    _family_sums.__wrapped__(T5, 5, dwork_matrix_M(2), dwork_matrix_N(2),
+                             False).pencil()
+    assert walks == [[1, 1, 1, 1]]
 
 
 @pytest.mark.parametrize("n", [3, 2])

@@ -67,3 +67,39 @@ def test_twist_fault_on_an_inversion_closed_family_exits_non_zero(capsys,
     fault("twist")
     code, _ = _zeta(capsys, N2_Q13)
     assert code != cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", *N2_Q13),
+    ("zeta", "--n", "2", "--p", "5", "--r", "2"),
+    ("congruence", "--n", "3", "--p", "13", "--k", "2"),
+])
+def test_orbit_weight_fault_exits_4(fault, argv):
+    # X's and Y's terms both lose their orbit lengths: a count leaves its
+    # a-priori bound or is no longer 1 mod q - 1
+    fault("orbit_weight")
+    assert main([*argv, "--lambda", "all"]) == cli.EXIT_ORACLE
+
+
+def _by_lam(rows) -> dict:
+    return {row["lambda_dlog"] if "error" in row else row["Y"]["lambda_dlog"]:
+            row for row in rows}
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the singular route takes any numerator its counts give: under the "
+    "twist fault each singular fiber of n = 3 over GF(13) gets a smooth "
+    "fiber's counts and prints its full-degree Q with no error row; the "
+    "conifold shape deg Q = n - 1 when p does not divide n+1 (singular "
+    "fibers, ROADMAP.md) is checked nowhere"))
+def test_twist_fault_on_a_singular_fiber_is_caught(capsys, fault):
+    argv = ("--n", "3", "--p", "13")
+    _, clean = _zeta(capsys, argv)
+    singular = {lam: row for lam, row in _by_lam(clean).items()
+                if row.get("smoothness") == "singular"}
+    assert len(singular) == 4
+    fault("twist")
+    _, rows = _zeta(capsys, argv)
+    faulty = _by_lam(rows)
+    assert all("error" in faulty[lam] or faulty[lam] == row
+               for lam, row in singular.items())
