@@ -31,10 +31,10 @@ to 0 and the character factor is dropped.
 
 Only chi(lam)^{k_m} depends on lam, through k_m mod (q-1), as lam lies in
 GF(q).  The family part sums prod_j G(k_j), a value of Z_p[zeta_p], per
-key (s(k), k_m mod (q-1)); the fiber part, in `charsum_count`, weights
-each key by its s-coefficient times chi(lam)^{k_m}, a value of W, on the
-tower over the base field GF(q), and `TowerCtx.zp_integer` certifies the
-weighted sum a rational integer.
+class c = k_m mod (q-1), the pencil's per (s(k), c) for its affine count;
+the fiber part, in `charsum_count`, weights each key by its coefficient
+times chi(lam)^c, a value of W, on the tower over the base field GF(q),
+and `TowerCtx.zp_integer` certifies the weighted sum a rational integer.
 
 The family part walks no solution (module `family`): over GF(Q) the
 pencil's solutions fall into residue classes, each summed as one packed
@@ -127,6 +127,12 @@ class DworkInstance:
 # brute-force counts
 # ---------------------------------------------------------------------------
 
+def _check_domain(matrix, torus: bool) -> None:
+    """A negative exponent, N's 1/(x_1...x_n), has no value at x = 0."""
+    if not torus and min(map(min, matrix)) < 0:
+        raise ValueError("a negative exponent has no affine count")
+
+
 def count_brute(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
                 caps: Caps = DEFAULT_CAPS) -> int:
     """Zeros over GF(q^k), on the torus or (torus=False) in affine space, of
@@ -137,6 +143,7 @@ def count_brute(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
     per-variable value table; an all-zero column is a constant; the one
     remaining column is the product of the variables, carried through the
     depth-first walk by its discrete log until a coordinate is 0."""
+    _check_domain(matrix, torus)
     F, lam = inst.extension(k, cap=caps.field_table_max_q)
     q, nvars = F.pp.q, len(matrix) - 1
     size, cap = ((q - 1, caps.torus_enum_max) if torus
@@ -272,10 +279,10 @@ def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
                   caps: Caps = DEFAULT_CAPS) -> int:
     """The count `count_brute` makes, from the Gauss-sum formula over the
     family part of `matrix`, the instance's M or N, with v rows and m
-    columns (`_family_sums`, one pass for both).  Each key (s, c) of the
-    part is weighted by its s-coefficient, (q-1)^{v-m} on the torus and
-    (q-1)^{s-m} q^{v-s} in affine space, times chi(lam)^c, the fiber
-    twist; c = k_last mod (q-1) is pinned to 0 at lam = 0, where nothing is
+    columns (`_family_sums`, one pass for both).  Each class c of the part
+    is weighted by (q-1)^{v-m} on the torus, by (q-1)^{s-m} q^{v-s} for
+    M's key (s, c) in affine space, times chi(lam)^c, the fiber twist;
+    c = k_last mod (q-1) is pinned to 0 at lam = 0, where nothing is
     twisted and no Teichmuller table is built.  `TowerCtx.zp_integer`
     certifies that the weighted sum, plus (q-1)^{v-1} on the torus, is a
     rational integer q N mod p^N, and it is certified against the bound
@@ -284,6 +291,7 @@ def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
     if f = k.  lam is read in the base field, and never embedded."""
     if matrix not in (inst.M, inst.Nmat):
         raise ValueError("the character sum counts the matrices M and N")
+    _check_domain(matrix, torus)
     v, m, n = len(matrix), len(matrix[0]), inst.n
     p, q = inst.field.pp.p, inst.field.pp.q ** k
     f = gauss_field_degree(inst, k)
@@ -297,7 +305,8 @@ def charsum_count(inst: DworkInstance, matrix, k: int = 1, torus: bool = True,
     pN, q1 = tower.pN, tower.q - 1
     one = (1,) + (0,) * (tower.r - 1)
     terms = []
-    for (s, c), x in sums.items():
+    for key, x in sums.items():  # M's key (s, c), N's class c
+        s, c = key if matrix == inst.M else (None, key)
         if not 0 <= c < q1:
             raise ValueError(f"class {c} is not a residue mod {q1}")
         w = (pow(q - 1, v - m, pN) if torus

@@ -1,10 +1,13 @@
 """The family part of the character-sum count of the Dwork pencil X and
 its mirror Y, for `counting.charsum_count`.
 
-Over GF(Q) the part is {(s(k), k_last mod (q-1)): sum of prod_j G(k_j)}
-over the solutions k of M k = 0 (X) or N k = 0 (Y) mod Q-1, each sum p
-x-coordinates of Z_p[zeta_p], keyed for the base field GF(q); the fiber
-part (`counting.charsum_count`) twists it by chi(lam)^{k_last}.  Each
+Over GF(Q) the part is the sum of prod_j G(k_j) over the solutions k of
+M k = 0 (X) or N k = 0 (Y) mod Q-1, per class c = k_last mod (q-1) for
+the base field GF(q), each sum p x-coordinates of Z_p[zeta_p]; the fiber
+part (`counting.charsum_count`) twists it by chi(lam)^c.  X's affine
+count weighs a solution by s(k), the number of nonzero entries of M k, so
+X's part is keyed by (s(k), c); Y is counted on the torus, where every
+solution has the same weight, so Y's part is keyed by c alone.  Each
 G(k_j), G(0) and G(Q-1) included, is read by its index over GF(Q) from
 `padic.TowerCtx.gauss_sums` on the one tower the pass runs on.  No
 solution is walked.  The pencil's solutions fall into residue classes a,
@@ -18,6 +21,7 @@ oracle and shares `_matvec` and `_orbit_leaders` with this module.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 from collections.abc import Iterator
@@ -43,47 +47,36 @@ def _orbit_leaders(residues, base_q: int, mod: int) -> Iterator[tuple]:
 
 @functools.lru_cache(maxsize=16)  # one entry per (n, lam mode)
 def _solution_shapes(M: tuple, Nm: tuple, lam_zero: bool) -> tuple:
-    """What the family pass reads off the Dwork matrices M and N of degree
-    n+1, e = n+1 (both have e block columns and a last one):
+    """What the family pass reads off the Dwork matrices M and N, both
+    with e = n+1 block columns and a last one:
 
-    - diagonal: (u, v, rows of M, rows of N) for each pair (u, v) of the
-      sum of a row's first e entries and its last entry, so that the row
-      reads u x + v y on the diagonal vector (x, ..., x, y);
-    - the lifts of the all-zero residues, a vector b of 0s and 1s standing
-      for (Q-1) b, whose product with either matrix is (Q-1) times that of
-      b, with the same zero entries, so s((Q-1) b) = s(b): (j, b_last, s)
-      for M's block of j zeros and e-j ones, and (j, b_n, b_last, s) for
-      N's block of n-j zeros and j ones.  lam = 0 pins b_last to 0."""
-    n = len(Nm) - 1
-    e = n + 1
-    forms: dict = {}
-    for i, matrix in enumerate((M, Nm)):
-        for row in matrix:
-            forms.setdefault((sum(row[:e]), row[e]), [0, 0])[i] += 1
-    diagonal = tuple((u, v, cm, cn) for (u, v), (cm, cn) in forms.items())
-    ends = (0,) if lam_zero else (0, 1)
-
-    def s(matrix, b):
-        return len(matrix) - _matvec(matrix, b).count(0)
-
-    x_lifts = tuple((j, t, s(M, (0,) * j + (1,) * (e - j) + (t,)))
-                    for j in range(e + 1) for t in ends)
-    y_lifts = tuple((j, b, t, s(Nm, (0,) * (n - j) + (1,) * j + (b, t)))
-                    for j in range(n + 1) for b in (0, 1) for t in ends)
-    return diagonal, x_lifts, y_lifts
+    - diagonal: (u, v, rows of M) for each pair (u, v) of the sum of a
+      row's first e entries and its last entry, in either matrix, so that
+      the row reads u x + v y on the diagonal vector (x, ..., x, y);
+    - the lifts of M's all-zero residues, a vector b of 0s and 1s standing
+      for (Q-1) b, whose product with M is (Q-1) times that of b, with the
+      same zero entries, so s((Q-1) b) = s(b): (j, b_last, s) for the
+      block of j zeros and e-j ones.  lam = 0 pins b_last to 0."""
+    e = len(Nm[0]) - 1
+    rows_of_M = collections.Counter((sum(row[:e]), row[e]) for row in M)
+    forms = dict.fromkeys((sum(row[:e]), row[e]) for row in M + Nm)
+    diagonal = tuple((u, v, rows_of_M[u, v]) for u, v in forms)
+    x_lifts = tuple(
+        (j, t, len(M) - _matvec(M, (0,) * j + (1,) * (e - j) + (t,)).count(0))
+        for j in range(e + 1) for t in ((0,) if lam_zero else (0, 1)))
+    return diagonal, x_lifts
 
 
 class _FamilyPass:
-    """The family parts of X (matrix M) and of Y (matrix N) over GF(Q),
-    Q = q_f^m for the field GF(q_f) of `tower`, keyed for the base field
-    GF(q), GF(q_f) an extension of it: for each, {(s(k), k_last mod (q-1)):
-    sum of prod_j G_Q(k_j)} over the solutions k, each sum a value of
-    Z_p[zeta_p], p x-coordinates read out by `ZpCyclic.coords`.  Y's
-    part, `mirror`, is summed on construction and X's, `pencil()`, on its
-    first request: a caller that counts only Y does not pay for X's
-    powers mod z^g - 1.  At g = 1 X's terms are Y's, added to X's key sums
-    in Y's loop, so a cached pass holds `mirror`, those key sums and, once
-    asked for, X's part: no per-leader value and no Gauss sum.
+    """The family parts of X (matrix M), `pencil()`, and of Y (matrix N),
+    `mirror`, over GF(Q), Q = q_f^m for the field GF(q_f) of `tower`,
+    keyed for the base field GF(q), GF(q_f) an extension of it, as the
+    module says, so s is read off M only; each value is p x-coordinates,
+    read out by `ZpCyclic.coords`.  Y's part is summed on construction and
+    X's on its first request: a caller that counts only Y does not pay for
+    X's powers mod z^g - 1.  At g = 1 X's terms are Y's, added to X's key
+    sums in Y's loop, so a cached pass holds `mirror`, those key sums and,
+    once asked for, X's part: no per-leader value and no Gauss sum.
 
     With Q1 = Q-1, e = n+1, g = gcd(e, Q1) and d = Q1/g, the M solutions
     have block residues a + d m_i, a < d, with sum m_i = 0 mod g, and
@@ -100,14 +93,15 @@ class _FamilyPass:
         Y gets G(k_last) sum_c G(a + dc)^e.
 
     At a = 0 a residue 0 lifts to 0 or to Q-1, k_last to 0 only at
+    lam = 0, so k_last's lifts contribute L = G(0) + G(Q-1), or G(0) at
     lam = 0.  A block coordinate not lifted to 0 then contributes
     K = G(Q-1) + sum_{c>=1} G(dc) z^c, so the blocks with j coordinates
-    lifted to 0 give C(e, j) G(0)^j [z^0] K^{e-j} times G(k_last) to X;
-    Y gets G(dc)^e G(k_last) for c >= 1, and each lift of the all-zero
-    residues, C(n, j) times for j of N's block lifted to Q-1.  Each s is
-    read off its matrix (`_solution_shapes`), and each diagonal vector is
-    checked against both.  The products are formed on `ZpCyclic` packed
-    integers.
+    lifted to 0 give C(e, j) G(0)^j [z^0] K^{e-j} times G(k_last) to X,
+    each s read off M (`_solution_shapes`).  Each of Y's e block
+    coordinates lifts on its own, so Y gets
+    L ((G(0) + G(Q-1))^e + sum_{c>=1} G(dc)^e).  Each diagonal vector is
+    checked against both matrices.  The products are formed on `ZpCyclic`
+    packed integers.
 
     Each part reads its Gauss sums, by their indices over GF(Q), from
     `tower.gauss_sums(..., m)` where it uses them, G(0) and G(Q-1)
@@ -116,21 +110,20 @@ class _FamilyPass:
 
     def __init__(self, tower: TowerCtx, q: int, M: tuple, Nm: tuple,
                  lam_zero: bool, m: int = 1):
-        n, Q1 = len(Nm) - 1, tower.q ** m - 1
-        e, g = n + 1, gcd(n + 1, Q1)
-        self.n, self.Q1, self.e, self.g, self.d = n, Q1, e, g, Q1 // g
+        e, Q1 = len(Nm[0]) - 1, tower.q ** m - 1  # e = n+1
+        g = gcd(e, Q1)
+        self.Q1, self.e, self.g, self.d = Q1, e, g, Q1 // g
         self.q, self.pN, self.lam_zero = q, tower.pN, lam_zero
         self._tower = tower
         self._gauss = functools.partial(tower.gauss_sums, m=m)
-        self._diagonal, self._x_lifts, self._y_lifts = \
-            _solution_shapes(M, Nm, lam_zero)
+        self._diagonal, self._x_lifts = _solution_shapes(M, Nm, lam_zero)
         self._x_sums: dict = {}  # X's key sums of the leaders, at g = 1
         self.mirror = self._mirror()
         self._pencil = None
 
     def _ring(self, g: int) -> ZpCyclic:
         # Q1 + 4 (n+2)^2 bounds the terms of a key's sum
-        return ZpCyclic(self._tower, g, self.Q1 + 4 * (self.n + 2) ** 2)
+        return ZpCyclic(self._tower, g, self.Q1 + 4 * (self.e + 1) ** 2)
 
     def _leaders(self) -> Iterator[tuple]:
         """(a, orbit length, k_last) for each orbit leader a != 0."""
@@ -140,17 +133,17 @@ class _FamilyPass:
             if a:
                 yield a, size, -self.e * a % self.Q1
 
-    def _s_values(self, x: int, y: int) -> tuple:
-        """(s for M, s for N) at (x, ..., x, y), checked to solve both."""
-        sx = sy = 0
-        for u, v, cm, cn in self._diagonal:
+    def _s(self, x: int, y: int) -> int:
+        """s for M at (x, ..., x, y), checked to solve both M and N."""
+        s = 0
+        for u, v, count in self._diagonal:
             t = u * x + v * y
             if t % self.Q1:
                 raise RuntimeError(f"non-solution ({x}, ..., {x}, {y}) "
                                    f"over GF({self.Q1 + 1}) (bug)")
             if t:
-                sx, sy = sx + cm, sy + cn
-        return sx, sy
+                s += count
+        return s
 
     def _mirror(self) -> dict:
         Q1, e, g, d, q1 = self.Q1, self.e, self.g, self.d, self.q - 1
@@ -164,32 +157,26 @@ class _FamilyPass:
             return powers[G]
 
         for a, size, last in self._leaders():
-            shapes = [self._s_values(a + d * c, last) for c in range(g)]
-            *gauss, G_last = self._gauss([a + d * c for c in range(g)]
-                                         + [last])
-            by_s: dict = {}  # s for N -> sum of G(a + dc)^e
-            for (_, sy), G in zip(shapes, gauss):
-                _add(by_s, sy, power(G))
-            g_last = yr.pack((G_last,))
-            for sy, v in by_s.items():
-                term = size * yr.mul(v if g == 1 else yr.reduce(v), g_last)
-                _add(ys, (sy, last % q1), term)
-                if g == 1:  # the block is diagonal: X's term is Y's
-                    _add(self._x_sums, (shapes[0][0], last % q1), term)
-        # a = 0, where k_last = 0 mod (q-1): the residues dc, c >= 1, and
-        # the lifts of the all-zero residues
+            blocks = [a + d * c for c in range(g)]
+            s = [self._s(x, last) for x in blocks]  # each block checked
+            *gauss, G_last = self._gauss(blocks + [last])
+            v = sum(map(power, gauss))
+            term = size * yr.mul(v if g == 1 else yr.reduce(v),
+                                 yr.pack((G_last,)))
+            _add(ys, last % q1, term)
+            if g == 1:  # the block is diagonal: X's term is Y's
+                _add(self._x_sums, (s[0], last % q1), term)
+        # a = 0, where k_last = 0 mod (q-1): k_last's lifts times those of
+        # the all-zero residues and the residues dc, c >= 1
         G0, GQ, *inner = self._gauss([0, Q1] + [d * c for c in range(1, g)])
-        ends, n = (G0[0], GQ[0]), self.n
+        both = G0[0] + GQ[0]
+        lift = (G0[0] if self.lam_zero else both) % self.pN
+        _add(ys, 0, lift * yr.from_int(pow(both, e, self.pN)))
         for c, G in enumerate(inner, 1):
-            pw = power(G)
-            for b in ((0,) if self.lam_zero else (0, 1)):
-                _add(ys, (self._s_values(d * c, Q1 * b)[1], 0),
-                     ends[b] * pw)
-        for j, b_n, b, s in self._y_lifts:
-            zeros = n + 2 - j - b_n - b
-            _add(ys, (s, 0), yr.from_int(comb(n, j) * ends[0] ** zeros
-                                         * ends[1] ** (n + 2 - zeros)))
-        return {key: yr.coords(v) for key, v in ys.items()}
+            for y in ((0,) if self.lam_zero else (0, Q1)):
+                self._s(d * c, y)
+            _add(ys, 0, lift * power(G))
+        return {c: yr.coords(v) for c, v in ys.items()}
 
     def pencil(self) -> dict:
         if self._pencil is None:
@@ -206,7 +193,7 @@ class _FamilyPass:
                                              + [last])
                 term = size * xr.mul(xr.power(xr.pack(gauss), e),
                                      xr.pack((G_last,)))
-                _add(xs, (self._s_values(a, last)[0], last % q1), term)
+                _add(xs, (self._s(a, last), last % q1), term)
         # a = 0, where k_last = 0 mod (q-1): from the powers of K
         G0, GQ, *inner = self._gauss([0, Q1] + [d * c for c in range(1, g)])
         ends, K = (G0[0], GQ[0]), xr.pack([GQ] + inner)

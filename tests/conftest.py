@@ -69,6 +69,19 @@ def _hd_sign_dropped(monkeypatch):
     monkeypatch.setattr(TowerCtx, "gauss_sums", gauss_sums)
 
 
+def _ends_swapped(monkeypatch):
+    """The boundary values swapped: G(0) reads G(Q-1) = -Q and G(Q-1)
+    reads G(0) = Q-1."""
+    real = TowerCtx.gauss_sums
+
+    def gauss_sums(self, ks, m=1):
+        Q1 = self.q ** m - 1
+        swap = {0: Q1, Q1: 0}
+        return real(self, [swap.get(k, k) for k in ks], m)
+
+    monkeypatch.setattr(TowerCtx, "gauss_sums", gauss_sums)
+
+
 def _twist_inverted(monkeypatch):
     """The fiber twist chi(lam)^c read as chi(lam)^{-c}: teich_pows()[j]
     returns the value at -j mod (q-1)."""
@@ -93,7 +106,7 @@ def _orbit_weight_dropped(monkeypatch):
 
 
 FAULTS = {"hd_sign": _hd_sign_dropped, "twist": _twist_inverted,
-          "orbit_weight": _orbit_weight_dropped}
+          "orbit_weight": _orbit_weight_dropped, "ends_swapped": _ends_swapped}
 
 
 @pytest.fixture

@@ -256,6 +256,30 @@ def test_zeta_singular_lambda_guarded(capsys):
     assert "Y" in row and "X" not in row
 
 
+def test_zeta_subfield_reads_the_prime_field_fibers(capsys):
+    # GF(25) over GF(5): the fibers are lam = 0 and the multiples of
+    # (q-1)/(p-1) = 6 among the discrete logs
+    code, rows = run(capsys, "zeta", "--n", "2", "--p", "5", "--r", "2",
+                     "--lambda", "subfield")
+    assert code == 0
+    assert [row["Y"]["lambda_dlog"] for row in rows] == [None, 0, 18, 6, 12]
+
+
+def test_sweep_subfield_lambda_mode(tmp_path, capsys):
+    cfg = {"n_list": [2], "prime_list": [5], "r_list": [2], "k_max": 2,
+           "lambda_mode": "subfield", "zeta_n_max": 2, "seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path), "--out",
+                 str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["completed"] == summary["instances"] == 5
+    counts = (tmp_path / "out" / "counts.jsonl").read_text().splitlines()
+    assert [(row["lambda_dlog"], row["k"]) for row in map(json.loads, counts)
+            ] == [(e, k) for e in (None, 0, 18, 6, 12) for k in (1, 2)]
+
+
 def test_slope_command_elliptic(capsys):
     code, rows = run(capsys, "slope", "--n", "2", "--p", "7", "--lambda", "zero")
     assert code == 0

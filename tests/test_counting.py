@@ -554,11 +554,28 @@ def test_charsum_count_refuses_a_foreign_matrix_or_class(monkeypatch):
         charsum_count(ii, dwork_matrix_M(3))
 
     class Part:  # a family part keyed by a class outside [0, q-1) = [0, 4)
-        mirror = {(1, 4): (0,) * 5}
+        mirror = {4: (0,) * 5}
 
     monkeypatch.setattr(counting, "_family_sums", lambda *args: Part)
     with pytest.raises(ValueError, match="class 4 is not a residue mod 4"):
         charsum_count(ii, ii.Nmat)
+
+
+def test_no_counter_counts_the_mirror_off_the_torus(monkeypatch):
+    # N's column for 1/(x_1...x_n) has no value at 0: both counters refuse
+    # an affine count of it before they build a field or a tower
+    from dworkzeta import counting
+
+    def build(*args, **kwargs):
+        raise AssertionError("built something")
+
+    ii = inst(2, 5, 1, 1)
+    monkeypatch.setattr(counting, "build_field", build)
+    monkeypatch.setattr(counting, "build_tower", build)
+    monkeypatch.setattr(DworkInstance, "extension", build)
+    for count in (count_brute, charsum_count):
+        with pytest.raises(ValueError, match="no affine count"):
+            count(ii, ii.Nmat, 1, torus=False)
 
 
 def test_lam_zero_count_builds_no_teichmuller_table():
@@ -666,9 +683,9 @@ def _reachable_ids(obj, seen) -> set:
 
 def test_pass_for_y_alone_keeps_no_gauss_sum(monkeypatch):
     # a count of Y leaves X's part unsummed; the pass then holds its two
-    # (s, c)-keyed parts, Y's and, at g = 1, X's leader terms, and besides
-    # them only what its matrices and field give: none of the Gauss sums
-    # the towers keep and no per-leader value
+    # parts, Y's keyed by class c and, at g = 1, X's leader terms keyed by
+    # (s, c), and besides them only what its matrices and field give: none
+    # of the Gauss sums the towers keep and no per-leader value
     from dworkzeta import counting
     from dworkzeta.family import _solution_shapes
 
@@ -688,27 +705,27 @@ def test_pass_for_y_alone_keeps_no_gauss_sum(monkeypatch):
     assert kept
     # (2, 5, 1, 1) is at g = 1, where X's leader terms are summed with Y's
     assert [bool(part._x_sums) for part, _ in passes] == [False] * 4 + [True]
-    for part, (_, _, M, Nm, lam_zero, *_) in passes:
+    for part, (_, q, M, Nm, lam_zero, *_) in passes:
         assert part._pencil is None
         held = dict(vars(part))
         assert not kept & _reachable_ids(held, set())
-        parts = held.pop("mirror"), held.pop("_x_sums")
-        assert all(len(key) == 2 for sums in parts for key in sums)
-        assert [held.pop(name) for name in ("_diagonal", "_x_lifts",
-                                            "_y_lifts")] == \
+        assert all(c in range(q - 1) for c in held.pop("mirror"))
+        assert all(len(key) == 2 for key in held.pop("_x_sums"))
+        assert [held.pop(name) for name in ("_diagonal", "_x_lifts")] == \
             list(_solution_shapes(M, Nm, lam_zero))
         assert all(isinstance(v, (int, type(None), TowerCtx,
                                   functools.partial))
                    for v in held.values()), held
 
 
-def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
+def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None, by_class=False):
     """The family part summed one solution vector at a time on a fresh
     tower over F = GF(q_f), every Gauss sum over GF(Q), Q = q_f^m, read
     from the lifted table G_Q(t (Q-1)/(q_f-1)) = (-1)^{m-1} G_{q_f}(t)^m
     (boundaries included), except G_Q(0) = Q-1; keyed like
-    `_family_sums`, k_last folded mod q-1 for the base field GF(q)
-    (q_f by default), values as Z_p coordinates."""
+    `_family_sums`, by (s(k), c) or, by_class, by c alone (summed over s),
+    c = k_last folded mod q-1 for the base field GF(q) (q_f by default),
+    values as Z_p coordinates."""
     T = TowerCtx(F, N)
     table = gauss_elems(T)
     Q1 = F.pp.q ** m - 1
@@ -720,7 +737,7 @@ def _per_vector_sums(F, N, matrix, lam_zero, m=1, q=None):
         for kj in k:
             prod = prod * (TowerElem.from_int(T, Q1) if kj == 0 else
                            (table[kj // step] ** m).scale((-1) ** (m - 1)))
-        key = (s, k[-1] % q1)
+        key = k[-1] % q1 if by_class else (s, k[-1] % q1)
         sums[key] = sums[key] + prod if key in sums else prod
         seen.update(kj for kj in k if kj in (0, Q1))
     return {key: _zp_rows(v) for key, v in sums.items()}, len(seen) == 2
@@ -770,14 +787,14 @@ def _family_part(n, p, r, f, m, lam_zero):
 
 
 def test_family_part_matches_per_vector_sum_key_by_key():
-    # one pass gives X's part, equal to M's per-vector sum, and Y's, equal
-    # to N's
+    # one pass gives X's part, equal to M's per-vector sum key by key, and
+    # Y's, equal to N's summed over s class by class
     for n, p, r, f, m, lam_zero in _family_cases():
         base, Ff, N, parts = _family_part(n, p, r, f, m, lam_zero)
-        for matrix, fast in zip((dwork_matrix_M(n), dwork_matrix_N(n)),
-                                parts):
+        for matrix, fast, by_class in zip(
+                (dwork_matrix_M(n), dwork_matrix_N(n)), parts, (False, True)):
             slow, both = _per_vector_sums(Ff, N, matrix, lam_zero, m,
-                                          base.q)
+                                          base.q, by_class)
             assert both, "G(0) and G(Q-1) must both occur"
             assert fast == slow, (n, p, r, f, m, lam_zero, matrix)
 
@@ -785,7 +802,7 @@ def test_family_part_matches_per_vector_sum_key_by_key():
 def test_mirror_part_is_the_diagonal_of_the_pencil():
     # the N solutions are the M solutions whose block residues are all
     # equal: Y's family part is the sum of M's per-vector terms over those,
-    # keyed by s(k) for N
+    # keyed by their class k_last mod (q-1) alone
     gs = set()
     for n in (2, 3, 4):
         for p, r in ((2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (2, 3), (5, 2),
@@ -796,15 +813,15 @@ def test_mirror_part_is_the_diagonal_of_the_pencil():
                 base, F, N, (_, y) = _family_part(n, p, r, 1, 1, lam_zero)
                 T = TowerCtx(F, N)
                 table = gauss_elems(T)
-                M, Nm = dwork_matrix_M(n), dwork_matrix_N(n)
                 want = {}
-                for k, _ in each_solution(M, Q1 + 1, lam_zero):
+                for k, _ in each_solution(dwork_matrix_M(n), Q1 + 1,
+                                          lam_zero):
                     if len({kj % Q1 for kj in k[:n + 1]}) > 1:
                         continue
                     prod = TowerElem.one(T)
                     for kj in k:
                         prod = prod * table[kj]
-                    key = (len(Nm) - _matvec(Nm, k).count(0), k[-1] % Q1)
+                    key = k[-1] % Q1
                     want[key] = want[key] + prod if key in want else prod
                 assert y == {key: _zp_rows(v) for key, v in want.items()}, \
                     (n, p, r, lam_zero)
@@ -899,8 +916,9 @@ def test_family_part_walks_one_class_per_orbit(monkeypatch):
 @pytest.mark.parametrize("n", [3, 2])
 def test_fiber_part_twists_at_most_once_per_class(n, capsys, monkeypatch):
     # chi(lam) for lam in GF(q) has order dividing q-1: the classes are
-    # k_last mod (q-1), so a count passes `zp_integer` one term per key
-    # (s, c) of the family part, and each s at most q-2 twisted terms.
+    # k_last mod (q-1), so a count passes `zp_integer` one term per key of
+    # the family part, (s, c) for X and c for Y, and X's each s, or Y's
+    # classes in all, at most q-2 twisted terms.
     # Every k_last is a multiple of n+1, so at n = 3, q = 5 no term is
     # twisted.
     from dworkzeta import counting
@@ -924,18 +942,19 @@ def test_fiber_part_twists_at_most_once_per_class(n, capsys, monkeypatch):
         part = (seen["pass"].pencil() if matrix == inst.M
                 else seen["pass"].mirror)
         # one term per key, in the part's order, untwisted where c = 0:
-        # its W value is the weight of s alone
+        # its W value is its weight alone
         T, terms = seen["tower"], seen["terms"]
         v, m, Q, pN = len(matrix), len(matrix[0]), inst.field.pp.q ** k, T.pN
         assert [x for x, _ in terms] == list(part.values())
+        keys = list(part) if matrix == inst.M else [(None, c) for c in part]
         twisted = 0
-        for (s, c), (_, w) in zip(part, terms):
+        for (s, c), (_, w) in zip(keys, terms):
             weight = (pow(Q - 1, v - m, pN) if torus else
                       pow(Q - 1, s - m, pN) * Q ** (v - s) % pN)
             if tuple(u % pN for u in w) != (weight,) + (0,) * (T.r - 1):
                 assert c, (s, c, w)
                 twisted += 1
-        counts.append([twisted, len({s for s, _ in part}), T.q])
+        counts.append([twisted, len({s for s, _ in keys}), T.q])
         return out
 
     monkeypatch.setattr(counting, "_family_sums", family)

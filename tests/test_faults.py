@@ -81,6 +81,19 @@ def test_orbit_weight_fault_exits_4(fault, argv):
     assert main([*argv, "--lambda", "all"]) == cli.EXIT_ORACLE
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeta", *N2_Q13),
+    # Y alone is recovered at n = 3: its lam = 0 fiber reads only the
+    # mirror's a = 0 terms, where G(0) and G(Q-1) enter
+    ("zeta", "--n", "3", "--p", "7"),
+    ("congruence", "--n", "3", "--p", "13", "--k", "2"),
+])
+def test_ends_swapped_fault_exits_4(fault, argv):
+    # G(0) and G(Q-1) swapped: a count leaves its a-priori bound
+    fault("ends_swapped")
+    assert main([*argv, "--lambda", "all"]) == cli.EXIT_ORACLE
+
+
 def _by_lam(rows) -> dict:
     return {row["lambda_dlog"] if "error" in row else row["Y"]["lambda_dlog"]:
             row for row in rows}

@@ -3,7 +3,13 @@ from math import isqrt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dworkzeta.counting import DworkInstance, count_brute, count_X, is_singular
+from dworkzeta.counting import (
+    DworkInstance,
+    count_brute,
+    count_record,
+    count_X,
+    is_singular,
+)
 from dworkzeta.errors import (
     InsufficientData,
     NoConsistentSign,
@@ -438,6 +444,20 @@ def test_singular_mirror_is_recovered_from_newton_alone(p):
         zd = recover_mirror_zeta(inst)
         assert zd == recover_mirror_zeta(inst, k_budget=4)
         assert zd.numerator.degree == 3
+
+
+def test_singular_route_checks_its_extra_power_sums():
+    # a k_budget past the degree gives power sums that Newton's identities
+    # do not read; the recovered numerator must reproduce them.  n = 2 over
+    # GF(7) at lam code 1 is singular (1 = (-3)^3 mod 7), and its Q = 1 - T
+    inst = DworkInstance(n=2, field=build_field(7, 1, 0), lam=1)
+    assert is_singular(inst)
+    records = [count_record(inst, k) for k in (1, 2, 3)]
+    zd = recover_mirror_zeta(inst, k_budget=3, records=records)
+    assert zd.numerator.coeffs == (1, -1)
+    records[2] = records[2]._replace(Y=records[2].Y + 1)
+    with pytest.raises(NonIntegralCoefficient, match="extra power sums"):
+        recover_mirror_zeta(inst, k_budget=3, records=records)
 
 
 def test_full_power_sums_without_a_functional_equation_are_refused():
