@@ -14,14 +14,14 @@ closes stdout early makes the command exit 1, quietly.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .config import MAX_PRECISION, Caps, SweepConfig
@@ -95,15 +95,15 @@ def _lambda_codes(spec, field) -> list:
 
 
 def _lambda_arg(text: str):
-    """The `_lambda_codes` spec of a --lambda value; an integer is one
-    discrete log."""
+    """Option type of --lambda: the `_lambda_codes` spec it names; an
+    integer is one discrete log."""
     if text in ("all", "zero", "subfield"):
         return text
     try:
         return [int(text)]
     except ValueError:
-        raise ConfigError(f"--lambda must be all, zero, subfield or a "
-                          f"discrete log, got {text!r}") from None
+        raise ValueError(f"must be all, zero, subfield or a discrete log, "
+                         f"got {text!r}") from None
 
 
 @contextmanager
@@ -141,17 +141,16 @@ def _output(args, name: str):
         yield fh
 
 
-def _run_fibers(args, filename: str, fiber_rows, summary: bool = False) -> int:
+def _run_fibers(filename: str, fiber_rows, args, summary: bool = False) -> int:
     """Write the rows of every fiber that --lambda names: `fiber_rows(args,
     inst, caps)` yields (row, exit code) pairs, and a fiber whose recovery
     fails gets an error row instead.  With `summary`, a last row counts the
     rows and the failed ones.  Returns the most severe exit code."""
     caps = _caps_for(args)
-    spec = _lambda_arg(args.lam_spec)
-    field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
+    field = build_field(args.p, args.r, args.seed, cap=caps.field_table_max_q)
     codes = []
     with _output(args, filename) as out:
-        for lam in _lambda_codes(spec, field):
+        for lam in _lambda_codes(args.lam_spec, field):
             inst = DworkInstance(n=args.n, field=field, lam=lam)
             try:
                 for row, code in fiber_rows(args, inst, caps):
@@ -338,12 +337,9 @@ def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(args.config) if args.config else SweepConfig()
     if args.out:
         cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads:
-        cfg.threads = args.threads
-    if args.tier:
-        cfg.tier = args.tier
+    for key in ("seed", "threads", "tier"):  # the options given win
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     caps = cfg.caps.with_tier(cfg.tier)
 
     spec = (cfg.lambda_mode if cfg.lambda_mode != "list" else
@@ -366,6 +362,7 @@ def cmd_sweep(args) -> int:
                         sys.stderr.write(f"instance {n},{p},{r} exceeds caps\n")
                         return EXIT_CAP
                     keys.append((n, p, r, lam))
+    keys = list(dict.fromkeys(keys))  # a fiber named twice is one cell
 
     _make_out_dir(cfg.out_dir)  # an unusable --out fails before any cell
     t0 = time.time()
@@ -437,11 +434,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_gauss(args) -> int:
     caps = _caps_for(args)
-    field = build_field(args.p, args.r, _seed_of(args), cap=caps.field_table_max_q)
+    field = build_field(args.p, args.r, args.seed, cap=caps.field_table_max_q)
     tower = build_tower(field, args.N)
     with _output(args, "gauss.jsonl") as out:
         _emit({"schema": 1, "p": args.p, "r": args.r, "N": args.N,
-               "seed": _seed_of(args),
+               "seed": args.seed,
                "modulus": [int(c) for c in field.modulus]}, out)
         for k, g in enumerate(tower.gauss_table()):  # G(k) is y^0 only
             coords = [str(c) for row in tower.pi_rows(g)  # pi-major
@@ -451,12 +448,8 @@ def cmd_gauss(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line
 # ---------------------------------------------------------------------------
-
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else 0
-
 
 def _caps_for(args) -> Caps:
     cfg = SweepConfig.from_json(args.config) if args.config else SweepConfig()
@@ -464,97 +457,119 @@ def _caps_for(args) -> Caps:
 
 
 def _int_from(lo: int, hi: float = float("inf")):
-    """argparse type: an integer in [lo, hi]."""
+    """Option type: an integer in [lo, hi]."""
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
-            raise argparse.ArgumentTypeError(f"{value} is below {lo}")
+            raise ValueError(f"{value} is below {lo}")
         if value > hi:
-            raise argparse.ArgumentTypeError(f"{value} is above {hi}")
+            raise ValueError(f"{value} is above {hi}")
         return value
     return parse
 
 
-def _add_common(sp, with_k=False):
-    sp.add_argument("--n", type=_int_from(2), required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=_int_from(1), default=1)
-    sp.add_argument("--lambda", dest="lam_spec", default="all",
-                    help="all | zero | subfield | <dlog exponent>")
-    if with_k:
-        sp.add_argument("--k", type=_int_from(1), default=1,
-                        help="count over GF(q^j) for j = 1..k")
+def _one_of(*names: str):
+    """Option type: one of `names`."""
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {' | '.join(names)}")
+        return text
+    return parse
 
 
-# Built once per process: the parser binds `_run_fibers` (in partials),
-# `cmd_sweep` and `cmd_gauss` as they are at the first build, so patching
-# one of those names later does not reach `main`; every other name they
-# call is looked up at call time.
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config file")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=_int_from(1), default=None,
-                        help="worker processes; read by sweep only")
-    common.add_argument("--seed", type=int, default=None)
+# An option is (flag, attribute, type, default, help): the type parses the
+# value's text, raising ValueError on a bad one, or is None for a flag,
+# which sets True; an option whose default is ... must be given.
+_SHARED = (
+    ("--config", "config", str, None, "JSON config file"),
+    ("--out", "out", str, None, "output directory"),
+    ("--threads", "threads", _int_from(1), None, "worker processes (sweep)"),
     # None keeps a sweep config's own tier; other commands fall back to ci
-    common.add_argument("--tier", choices=["ci", "extended"], default=None)
+    ("--tier", "tier", _one_of("ci", "extended"), None, "ci | extended"))
+_FIELD = (("--p", "p", int, ..., "the characteristic"),
+          ("--r", "r", _int_from(1), 1, "the field is GF(p^r)"),
+          ("--seed", "seed", int, 0, "field-model seed"))
+_FIBERS = (("--n", "n", _int_from(2), ..., "the dimension"), *_FIELD, (
+    "--lambda", "lam_spec", _lambda_arg, "all", "all, zero, subfield, dlog"))
+_K = (("--k", "k", _int_from(1), 1, "count over GF(q^j) for j = 1..k"),)
+# command -> (entry function, help, options besides _SHARED)
+_COMMANDS = {
+    "count": (partial(_run_fibers, "counts.jsonl", _count_rows),
+              "point counts", (*_FIBERS, *_K, (
+                  "--method", "method", _one_of("brute", "charsum", "both"),
+                  "both", "brute | charsum | both"), (
+                  "--nfstar", "nfstar", None, False,
+                  "also count f = 0 on the torus"))),
+    "congruence": (partial(_run_fibers, "congruence.jsonl", _congruence_rows,
+                           summary=True), "mirror congruence checks",
+                   _FIBERS + _K),
+    "zeta": (partial(_run_fibers, "zeta.jsonl", _zeta_rows),
+             "numerator recovery and R_n", _FIBERS),
+    "slope": (partial(_run_fibers, "slopes.jsonl", _slope_rows),
+              "slope zeta functions and polygons", _FIBERS),
+    "sweep": (cmd_sweep, "run the full grid from a config", (
+        ("--seed", "seed", int, None, "field-model seed over the config's"),)),
+    "gauss": (cmd_gauss, "dump a Gauss-sum table", (*_FIELD, (
+        "--N", "N", _int_from(1, MAX_PRECISION), ..., "p-adic digits"))),
+}
 
-    ap = argparse.ArgumentParser(
-        prog="dworkzeta",
-        description="Point counts, congruences, zeta functions and slope "
-                    "invariants for the Dwork pencil and its toric mirror.")
-    sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("count", help="point counts", parents=[common])
-    _add_common(sp, with_k=True)
-    sp.add_argument("--method", choices=["brute", "charsum", "both"],
-                    default="both")
-    sp.add_argument("--nfstar", action="store_true",
-                    help="also count f = 0 on the torus")
-    sp.set_defaults(func=partial(_run_fibers, filename="counts.jsonl",
-                                 fiber_rows=_count_rows))
+def _help(args) -> int:
+    """Print the commands, or the options of `args.command`, to stdout."""
+    rows = ([(name, text) for name, (_, text, _) in _COMMANDS.items()]
+            if args.command is None else
+            [(flag if kind is None else f"{flag} {flag[2:].upper()}",
+              text + (" (required)" if default is ... else ""))
+             for flag, _, kind, default, text in
+             _COMMANDS[args.command][2] + _SHARED])
+    print(f"usage: dworkzeta {args.command or '<command>'} [options]",
+          *(f"  {name:<20}{text}" for name, text in rows), sep="\n")
+    return EXIT_OK
 
-    sp = sub.add_parser("congruence", help="mirror congruence checks",
-                        parents=[common])
-    _add_common(sp, with_k=True)
-    sp.set_defaults(func=partial(_run_fibers, filename="congruence.jsonl",
-                                 fiber_rows=_congruence_rows, summary=True))
 
-    sp = sub.add_parser("zeta", help="numerator recovery and R_n",
-                        parents=[common])
-    _add_common(sp)
-    sp.set_defaults(func=partial(_run_fibers, filename="zeta.jsonl",
-                                 fiber_rows=_zeta_rows))
-
-    sp = sub.add_parser("slope", help="slope zeta functions and polygons",
-                        parents=[common])
-    _add_common(sp)
-    sp.set_defaults(func=partial(_run_fibers, filename="slopes.jsonl",
-                                 fiber_rows=_slope_rows))
-
-    sp = sub.add_parser("sweep", help="run the full grid from a config",
-                        parents=[common])
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("gauss", help="dump a Gauss-sum table",
-                        parents=[common])
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--r", type=_int_from(1), default=1)
-    sp.add_argument("--N", type=_int_from(1, MAX_PRECISION), required=True)
-    sp.set_defaults(func=cmd_gauss)
-    return ap
+def parse_args(argv):
+    """The command and options of `argv` as attributes, `func` (the
+    command's entry, or the help under -h or --help) among them.  Options
+    take `--opt value` or `--opt=value`, the last repeat winning, and a
+    unique prefix of a flag stands for it.  ConfigError on a usage error."""
+    command, *rest = argv or [None]
+    if {"-h", "--help"}.intersection(argv):
+        return SimpleNamespace(
+            func=_help, command=command if command in _COMMANDS else None)
+    if command not in _COMMANDS:
+        raise ConfigError(f"the command must be one of {', '.join(_COMMANDS)}"
+                          f", got {command!r}")
+    func, _, options = _COMMANDS[command]
+    options += _SHARED
+    values = {opt[1]: opt[3] for opt in options}
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        found = [opt for opt in options if opt[0] == flag] or [
+            opt for opt in options if opt[0].startswith(flag)]
+        if len(found) != 1:
+            raise ConfigError(f"{'ambiguous' if found else 'unknown'} option "
+                              f"{flag!r} of {command}")
+        flag, dest, kind = found[0][:3]
+        if kind is None and eq:
+            raise ConfigError(f"{flag} takes no value")
+        if kind is not None and not eq:
+            text = next(tokens, "-")  # a value, or a negative integer
+            if text[:1] == "-" and not text[1:].isdigit():
+                raise ConfigError(f"{flag} needs a value")
+        try:
+            values[dest] = True if kind is None else kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
+    missing = [opt[0] for opt in options if values[opt[1]] is ...]
+    if missing:
+        raise ConfigError(f"{command} needs {', '.join(missing)}")
+    return SimpleNamespace(func=func, command=command, **values)
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, which matches our config exit code
-        return EXIT_CONFIG if exc.code else EXIT_OK
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except DworkZetaError as exc:
         code, label = _failure(exc)

@@ -54,16 +54,6 @@ def test_bad_lambda_is_config_error(capsys):
     assert code == cli.EXIT_CONFIG
 
 
-def test_parser_is_built_once_per_process(capsys):
-    cli.build_parser.cache_clear()
-    assert main(["count", "--n", "2", "--p", "5", "--bogus"]) == \
-        cli.EXIT_CONFIG
-    assert main(["gauss", "--p", "3", "--N", "2"]) == 0
-    capsys.readouterr()
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
 @pytest.mark.parametrize("command", ["count", "congruence", "zeta", "slope"])
 def test_bad_lambda_says_why_and_writes_no_file(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -83,8 +73,21 @@ def test_bad_lambda_says_why_and_writes_no_file(tmp_path, capsys, command):
     (["gauss", "--p", "3", "--N", "1001"], None),
     (["sweep"], {"prime_list": [4]}),
     (["sweep"], {"n_list": [1]}),
+    ([], None),
+    (["frob", "--n", "2", "--p", "5"], None),
+    (["count", "--n", "2", "--p", "5", "--bogus"], None),
+    (["count", "--p", "5", "--n"], None),
+    (["count", "--n", "--p", "5"], None),
+    (["count", "--n", "2", "--p", "5", "--tier", "prod"], None),
+    (["count", "--n", "2", "--p", "5", "--method", "fast"], None),
+    (["count", "--n", "two", "--p", "5"], None),
+    (["count", "--n", "2"], None),
+    (["count", "--n", "2", "--p", "5", "--t", "ci"], None),
+    (["count", "--n", "2", "--p", "5", "--nfstar=yes"], None),
 ], ids=["p-not-prime", "n-1", "r-0", "N-0", "N-1001", "sweep-p-not-prime",
-        "sweep-n-1"])
+        "sweep-n-1", "no-command", "unknown-command", "unknown-option",
+        "no-value", "value-is-option", "bad-tier", "bad-method", "bad-int",
+        "missing-p", "ambiguous-prefix", "flag-with-value"])
 def test_bad_parameters_exit_2_without_traceback(tmp_path, capsys, argv,
                                                  config):
     if config is not None:
@@ -92,7 +95,44 @@ def test_bad_parameters_exit_2_without_traceback(tmp_path, capsys, argv,
         cfg_path.write_text(json.dumps(config))
         argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path)]
     assert main(argv) == cli.EXIT_CONFIG
-    assert "Traceback" not in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("bad configuration: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_option_forms_read_alike(capsys):
+    base = ["count", "--n", "2", "--p", "5", "--method", "charsum"]
+    outs = []
+    for extra in (["--k", "3", "--lambda", "zero"],
+                  ["--k=3", "--lam", "zero"],
+                  ["--k", "1", "--lambda=zero", "--k", "3"]):
+        assert main(base + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2] and len(outs[0].splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["-h"], ["count", "congruence", "zeta", "slope", "sweep", "gauss"]),
+    (["count", "--help"], ["--n", "--p", "--r", "--seed", "--lambda", "--k",
+                           "--method", "--nfstar", "--config", "--out",
+                           "--threads", "--tier"]),
+    (["gauss", "--p", "3", "-h"], ["--p", "--r", "--seed", "--N", "--config",
+                                   "--out", "--threads", "--tier"]),
+], ids=["commands", "count", "gauss"])
+def test_help_names_every_command_or_option(capsys, argv, names):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line.split()[0] for line in out.splitlines()[1:]] == names
+
+
+def test_module_entry_point_prints_the_in_process_rows(capsys):
+    argv = ["congruence", "--n", "2", "--p", "5", "--k", "2"]
+    assert main(argv) == 0
+    proc = subprocess.run([sys.executable, "-m", "dworkzeta.cli", *argv],
+                          env=_fresh_env(), capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout == capsys.readouterr().out and proc.stderr == ""
 
 
 def _fresh_env() -> dict:
@@ -122,10 +162,11 @@ def test_zeta_does_not_import_sympy():
 # modules a command never needs: the record types are plain classes and
 # namedtuples (dataclasses pulls in inspect, ast, dis and tokenize), no
 # annotation is evaluated (typing), only a sweep with more than one worker
-# starts a process pool, and the oracles serve the tests alone
+# starts a process pool, the oracles serve the tests alone, and the command
+# line is read from cli's own option table (argparse would load gettext)
 _DENIED_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize",
                      "typing", "multiprocessing", "concurrent.futures",
-                     "dworkzeta.oracles")
+                     "dworkzeta.oracles", "argparse", "gettext")
 
 
 def test_cli_import_loads_no_denied_module():
@@ -133,6 +174,21 @@ def test_cli_import_loads_no_denied_module():
     _run_fresh_interpreter(
         "import sys, dworkzeta.cli\n"
         f"loaded = [name for name in {_DENIED_AT_IMPORT!r}\n"
+        "          if name in sys.modules]\n"
+        "assert not loaded, loaded\n", "-S")
+
+
+def test_commands_load_no_argument_parser_or_locale():
+    # the option table needs neither argparse nor its message catalogue
+    # (gettext, which loads locale), on a usage error or a run
+    _run_fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "from dworkzeta.cli import main\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert main(['count', '--n', '2', '--p', '5', '--bogus']) == 2\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['count', '--n', '2', '--p', '5']) == 0\n"
+        "loaded = [name for name in ('argparse', 'gettext', 'locale')\n"
         "          if name in sys.modules]\n"
         "assert not loaded, loaded\n", "-S")
 
@@ -263,6 +319,24 @@ def test_zeta_subfield_reads_the_prime_field_fibers(capsys):
                      "--lambda", "subfield")
     assert code == 0
     assert [row["Y"]["lambda_dlog"] for row in rows] == [None, 0, 18, 6, 12]
+
+
+def test_sweep_runs_a_fiber_named_twice_once(tmp_path, capsys):
+    # over GF(5) the dlogs 0 and 4 both name lam = 1, and -1 names lam = 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n_list": [2], "prime_list": [5], "k_max": 2, "lambda_mode": "list",
+        "lambda_list": [0, 4, -1, -1]}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["instances"] == summary["completed"] == 2
+    assert summary["ordinarity_fractions"]["n=2,p=5,r=1"]["tested"] == 2
+    zeta = (out / "zeta.jsonl").read_text().splitlines()
+    assert [json.loads(row)["key"][3] for row in zeta] == [1, 0]
+    counts = (out / "counts.jsonl").read_text().splitlines()
+    assert [json.loads(row)["lambda_dlog"] for row in counts] == \
+        [0, 0, None, None]
 
 
 def test_sweep_subfield_lambda_mode(tmp_path, capsys):
