@@ -35,10 +35,11 @@ MAX_PRECISION = 1000
 
 class Caps(namedtuple("Caps", ("field_table_max_q", "affine_enum_max",
                                "torus_enum_max", "precision_override"))):
-    """The caps; immutable.  field_table_max_q: largest q for which a full
-    discrete-log table is built; affine_enum_max, torus_enum_max:
-    brute-force evaluation budgets; precision_override: the p-adic working
-    precision (number of p-digits), 0 = auto."""
+    """The caps; immutable.  field_table_max_q: largest q of a field
+    model, whose tables (built on first use; none for a character sum's
+    GF(q^f)) have q entries; affine_enum_max, torus_enum_max: brute-force
+    evaluation budgets; precision_override: the p-adic working precision
+    (number of p-digits), 0 = auto."""
 
     __slots__ = ()
 

@@ -2,7 +2,7 @@
 
 Elements are stored as integer codes in [0, q): the base-p encoding of the
 coefficient vector with respect to the power basis of a monic irreducible
-modulus.  Multiplication goes through log/exp tables (built once per field)
+modulus.  Multiplication goes through log/exp tables (built on first use)
 and so does addition, through the Zech logarithms log(1 + g^e): no table has
 more than q entries.  Fields are desk-scale by design: the table cap refuses
 anything that would not fit comfortably in memory.
@@ -77,7 +77,7 @@ def _power(x, e: int, mul):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over GF(p), used only to bootstrap the tables
+# dense polynomial arithmetic over GF(p): the modulus, generator and tables
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a):
@@ -154,21 +154,25 @@ class FieldCtx:
     """A concrete model of GF(p^r): modulus, generator, log/exp/Zech tables.
 
     Logically immutable after construction; all operations are pure and
-    take/return integer element codes (the trace table is materialized
-    lazily, which is an idempotent fill and safe to share under the GIL).
+    take/return integer element codes.  The tables are built on first use,
+    an idempotent fill that is safe to share under the GIL, so a model read
+    only for its modulus, generator and digits holds none.
     """
 
     def __init__(self, pp: PrimePower, seed: int = 0):
         self.pp = pp
         self.seed = seed
-        p, r = pp.p, pp.r
-        self.modulus = self._find_modulus(p, r, seed)
-        self._build_mul_tables()
-        # zech[e] = log(1 + g^e), -1 where 1 + g^e = 0, so that a + b is
-        # g^la (1 + g^(lb-la)); 1 + c steps the constant (lowest) digit of c
-        self.zech_table = [self.log_table[c - c % p + (c % p + 1) % p]
-                           for c in self.exp_table]
-        self._trace_table: list | None = None
+        self.modulus = self._find_modulus(pp.p, pp.r, seed)
+        # the least code whose powers (q-1)/ell are all != 1 generates
+        # GF(q)^*; code 1 passes only for q = 2, where q-1 has no prime
+        # factor ell
+        q, fac = pp.q, factorize(pp.q - 1)
+        self.generator = next(
+            (c for c in range(1, q)
+             if all(_poly_powmod(self._vec(c), (q - 1) // ell, self.modulus,
+                                 pp.p) != (1,) for ell in fac)), None)
+        if self.generator is None:
+            raise RuntimeError("no multiplicative generator found (unreachable)")
 
     # -- construction ------------------------------------------------------
 
@@ -181,34 +185,32 @@ class FieldCtx:
                 return cand
         raise RuntimeError("no irreducible polynomial found (unreachable)")
 
-    def _build_mul_tables(self):
-        """The least code whose powers (q-1)/ell are all != 1 generates
-        GF(q)^*; code 1 passes only for q = 2, where q-1 has no prime
-        factor ell."""
-        p, r, q = self.pp.p, self.pp.r, self.pp.q
-        fac = factorize(q - 1)
-        mod = self.modulus
+    def _vec(self, c):
+        return _poly_trim(_digits(c, self.pp.p, self.pp.r))
 
-        def vec(c):
-            return _poly_trim(_digits(c, p, r))
-
-        gen = next((c for c in range(1, q)
-                    if all(_poly_powmod(vec(c), (q - 1) // ell, mod, p) != (1,)
-                           for ell in fac)), None)
-        if gen is None:
-            raise RuntimeError("no multiplicative generator found (unreachable)")
-        self.generator = gen
-        g, x, exp = vec(gen), (1,), [1]
-        for _ in range(q - 2):
-            x = _poly_mulmod(x, g, mod, p)
+    @functools.cached_property
+    def exp_table(self) -> list:
+        p, g, x, exp = self.pp.p, self._vec(self.generator), (1,), [1]
+        for _ in range(self.pp.q - 2):
+            x = _poly_mulmod(x, g, self.modulus, p)
             exp.append(sum(d * p ** i for i, d in enumerate(x)))
-        log = [-1] * q
-        for e, c in enumerate(exp):
+        return exp
+
+    @functools.cached_property
+    def log_table(self) -> list:
+        log = [-1] * self.pp.q
+        for e, c in enumerate(self.exp_table):
             log[c] = e
         if log.count(-1) != 1:
             raise RuntimeError("generator order check failed (unreachable)")
-        self.exp_table = exp
-        self.log_table = log
+        return log
+
+    @functools.cached_property
+    def zech_table(self) -> list:
+        """zech[e] = log(1 + g^e), -1 where 1 + g^e = 0, so that a + b is
+        g^la (1 + g^(lb-la)); 1 + c steps the constant (lowest) digit of c."""
+        p, log = self.pp.p, self.log_table
+        return [log[c - c % p + (c % p + 1) % p] for c in self.exp_table]
 
     # -- arithmetic on codes -------------------------------------------------
 
@@ -245,27 +247,14 @@ class FieldCtx:
         return self.log_table[a]
 
     def trace(self, a: int) -> int:
-        """Tr: GF(q) -> GF(p), as an integer in [0, p)."""
-        if self._trace_table is None:
-            self._trace_table = self._make_trace_table()
-        return self._trace_table[a]
-
-    def _make_trace_table(self):
-        """Tr is GF(p)-linear, so Tr(a) = sum_i a_i Tr(y^i) mod p over the
-        digits a_i of the code a; only the r values Tr(y^i), the codes
-        p^i, are summed as a + a^p + ... + a^(p^(r-1))."""
-        p, r = self.pp.p, self.pp.r
-        t = [0]
-        for i in range(r):
-            s, x = 0, p ** i
-            for _ in range(r):
-                s = self.add(s, x)
-                x = self.pow(x, p)
-            if s >= p:
-                raise RuntimeError("trace landed outside the prime field")
-            # codes below p^(i+1): digit d of y^i above each code below p^i
-            t = [(v + d * s) % p for d in range(p) for v in t]
-        return t
+        """Tr: GF(q) -> GF(p), as an integer in [0, p): the Frobenius sum
+        a + a^p + ... + a^(p^(r-1))."""
+        p, s = self.pp.p, 0
+        for _ in range(self.pp.r):
+            s, a = self.add(s, a), self.pow(a, p)
+        if s >= p:
+            raise RuntimeError("trace landed outside the prime field")
+        return s
 
     # -- iteration and embedding helpers ------------------------------------
 

@@ -13,8 +13,9 @@ Kronecker-packed operands (`_mul_coeffs`).
 Teichmuller values chi(a) are computed in W by Newton iteration.  A Gauss
 sum G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m],
 acc[m] in Z_p; it reads only the y^0 coordinates of the powers chi(g)^j,
-which follow a linear recurrence of order r (`teich_y0`).  Which Gauss
-sum over GF(q^m) is which is decided in `TowerCtx.gauss_sums` alone.
+which follow a linear recurrence of order r (`teich_y0`), and the traces
+Tr(g^j), read off the same sequence: no table of GF(q) is built.  Which
+Gauss sum over GF(q^m) is which is decided in `TowerCtx.gauss_sums` alone.
 
 The family part of the character-sum count computes in
 Z_p[zeta_p][z]/(z^g - 1) on packed integers (`ZpCyclic`), whose layout
@@ -63,7 +64,6 @@ class TowerCtx:
         self._shifts = [B * r if i % r == 0 else B
                         for i in range(p * r, 0, -1)]
         self._teich_pows = None
-        self._gauss_inputs = None
         self._gauss_memo: dict = {}
 
     # -- multiplication in W and in the ring ----------------------------------
@@ -142,12 +142,17 @@ class TowerCtx:
             x = tuple((u - c * (v - u)) % pN for u, v in zip(x, xq))
         return x
 
+    @functools.cached_property
+    def _teich_generator(self) -> tuple:
+        """teich(g), lifted once for `teich_pows` and `teich_y0`."""
+        return self.teich(self.field.generator)
+
     def teich_pows(self) -> list:
         """TP[j] = teich(g)^j for j in [0, q-1), computed in W by q-2
         multiplies: the twists of the fiber part read whole values.  The
         Gauss sums read only y^0 coordinates, from `teich_y0`."""
         if self._teich_pows is None:
-            tg = self.teich(self.field.generator)
+            tg = self._teich_generator
             tp = [(1,) + (0,) * (self.r - 1)]
             for _ in range(self.q - 2):
                 tp.append(self._mul_coeffs(tp[-1], tg, 1))
@@ -163,7 +168,7 @@ class TowerCtx:
         c_i solve the r x r system whose columns are t^0..t^{r-1}; it is
         invertible mod p, so every pivot can be taken a unit."""
         r, pN = self.r, self.pN
-        tg = self.teich(self.field.generator)
+        tg = self._teich_generator
         pows = [(1,) + (0,) * (r - 1)]
         for _ in range(r):
             pows.append(self._mul_coeffs(pows[-1], tg, 1))
@@ -225,19 +230,24 @@ class TowerCtx:
         """All G(k), 0 <= k <= q-1, with the boundary conventions."""
         return self.gauss_sums(range(self.q))
 
+    @functools.cached_property
+    def _gauss_inputs(self) -> tuple:
+        """(the traces Tr(g^j), the y^0 sequence of `teich_y0`), j in
+        [0, q-1): Tr_{W/Z_p} teich(g^j) = sum_{i<r} teich(g^{j p^i}) lies
+        in Z_p, so it is the sum of those y^0 coordinates, and it reduces
+        mod p to Tr(g^j)."""
+        p, q1, y0 = self.p, self.q - 1, self.teich_y0()
+        conjugates = [[y0[j * f % q1] for j in range(q1)]
+                      for f in [p ** i for i in range(self.r)]]
+        return [sum(t) % p for t in zip(*conjugates)], y0
+
     def _gauss_sums(self, k) -> tuple:
         """G(k) for one index 0 < k < q-1.  acc[m] sums chi(a)^{-k} over
         Tr(a) = m.  Frobenius permutes that set and acts on the Teichmuller
         values, so it fixes acc[m], which lies in Z_p: only the y^0
         coordinate of each power is summed, one int add per term, and
-        G(k) = sum_m x^m acc[m].  The traces of g^j and the y^0 sequence of
-        `teich_y0` are formed on the first call and kept on the context."""
+        G(k) = sum_m x^m acc[m], from `_gauss_inputs`."""
         p, pN, q1 = self.p, self.pN, self.q - 1
-        if self._gauss_inputs is None:
-            field = self.field
-            self._gauss_inputs = (
-                [field.trace(field.exp_table[j]) for j in range(q1)],
-                self.teich_y0())
         traces, tp = self._gauss_inputs
         acc = [0] * p
         kj = 0

@@ -30,6 +30,7 @@ from .errors import (
     NoConsistentSign,
     NonIntegralCoefficient,
     NotDivisible,
+    RecoveryFailure,
     SubstitutionNotIntegral,
 )
 
@@ -372,7 +373,9 @@ def _recover(inst, variety: str, caps, k_budget: int | None,
     space, Y from N on the torus, both of weight n-1.  A smooth fiber is
     counted to `counts_budget(degree)` and completed by `recover_numerator`;
     a singular one to the degree, its numerator, which may drop degree, from
-    Newton's identities alone.  `k_budget` overrides either budget."""
+    Newton's identities alone; when p does not divide n+1 a singular
+    fiber is a conifold one, whose Q must have degree n-1.  `k_budget`
+    overrides either budget."""
     caps = caps or DEFAULT_CAPS
     n, pp = inst.n, inst.field.pp
     if variety == "X":
@@ -394,6 +397,9 @@ def _recover(inst, variety: str, caps, k_budget: int | None,
                 "extra power sums are inconsistent with the recovered numerator")
         if not weil_bound_ok(poly.coeffs, pp.q, n - 1):
             raise NoConsistentSign("recovered numerator violates the Weil bounds")
+        if variety == "Y" and (n + 1) % pp.p and poly.degree != n - 1:
+            raise RecoveryFailure(
+                f"conifold fiber's Q has degree {poly.degree}, not n-1 = {n - 1}")
     else:
         poly = recover_numerator(psums, degree, n - 1, pp.q)[0]
     return ZetaData(variety=variety, n=n, p=pp.p, r=pp.r, q=pp.q,

@@ -15,7 +15,7 @@ from dworkzeta.ff import (
     factorize,
     is_prime,
 )
-from dworkzeta.counting import DworkInstance
+from dworkzeta.counting import DworkInstance, count_record
 from dworkzeta.padic import build_tower
 
 
@@ -194,23 +194,32 @@ def test_trace_additive_and_surjective():
         assert set(F.trace(a) for a in range(q)) == set(range(p))
 
 
-TRACE_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (5, 3),
-                (3, 8)]
+_TABLES = ("exp_table", "log_table", "zech_table")
 
 
-@pytest.mark.parametrize("p,r", TRACE_FIELDS)
-def test_linear_trace_table_matches_the_frobenius_sum(p, r):
-    # the oracle: a + a^p + ... + a^(p^(r-1)) for every element
-    F = build_field(p, r, 0)
-    want = []
-    for a in range(F.pp.q):
-        s, x = 0, a
-        for _ in range(r):
-            s = F.add(s, x)
-            x = F.pow(x, p)
-        assert s < p
-        want.append(s)
-    assert [F.trace(a) for a in range(F.pp.q)] == want
+def test_tables_are_built_on_first_use():
+    # the modulus and generator alone: GF(5^8) holds no table until an
+    # operation asks for one, and the cap still refuses the next size up
+    F = build_field(5, 8, 0)
+    assert F.generator and not set(_TABLES) & set(vars(F))
+    with pytest.raises(FieldTooLarge):
+        build_field(5, 8, 0, cap=5 ** 8 - 1)
+    G = build_field(3, 3, 0)
+    assert G.mul(G.generator, 1) == G.generator
+    assert set(_TABLES) <= set(vars(G))
+
+
+def test_charsum_count_builds_no_extension_table():
+    # n = 3, lam = 0 over GF(11^2) runs its family pass on the tower over
+    # GF(121), which reads only the model's modulus, generator and digits
+    from dworkzeta import counting, ff
+
+    ff._field.cache_clear()
+    counting._family_sums.cache_clear()
+    build_tower.cache_clear()
+    count_record(DworkInstance(3, build_field(11, 1, 1), 0), 2,
+                 method="charsum")
+    assert not set(_TABLES) & set(vars(build_field(11, 2, 1)))
 
 
 def test_dlog_examples():

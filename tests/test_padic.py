@@ -233,6 +233,23 @@ def test_teich_takes_floor_log2_n_qth_powers(monkeypatch, N):
     assert calls == [T.q] * (N.bit_length() - 1)
 
 
+def test_generator_is_lifted_once_per_tower(monkeypatch):
+    # the twists (teich_pows) and the Gauss sums (teich_y0) share one
+    # Newton lift of g, as on the base tower at k = 1
+    real, calls = TowerCtx.teich, []
+
+    def teich(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(TowerCtx, "teich", teich)
+    T = TowerCtx(build_field(5, 2, 0), 6)
+    T.teich_pows()
+    T.gauss_table()
+    T.teich_y0()
+    assert calls == [T.field.generator]
+
+
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2), (3, 3), (5, 3),
                                  (11, 2)])
 def test_teich_table_matches_ring_powers(p, r):
@@ -663,6 +680,19 @@ def test_zp_integer_worst_case_terms(p, r, N):
 def test_teich_y0_recurrence_matches_the_powers(p, r, N):
     T = TowerCtx(build_field(p, r, 0), N)
     assert T.teich_y0() == [t[0] for t in T.teich_pows()]
+
+
+@pytest.mark.parametrize("p,r", [(2, r) for r in range(1, 7)]
+                         + [(3, r) for r in range(1, 7)]
+                         + [(5, 2), (5, 3), (7, 2), (11, 2), (3, 8)])
+def test_tower_traces_match_the_field_trace(p, r):
+    # Tr(g^j) read off the y^0 sequence, against the Frobenius sum
+    # a + a^p + ... + a^(p^(r-1)) in the field; GF(2^r) and GF(3^r) have
+    # short Frobenius orbits, the elements of proper subfields
+    F = build_field(p, r, 0)
+    want = [F.trace(F.gen_pow(j)) for j in range(F.pp.q - 1)]
+    for N in (1, 4):
+        assert TowerCtx(F, N)._gauss_inputs[0] == want, N
 
 
 def test_digit_sum():
