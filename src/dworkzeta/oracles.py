@@ -4,11 +4,12 @@ Each recomputes a quantity the package computes another way, or walks what
 the package's fast paths only sum: the mirror count stratum by stratum
 (`count_Y_strata_brute`), the character-sum solutions one per class
 (`enumerate_solutions`), which the family pass of module `family` sums
-without walking, and the pi-adic valuation of a tower element
-(`pi_valuation`), which Stickelberger's theorem predicts for a Gauss sum
-from a digit sum (`digit_sum`), in the ring of `TowerElem`s, where the
-tests check the tuples and packed integers of `padic`.  Neither the
-package nor its CLI imports this module.
+without walking, the Gauss sums over every unit (`gauss_sums_direct`),
+which `padic` folds by Frobenius orbits, and the pi-adic valuation of a
+tower element (`pi_valuation`), which Stickelberger's theorem predicts for
+a Gauss sum from a digit sum (`digit_sum`), in the ring of `TowerElem`s,
+where the tests check the tuples and packed integers of `padic`.  Neither
+the package nor its CLI imports this module.
 """
 from __future__ import annotations
 
@@ -248,6 +249,29 @@ def zp_coords(x: TowerElem) -> tuple:
     if x.c.count(0) - xs.count(0) != len(x.c) - x.ctx.p:
         raise ValueError(f"{x} is not in Z_p[zeta_p]")
     return xs
+
+
+# ---------------------------------------------------------------------------
+# the direct Gauss sum
+# ---------------------------------------------------------------------------
+
+def gauss_sums_direct(tower: TowerCtx) -> list:
+    """G(k) for each index 0 < k < q-1, p x-coordinates mod p^N, by the
+    direct sum over all q-1 units: acc[m] sums chi(g^j)^{-k} =
+    teich(g)^{-kj} over the j with Tr(g^j) = m.  Frobenius permutes that
+    set and acts on the Teichmuller values, so acc[m] lies in Z_p and sums
+    the y^0 coordinates of `teich_pows`, one int add per unit; the traces
+    are the field model's.  The oracle of `padic.GaussSource`'s fold."""
+    F, p, pN, q1 = tower.field, tower.p, tower.pN, tower.q - 1
+    traces = [F.trace(F.gen_pow(j)) for j in range(q1)]
+    tp = tower.teich_pows()
+    out = []
+    for k in range(1, q1):
+        acc = [0] * p
+        for j, m in enumerate(traces):
+            acc[m] += tp[-k * j % q1][0]
+        out.append(tuple(v % pN for v in acc))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,14 @@ Kronecker-packed operands (`_mul_coeffs`).
 Teichmuller values chi(a) are computed in W by Newton iteration.  A Gauss
 sum G(k) = sum_{a != 0} chi(a)^{-k} zeta_p^{Tr(a)} is sum_m x^m acc[m],
 acc[m] in Z_p; it reads only the y^0 coordinates of the powers chi(g)^j,
-which follow a linear recurrence of order r (`teich_y0`), and the traces
-Tr(g^j), read off the same sequence: no table of GF(q) is built.  Which
-Gauss sum over GF(q^m) is which is decided in `TowerCtx.gauss_sums` alone.
+which follow a linear recurrence of order r, and the traces of the
+Teichmuller values, read off the same sequence: no table of GF(q) is
+built.  Each field model has one `GaussSource`, which holds the lift of its
+generator, that sequence, the traces and one G_q(c) per p-cyclotomic coset
+minimum c at a single precision, and sums acc over the trace-1 set folded
+by Frobenius orbits (`GaussSource._fold`): about q/(pr) + p terms, against
+q - 1.  A tower at a lower precision reads them reduced.  Which Gauss sum
+over GF(q^m) is which is decided in `TowerCtx.gauss_sums` alone.
 
 The family part of the character-sum count computes in
 Z_p[zeta_p][z]/(z^g - 1) on packed integers (`ZpCyclic`), whose layout
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from math import comb, gcd
 
 from .errors import NonIntegralResult
@@ -39,10 +45,13 @@ from .ff import FieldCtx, PrimePower, _power
 class TowerCtx:
     """Z_p[zeta_p] (x) W mod p^N over one FieldCtx model, at precision N.
 
-    The Teichmuller powers and each Gauss sum are computed lazily, once, and
-    kept on the context; the fills are idempotent, so sharing a context
-    between threads is safe under the GIL, and process pools each build
-    their own."""
+    The Teichmuller powers and the Gauss sums are computed once per field
+    model, by its Gauss source (`gauss_source`), and read lazily, reduced
+    mod p^N, and kept on the context.  The fills are idempotent, and so is
+    replacing a source by one at a higher precision: it is one store of a
+    value that reduces to the same residues.  So sharing a context between
+    threads is safe under the GIL, and process pools each build their
+    own."""
 
     def __init__(self, field: FieldCtx, N: int):
         if N < 1:
@@ -123,72 +132,42 @@ class TowerCtx:
 
     # -- Teichmuller lifts and character tables -------------------------------
 
-    def teich(self, a) -> tuple:
+    def teich(self, a, x=None, precision: int = 1) -> tuple:
         """Teichmuller lift of a field element code, a value of W: the root
         of f(X) = X^q - X congruent to the lift t of the coefficients of a,
-        by Newton steps X <- X - c f(X), c = (q-1)^{-1} mod p^N, from X = t.
-        With X = root + e, the step leaves -c times the terms C(q, k) e^k,
-        k >= 2, of f(X): each is divisible by p e^2, or is e^q.  So for
-        q >= 3 a step takes the precision v to 2v + 1 (from 1 at X = t),
-        and s steps reach 2^(s+1) - 1: N.bit_length() - 1 q-th powers in W.
-        Over GF(2), t is 0 or 1 and already exact."""
+        by Newton steps X <- X - c f(X), c = (q-1)^{-1} mod p^N, from X = t,
+        or from a lift x of a already exact to `precision` digits.
+        With X = root + e, the step leaves -c times the terms
+        C(q, k) root^(q-k) e^k, k >= 2, of f(X), as f'(root) = q - 1.  For
+        k = p^j m, p not dividing m, C(q, k) has valuation r - j (Kummer),
+        so a term has valuation at least r - j + p^j v: at least 2v + r for
+        odd p, 2v + r - 1 for p = 2.  So a step takes the precision v (1 at
+        X = t) to 2v + g, g = r, or r - 1 at p = 2, and g = 1 over GF(2),
+        where t is 0 or 1 and already exact: from t, at most
+        N.bit_length() - 1 q-th powers in W."""
         pN, q = self.pN, self.q
         c = pow(q - 1, -1, pN)
         mul = functools.partial(self._mul_coeffs, blocks=1)
-        x = tuple(v % pN for v in self.field.coeffs(a))
-        for _ in range(self.N.bit_length() - 1):
+        gain = self.r - (self.p == 2) or 1
+        if x is None:
+            x = tuple(v % pN for v in self.field.coeffs(a))
+        while precision < self.N:
             # over GF(p), W is Z/p^N and the q-th power one modular pow
             xq = (pow(x[0], q, pN),) if self.r == 1 else _power(x, q, mul)
             x = tuple((u - c * (v - u)) % pN for u, v in zip(x, xq))
+            precision = 2 * precision + gain
         return x
 
-    @functools.cached_property
-    def _teich_generator(self) -> tuple:
-        """teich(g), lifted once for `teich_pows` and `teich_y0`."""
-        return self.teich(self.field.generator)
-
     def teich_pows(self) -> list:
-        """TP[j] = teich(g)^j for j in [0, q-1), computed in W by q-2
-        multiplies: the twists of the fiber part read whole values.  The
-        Gauss sums read only y^0 coordinates, from `teich_y0`."""
+        """TP[j] = teich(g)^j for j in [0, q-1), values of W: the twists of
+        the fiber part read whole values.  Reduced mod p^N from the model's
+        Gauss source, and kept."""
         if self._teich_pows is None:
-            tg = self._teich_generator
-            tp = [(1,) + (0,) * (self.r - 1)]
-            for _ in range(self.q - 2):
-                tp.append(self._mul_coeffs(tp[-1], tg, 1))
-            self._teich_pows = tp
+            pN = self.pN
+            self._teich_pows = [
+                tuple(v % pN for v in t)
+                for t in gauss_source(self.field, self.N).teich_pows]
         return self._teich_pows
-
-    def teich_y0(self) -> list:
-        """The y^0 coordinates of teich(g)^j for j in [0, q-1), without the
-        powers themselves.  t = teich(g) is a root of its minimal polynomial
-        over Z_p, of degree r (g generates GF(q) over GF(p)), so
-        t^r = sum_{i<r} c_i t^i, and the Z_p-linear y^0 coordinate follows
-        a_{j+r} = sum_i c_i a_{j+i}: r scalar multiply-adds a term.  The
-        c_i solve the r x r system whose columns are t^0..t^{r-1}; it is
-        invertible mod p, so every pivot can be taken a unit."""
-        r, pN = self.r, self.pN
-        tg = self._teich_generator
-        pows = [(1,) + (0,) * (r - 1)]
-        for _ in range(r):
-            pows.append(self._mul_coeffs(pows[-1], tg, 1))
-        # rows: coordinate j of t^0..t^r, the last column the right side
-        rows = [[t[j] for t in pows] for j in range(r)]
-        for i in range(r):
-            piv = next(j for j in range(i, r) if rows[j][i] % self.p)
-            rows[i], rows[piv] = rows[piv], rows[i]
-            inv = pow(rows[i][i], -1, pN)
-            rows[i] = [v * inv % pN for v in rows[i]]
-            for j in range(r):
-                if j != i and rows[j][i]:
-                    f = rows[j][i]
-                    rows[j] = [(v - f * u) % pN
-                               for v, u in zip(rows[j], rows[i])]
-        c = [row[r] for row in rows]
-        seq = [t[0] for t in pows[:r]]
-        for j in range(self.q - 1 - r):
-            seq.append(sum(map(operator.mul, c, seq[j:j + r])) % pN)
-        return seq
 
     # -- Gauss sums ------------------------------------------------------------
 
@@ -200,63 +179,43 @@ class TowerCtx:
         Hasse-Davenport lift of a sum over GF(q),
         G_Q(t s) = (-1)^{m-1} G_q(t)^m, the power taken on the g = 1
         `ZpCyclic`, and a -> a^p permutes GF(q)^* and keeps the trace, so
-        G_q(p t mod (q-1)) = G_q(t).  So the memo keeps one value per
-        (least member of the p-cyclotomic coset of t, m), computed on its
-        first request."""
+        G_q(p t mod (q-1)) = G_q(t).  G_q(c) at the least member c of the
+        p-cyclotomic coset of t is read from the model's Gauss source,
+        which computes it once per field model, and reduced mod p^N.  The
+        memo is looked up by index first, and keeps one value, one
+        Hasse-Davenport power at m > 1, per (coset minimum, m), under the
+        index c s."""
         p, pN, q1, Q1 = self.p, self.pN, self.q - 1, self.q ** m - 1
         step, memo, ring = Q1 // q1, self._gauss_memo, None
         frobenius = [p ** i for i in range(self.r)]
         out = []
         for k in ks:
-            if k % step or not 0 <= k <= Q1:
-                raise ValueError(
-                    f"k must be a multiple of {step} in [0, {Q1}], got {k}")
-            if k in (0, Q1):  # the boundary conventions
-                out.append(((Q1 if k == 0 else -Q1 - 1) % pN,)
-                           + (0,) * (p - 1))
-                continue
-            c = min([k // step * f % q1 for f in frobenius])
-            if (c, m) not in memo:
-                G = memo[c, 1] = memo.get((c, 1)) or self._gauss_sums(c)
-                if m > 1:
-                    ring = ring or ZpCyclic(self, 1, 1)
-                    memo[c, m] = tuple(
-                        (-1) ** (m - 1) * x % pN for x in
-                        ring.coords(ring.power(ring.pack((G,)), m)))
-            out.append(memo[c, m])
+            G = memo.get((k, m))
+            if G is None:
+                if k % step or not 0 <= k <= Q1:
+                    raise ValueError(
+                        f"k must be a multiple of {step} in [0, {Q1}], got {k}")
+                if k in (0, Q1):  # the boundary conventions
+                    out.append(((Q1 if k == 0 else -Q1 - 1) % pN,)
+                               + (0,) * (p - 1))
+                    continue
+                c = min([k // step * f % q1 for f in frobenius])
+                G = memo.get((c * step, m))
+                if G is None:
+                    G = tuple(v % pN for v in
+                              gauss_source(self.field, self.N).gauss_sum(c))
+                    if m > 1:
+                        ring = ring or ZpCyclic(self, 1, 1)
+                        G = tuple((-1) ** (m - 1) * x % pN for x in
+                                  ring.coords(ring.power(ring.pack((G,)), m)))
+                    memo[c * step, m] = G
+                memo[k, m] = G
+            out.append(G)
         return out
 
     def gauss_table(self) -> list:
         """All G(k), 0 <= k <= q-1, with the boundary conventions."""
         return self.gauss_sums(range(self.q))
-
-    @functools.cached_property
-    def _gauss_inputs(self) -> tuple:
-        """(the traces Tr(g^j), the y^0 sequence of `teich_y0`), j in
-        [0, q-1): Tr_{W/Z_p} teich(g^j) = sum_{i<r} teich(g^{j p^i}) lies
-        in Z_p, so it is the sum of those y^0 coordinates, and it reduces
-        mod p to Tr(g^j)."""
-        p, q1, y0 = self.p, self.q - 1, self.teich_y0()
-        conjugates = [[y0[j * f % q1] for j in range(q1)]
-                      for f in [p ** i for i in range(self.r)]]
-        return [sum(t) % p for t in zip(*conjugates)], y0
-
-    def _gauss_sums(self, k) -> tuple:
-        """G(k) for one index 0 < k < q-1.  acc[m] sums chi(a)^{-k} over
-        Tr(a) = m.  Frobenius permutes that set and acts on the Teichmuller
-        values, so it fixes acc[m], which lies in Z_p: only the y^0
-        coordinate of each power is summed, one int add per term, and
-        G(k) = sum_m x^m acc[m], from `_gauss_inputs`."""
-        p, pN, q1 = self.p, self.pN, self.q - 1
-        traces, tp = self._gauss_inputs
-        acc = [0] * p
-        kj = 0
-        for m in traces:
-            acc[m] += tp[kj]
-            kj -= k
-            if kj < 0:
-                kj += q1
-        return tuple(v % pN for v in acc)
 
     def pi_rows(self, c) -> tuple:
         """(p-1) tuples of w residues, rows[i][j] the coefficient of
@@ -273,6 +232,136 @@ class TowerCtx:
 
     def __repr__(self):
         return f"TowerCtx(GF({self.p}^{self.r}), N={self.N})"
+
+
+class GaussSource:
+    """One field model's Gauss layer at precision N, each part computed on
+    first use and kept: the Teichmuller lift of the generator g, its
+    powers, the y^0 sequence of the powers, the traces t(i) and G_q(c) for
+    each p-cyclotomic coset minimum c.  A tower at precision N' <= N reads
+    them reduced mod p^N' (`gauss_source`); every residue mod p^N' is the
+    one the tower would compute at N' itself, the lift being unique."""
+
+    def __init__(self, field: FieldCtx, N: int, replaced=None):
+        self.tower = TowerCtx(field, N)  # the arithmetic of W mod p^N
+        self.N = N
+        self._gauss: dict = {}
+        # the lift of the source this one replaces, where it was made
+        self._start = (() if replaced is None
+                       or "_teich_generator" not in vars(replaced)
+                       else (replaced._teich_generator, replaced.N))
+
+    @functools.cached_property
+    def _teich_generator(self) -> tuple:
+        """teich(g), lifted once for `teich_pows` and `y0`: from the lift
+        of the source this one replaces, exact to its precision, where
+        there is one."""
+        return self.tower.teich(self.tower.field.generator, *self._start)
+
+    @functools.cached_property
+    def teich_pows(self) -> list:
+        """teich(g)^j for j in [0, q-1), by q-2 multiplies in W."""
+        T, tg = self.tower, self._teich_generator
+        tp = [(1,) + (0,) * (T.r - 1)]
+        for _ in range(T.q - 2):
+            tp.append(T._mul_coeffs(tp[-1], tg, 1))
+        return tp
+
+    @functools.cached_property
+    def y0(self) -> list:
+        """The y^0 coordinates of teich(g)^j for j in [0, q-1), without the
+        powers themselves.  t = teich(g) is a root of its minimal polynomial
+        over Z_p, of degree r (g generates GF(q) over GF(p)), so
+        t^r = sum_{i<r} c_i t^i, and the Z_p-linear y^0 coordinate follows
+        a_{j+r} = sum_i c_i a_{j+i}: r scalar multiply-adds a term.  The
+        c_i solve the r x r system whose columns are t^0..t^{r-1}; it is
+        invertible mod p, so every pivot can be taken a unit."""
+        T = self.tower
+        p, q, r, pN = T.p, T.q, T.r, T.pN
+        tg = self._teich_generator
+        pows = [(1,) + (0,) * (r - 1)]
+        for _ in range(r):
+            pows.append(T._mul_coeffs(pows[-1], tg, 1))
+        # rows: coordinate j of t^0..t^r, the last column the right side
+        rows = [[t[j] for t in pows] for j in range(r)]
+        for i in range(r):
+            piv = next(j for j in range(i, r) if rows[j][i] % p)
+            rows[i], rows[piv] = rows[piv], rows[i]
+            inv = pow(rows[i][i], -1, pN)
+            rows[i] = [v * inv % pN for v in rows[i]]
+            for j in range(r):
+                if j != i and rows[j][i]:
+                    f = rows[j][i]
+                    rows[j] = [(v - f * u) % pN
+                               for v, u in zip(rows[j], rows[i])]
+        c = [row[r] for row in rows]
+        seq = [t[0] for t in pows[:r]]
+        for j in range(q - 1 - r):
+            seq.append(sum(map(operator.mul, c, seq[j:j + r])) % pN)
+        return seq
+
+    @functools.cached_property
+    def traces(self) -> list:
+        """t(i) = sum_{l<r} y0[i p^l mod (q-1)], i in [0, q-1), unreduced:
+        the trace Tr_{W/Z_p} teich(g^i), which lies in Z_p, so it is the
+        sum of those y^0 coordinates, and reduces mod p to Tr(g^i)."""
+        T, y0 = self.tower, self.y0
+        q1 = T.q - 1
+        conjugates = [[y0[i * f % q1] for i in range(q1)]
+                      for f in [T.p ** l for l in range(T.r)]]
+        return list(map(sum, zip(*conjugates)))
+
+    @functools.cached_property
+    def _fold_inputs(self) -> tuple:
+        """(full, short, omega) over the trace-1 set {g^j : Tr(g^j) = 1},
+        which j -> p j mod (q-1) permutes: one j of each full Frobenius
+        orbit, of r members; every member of each short one, an element of
+        a proper subfield; and omega[m] = s (q-1)/(p-1) for the s with
+        teich(g)^{s (q-1)/(p-1)} = teich(m), m in GF(p)^*, whose y^0
+        value is = m mod p (omega[0] unused)."""
+        T, traces = self.tower, self.traces
+        p, q1, r = T.p, T.q - 1, T.r
+        full, short, seen = [], [], set()
+        for j, t in enumerate(traces):
+            if t % p == 1 and j not in seen:
+                orbit = {j * p ** l % q1 for l in range(r)}
+                seen |= orbit
+                if len(orbit) == r:
+                    full.append(j)
+                else:
+                    short.extend(sorted(orbit))
+        e, omega = q1 // (p - 1), [0] * p
+        for s in range(p - 1):
+            omega[self.y0[s * e] % p] = s * e
+        return full, short, omega
+
+    def gauss_sum(self, c: int) -> tuple:
+        """G_q(c) for a coset minimum 0 < c < q-1, p x-coordinates mod p^N,
+        folded on first request (`_fold`) and kept."""
+        G = self._gauss.get(c)
+        if G is None:
+            G = self._gauss[c] = self._fold(c)
+        return G
+
+    def _fold(self, c: int) -> tuple:
+        """G_q(c) = sum_m x^m acc[m], acc[m] the sum of chi(a)^{-c} over
+        Tr(a) = m, a value of Z_p, from the trace-1 set alone:
+        - acc[1]: a full orbit of g^j adds t(-c j), a short orbit each of
+          its members' y0[-c j];
+        - a -> m a maps Tr = 1 onto Tr = m, so acc[m] = teich(m)^{-c}
+          acc[1], and teich(m)^{-c} = y0[-c omega[m]], a value of Z_p;
+        - the acc[m] sum to 0 for 0 < c < q-1, and the teich(m)^{-c} to
+          p-1 when (p-1) | c and to 0 otherwise, so
+          acc[0] = -(p-1) acc[1] or 0.
+        About q/(p r) + p terms, against q-1 for the direct sum."""
+        T, t, y0 = self.tower, self.traces, self.y0
+        p, pN, q1 = T.p, T.pN, T.q - 1
+        full, short, omega = self._fold_inputs
+        one = (sum([t[-c * j % q1] for j in full])
+               + sum([y0[-c * j % q1] for j in short])) % pN
+        acc = [y0[-c * w % q1] * one % pN for w in omega]
+        acc[0] = 0 if c % (p - 1) else -(p - 1) * one % pN
+        return tuple(acc)
 
 
 class ZpCyclic:
@@ -355,11 +444,36 @@ class ZpCyclic:
 # public operations
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)  # towers keep the Gauss sums they computed
+@functools.lru_cache(maxsize=32)  # towers keep the Gauss sums they read
 def build_tower(field: FieldCtx, N: int) -> TowerCtx:
     """The tower over this field model at precision N; cached per (model
     object, N), so build_tower(F, N).field is F."""
     return TowerCtx(field, N)
+
+
+@functools.lru_cache(maxsize=32)  # the models whose Gauss source is kept
+def _sources(field: FieldCtx) -> list:
+    """The one-entry slot holding this model's current Gauss source."""
+    return [None]
+
+
+def gauss_source(field: FieldCtx, N: int) -> GaussSource:
+    """The Gauss source of this field model, at a precision N_s >= N.  A
+    request above the kept source's N_s, or with none kept, replaces it by
+    one at the largest N' whose p^N' fits in as many int digits as p^N
+    needs: its residues cost what they cost at N, and the precisions of one
+    pass, which grow with k and n, mostly land in one source, and the new
+    source's Newton lift starts from the old one's.  Replacing the slot's
+    entry is one store, so it is idempotent under the GIL."""
+    slot = _sources(field)
+    source = slot[0]
+    if source is None or source.N < N:
+        p, bits = field.pp.p, sys.int_info.bits_per_digit
+        top = -(-(p ** N).bit_length() // bits) * bits
+        while (p ** (N + 1)).bit_length() <= top:
+            N += 1
+        source = slot[0] = GaussSource(field, N, source)
+    return source
 
 
 def vp(c: int, p: int) -> int:

@@ -3,9 +3,9 @@ import itertools
 
 import pytest
 
-from dworkzeta import counting, family
+from dworkzeta import counting, family, padic
 from dworkzeta.oracles import TowerElem, enumerate_solutions
-from dworkzeta.padic import TowerCtx, build_tower
+from dworkzeta.padic import GaussSource, TowerCtx, build_tower
 
 
 def gauss_elems(T):
@@ -105,19 +105,44 @@ def _orbit_weight_dropped(monkeypatch):
     monkeypatch.setattr(family, "_orbit_leaders", orbit_leaders)
 
 
+def _fold_inputs_changed(monkeypatch, change):
+    """The Gauss source's fold reads change(full, short, omega) in place of
+    its fold inputs."""
+    real = GaussSource._fold_inputs.func
+    monkeypatch.setattr(GaussSource, "_fold_inputs",
+                        property(lambda source: change(source, *real(source))))
+
+
+def _omega_sign_flipped(monkeypatch):
+    """The fold's acc[m] = teich(m)^c acc[1] in place of teich(m)^{-c}:
+    each omega[m] read at its inverse."""
+    _fold_inputs_changed(monkeypatch, lambda source, full, short, omega: (
+        full, short, [-w % (source.tower.q - 1) for w in omega]))
+
+
+def _short_orbits_dropped(monkeypatch):
+    """The fold's acc[1] without the members of the short Frobenius
+    orbits, the trace-1 elements of proper subfields."""
+    _fold_inputs_changed(monkeypatch, lambda source, full, short, omega: (
+        full, [], omega))
+
+
 FAULTS = {"hd_sign": _hd_sign_dropped, "twist": _twist_inverted,
-          "orbit_weight": _orbit_weight_dropped, "ends_swapped": _ends_swapped}
+          "orbit_weight": _orbit_weight_dropped, "ends_swapped": _ends_swapped,
+          "omega_sign": _omega_sign_flipped,
+          "short_orbits": _short_orbits_dropped}
 
 
 @pytest.fixture
 def fault(monkeypatch):
     """install(name) puts the named one-line fault of FAULTS into the
-    counting path.  The family-pass and tower caches are emptied when it
-    goes in and again at teardown, so no result computed on either side of
-    the fault reaches the other."""
+    counting path.  The family-pass, tower and Gauss-source caches are
+    emptied when it goes in and again at teardown, so no result computed on
+    either side of the fault reaches the other."""
     def clear():
         counting._family_sums.cache_clear()
         build_tower.cache_clear()
+        padic._sources.cache_clear()
 
     def install(name):
         clear()

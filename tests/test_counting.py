@@ -35,7 +35,7 @@ from dworkzeta.oracles import (
     enumerate_solutions,
     pi_valuation,
 )
-from dworkzeta.padic import TowerCtx, ZpCyclic, build_tower
+from dworkzeta.padic import GaussSource, TowerCtx, ZpCyclic, build_tower
 
 
 def inst(n, p, r, lam, seed=0):
@@ -527,23 +527,34 @@ def test_gauss_field_degree_is_the_lift_degree():
 
 
 def test_each_gauss_sum_is_computed_once_per_tower(capsys, monkeypatch):
-    from dworkzeta import counting
+    # once per (field model, source precision): the towers of a run read
+    # their model's one Gauss source, and GF(125), asked for at N = 13, 16
+    # and 19 by n = 2, 3 and 4, folds each coset once
+    from dworkzeta import counting, padic
     from dworkzeta.cli import main
 
-    real = TowerCtx._gauss_sums
+    real = GaussSource._fold
     asks = []
 
-    def spy(tower, k):
-        asks.append((tower, k))
-        return real(tower, k)
+    def spy(source, c):
+        asks.append((source.tower.field, source.N, c))
+        return real(source, c)
 
     counting._family_sums.cache_clear()
     build_tower.cache_clear()
-    monkeypatch.setattr(TowerCtx, "_gauss_sums", spy)
+    padic._sources.cache_clear()
+    monkeypatch.setattr(GaussSource, "_fold", spy)
     assert main(["congruence", "--n", "2", "--p", "5", "--lambda", "all",
                  "--k", "2"]) == 0
-    capsys.readouterr()
     assert asks and len(asks) == len(set(asks))
+    for n in (2, 3, 4):
+        assert main(["congruence", "--n", str(n), "--p", "5", "--lambda",
+                     "all", "--k", "3"]) == 0
+    capsys.readouterr()
+    assert len(asks) == len(set(asks))
+    gf125 = [(N, c) for F, N, c in asks if F.pp.q == 125]
+    assert {N for N, _ in gf125} == {25}
+    assert len({c for _, c in gf125}) == len(gf125) == 43
 
 
 def test_charsum_count_refuses_a_foreign_matrix_or_class(monkeypatch):
@@ -685,8 +696,9 @@ def test_pass_for_y_alone_keeps_no_gauss_sum(monkeypatch):
     # a count of Y leaves X's part unsummed; the pass then holds its two
     # parts, Y's keyed by class c and, at g = 1, X's leader terms keyed by
     # (s, c), and besides them only what its matrices and field give: none
-    # of the Gauss sums the towers keep and no per-leader value
-    from dworkzeta import counting
+    # of the Gauss sums the towers and their sources keep and no
+    # per-leader value
+    from dworkzeta import counting, padic
     from dworkzeta.family import _solution_shapes
 
     real, passes, towers = counting._family_sums.__wrapped__, [], set()
@@ -703,6 +715,8 @@ def test_pass_for_y_alone_keeps_no_gauss_sum(monkeypatch):
         assert charsum_count(ii, ii.Nmat, k) == count_brute(ii, ii.Nmat, k)
     kept = {id(G) for T in towers for G in T._gauss_memo.values()}
     assert kept
+    kept |= {id(G) for T in towers
+             for G in padic.gauss_source(T.field, T.N)._gauss.values()}
     # (2, 5, 1, 1) is at g = 1, where X's leader terms are summed with Y's
     assert [bool(part._x_sums) for part, _ in passes] == [False] * 4 + [True]
     for part, (_, q, M, Nm, lam_zero, *_) in passes:

@@ -113,3 +113,38 @@ def test_twist_fault_on_a_singular_fiber_is_caught(capsys, fault):
     _, rows = _zeta(capsys, argv)
     faulty = _by_lam(rows)
     assert all("error" in faulty[lam] for lam in singular)
+
+
+C1_TO_C5 = {
+    "C1": ("zeta", *N2_Q13),
+    "C2": ("zeta", "--n", "3", "--p", "7"),
+    "C3": ("zeta", "--n", "2", "--p", "5", "--r", "2"),
+    "C4": ("zeta", "--n", "3", "--p", "3", "--r", "2"),
+    "C5": ("congruence", "--n", "3", "--p", "13", "--k", "2"),
+}
+
+
+@pytest.mark.parametrize("name,changed", [
+    # teich(m)^c = teich(m)^{-c} when (p-1) | 2c, so at p = 3 every sum
+    # is unchanged; every other command reads some odd c at p = 5, 7, 13
+    ("omega_sign", ("C1", "C2", "C3", "C5")),
+    # GF(25) and GF(9) (C3, C4) have short trace-1 orbits, and so have
+    # the GF(13^k) and GF(7^k), k = 2, that C1, C2 and C5 count over
+    ("short_orbits", ("C1", "C2", "C3", "C4", "C5")),
+])
+@pytest.mark.parametrize("cmd", sorted(C1_TO_C5))
+def test_fold_fault_exits_4_where_it_changes_the_output(capsys, fault, name,
+                                                        changed, cmd):
+    # the fold's faults leave a count off its a-priori bound, or not
+    # divisible by q: every command whose output moves exits 4
+    argv = [*C1_TO_C5[cmd], "--lambda", "all"]
+    clean_code = main(argv)
+    clean = capsys.readouterr().out
+    assert clean_code == cli.EXIT_OK
+    fault(name)
+    code = main(argv)
+    out = capsys.readouterr().out
+    if cmd in changed:
+        assert code == cli.EXIT_ORACLE and out != clean
+    else:
+        assert code == cli.EXIT_OK and out == clean

@@ -1,22 +1,36 @@
+import contextlib
 import copy
 import functools
+import gc
+import io
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dworkzeta import padic
+from dworkzeta import counting, padic
+from dworkzeta.cli import main
 from dworkzeta.errors import NonIntegralResult
 from dworkzeta.ff import FieldCtx, _power, build_field
 from dworkzeta.oracles import (
     TowerElem,
     digit_sum,
+    gauss_sums_direct,
     pi_valuation,
     zp_coords,
 )
-from dworkzeta.padic import TowerCtx, ZpCyclic, build_tower
+from dworkzeta.padic import (
+    GaussSource,
+    TowerCtx,
+    ZpCyclic,
+    build_tower,
+    gauss_source,
+)
 
 FIELDS = [(2, 2), (3, 1), (3, 2), (5, 1), (7, 1), (2, 3)]
 
@@ -132,6 +146,40 @@ def test_tower_cache_stays_bounded():
     assert build_tower(F, 4).field is F
 
 
+def test_live_gauss_sources_are_bounded():
+    # one source per field model, kept for as many models as the cache
+    # holds: the towers read theirs by model and keep no reference to it
+    padic._sources.cache_clear()
+    bound = padic._sources.cache_info().maxsize
+    refs = []
+    for seed in range(bound + 8):
+        F = build_field(3, 2, seed)
+        TowerCtx(F, 4).gauss_table()
+        refs.append(weakref.ref(gauss_source(F, 4)))
+    gc.collect()
+    assert [ref() is not None for ref in refs] == [False] * 8 + [True] * bound
+
+
+def test_tower_below_its_source_holds_no_sequence_of_its_own():
+    # the y^0 sequence and the traces live on the source alone; a tower
+    # keeps its reduced Teichmuller powers and its Gauss sums
+    padic._sources.cache_clear()
+    F = build_field(5, 3, 0)
+    TowerCtx(F, 19).gauss_table()
+    source = gauss_source(F, 19)
+    assert source.N == 25  # 5^19 needs two 30-bit digits, as 5^25 does
+    for N in (13, 19, source.N):
+        T = TowerCtx(F, N)
+        T.gauss_table()
+        T.teich_pows()
+        assert gauss_source(F, N) is source
+        held = [name for name, v in vars(T).items()
+                if isinstance(v, list) and len(v) == T.q - 1]
+        assert held == ["_teich_pows"]
+        assert all(type(t) is tuple for t in T._teich_pows)
+    assert {len(source.y0), len(source.traces)} == {F.pp.q - 1}
+
+
 def test_build_tower_gf9_shape():
     T = tower(3, 2, 4)
     assert len(TowerElem.zero(T).rows) == 2
@@ -221,6 +269,8 @@ def test_teich_newton_matches_power_lift(p, r, N):
 
 @pytest.mark.parametrize("N", [1, 2, 5, 17])
 def test_teich_takes_floor_log2_n_qth_powers(monkeypatch, N):
+    # at most floor(log2 N) q-th powers; over GF(25) a Newton step takes
+    # the precision v to 2v + 2 (1 -> 4 -> 10 -> 22), so N = 17 takes 3
     T = TowerCtx(build_field(5, 2, 0), N)
     calls = []
 
@@ -230,24 +280,51 @@ def test_teich_takes_floor_log2_n_qth_powers(monkeypatch, N):
 
     monkeypatch.setattr(padic, "_power", spy)
     T.teich(T.field.generator)
-    assert calls == [T.q] * (N.bit_length() - 1)
+    assert calls == [T.q] * {1: 0, 2: 1, 5: 2, 17: 3}[N]
+    assert len(calls) <= N.bit_length() - 1
+
+
+def test_a_replacing_source_lifts_from_the_replaced_lift(monkeypatch):
+    # GF(27) at N = 13 gets a source at N = 18; N = 19 replaces it by one at
+    # N = 37, whose Newton lift starts from the old lift, exact to 18
+    # digits: one q-th power takes it to 2 * 18 + 3 = 39 digits
+    padic._sources.cache_clear()
+    F = build_field(3, 3, 0)
+    TowerCtx(F, 13).gauss_table()
+    calls = []
+
+    def spy(x, e, mul):
+        calls.append(e)
+        return _power(x, e, mul)
+
+    monkeypatch.setattr(padic, "_power", spy)
+    TowerCtx(F, 19).gauss_table()
+    source = gauss_source(F, 19)
+    assert (source.N, calls) == (37, [27])
+    monkeypatch.undo()
+    assert source._teich_generator == GaussSource(F, 37)._teich_generator
 
 
 def test_generator_is_lifted_once_per_tower(monkeypatch):
-    # the twists (teich_pows) and the Gauss sums (teich_y0) share one
-    # Newton lift of g, as on the base tower at k = 1
+    # the twists (teich_pows) and the Gauss sums (the y^0 sequence) share
+    # one Newton lift of g, made once per Gauss source: the towers below
+    # the source's precision read it reduced
     real, calls = TowerCtx.teich, []
 
     def teich(self, a):
-        calls.append(a)
+        calls.append((self.N, a))
         return real(self, a)
 
     monkeypatch.setattr(TowerCtx, "teich", teich)
-    T = TowerCtx(build_field(5, 2, 0), 6)
-    T.teich_pows()
-    T.gauss_table()
-    T.teich_y0()
-    assert calls == [T.field.generator]
+    padic._sources.cache_clear()
+    F = build_field(5, 2, 0)
+    for N in (6, 4, 6, 5):
+        T = TowerCtx(F, N)
+        T.teich_pows()
+        T.gauss_table()
+    source = gauss_source(F, 6)
+    source.y0
+    assert calls == [(source.N, F.generator)]
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2), (3, 3), (5, 3),
@@ -304,14 +381,15 @@ def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
     field = build_field(p, r, 0)
     q1 = p ** r - 1
     fresh = TowerCtx(field, 4)
-    oracle = [fresh._gauss_sums(k) for k in range(1, q1)]
-    real, asks = TowerCtx._gauss_sums, []
+    oracle = gauss_sums_direct(fresh)
+    real, asks = GaussSource._fold, []
 
-    def spy(tower, k):
-        asks.append(k)
-        return real(tower, k)
+    def spy(source, c):
+        asks.append(c)
+        return real(source, c)
 
-    monkeypatch.setattr(TowerCtx, "_gauss_sums", spy)
+    monkeypatch.setattr(GaussSource, "_fold", spy)
+    padic._sources.cache_clear()
     T = TowerCtx(field, 4)
     G = T.gauss_sums(range(q1 + 1))
     assert G[1:q1] == oracle
@@ -322,6 +400,9 @@ def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
     assert len(orbits) == cosets
     assert sorted(asks) == sorted(min(o) for o in orbits)
     assert T.gauss_sums(range(q1 + 1)) == G  # all kept
+    # so are the source's: a second tower, below its precision, folds none
+    assert TowerCtx(field, 3).gauss_sums(range(q1 + 1)) == \
+        [tuple(v % p ** 3 for v in g) for g in G]
     assert len(asks) == cosets
 
 
@@ -678,21 +759,115 @@ def test_zp_integer_worst_case_terms(p, r, N):
                                  (7, 2), (5, 3), (3, 8)])
 @pytest.mark.parametrize("N", [1, 2, 5, 17])
 def test_teich_y0_recurrence_matches_the_powers(p, r, N):
-    T = TowerCtx(build_field(p, r, 0), N)
-    assert T.teich_y0() == [t[0] for t in T.teich_pows()]
+    source = GaussSource(build_field(p, r, 0), N)
+    assert source.y0 == [t[0] for t in source.teich_pows]
 
 
 @pytest.mark.parametrize("p,r", [(2, r) for r in range(1, 7)]
                          + [(3, r) for r in range(1, 7)]
                          + [(5, 2), (5, 3), (7, 2), (11, 2), (3, 8)])
 def test_tower_traces_match_the_field_trace(p, r):
-    # Tr(g^j) read off the y^0 sequence, against the Frobenius sum
-    # a + a^p + ... + a^(p^(r-1)) in the field; GF(2^r) and GF(3^r) have
-    # short Frobenius orbits, the elements of proper subfields
+    # the source's traces t(j), read off its y^0 sequence, reduce mod p to
+    # the Frobenius sum Tr(g^j) = a + a^p + ... + a^(p^(r-1)) in the field;
+    # GF(2^r) and GF(3^r) have short Frobenius orbits, the elements of
+    # proper subfields
     F = build_field(p, r, 0)
     want = [F.trace(F.gen_pow(j)) for j in range(F.pp.q - 1)]
     for N in (1, 4):
-        assert TowerCtx(F, N)._gauss_inputs[0] == want, N
+        assert [t % p for t in GaussSource(F, N).traces] == want, N
+
+
+@pytest.mark.parametrize("p,r,N", [
+    (2, 1, 8), (2, 2, 8), (2, 3, 8), (2, 4, 8), (2, 6, 8),
+    (3, 1, 8), (3, 2, 8), (3, 3, 8), (3, 4, 8), (3, 6, 8),
+    (5, 1, 8), (5, 2, 8), (5, 3, 8),
+    (7, 1, 8), (7, 2, 8), (11, 1, 8), (11, 2, 8),
+    (2, 5, 50),  # a source above two int digits
+])
+def test_fold_matches_the_direct_sum(p, r, N):
+    # the trace-1 fold against the sum over every unit, at every interior
+    # k: GF(2^4) and GF(3^6) have subfields whose trace-1 elements are
+    # none (p | r/d), GF(p) a trace-1 set of {1}, p = 2 a one-term
+    # teich(m) table
+    padic._sources.cache_clear()
+    T = TowerCtx(build_field(p, r, 0), N)
+    q1 = T.q - 1
+    assert T.gauss_sums(range(1, q1)) == gauss_sums_direct(T)
+
+
+def _fresh_gauss_layer(p, N) -> dict:
+    """What GF(p^3) at precision N reads from a source at N itself, with
+    every cache emptied first: its Gauss table, its Teichmuller powers, its
+    `gauss` dump and the rows of `congruence --k 3` at n = (N - 7) / 3,
+    whose tower over GF(p^3) has that precision (N = 13, 16, 19 for
+    n = 2, 3, 4)."""
+    F = build_field(p, 3, 0)
+    counting._family_sums.cache_clear()
+    build_tower.cache_clear()
+    padic._sources.cache_clear()
+    padic._sources(F)[0] = GaussSource(F, N)
+    T = TowerCtx(F, N)
+    return {"sums": T.gauss_table(), "teich": T.teich_pows(),
+            **_gauss_commands(p, N)}
+
+
+def _gauss_commands(p, N) -> dict:
+    out = {}
+    for name, argv in (
+            ("dump", ["gauss", "--p", p, "--r", 3, "--N", N]),
+            ("rows", ["congruence", "--n", (N - 7) // 3, "--p", p,
+                      "--lambda", "all", "--k", 3])):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([str(a) for a in argv]) == 0
+        out[name] = buf.getvalue()
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("order", [(13, 16, 19), (19, 16, 13),
+                                   (16, 13, 19)],
+                         ids=["ascending", "descending", "interleaved"])
+def test_gauss_layer_does_not_depend_on_request_order(p, order):
+    # one process asks for GF(p^3) at N = 13, 16 and 19: GF(125) takes all
+    # three from one source at N = 25, GF(27) replaces its N = 18 source by
+    # one at N = 37 when 3^19 needs a second digit
+    fresh = {N: _fresh_gauss_layer(p, N) for N in order}
+    counting._family_sums.cache_clear()
+    build_tower.cache_clear()
+    padic._sources.cache_clear()
+    F = build_field(p, 3, 0)
+    for N in order:
+        T = TowerCtx(F, N)
+        got = {"sums": T.gauss_table(), "teich": T.teich_pows(),
+               **_gauss_commands(p, N)}
+        assert got == fresh[N], N
+    assert gauss_source(F, 13).N == {3: 37, 5: 25}[p]
+
+
+def test_threads_racing_on_one_source_read_the_fresh_sums():
+    # threads that read one model's source and replace it by higher ones
+    # (3^19 and 3^40 need a second and a third 30-bit digit): every tower
+    # still reads what a tower on a source at its own precision reads
+    F = build_field(3, 3, 0)
+    Ns = (5, 13, 19, 30, 40) * 8
+    want = {}
+    for N in set(Ns):
+        padic._sources.cache_clear()
+        padic._sources(F)[0] = GaussSource(F, N)
+        want[N] = TowerCtx(F, N).gauss_table()
+    padic._sources.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda N: TowerCtx(F, N).gauss_table(), N)
+                       for N in Ns]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[N] for N in Ns]
+    assert gauss_source(F, 1).N == 56
 
 
 def test_digit_sum():
