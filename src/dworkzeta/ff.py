@@ -154,27 +154,31 @@ class FieldCtx:
     """A concrete model of GF(p^r): modulus, generator, log/exp/Zech tables.
 
     Logically immutable after construction; all operations are pure and
-    take/return integer element codes.  The tables are built on first use,
-    an idempotent fill that is safe to share under the GIL, so a model read
-    only for its modulus, generator and digits holds none.
+    take/return integer element codes.  The modulus is found on
+    construction; the generator and the tables on first use, idempotent
+    fills that are safe to share under the GIL, so a model read only for
+    its modulus and digits has searched no generator and holds no table.
     """
 
     def __init__(self, pp: PrimePower, seed: int = 0):
         self.pp = pp
         self.seed = seed
         self.modulus = self._find_modulus(pp.p, pp.r, seed)
-        # the least code whose powers (q-1)/ell are all != 1 generates
-        # GF(q)^*; code 1 passes only for q = 2, where q-1 has no prime
-        # factor ell
-        q, fac = pp.q, factorize(pp.q - 1)
-        self.generator = next(
-            (c for c in range(1, q)
-             if all(_poly_powmod(self._vec(c), (q - 1) // ell, self.modulus,
-                                 pp.p) != (1,) for ell in fac)), None)
-        if self.generator is None:
-            raise RuntimeError("no multiplicative generator found (unreachable)")
 
     # -- construction ------------------------------------------------------
+
+    @functools.cached_property
+    def generator(self) -> int:
+        """The least code whose powers (q-1)/ell, ell a prime factor of
+        q-1, are all != 1: it generates GF(q)^*.  Code 1 passes only for
+        q = 2, where q-1 has no prime factor ell."""
+        p, q = self.pp.p, self.pp.q
+        fac = factorize(q - 1)
+        for c in range(1, q):
+            if all(_poly_powmod(self._vec(c), (q - 1) // ell, self.modulus, p)
+                   != (1,) for ell in fac):
+                return c
+        raise RuntimeError("no multiplicative generator found (unreachable)")
 
     @staticmethod
     def _find_modulus(p, r, seed):

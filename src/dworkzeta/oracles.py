@@ -255,18 +255,19 @@ def zp_coords(x: TowerElem) -> tuple:
 # the direct Gauss sum
 # ---------------------------------------------------------------------------
 
-def gauss_sums_direct(tower: TowerCtx) -> list:
-    """G(k) for each index 0 < k < q-1, p x-coordinates mod p^N, by the
-    direct sum over all q-1 units: acc[m] sums chi(g^j)^{-k} =
-    teich(g)^{-kj} over the j with Tr(g^j) = m.  Frobenius permutes that
-    set and acts on the Teichmuller values, so acc[m] lies in Z_p and sums
-    the y^0 coordinates of `teich_pows`, one int add per unit; the traces
-    are the field model's.  The oracle of `padic.GaussSource`'s fold."""
+def gauss_sums_direct(tower: TowerCtx, ks=None) -> list:
+    """G(k) for each index k in ks, every 0 < k < q-1 by default, p
+    x-coordinates mod p^N, by the direct sum over all q-1 units: acc[m]
+    sums chi(g^j)^{-k} = teich(g)^{-kj} over the j with Tr(g^j) = m.
+    Frobenius permutes that set and acts on the Teichmuller values, so
+    acc[m] lies in Z_p and sums the y^0 coordinates of `teich_pows`, one
+    int add per unit; the traces are the field model's.  The oracle of
+    `padic.GaussSource`'s fold and of its closed form."""
     F, p, pN, q1 = tower.field, tower.p, tower.pN, tower.q - 1
     traces = [F.trace(F.gen_pow(j)) for j in range(q1)]
     tp = tower.teich_pows()
     out = []
-    for k in range(1, q1):
+    for k in range(1, q1) if ks is None else ks:
         acc = [0] * p
         for j, m in enumerate(traces):
             acc[m] += tp[-k * j % q1][0]

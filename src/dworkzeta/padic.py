@@ -19,8 +19,13 @@ built.  Each field model has one `GaussSource`, which holds the lift of its
 generator, that sequence, the traces and one G_q(c) per p-cyclotomic coset
 minimum c at a single precision, and sums acc over the trace-1 set folded
 by Frobenius orbits (`GaussSource._fold`): about q/(pr) + p terms, against
-q - 1.  A tower at a lower precision reads them reduced.  Which Gauss sum
-over GF(q^m) is which is decided in `TowerCtx.gauss_sums` alone.
+q - 1.  A pure sum, whose character has an order m with p^t = -1 mod m for
+some t, 2t | r, is +-p^{r/2} by Stickelberger's theorem and is written down
+in closed form (`GaussSource._pure`), reading none of these: a model whose
+sums are all pure, as at the supersingular Fermat fibers, lifts nothing
+and searches no generator.  A tower at a lower precision reads them
+reduced.  Which Gauss sum over GF(q^m) is which is decided in
+`TowerCtx.gauss_sums` alone.
 
 The family part of the character-sum count computes in
 Z_p[zeta_p][z]/(z^g - 1) on packed integers (`ZpCyclic`), whose layout
@@ -238,9 +243,12 @@ class GaussSource:
     """One field model's Gauss layer at precision N, each part computed on
     first use and kept: the Teichmuller lift of the generator g, its
     powers, the y^0 sequence of the powers, the traces t(i) and G_q(c) for
-    each p-cyclotomic coset minimum c.  A tower at precision N' <= N reads
-    them reduced mod p^N' (`gauss_source`); every residue mod p^N' is the
-    one the tower would compute at N' itself, the lift being unique."""
+    each p-cyclotomic coset minimum c, pure ones in closed form and the
+    others folded from the sequence and the traces, so a source asked only
+    for pure sums computes none of the other parts.  A tower at precision
+    N' <= N reads them reduced mod p^N' (`gauss_source`); every residue
+    mod p^N' is the one the tower would compute at N' itself, the lift
+    being unique."""
 
     def __init__(self, field: FieldCtx, N: int, replaced=None):
         self.tower = TowerCtx(field, N)  # the arithmetic of W mod p^N
@@ -337,11 +345,37 @@ class GaussSource:
 
     def gauss_sum(self, c: int) -> tuple:
         """G_q(c) for a coset minimum 0 < c < q-1, p x-coordinates mod p^N,
-        folded on first request (`_fold`) and kept."""
+        computed on first request and kept: in closed form when the
+        character is pure (`_pure`), else folded (`_fold`)."""
         G = self._gauss.get(c)
         if G is None:
-            G = self._gauss[c] = self._fold(c)
+            G = self._gauss[c] = self._pure(c) or self._fold(c)
         return G
+
+    def _pure(self, c: int):
+        """G_q(c) when omega^{-c}, of order m = (q-1)/gcd(c, q-1), is pure,
+        else None.  Stickelberger (Lidl-Niederreiter, Finite Fields,
+        Thm 5.16): with t the least t >= 1 with p^t = -1 mod m, where one
+        exists and 2t | r, G = eps p^{r/2}, gamma = r/(2t),
+        eps = (-1)^{gamma-1} for p = 2 and
+        eps = (-1)^{gamma-1+(p^t+1) gamma/m} for odd p.  Such a character
+        is trivial on GF(p)^*, since m | (q-1)/(p-1), so (p-1) | c and the
+        fold's acc[i] is a = acc[1] for i != 0 and acc[0] = -(p-1) a: G is
+        -p a, and the tuple the fold would store has a = -G/p."""
+        T = self.tower
+        p, r, pN = T.p, T.r, T.pN
+        m = (T.q - 1) // gcd(c, T.q - 1)
+        t = next((t for t in range(1, r // 2 + 1) if pow(p, t, m) == m - 1),
+                 None)
+        if t is None or r % (2 * t):
+            return None
+        if c % (p - 1):
+            raise RuntimeError(f"the pure character omega^-{c} is not "
+                               f"trivial on GF({p})^* (unreachable)")
+        gamma = r // (2 * t)
+        sign = gamma - 1 + (p > 2) * (p ** t + 1) // m * gamma
+        a = (-1) ** sign * -p ** (r // 2 - 1) % pN
+        return (-(p - 1) * a % pN,) + (a,) * (p - 1)
 
     def _fold(self, c: int) -> tuple:
         """G_q(c) = sum_m x^m acc[m], acc[m] the sum of chi(a)^{-c} over

@@ -127,10 +127,23 @@ def _short_orbits_dropped(monkeypatch):
         full, [], omega))
 
 
+def _pure_sign_flipped(monkeypatch):
+    """The Gauss source's closed form negated: every pure G_q(c) reads
+    -eps p^{r/2}."""
+    real = GaussSource._pure
+
+    def pure(source, c):
+        G = real(source, c)
+        return G and tuple(-x % source.tower.pN for x in G)
+
+    monkeypatch.setattr(GaussSource, "_pure", pure)
+
+
 FAULTS = {"hd_sign": _hd_sign_dropped, "twist": _twist_inverted,
           "orbit_weight": _orbit_weight_dropped, "ends_swapped": _ends_swapped,
           "omega_sign": _omega_sign_flipped,
-          "short_orbits": _short_orbits_dropped}
+          "short_orbits": _short_orbits_dropped,
+          "pure_sign": _pure_sign_flipped}
 
 
 @pytest.fixture

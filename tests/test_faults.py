@@ -131,12 +131,18 @@ C1_TO_C5 = {
     # GF(25) and GF(9) (C3, C4) have short trace-1 orbits, and so have
     # the GF(13^k) and GF(7^k), k = 2, that C1, C2 and C5 count over
     ("short_orbits", ("C1", "C2", "C3", "C4", "C5")),
+    # the closed form negated: the lam = 0 fibers of C2, C3 and C4 are
+    # supersingular, their sums over GF(49), GF(25) and GF(9) pure, and
+    # the GF(13^2) that C1 and C5 count over has pure characters of
+    # order 2, 7 and 14
+    ("pure_sign", ("C1", "C2", "C3", "C4", "C5")),
 ])
 @pytest.mark.parametrize("cmd", sorted(C1_TO_C5))
 def test_fold_fault_exits_4_where_it_changes_the_output(capsys, fault, name,
                                                         changed, cmd):
-    # the fold's faults leave a count off its a-priori bound, or not
-    # divisible by q: every command whose output moves exits 4
+    # the faults of the fold and of the closed form leave a count off its
+    # a-priori bound, or not divisible by q: every command whose output
+    # moves exits 4
     argv = [*C1_TO_C5[cmd], "--lambda", "all"]
     clean_code = main(argv)
     clean = capsys.readouterr().out

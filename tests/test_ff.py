@@ -211,15 +211,24 @@ def test_tables_are_built_on_first_use():
 
 def test_charsum_count_builds_no_extension_table():
     # n = 3, lam = 0 over GF(11^2) runs its family pass on the tower over
-    # GF(121), which reads only the model's modulus, generator and digits
-    from dworkzeta import counting, ff
+    # GF(121), which reads only the model's modulus and digits: its sums,
+    # of order 2 and 4, are pure (11 = -1 mod 4), so the model searches no
+    # generator and its Gauss source lifts nothing
+    from dworkzeta import counting, ff, padic
 
     ff._field.cache_clear()
     counting._family_sums.cache_clear()
     build_tower.cache_clear()
+    padic._sources.cache_clear()
     count_record(DworkInstance(3, build_field(11, 1, 1), 0), 2,
                  method="charsum")
-    assert not set(_TABLES) & set(vars(build_field(11, 2, 1)))
+    F = build_field(11, 2, 1)
+    assert not set(_TABLES) & set(vars(F))
+    source = padic._sources(F)[0]
+    assert "generator" not in vars(F) and source._gauss
+    assert not {"_teich_generator", "y0", "traces"} & set(vars(source))
+    # read now, it is searched: the least code of full order
+    assert (F.modulus, F.generator) == ((1, 0, 1), 15)
 
 
 def test_dlog_examples():

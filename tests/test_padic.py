@@ -373,22 +373,37 @@ def test_gauss_sums_lie_in_zp_zeta_p(p, r):
         assert G.c == TowerElem.from_zp(T, fast[k - 1]).c, (p, r, k)
 
 
+# the pure cosets: the characters of order m with p^t = -1 mod m, 2t | r
+# (m = 3, 5 over GF(16); m = 2, 3, 6 over GF(25); m = 3, 9 over GF(64)),
+# none at odd r
+PURE_COSETS = {(2, 4): 2, (5, 2): 3, (3, 3): 0, (2, 6): 2, (5, 3): 0}
+
+
 @pytest.mark.parametrize("p,r,cosets", [(2, 4, 4), (5, 2, 13), (3, 3, 9),
                                         (2, 6, 12), (5, 3, 43)])
 def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
     # G(p k mod (q-1)) = G(k): the memo sums one index per p-cyclotomic
-    # coset of 0 < k < q-1, its least member; 0 and q-1 are conventions
+    # coset of 0 < k < q-1, its least member; 0 and q-1 are conventions.
+    # Each coset is computed once per source, by the closed form or by the
+    # fold, never both
     field = build_field(p, r, 0)
     q1 = p ** r - 1
     fresh = TowerCtx(field, 4)
     oracle = gauss_sums_direct(fresh)
-    real, asks = GaussSource._fold, []
+    real_pure, real_fold, asks = GaussSource._pure, GaussSource._fold, []
 
-    def spy(source, c):
-        asks.append(c)
-        return real(source, c)
+    def spy_pure(source, c):
+        G = real_pure(source, c)
+        if G is not None:
+            asks.append(("pure", c))
+        return G
 
-    monkeypatch.setattr(GaussSource, "_fold", spy)
+    def spy_fold(source, c):
+        asks.append(("fold", c))
+        return real_fold(source, c)
+
+    monkeypatch.setattr(GaussSource, "_pure", spy_pure)
+    monkeypatch.setattr(GaussSource, "_fold", spy_fold)
     padic._sources.cache_clear()
     T = TowerCtx(field, 4)
     G = T.gauss_sums(range(q1 + 1))
@@ -398,9 +413,11 @@ def test_gauss_sums_once_per_cyclotomic_coset(monkeypatch, p, r, cosets):
     orbits = {frozenset(k * p ** i % q1 for i in range(r))
               for k in range(1, q1)}
     assert len(orbits) == cosets
-    assert sorted(asks) == sorted(min(o) for o in orbits)
+    assert sorted(c for _, c in asks) == sorted(min(o) for o in orbits)
+    assert sum(route == "pure" for route, _ in asks) == PURE_COSETS[p, r]
     assert T.gauss_sums(range(q1 + 1)) == G  # all kept
-    # so are the source's: a second tower, below its precision, folds none
+    # so are the source's: a second tower, below its precision, computes
+    # none
     assert TowerCtx(field, 3).gauss_sums(range(q1 + 1)) == \
         [tuple(v % p ** 3 for v in g) for g in G]
     assert len(asks) == cosets
@@ -793,6 +810,33 @@ def test_fold_matches_the_direct_sum(p, r, N):
     T = TowerCtx(build_field(p, r, 0), N)
     q1 = T.q - 1
     assert T.gauss_sums(range(1, q1)) == gauss_sums_direct(T)
+
+
+PURE_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8), (3, 2), (3, 3), (3, 4),
+               (3, 6), (5, 2), (5, 3), (5, 4), (7, 2), (7, 4), (11, 2),
+               (13, 2), (17, 2), (19, 2), (23, 2), (29, 2), (31, 2)]
+
+
+@pytest.mark.parametrize("p,r,N", [(p, r, N) for p, r in PURE_FIELDS
+                                   for N in (3, 8, 20)]
+                         + [(2, 4, 50)])  # a source above one int digit
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closed_form_matches_the_direct_sum(p, r, N, seed):
+    # Stickelberger's pure sums against the sum over every unit, at every
+    # interior c where the closed form fires; the cases include p = 2,
+    # m = 2 (every odd p at even r), t = 2 (m = 5 over GF(2^4) and
+    # GF(3^4)) and gamma = 2 (m = 3 over GF(2^4), m = 2 over GF(3^4)).
+    # At even r the character of order 2 (of order 3 at p = 2) is pure; at
+    # odd r no character is, 2t | r failing
+    padic._sources.cache_clear()
+    F = build_field(p, r, seed)
+    T = TowerCtx(F, N)
+    source = gauss_source(F, N)
+    pure = [c for c in range(1, T.q - 1) if source._pure(c) is not None]
+    want = gauss_sums_direct(T, pure)
+    assert [tuple(v % T.pN for v in source._pure(c)) for c in pure] == want
+    assert T.gauss_sums(pure) == want
+    assert bool(pure) == (r % 2 == 0)
 
 
 def _fresh_gauss_layer(p, N) -> dict:
